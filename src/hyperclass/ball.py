@@ -1,9 +1,17 @@
 """Differentiable operations on the Poincare ball model of hyperbolic space.
 
-Points are float64 numpy vectors with Euclidean norm strictly below 1;
-after every constructing operation the norm is clamped to <= 1 - EPS_BALL.
-Tangent vectors are plain float64 vectors of the same dimension. All
-functions are pure and safe to call from multiple threads.
+Points are float64 arrays whose last axis holds the coordinates, with
+Euclidean norm strictly below 1; after every constructing operation the
+norm is clamped to <= 1 - EPS_BALL. Tangent vectors are plain float64
+arrays of the same dimension.
+
+`project_to_ball`, `distance`, `distance_grad`, `exp_map_origin`,
+`exp_map_origin_vjp` and `log_map_origin` are batch-first: they take
+`(..., d)` arrays, reduce over `axis=-1` and broadcast the leading axes,
+the convention of the hyperbolic neural network ops of Ganea, Becigneul &
+Hofmann (2018). `distance` returns a float for 1-D inputs. `mobius_add`,
+`exp_map`, `log_map` and `conformal_factor` take single points; the
+per-point Riemannian Adam of stage one calls them once per node.
 
 The ball carries the conformal metric g_x = lambda_x^2 * I with
 lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
@@ -21,19 +29,31 @@ EPS_DIV = 1e-12
 MAX_NORM = 1.0 - EPS_BALL
 
 
-def project_to_ball(p: np.ndarray) -> np.ndarray:
-    """Retract an arbitrary finite vector onto the closed ball of radius 1 - EPS_BALL.
+def _sqnorm(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the last axis; a row of a batch gets the
+    same bits as the row passed alone."""
+    return np.vecdot(x, x)
 
-    Points already inside are returned unchanged; anything else is rescaled
+
+def _scale_rows(scale: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multiply each last-axis row of x by the matching entry of scale."""
+    return scale[..., None] * x
+
+
+def project_to_ball(p: np.ndarray) -> np.ndarray:
+    """Retract finite (..., d) points onto the closed ball of radius 1 - EPS_BALL.
+
+    Rows already inside are returned unchanged; anything else is rescaled
     radially. Non-finite input is rejected.
     """
     p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite components")
-    norm = np.linalg.norm(p)
-    if norm <= MAX_NORM:
+    norm = np.sqrt(_sqnorm(p))
+    if (norm <= MAX_NORM).all():
         return p
-    return p * (MAX_NORM / norm)
+    # Inside rows are scaled by exactly 1.0, outside rows by MAX_NORM / norm.
+    return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p)
 
 
 def conformal_factor(x: np.ndarray) -> float:
@@ -87,42 +107,44 @@ def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return scale * w
 
 
-def distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Geodesic distance: arcosh(1 + 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2))).
-
-    The arcosh argument is clamped to >= 1 so cancellation near x == y
-    yields 0 instead of NaN.
-    """
+def _distance_terms(x: np.ndarray, y: np.ndarray):
+    """Terms shared by distance and distance_grad; arg is the arcosh argument."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     diff = x - y
-    a = float(np.dot(diff, diff))
-    b = 1.0 - float(np.dot(x, x))
-    c = 1.0 - float(np.dot(y, y))
+    a = _sqnorm(diff)
+    b = 1.0 - _sqnorm(x)
+    c = 1.0 - _sqnorm(y)
     arg = 1.0 + 2.0 * a / (b * c)
-    return float(np.arccosh(max(arg, 1.0)))
+    return x, y, diff, a, b, c, arg
+
+
+def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Geodesic distance: arcosh(1 + 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2))).
+
+    Broadcasts over the leading axes of (..., d) inputs; two 1-D points
+    give a float. The arcosh argument is clamped to >= 1 so cancellation
+    near x == y yields 0 instead of NaN.
+    """
+    arg = _distance_terms(x, y)[-1]
+    d = np.arccosh(np.maximum(arg, 1.0))
+    return float(d) if d.ndim == 0 else d
 
 
 def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean partial derivatives (dd/dx, dd/dy) of `distance`.
+    """Euclidean partial derivatives (dd/dx, dd/dy) of `distance`, both
+    shaped like the broadcast of x and y.
 
-    At x == y (within EPS_DIV) the distance is not differentiable; the zero
-    subgradient is returned for both arguments.
+    Where x == y (within EPS_DIV) the distance is not differentiable; the
+    zero subgradient is returned for both arguments of that row.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    diff = x - y
-    a = float(np.dot(diff, diff))
-    b = 1.0 - float(np.dot(x, x))
-    c = 1.0 - float(np.dot(y, y))
-    arg = 1.0 + 2.0 * a / (b * c)
+    x, y, diff, a, b, c, arg = _distance_terms(x, y)
     # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
-    root = np.sqrt(max(arg * arg - 1.0, 0.0))
-    if root < EPS_DIV:
-        return np.zeros_like(x), np.zeros_like(y)
-    common = 4.0 / (b * c * root)
-    gx = common * (diff + (a / b) * x)
-    gy = common * (-diff + (a / c) * y)
+    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    smooth = root >= EPS_DIV
+    common = np.divide(4.0, b * c * root, out=np.zeros_like(root), where=smooth)
+    gx = _scale_rows(common, diff + _scale_rows(a / b, x))
+    gy = _scale_rows(common, _scale_rows(a / c, y) - diff)
     return gx, gy
 
 
@@ -131,18 +153,24 @@ def distance_from_origin(r: float) -> float:
     return 2.0 * float(np.arctanh(r))
 
 
+def _row_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, nonzero): norms over the last axis, with rows shorter than
+    EPS_DIV flagged and their r set to 1 so divisions by r stay finite."""
+    r = np.sqrt(_sqnorm(v))
+    nonzero = r >= EPS_DIV
+    return np.where(nonzero, r, 1.0), nonzero
+
+
 def exp_map_origin(v: np.ndarray) -> np.ndarray:
-    """exp_0(v) = tanh(||v||) * v / ||v||; cheaper special case used by the loss head."""
+    """exp_0(v) = tanh(||v||) * v / ||v|| for (..., d) tangent vectors at the
+    origin; a zero row maps to the origin."""
     v = np.asarray(v, dtype=np.float64)
-    r = float(np.linalg.norm(v))
-    if r < EPS_DIV:
-        return np.zeros_like(v)
-    p = (np.tanh(r) / r) * v
-    return project_to_ball(p)
+    r, nonzero = _row_norms(v)
+    return project_to_ball(_scale_rows(np.where(nonzero, np.tanh(r) / r, 0.0), v))
 
 
 def exp_map_origin_vjp(v: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of exp_map_origin: maps d/dp into d/dv.
+    """Vector-Jacobian product of exp_map_origin: maps d/dp into d/dv, row by row.
 
     With s(r) = tanh(r)/r the Jacobian is s(r) I + (s'(r)/r) v v^T. The
     r -> 0 limit is the identity. The radial clamp in exp_map_origin only
@@ -151,14 +179,21 @@ def exp_map_origin_vjp(v: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    r = float(np.linalg.norm(v))
-    if r < EPS_DIV:
-        return grad_out.copy()
+    r, nonzero = _row_norms(v)
     t = np.tanh(r)
-    s = t / r
-    # s'(r) = (sech^2(r) * r - tanh(r)) / r^2
-    ds = ((1.0 - t * t) * r - t) / (r * r)
-    return s * grad_out + (ds / r) * float(np.dot(v, grad_out)) * v
+    s = np.where(nonzero, t / r, 1.0)
+    # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
+    ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)
+    return _scale_rows(s, grad_out) + _scale_rows(ds_over_r * np.vecdot(v, grad_out), v)
+
+
+def log_map_origin(y: np.ndarray) -> np.ndarray:
+    """log_0(y) = artanh(||y||) * y / ||y||, the inverse of exp_map_origin,
+    for (..., d) points; rows outside the ball are projected first and a
+    zero row maps to the zero vector. Equals log_map(0, y)."""
+    w = project_to_ball(y)
+    r, nonzero = _row_norms(w)
+    return _scale_rows(np.where(nonzero, np.arctanh(np.minimum(r, MAX_NORM)) / r, 0.0), w)
 
 
 def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> np.ndarray:

@@ -9,11 +9,13 @@ in the `meta` JSON section, so round trips are bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -96,15 +98,24 @@ def _array_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _array_from(payload: bytes, shape) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
-
-
-def _atomic_write(path, blob: bytes) -> None:
+def write_atomic(path, writer: Callable[[Path], object]) -> None:
+    """Run `writer(tmp_path)` on `<path>.tmp` in the destination directory,
+    then rename it over `path`. If the writer or the rename raises, the
+    temp file is removed and the error propagates, so a failed write
+    leaves neither a partial `path` nor a stray temp file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(path, sections: list[tuple[str, bytes]]) -> None:
+    blob = _pack_sections(sections)
+    write_atomic(path, lambda tmp: tmp.write_bytes(blob))
 
 
 def _meta_json(meta: dict) -> bytes:
@@ -123,7 +134,7 @@ def save_labels_checkpoint(
         "shapes": {"labels.vectors": list(emb.vectors.shape)},
     }
     sections = [("meta", _meta_json(meta)), ("labels.vectors", _array_bytes(emb.vectors))]
-    _atomic_write(path, _pack_sections(sections))
+    _write_checkpoint(path, sections)
 
 
 def save_classifier_checkpoint(
@@ -153,10 +164,27 @@ def save_classifier_checkpoint(
     }
     sections = [("meta", _meta_json(meta))]
     sections += [(name, _array_bytes(arr)) for name, arr in sorted(arrays.items())]
-    _atomic_write(path, _pack_sections(sections))
+    _write_checkpoint(path, sections)
+
+
+# Named axes of every classifier array; arrays sharing an axis name must
+# agree on its size, and the first two are fixed by the meta section.
+_CLASSIFIER_AXES = {
+    "enc.embedding": ("vocabulary size", "token dim"),
+    "enc.w1": ("token dim", "encoder dim"),
+    "enc.b1": ("encoder dim",),
+    "head.w_c": ("encoder dim", "number of class names"),
+    "head.b_c": ("number of class names",),
+    "head.w_p": ("encoder dim", "projection dim"),
+    "head.b_p": ("projection dim",),
+}
 
 
 def load_checkpoint(path, expect_stage: str | None = None):
+    """Read and validate a checkpoint of either stage.
+
+    Every unreadable, corrupt or internally inconsistent file raises
+    CheckpointError (StageError for a valid file of the wrong stage)."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -168,34 +196,81 @@ def load_checkpoint(path, expect_stage: str | None = None):
         meta = json.loads(sections["meta"].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable meta section: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta section is not a JSON object")
     stage = meta.get("stage")
     if expect_stage is not None and stage != expect_stage:
         raise StageError(f"{path}: stage is {stage!r}, expected {expect_stage!r}")
+    if stage not in (STAGE_LABELS, STAGE_CLASSIFIER):
+        raise CheckpointError(f"{path}: unknown stage tag {stage!r}")
 
-    def grab(name: str) -> np.ndarray:
+    def field(name: str, kind: type):
+        value = meta.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CheckpointError(f"{path}: meta field {name!r} is missing or not a {kind.__name__}")
+        return value
+
+    shapes = field("shapes", dict)
+    config = field("config", dict)
+    seed = field("seed", int)
+
+    def grab(name: str, ndim: int) -> np.ndarray:
         if name not in sections:
             raise CheckpointError(f"{path}: missing section {name!r}")
-        return _array_from(sections[name], meta["shapes"][name])
+        shape = shapes.get(name)
+        payload = sections[name]
+        if not (
+            isinstance(shape, list)
+            and len(shape) == ndim
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+            and math.prod(shape) * 8 == len(payload)
+        ):
+            raise CheckpointError(
+                f"{path}: section {name!r} holds {len(payload)} bytes, "
+                f"which does not match its recorded shape {shape!r}"
+            )
+        return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
 
     if stage == STAGE_LABELS:
-        emb = LabelEmbeddings(nodes=list(meta["nodes"]), vectors=grab("labels.vectors"))
-        class_map = [(label, node) for label, node in meta["class_map"]]
-        return LabelsCheckpoint(emb, class_map, meta["config"], int(meta["seed"]))
-    if stage == STAGE_CLASSIFIER:
-        vocab = Vocabulary({str(k): int(v) for k, v in meta["vocab"].items()})
-        model = EncoderModel(
-            vocab=vocab,
-            embedding=grab("enc.embedding"),
-            w1=grab("enc.w1"),
-            b1=grab("enc.b1"),
-        )
-        head = ClassifierHead(
-            w_c=grab("head.w_c"),
-            b_c=grab("head.b_c"),
-            w_p=grab("head.w_p"),
-            b_p=grab("head.b_p"),
-        )
-        return ClassifierCheckpoint(
-            model, head, list(meta["class_names"]), meta["config"], int(meta["seed"])
-        )
-    raise CheckpointError(f"{path}: unknown stage tag {stage!r}")
+        vectors = grab("labels.vectors", 2)
+        nodes = field("nodes", list)
+        if len(nodes) != len(vectors) or not all(isinstance(n, str) for n in nodes):
+            raise CheckpointError(
+                f"{path}: {len(nodes)} node names for {len(vectors)} embedding rows"
+            )
+        rows = field("class_map", list)
+        if not all(
+            isinstance(row, list) and len(row) == 2 and all(isinstance(x, str) for x in row)
+            for row in rows
+        ):
+            raise CheckpointError(f"{path}: class_map rows must be [label, node] string pairs")
+        emb = LabelEmbeddings(nodes=nodes, vectors=vectors)
+        return LabelsCheckpoint(emb, [(label, node) for label, node in rows], config, seed)
+
+    token_to_index = field("vocab", dict)
+    indices = list(token_to_index.values())
+    if not all(isinstance(i, int) for i in indices) or sorted(indices) != list(range(len(indices))):
+        raise CheckpointError(f"{path}: vocabulary indices are not 0..{len(token_to_index) - 1}")
+    class_names = field("class_names", list)
+    arrays = {name: grab(name, len(axes)) for name, axes in _CLASSIFIER_AXES.items()}
+    sizes = {"vocabulary size": len(token_to_index), "number of class names": len(class_names)}
+    for name, axes in _CLASSIFIER_AXES.items():
+        for axis, n in zip(axes, arrays[name].shape):
+            if sizes.setdefault(axis, n) != n:
+                raise CheckpointError(
+                    f"{path}: {name} has shape {arrays[name].shape}, "
+                    f"but the {axis} is {sizes[axis]}"
+                )
+    model = EncoderModel(
+        vocab=Vocabulary(token_to_index),
+        embedding=arrays["enc.embedding"],
+        w1=arrays["enc.w1"],
+        b1=arrays["enc.b1"],
+    )
+    head = ClassifierHead(
+        w_c=arrays["head.w_c"],
+        b_c=arrays["head.b_c"],
+        w_p=arrays["head.w_p"],
+        b_p=arrays["head.b_p"],
+    )
+    return ClassifierCheckpoint(model, head, class_names, config, seed)

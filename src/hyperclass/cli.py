@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import log_map
+from .ball import log_map_origin
 from .checkpoint import (
     STAGE_CLASSIFIER,
     STAGE_LABELS,
@@ -26,10 +26,11 @@ from .checkpoint import (
     load_checkpoint,
     save_classifier_checkpoint,
     save_labels_checkpoint,
+    write_atomic,
 )
-from .config import ClassifierConfig, LabelEmbedConfig, SynthSpec
+from .config import LOSSES, WEIGHT_NORMS, ClassifierConfig, LabelEmbedConfig, SynthSpec
 from .data import generate_synthetic, infer_label_names, load_dataset, make_family_tree, save_dataset
-from .encoder import encode, tokenize
+from .encoder import encode_chunks, tokenize_batch
 from .errors import ConfigError, HyperclassError
 from .hierarchy import (
     MODES,
@@ -57,14 +58,6 @@ def _default_seed() -> int:
         raise ConfigError(f"HYPERCLASS_SEED must be an integer, got {raw!r}") from None
 
 
-def _write_atomic(path, writer) -> None:
-    """Run `writer(tmp_path)` then rename over `path`."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
-
-
 def cmd_train_labels(args: argparse.Namespace) -> int:
     edges = parse_taxonomy(args.hierarchy)
     class_rows = parse_class_map(args.class_map)
@@ -81,7 +74,7 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
     emb, final_loss = train_label_embeddings(tree, cfg)
     map_score = reconstruction_map(emb, tree)
     save_labels_checkpoint(args.out, emb, class_rows, cfg.to_dict(), args.seed)
-    _write_atomic(str(args.out) + ".tsv", lambda p: export_embeddings_tsv(emb, p))
+    write_atomic(str(args.out) + ".tsv", lambda p: export_embeddings_tsv(emb, p))
     print(json.dumps({"final_loss": final_loss, "map": map_score}))
     return 0
 
@@ -95,7 +88,6 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
         lr=args.lr,
         loss=args.loss,
         weight_norm=args.weight_norm,
-        threads=args.threads,
         seed=args.seed,
     )
     cfg.validate()
@@ -130,7 +122,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = load_dataset(args.data, ck.class_names, split="test")
     result, _ = evaluate_model(ck.model, ck.head, ds)
     blob = json.dumps(result.to_dict(), indent=2) + "\n"
-    _write_atomic(args.out_json, lambda p: Path(p).write_text(blob, encoding="utf-8"))
+    write_atomic(args.out_json, lambda p: Path(p).write_text(blob, encoding="utf-8"))
     print(json.dumps({"accuracy": result.accuracy, "weighted_f1": result.weighted_f1}))
     return 0
 
@@ -153,10 +145,10 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     for ds in splits:
-        _write_atomic(out_dir / f"{ds.split}.tsv", lambda p, d=ds: save_dataset(d, p))
+        write_atomic(out_dir / f"{ds.split}.tsv", lambda p, d=ds: save_dataset(d, p))
         counts[ds.split] = len(ds.samples)
-    _write_atomic(out_dir / "hierarchy.tsv", lambda p: save_taxonomy(tree.edges, p))
-    _write_atomic(out_dir / "class-map.tsv", lambda p: save_class_map(class_rows, p))
+    write_atomic(out_dir / "hierarchy.tsv", lambda p: save_taxonomy(tree.edges, p))
+    write_atomic(out_dir / "class-map.tsv", lambda p: save_class_map(class_rows, p))
     print(json.dumps({**counts, "classes": tree.num_classes, "out_dir": str(out_dir)}))
     return 0
 
@@ -169,19 +161,17 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
         if args.data is None:
             raise ConfigError("exporting classifier projections requires --data")
         ds = load_dataset(args.data, ck.class_names, split="test")
-        names, rows = [], []
-        for i, (text, y) in enumerate(ds.samples):
-            h = encode(ck.model, tokenize(ck.model.vocab, text))
-            names.append(f"s{i}_{ds.label_names[y]}")
-            rows.append(project_representation(ck.head, h))
-        emb = LabelEmbeddings(nodes=names, vectors=np.array(rows))
+        tokens = tokenize_batch(ck.model.vocab, [text for text, _ in ds.samples])
+        vectors = np.concatenate(
+            [project_representation(ck.head, h) for h in encode_chunks(ck.model, tokens)]
+        )
+        names = [f"s{i}_{ds.label_names[y]}" for i, (_, y) in enumerate(ds.samples)]
+        emb = LabelEmbeddings(nodes=names, vectors=vectors)
     else:  # pragma: no cover - load_checkpoint rejects unknown stages
         raise ConfigError("unsupported checkpoint stage")
     if args.space == "tangent":
-        origin = np.zeros(emb.dim)
-        vectors = np.stack([log_map(origin, row) for row in emb.vectors])
-        emb = LabelEmbeddings(nodes=emb.nodes, vectors=vectors)
-    _write_atomic(args.out, lambda p: export_embeddings_tsv(emb, p))
+        emb = LabelEmbeddings(nodes=emb.nodes, vectors=log_map_origin(emb.vectors))
+    write_atomic(args.out, lambda p: export_embeddings_tsv(emb, p))
     print(json.dumps({"rows": len(emb.nodes), "dim": emb.dim, "space": args.space}))
     return 0
 
@@ -210,14 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--labels-ckpt", help="stage-1 checkpoint (required for --loss wce)")
-    p.add_argument("--loss", choices=("wce", "ce"), default="wce")
-    p.add_argument("--weight-norm", choices=("none", "batch-mean"), default="none")
+    p.add_argument("--loss", choices=LOSSES, default="wce")
+    p.add_argument("--weight-norm", choices=WEIGHT_NORMS, default="none")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--d-tok", type=int, default=64)
     p.add_argument("--d-e", type=int, default=128)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_classifier)

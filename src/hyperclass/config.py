@@ -6,6 +6,11 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 
+# Stage-two loss: distance-weighted or plain cross entropy.
+LOSSES = ("wce", "ce")
+# How wce rescales the per-sample distance weights.
+WEIGHT_NORMS = ("none", "batch-mean")
+
 
 @dataclass
 class LabelEmbedConfig:
@@ -39,21 +44,20 @@ class ClassifierConfig:
     batch_size: int = 16
     lr: float = 1e-3
     weight_decay: float = 0.0
-    loss: str = "wce"  # "wce" | "ce"
-    weight_norm: str = "none"  # "none" | "batch-mean"
+    loss: str = "wce"  # one of LOSSES
+    weight_norm: str = "none"  # one of WEIGHT_NORMS
     min_freq: int = 2
-    threads: int = 1
     seed: int = 42
     # projection output dim; None = match the label embedding dim
     hyper_dim: int | None = None
 
     def validate(self) -> None:
-        if self.loss not in ("wce", "ce"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss mode {self.loss!r}")
-        if self.weight_norm not in ("none", "batch-mean"):
+        if self.weight_norm not in WEIGHT_NORMS:
             raise ConfigError(f"unknown weight-norm mode {self.weight_norm!r}")
-        if min(self.d_tok, self.d_e, self.epochs, self.batch_size, self.threads) < 1:
-            raise ConfigError("classifier config requires positive dims/epochs/batch/threads")
+        if min(self.d_tok, self.d_e, self.epochs, self.batch_size) < 1:
+            raise ConfigError("classifier config requires positive dims/epochs/batch")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.hyper_dim is not None and self.hyper_dim < 1:

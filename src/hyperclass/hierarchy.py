@@ -269,21 +269,19 @@ def label_loss(
     u, v = pair
     eu = emb.vector(u)
     names = [v] + list(negatives)
-    dists = np.array([distance(eu, emb.vector(n)) for n in names])
+    others = emb.subset(names)
+    dists = distance(eu, others)
     scores = -dists
     m = scores.max()
     lse = m + np.log(np.sum(np.exp(scores - m)))
     loss = dists[0] + lse
-    probs = np.exp(scores - lse)
+    coeff = -np.exp(scores - lse)
+    coeff[0] += 1.0
 
-    grads: dict[str, np.ndarray] = {u: np.zeros_like(eu)}
-    for j, name in enumerate(names):
-        coeff = (1.0 if j == 0 else 0.0) - probs[j]
-        gu, gn = distance_grad(eu, emb.vector(name))
-        grads[u] += coeff * gu
-        if name not in grads:
-            grads[name] = np.zeros_like(eu)
-        grads[name] += coeff * gn
+    gu, gn = distance_grad(eu, others)
+    grads: dict[str, np.ndarray] = {u: coeff @ gu}
+    for name, row in zip(names, gn * coeff[:, None]):
+        grads[name] = grads[name] + row if name in grads else row
     return float(loss), grads
 
 
@@ -340,11 +338,9 @@ def reconstruction_map(emb: LabelEmbeddings, tree: LabelTree) -> float:
         excluded = set(children) | {u}
         neg_rows = [index[n] for n in tree.nodes if n not in excluded]
         eu = emb.vectors[index[u]]
-        neg_dists = np.array([distance(eu, emb.vectors[r]) for r in neg_rows])
-        ranks = []
-        for v in children:
-            dv = distance(eu, emb.vectors[index[v]])
-            ranks.append(1 + int(np.sum(neg_dists < dv)))
+        neg_dists = distance(eu, emb.vectors[neg_rows])
+        child_dists = distance(eu, emb.vectors[[index[v] for v in children]])
+        ranks = (1 + np.sum(neg_dists[None, :] < child_dists[:, None], axis=1)).tolist()
         ranks.sort()
         ap = np.mean([(i + 1) / (r + i) for i, r in enumerate(ranks)])
         ap_scores.append(ap)

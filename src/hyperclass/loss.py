@@ -7,6 +7,10 @@ mapped into the Poincare ball via the exponential map at the origin.
 The per-sample weight w_i is the ball distance between that projected
 point and the frozen embedding of the true label; the batch loss is
 mean(w_i * ce_i) with gradients through both factors.
+
+`logits`, `predict`, `project_representation` and the hyper-weight
+functions take h as one (d_e,) row or an (n, d_e) batch; the batch losses
+compute every term and vector-Jacobian product on (n, .) arrays.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import distance, distance_grad, exp_map_origin, exp_map_origin_vjp, project_to_ball
+from .config import WEIGHT_NORMS
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
-
-WEIGHT_NORMS = ("none", "batch-mean")
 
 
 @dataclass
@@ -68,20 +71,28 @@ def logits(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
     return h @ head.w_c + head.b_c
 
 
-def predict(head: ClassifierHead, h: np.ndarray) -> int:
-    """Argmax class; ties broken by lowest index."""
-    return int(np.argmax(logits(head, h)))
+def predict(head: ClassifierHead, h: np.ndarray) -> int | np.ndarray:
+    """Argmax class of each row (an int for one row); ties go to the lowest index."""
+    pred = np.argmax(logits(head, h), axis=-1)
+    return int(pred) if pred.ndim == 0 else pred
+
+
+def _ce_and_dlogits(c: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(c)[y] via log-sum-exp, and its gradient
+    softmax(c) - onehot(y) with respect to the logits."""
+    rows = np.arange(len(ys))
+    shifted = c - c.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    ces = np.log(total[:, 0]) - shifted[rows, ys]
+    dlogits = e / total
+    dlogits[rows, ys] -= 1.0
+    return ces, dlogits
 
 
 def cross_entropy(c: np.ndarray, y: int) -> float:
-    """-log softmax(c)[y] via log-sum-exp."""
-    shifted = c - np.max(c)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[y])
-
-
-def _softmax(c: np.ndarray) -> np.ndarray:
-    e = np.exp(c - np.max(c))
-    return e / e.sum()
+    """-log softmax(c)[y] for one logit row."""
+    return float(_ce_and_dlogits(np.asarray(c)[None, :], np.array([y]))[0][0])
 
 
 def project_representation(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
@@ -89,21 +100,21 @@ def project_representation(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
     return project_to_ball(exp_map_origin(h @ head.w_p + head.b_p))
 
 
-def hyper_weight(head: ClassifierHead, h: np.ndarray, e_y: np.ndarray) -> float:
+def hyper_weight(head: ClassifierHead, h: np.ndarray, e_y: np.ndarray) -> float | np.ndarray:
     """w = d(exp_0(w_p^T h + b_p), e_y)."""
     return distance(project_representation(head, h), e_y)
 
 
 def hyper_weight_backward(
     head: ClassifierHead, h: np.ndarray, e_y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Returns (w, dw/d(tangent vector), dw/dh); the label point is frozen."""
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (w, dw/d(tangent vector), dw/dh) per row; the label point is frozen."""
     v = h @ head.w_p + head.b_p
     z = project_to_ball(exp_map_origin(v))
     w = distance(z, e_y)
     dz, _ = distance_grad(z, e_y)
     dv = exp_map_origin_vjp(v, dz)
-    return w, dv, head.w_p @ dv
+    return w, dv, dv @ head.w_p.T
 
 
 def class_embedding_matrix(labels: LabelEmbeddings, class_leaves: list[str]) -> np.ndarray:
@@ -120,21 +131,16 @@ def ce_batch(
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Plain mean cross-entropy baseline; weights reported as 1."""
     n = hs.shape[0]
-    grads = _zero_grads(head, hs)
-    per_sample = []
-    total = 0.0
-    for i in range(n):
-        c = logits(head, hs[i])
-        ce = cross_entropy(c, int(ys[i]))
-        total += ce
-        per_sample.append((ce, 1.0))
-        dlogit = _softmax(c)
-        dlogit[int(ys[i])] -= 1.0
-        dlogit /= n
-        grads["w_c"] += np.outer(hs[i], dlogit)
-        grads["b_c"] += dlogit
-        grads["h"][i] = head.w_c @ dlogit
-    return LossReport(total / n, per_sample, n), grads
+    ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
+    dlogits /= n
+    grads = {
+        "w_c": hs.T @ dlogits,
+        "b_c": dlogits.sum(axis=0),
+        "w_p": np.zeros_like(head.w_p),
+        "b_p": np.zeros_like(head.b_p),
+        "h": dlogits @ head.w_c.T,
+    }
+    return LossReport(float(ces.mean()), [(ce, 1.0) for ce in ces.tolist()], n), grads
 
 
 def weighted_ce_batch(
@@ -153,19 +159,8 @@ def weighted_ce_batch(
     if weight_norm not in WEIGHT_NORMS:
         raise ConfigError(f"unknown weight norm {weight_norm!r}")
     n = hs.shape[0]
-    ces = np.empty(n)
-    raw_w = np.empty(n)
-    dlogit_rows = []
-    dw_chain = []  # (dw/dv tangent grad, dw/dh) per sample
-    for i in range(n):
-        c = logits(head, hs[i])
-        ces[i] = cross_entropy(c, int(ys[i]))
-        dlogit = _softmax(c)
-        dlogit[int(ys[i])] -= 1.0
-        dlogit_rows.append(dlogit)
-        w, dv, dh_w = hyper_weight_backward(head, hs[i], label_matrix[int(ys[i])])
-        raw_w[i] = w
-        dw_chain.append((dv, dh_w))
+    ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
+    raw_w, dv, dh_w = hyper_weight_backward(head, hs, label_matrix[ys])
 
     if weight_norm == "batch-mean":
         mean_w = raw_w.mean()
@@ -178,26 +173,14 @@ def weighted_ce_batch(
         total = float(np.mean(eff_w * ces))
         dtotal_dw = ces / n
 
-    grads = _zero_grads(head, hs)
-    for i in range(n):
-        coeff_ce = eff_w[i] / n
-        dlogit = coeff_ce * dlogit_rows[i]
-        grads["w_c"] += np.outer(hs[i], dlogit)
-        grads["b_c"] += dlogit
-        grads["h"][i] = head.w_c @ dlogit
-        dv, dh_w = dw_chain[i]
-        grads["w_p"] += dtotal_dw[i] * np.outer(hs[i], dv)
-        grads["b_p"] += dtotal_dw[i] * dv
-        grads["h"][i] += dtotal_dw[i] * dh_w
-    report = LossReport(total, [(float(ces[i]), float(eff_w[i])) for i in range(n)], n)
-    return report, grads
-
-
-def _zero_grads(head: ClassifierHead, hs: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        "w_c": np.zeros_like(head.w_c),
-        "b_c": np.zeros_like(head.b_c),
-        "w_p": np.zeros_like(head.w_p),
-        "b_p": np.zeros_like(head.b_p),
-        "h": np.zeros_like(hs),
+    dlogits *= (eff_w / n)[:, None]
+    dv *= dtotal_dw[:, None]
+    grads = {
+        "w_c": hs.T @ dlogits,
+        "b_c": dlogits.sum(axis=0),
+        "w_p": hs.T @ dv,
+        "b_p": dv.sum(axis=0),
+        "h": dlogits @ head.w_c.T + dtotal_dw[:, None] * dh_w,
     }
+    report = LossReport(total, list(zip(ces.tolist(), eff_w.tolist())), n)
+    return report, grads

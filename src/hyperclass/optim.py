@@ -84,7 +84,10 @@ class Adam:
     """Plain Euclidean Adam over a dict of named parameter arrays.
 
     Optional decoupled weight decay; updates happen in sorted key order so
-    repeated runs touch memory identically.
+    repeated runs touch memory identically. Moments and parameters are
+    updated in place through two scratch buffers per parameter, with the
+    same floating-point operations in the same order as the textbook
+    expressions, so results are bitwise those of the out-of-place form.
     """
 
     def __init__(
@@ -105,6 +108,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self._scratch = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -112,11 +116,25 @@ class Adam:
         bc2 = 1.0 - self.beta2**self.t
         for key in sorted(self.params):
             g = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[key] / bc1
-            v_hat = self.v[key] / bc2
-            p = self.params[key]
+            m, v, p = self.m[key], self.v[key], self.params[key]
+            a, b = self._scratch[key]
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            # v = beta2 * v + (1 - beta2) * g * g
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
             if self.weight_decay:
-                p -= self.lr * self.weight_decay * p
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                np.multiply(p, self.lr * self.weight_decay, out=a)
+                p -= a
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a

@@ -2,15 +2,14 @@
 distance-weighted cross-entropy, with per-epoch dev evaluation and
 best-dev-weighted-F1 parameter selection.
 
-Single-threaded runs are bitwise reproducible. With threads > 1 the
-batch forward/backward fans out over contiguous sample chunks and the
-partial gradients are reduced in fixed chunk order, so runs with the
-same thread count still reproduce each other exactly.
+Each minibatch is one packed `TokenBatch`: one encoder forward pass, one
+batched loss with its backward pass, one encoder backward pass and one
+Adam step. The training and dev sets are tokenized and packed once per
+run. Runs are bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,14 +17,23 @@ import numpy as np
 
 from .config import ClassifierConfig
 from .data import LabeledDataset
-from .encoder import EncoderModel, Vocabulary, encode, encode_backward, tokenize
+from .encoder import (
+    EncoderModel,
+    TokenBatch,
+    Vocabulary,
+    encode_batch,
+    encode_batch_backward,
+    encode_chunks,
+    tokenize_batch,
+)
+# Unused here, but kept importable as training.encode: the tracer test in
+# perfbench/test_perfbench.py checks that this import site is rebound.
+from .encoder import encode  # noqa: F401
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
 from .loss import ClassifierHead, ce_batch, class_embedding_matrix, predict, weighted_ce_batch
 from .metrics import EvalResult, evaluate
 from .optim import Adam
-
-LOSSES = ("wce", "ce")
 
 
 @dataclass
@@ -37,66 +45,23 @@ class TrainResult:
     best_dev_wf1: float
 
 
-def _chunks(n: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, n))
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    return [range(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-
-def _encode_batch(
-    model: EncoderModel, tokens: list[list[int]], threads: int, pool: ThreadPoolExecutor | None
-) -> np.ndarray:
-    hs = np.empty((len(tokens), model.d_e))
-    if pool is None or threads <= 1:
-        for i, toks in enumerate(tokens):
-            hs[i] = encode(model, toks)
-        return hs
-
-    def work(rows: range) -> None:
-        for i in rows:
-            hs[i] = encode(model, tokens[i])
-
-    list(pool.map(work, _chunks(len(tokens), threads)))
-    return hs
-
-
-def _encoder_backward_batch(
-    model: EncoderModel,
-    tokens: list[list[int]],
-    dh: np.ndarray,
-    threads: int,
-    pool: ThreadPoolExecutor | None,
-) -> dict[str, np.ndarray]:
-    def work(rows: range) -> dict[str, np.ndarray]:
-        acc: dict[str, np.ndarray] | None = None
-        for i in rows:
-            g = encode_backward(model, tokens[i], dh[i])
-            if acc is None:
-                acc = g
-            else:
-                for key in acc:
-                    acc[key] += g[key]
-        assert acc is not None
-        return acc
-
-    chunks = _chunks(len(tokens), threads)
-    if pool is None or threads <= 1:
-        partials = [work(rows) for rows in chunks]
-    else:
-        partials = list(pool.map(work, chunks))
-    total = partials[0]
-    for part in partials[1:]:
-        for key in total:
-            total[key] += part[key]
-    return total
+def _texts(ds: LabeledDataset) -> list[str]:
+    return [text for text, _ in ds.samples]
 
 
 def evaluate_model(
-    model: EncoderModel, head: ClassifierHead, ds: LabeledDataset
+    model: EncoderModel,
+    head: ClassifierHead,
+    ds: LabeledDataset,
+    tokens: TokenBatch | None = None,
 ) -> tuple[EvalResult, list[int]]:
-    preds = []
-    for text, _ in ds.samples:
-        preds.append(predict(head, encode(model, tokenize(model.vocab, text))))
+    """Score the model on ds, encoding CHUNK_ROWS samples per call.
+
+    `tokens` is ds already tokenized with model.vocab; it is computed
+    here when not given."""
+    if tokens is None:
+        tokens = tokenize_batch(model.vocab, _texts(ds))
+    preds = np.concatenate([predict(head, h) for h in encode_chunks(model, tokens)]).tolist()
     golds = [y for _, y in ds.samples]
     return evaluate(preds, golds, len(ds.label_names)), preds
 
@@ -118,8 +83,6 @@ def train_classifier(
     so the originals stay untouched; the vocabulary comes from that model
     and fresh optimizer state is used."""
     config.validate()
-    if config.loss not in LOSSES:
-        raise ConfigError(f"unknown loss {config.loss!r}")
     label_matrix = None
     if config.loss == "wce":
         if labels is None or class_map is None:
@@ -149,9 +112,7 @@ def train_classifier(
         )
         vocab = model.vocab
     else:
-        vocab = Vocabulary.build(
-            [text for text, _ in train_ds.samples], min_freq=config.min_freq
-        )
+        vocab = Vocabulary.build(_texts(train_ds), min_freq=config.min_freq)
         model = EncoderModel.init(vocab, config.d_tok, config.d_e, rng)
         if config.hyper_dim is not None:
             hyper_dim = config.hyper_dim
@@ -169,56 +130,46 @@ def train_classifier(
     params.update({f"head.{k}": v for k, v in head.params().items()})
     opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
 
-    train_tokens = [tokenize(vocab, text) for text, _ in train_ds.samples]
+    train_tokens = tokenize_batch(vocab, _texts(train_ds))
+    dev_tokens = tokenize_batch(vocab, _texts(dev_ds))
     train_ys = np.array([y for _, y in train_ds.samples], dtype=np.int64)
     n = len(train_tokens)
 
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     history: list[dict] = []
     best_epoch = -1
     best_wf1 = -1.0
     best_params: dict[str, np.ndarray] = {}
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                tokens = [train_tokens[i] for i in batch]
-                ys = train_ys[batch]
-                hs = _encode_batch(model, tokens, config.threads, pool)
-                if config.loss == "wce":
-                    report, grads = weighted_ce_batch(
-                        head, hs, ys, label_matrix, config.weight_norm
-                    )
-                else:
-                    report, grads = ce_batch(head, hs, ys)
-                epoch_loss += report.total * len(batch)
-                enc_grads = _encoder_backward_batch(
-                    model, tokens, grads["h"], config.threads, pool
-                )
-                step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-                step_grads.update(
-                    {f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")}
-                )
-                opt.step(step_grads)
-            dev_result, _ = evaluate_model(model, head, dev_ds)
-            record = {
-                "epoch": epoch,
-                "train_loss": epoch_loss / n,
-                "dev_acc": dev_result.accuracy,
-                "dev_wf1": dev_result.weighted_f1,
-            }
-            history.append(record)
-            if progress is not None:
-                progress(record)
-            if dev_result.weighted_f1 > best_wf1:
-                best_wf1 = dev_result.weighted_f1
-                best_epoch = epoch
-                best_params = {k: v.copy() for k, v in params.items()}
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            tokens = train_tokens.take(batch)
+            ys = train_ys[batch]
+            hs = encode_batch(model, tokens)
+            if config.loss == "wce":
+                report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
+            else:
+                report, grads = ce_batch(head, hs, ys)
+            epoch_loss += report.total * len(batch)
+            enc_grads = encode_batch_backward(model, tokens, hs, grads["h"])
+            step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}
+            step_grads.update({f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")})
+            opt.step(step_grads)
+        dev_result, _ = evaluate_model(model, head, dev_ds, dev_tokens)
+        record = {
+            "epoch": epoch,
+            "train_loss": epoch_loss / n,
+            "dev_acc": dev_result.accuracy,
+            "dev_wf1": dev_result.weighted_f1,
+        }
+        history.append(record)
+        if progress is not None:
+            progress(record)
+        if dev_result.weighted_f1 > best_wf1:
+            best_wf1 = dev_result.weighted_f1
+            best_epoch = epoch
+            best_params = {k: v.copy() for k, v in params.items()}
     for key, value in best_params.items():
         np.copyto(params[key], value)
     return TrainResult(model, head, history, best_epoch, best_wf1)

@@ -270,8 +270,8 @@ def test_metrics_match_brute_force():
 
 
 def test_cli_training_is_bitwise_reproducible(tmp_path):
-    """Both training subcommands, --threads 1 and a fixed seed: two runs
-    produce byte-identical checkpoints."""
+    """Both training subcommands with a fixed seed: two runs produce
+    byte-identical checkpoints."""
     data = tmp_path / "data"
     assert cli_main(
         ["synth-data", "--out-dir", str(data), "--samples-per-class", "20",
@@ -292,7 +292,7 @@ def test_cli_training_is_bitwise_reproducible(tmp_path):
         assert cli_main(
             ["train-classifier", "--train", str(data / "train.tsv"), "--dev",
              str(data / "dev.tsv"), "--labels-ckpt", str(label_paths[0]),
-             "--epochs", "2", "--d-tok", "8", "--d-e", "16", "--threads", "1",
+             "--epochs", "2", "--d-tok", "8", "--d-e", "16",
              "--seed", "5", "--out", str(p)]
         ) == 0
     assert clf_paths[0].read_bytes() == clf_paths[1].read_bytes()

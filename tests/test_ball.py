@@ -18,6 +18,7 @@ from hyperclass.ball import (
     exp_map_origin,
     exp_map_origin_vjp,
     log_map,
+    log_map_origin,
     mobius_add,
     project_to_ball,
     random_ball_point,
@@ -260,3 +261,91 @@ class TestProject:
 def test_conformal_factor():
     assert conformal_factor(np.zeros(2)) == 2.0
     assert abs(conformal_factor(np.array([0.5, 0.0])) - 2.0 / 0.75) <= 1e-15
+
+
+def mixed_rows(dim, seed):
+    """A batch mixing interior points, zero rows, near-boundary rows and
+    rows outside the ball."""
+    rng = np.random.default_rng(seed)
+    rows = [random_ball_point(rng, dim, 0.95) for _ in range(6)]
+    rows.append(np.zeros(dim))
+    edge = rng.standard_normal(dim)
+    rows.append(edge * (MAX_NORM / np.linalg.norm(edge)))
+    rows.append(rng.standard_normal(dim) * 3.0)
+    rows.append(np.full(dim, 1e-14))
+    return np.stack(rows)
+
+
+class TestBatchedKernels:
+    """Every (n, d) kernel agrees with a loop of 1-D calls, and 1-D calls
+    keep their scalar return types."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_project_matches_rows(self, dim):
+        batch = mixed_rows(dim, seed=60 + dim)
+        out = project_to_ball(batch)
+        for row, got in zip(batch, out):
+            np.testing.assert_allclose(got, project_to_ball(row), rtol=0, atol=1e-12)
+        inside = np.linalg.norm(batch, axis=1) <= MAX_NORM
+        np.testing.assert_array_equal(out[inside], batch[inside])
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_distance_and_grad_match_rows(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        x = project_to_ball(mixed_rows(dim, seed=71))
+        y = np.stack([random_ball_point(rng, dim, 0.95) for _ in x])
+        y[:3] = x[:3]  # x == y
+        y[6] = 0.0  # x[6] is the zero row, so both points sit at the origin
+        d = distance(x, y)
+        gx, gy = distance_grad(x, y)
+        assert d.shape == (len(x),) and gx.shape == gy.shape == x.shape
+        for i in range(len(x)):
+            assert abs(d[i] - distance(x[i], y[i])) <= 1e-12
+            rx, ry = distance_grad(x[i], y[i])
+            np.testing.assert_allclose(gx[i], rx, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gy[i], ry, rtol=1e-12, atol=1e-12)
+        assert not gx[:3].any() and not gy[:3].any()
+
+    def test_distance_broadcasts_one_point_against_many(self):
+        rng = np.random.default_rng(80)
+        u = random_ball_point(rng, 4, 0.9)
+        others = np.stack([random_ball_point(rng, 4, 0.9) for _ in range(7)] + [u])
+        d = distance(u, others)
+        gu, go = distance_grad(u, others)
+        for i, row in enumerate(others):
+            assert abs(d[i] - distance(u, row)) <= 1e-12
+            ru, ro = distance_grad(u, row)
+            np.testing.assert_allclose(gu[i], ru, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(go[i], ro, rtol=1e-12, atol=1e-12)
+        assert d[-1] == 0.0
+
+    def test_one_dimensional_calls_return_floats(self):
+        x, y = np.array([0.1, 0.2]), np.array([-0.3, 0.0])
+        assert type(distance(x, y)) is float
+        assert distance_grad(x, y)[0].shape == (2,)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_exp_origin_and_vjp_match_rows(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        v = np.concatenate([mixed_rows(dim, seed=91), rng.standard_normal((3, dim)) * 8.0])
+        g = rng.standard_normal(v.shape)
+        out = exp_map_origin(v)
+        vjp = exp_map_origin_vjp(v, g)
+        for i in range(len(v)):
+            np.testing.assert_allclose(out[i], exp_map_origin(v[i]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vjp[i], exp_map_origin_vjp(v[i], g[i]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(vjp[6], g[6])  # zero row: identity
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_log_origin_matches_log_map_at_zero(self, dim):
+        batch = mixed_rows(dim, seed=100 + dim)
+        out = log_map_origin(batch)
+        for row, got in zip(batch, out):
+            expected = log_map(np.zeros(dim), row)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(log_map_origin(row), expected, rtol=1e-12, atol=1e-12)
+
+    def test_log_origin_inverts_exp_origin(self):
+        rng = np.random.default_rng(110)
+        v = rng.standard_normal((50, 3)) * rng.uniform(0, 3, size=(50, 1))
+        np.testing.assert_allclose(log_map_origin(exp_map_origin(v)), v, rtol=0, atol=1e-9)

@@ -1,9 +1,15 @@
-"""Binary checkpoint round trips and corruption handling."""
+"""Binary checkpoint round trips, corruption and consistency checks, and
+the atomic file writer."""
+
+import io
+import json
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
 
 from hyperclass import checkpoint as ckpt
+from hyperclass.cli import main
 from hyperclass.encoder import EncoderModel, Vocabulary, encode, tokenize
 from hyperclass.errors import CheckpointError, StageError
 from hyperclass.hierarchy import LabelEmbeddings
@@ -142,3 +148,105 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             ckpt.load_checkpoint(tmp_path / "absent.ckpt")
+
+
+class TestWriteAtomic:
+    def test_failed_writer_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.tsv"
+
+        def writer(tmp):
+            tmp.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.write_atomic(target, writer)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_writer_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.tsv"
+        target.write_text("old")
+
+        def writer(tmp):
+            tmp.write_text("new")
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError):
+            ckpt.write_atomic(target, writer)
+        assert target.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_success_renames_into_place(self, tmp_path):
+        target = tmp_path / "out.tsv"
+        ckpt.write_atomic(target, lambda tmp: tmp.write_text("done"))
+        assert target.read_text() == "done"
+        assert list(tmp_path.iterdir()) == [target]
+
+
+def rewrite_meta(path, edit):
+    """Re-pack a saved checkpoint with edit(meta) applied; every CRC stays valid."""
+    sections = ckpt._unpack_sections(path.read_bytes(), path)
+    meta = json.loads(sections["meta"])
+    edit(meta)
+    sections["meta"] = json.dumps(meta).encode("utf-8")
+    path.write_bytes(ckpt._pack_sections(list(sections.items())))
+
+
+class TestInconsistentMeta:
+    """Files with valid CRCs whose meta disagrees with the payloads."""
+
+    @pytest.fixture
+    def labels_path(self, tmp_path):
+        emb, class_map = make_labels()
+        p = tmp_path / "labels.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, class_map, {"dim": 3}, seed=0)
+        return p
+
+    @pytest.fixture
+    def classifier_path(self, tmp_path):
+        model, head = make_classifier()
+        p = tmp_path / "clf.ckpt"
+        ckpt.save_classifier_checkpoint(p, model, head, ["a", "b"], {}, seed=0)
+        return p
+
+    def test_shape_not_matching_payload(self, labels_path):
+        rewrite_meta(labels_path, lambda m: m["shapes"].update({"labels.vectors": [5, 3]}))
+        with pytest.raises(CheckpointError, match="does not match its recorded shape"):
+            ckpt.load_checkpoint(labels_path)
+
+    def test_missing_shapes(self, labels_path):
+        rewrite_meta(labels_path, lambda m: m.pop("shapes"))
+        with pytest.raises(CheckpointError, match="'shapes'"):
+            ckpt.load_checkpoint(labels_path)
+
+    def test_fewer_nodes_than_rows(self, labels_path):
+        rewrite_meta(labels_path, lambda m: m["nodes"].pop())
+        with pytest.raises(CheckpointError, match="3 node names for 4 embedding rows"):
+            ckpt.load_checkpoint(labels_path)
+
+    def test_vocab_size_not_matching_embedding_rows(self, classifier_path):
+        rewrite_meta(classifier_path, lambda m: m["vocab"].update({"extra": len(m["vocab"])}))
+        with pytest.raises(CheckpointError, match="vocabulary size"):
+            ckpt.load_checkpoint(classifier_path)
+
+    def test_class_names_not_matching_logit_columns(self, classifier_path):
+        rewrite_meta(classifier_path, lambda m: m["class_names"].append("c"))
+        with pytest.raises(CheckpointError, match="number of class names"):
+            ckpt.load_checkpoint(classifier_path)
+
+    def test_sparse_vocab_indices(self, classifier_path):
+        rewrite_meta(classifier_path, lambda m: m["vocab"].update({"<unk>": 99}))
+        with pytest.raises(CheckpointError, match="vocabulary indices"):
+            ckpt.load_checkpoint(classifier_path)
+
+    def test_cli_reports_error_and_exits_1(self, classifier_path, tmp_path):
+        rewrite_meta(classifier_path, lambda m: m["class_names"].append("c"))
+        data = tmp_path / "data.tsv"
+        data.write_text("the cat sat\ta\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["evaluate", "--model", str(classifier_path), "--data", str(data),
+                         "--out-json", str(tmp_path / "e.json")])
+        assert code == 1
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert not (tmp_path / "e.json").exists()

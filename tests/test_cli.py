@@ -165,7 +165,7 @@ class TestTrainClassifier:
             code, out, _ = run_cli(
                 ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",
                  ws["data"] / "dev.tsv", "--labels-ckpt", ws["labels_ckpt"],
-                 "--seed", "9", "--threads", "1", "--out", p] + SMALL_CLF
+                 "--seed", "9", "--out", p] + SMALL_CLF
             )
             assert code == 0
             outs.append(out)
@@ -288,6 +288,13 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    def test_threads_flag_is_gone(self, ws, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-classifier", "--train", str(ws["data"] / "train.tsv"), "--dev",
+                  str(ws["data"] / "dev.tsv"), "--loss", "ce", "--threads", "2",
+                  "--out", str(tmp_path / "x.ckpt")])
         assert exc.value.code == 2
 
     def test_bad_choice_value(self, ws):

@@ -33,7 +33,7 @@ class TestClassifierConfig:
         with pytest.raises(ConfigError, match="weight-norm"):
             ClassifierConfig(weight_norm="zscore").validate()
 
-    @pytest.mark.parametrize("field,value", [("d_tok", 0), ("epochs", 0), ("batch_size", 0), ("threads", 0), ("lr", 0.0), ("hyper_dim", 0)])
+    @pytest.mark.parametrize("field,value", [("d_tok", 0), ("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("hyper_dim", 0)])
     def test_nonpositive_rejected(self, field, value):
         with pytest.raises(ConfigError):
             ClassifierConfig(**{field: value}).validate()

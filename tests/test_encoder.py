@@ -1,17 +1,23 @@
-"""Tokenizer, vocabulary construction, and encoder forward/backward."""
+"""Tokenizer, vocabulary construction, token packing, and encoder forward/backward."""
 
 import numpy as np
 import pytest
 
 from helpers import numeric_grad, rel_err
+from hyperclass import encoder
 from hyperclass.encoder import (
     PAD,
     UNK,
     EncoderModel,
+    TokenBatch,
     Vocabulary,
     encode,
     encode_backward,
+    encode_batch,
+    encode_batch_backward,
+    encode_chunks,
     tokenize,
+    tokenize_batch,
 )
 
 
@@ -150,3 +156,76 @@ class TestEncodeBackward:
         np.testing.assert_allclose(g["embedding"][2], single_rowsum, atol=1e-12)
         untouched = [i for i in range(len(model.embedding)) if i != 2]
         np.testing.assert_array_equal(g["embedding"][untouched], 0.0)
+
+
+SAMPLES = [[2, 3, 4], [2], [5, 5, 2, 3], [PAD], [4, 3, 2, 2, 6]]
+
+
+class TestTokenBatch:
+    def test_pack_layout(self):
+        batch = TokenBatch.pack(SAMPLES)
+        assert len(batch) == len(SAMPLES)
+        for i, tokens in enumerate(SAMPLES):
+            start, length = batch.offsets[i], batch.lengths[i]
+            assert batch.ids[start : start + length].tolist() == tokens
+
+    def test_take_reorders_and_slices(self):
+        batch = TokenBatch.pack(SAMPLES)
+        for rows in ([4, 0, 2], [1], slice(1, 4), np.array([3, 3, 0])):
+            taken = batch.take(rows)
+            expected = [SAMPLES[i] for i in np.arange(len(SAMPLES))[rows]]
+            assert taken.ids.tolist() == [t for tokens in expected for t in tokens]
+            assert taken.lengths.tolist() == [len(t) for t in expected]
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError):
+            TokenBatch.pack([[2], []])
+
+    def test_tokenize_batch_matches_tokenize(self):
+        vocab = small_vocab()
+        texts = ["the cat sat", "", "A dog ran!", "zebra"]
+        batch = tokenize_batch(vocab, texts)
+        assert batch.ids.tolist() == [t for text in texts for t in tokenize(vocab, text)]
+
+
+class TestBatchedEncoder:
+    def model(self, seed=11):
+        vocab = Vocabulary.build(["a b c d e f g", "a b c d e f g"], min_freq=1)
+        return EncoderModel.init(vocab, d_tok=4, d_e=3, rng=np.random.default_rng(seed))
+
+    def test_encode_batch_matches_per_sample(self):
+        model = self.model()
+        hs = encode_batch(model, TokenBatch.pack(SAMPLES))
+        assert hs.shape == (len(SAMPLES), model.d_e)
+        for tokens, h in zip(SAMPLES, hs):
+            np.testing.assert_allclose(h, encode(model, tokens), rtol=0, atol=1e-12)
+
+    def test_backward_matches_sum_of_per_sample(self):
+        model = self.model()
+        batch = TokenBatch.pack(SAMPLES)
+        upstream = np.random.default_rng(12).standard_normal((len(SAMPLES), model.d_e))
+        grads = encode_batch_backward(model, batch, encode_batch(model, batch), upstream)
+        expected = {k: np.zeros_like(v) for k, v in model.params().items()}
+        for tokens, g in zip(SAMPLES, upstream):
+            for key, arr in encode_backward(model, tokens, g).items():
+                expected[key] += arr
+        for key in expected:
+            np.testing.assert_allclose(grads[key], expected[key], rtol=0, atol=1e-12)
+
+    def test_backward_matches_finite_differences(self):
+        model = self.model(seed=13)
+        batch = TokenBatch.pack(SAMPLES)
+        upstream = np.random.default_rng(14).standard_normal((len(SAMPLES), model.d_e))
+        grads = encode_batch_backward(model, batch, encode_batch(model, batch), upstream)
+        for key, arr in model.params().items():
+            num = numeric_grad(lambda: float(np.sum(upstream * encode_batch(model, batch))), arr)
+            assert rel_err(grads[key], num) < 1e-4, key
+
+    def test_chunks_cover_every_row_in_order(self, monkeypatch):
+        model = self.model()
+        samples = [SAMPLES[i % len(SAMPLES)] for i in range(23)]
+        batch = TokenBatch.pack(samples)
+        monkeypatch.setattr(encoder, "CHUNK_ROWS", 5)
+        chunks = list(encode_chunks(model, batch))
+        assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
+        np.testing.assert_array_equal(np.concatenate(chunks), encode_batch(model, batch))

@@ -250,3 +250,83 @@ class TestWeightedCeBatch:
         assert abs(w_report.total - c_report.total) < 1e-12
         np.testing.assert_allclose(w_grads["w_c"], c_grads["w_c"], atol=1e-12)
         np.testing.assert_allclose(w_grads["b_c"], c_grads["b_c"], atol=1e-12)
+
+
+def loop_reference(head, hs, ys, label_matrix=None, weight_norm="none"):
+    """Per-sample reference for ce_batch (label_matrix None) and
+    weighted_ce_batch: one row at a time through the one-row functions."""
+    n = len(ys)
+    ces, raw_w, dlogits, chains = [], [], [], []
+    for h, y in zip(hs, ys):
+        c = logits(head, h)
+        ces.append(cross_entropy(c, int(y)))
+        e = np.exp(c - c.max())
+        dlogit = e / e.sum()
+        dlogit[int(y)] -= 1.0
+        dlogits.append(dlogit)
+        if label_matrix is None:
+            raw_w.append(1.0)
+            chains.append((np.zeros(head.b_p.shape), np.zeros(h.shape)))
+        else:
+            w, dv, dh = hyper_weight_backward(head, h, label_matrix[int(y)])
+            raw_w.append(w)
+            chains.append((dv, dh))
+    ces, raw_w = np.array(ces), np.array(raw_w)
+    if weight_norm == "batch-mean":
+        eff_w = raw_w / raw_w.mean()
+        total = float(np.mean(eff_w * ces))
+        dtotal_dw = (ces / raw_w.mean() - total / raw_w.mean()) / n
+    else:
+        eff_w = raw_w
+        total = float(np.mean(eff_w * ces))
+        dtotal_dw = ces / n if label_matrix is not None else np.zeros(n)
+    grads = {k: np.zeros_like(v) for k, v in head.params().items()}
+    grads["h"] = np.zeros_like(hs)
+    for i in range(n):
+        dlogit = (eff_w[i] / n) * dlogits[i]
+        dv, dh = chains[i]
+        grads["w_c"] += np.outer(hs[i], dlogit)
+        grads["b_c"] += dlogit
+        grads["w_p"] += dtotal_dw[i] * np.outer(hs[i], dv)
+        grads["b_p"] += dtotal_dw[i] * dv
+        grads["h"][i] = head.w_c @ dlogit + dtotal_dw[i] * dh
+    return total, list(zip(ces.tolist(), eff_w.tolist())), grads
+
+
+class TestBatchedAgainstLoop:
+    def test_ce_batch(self):
+        head = make_head(d_e=5, m=4, seed=7)
+        hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=8)
+        report, grads = ce_batch(head, hs, ys)
+        total, per_sample, expected = loop_reference(head, hs, ys)
+        assert abs(report.total - total) < 1e-12
+        np.testing.assert_allclose(report.per_sample, per_sample, rtol=0, atol=1e-12)
+        for key, arr in expected.items():
+            np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("norm", ["none", "batch-mean"])
+    def test_weighted_ce_batch(self, norm):
+        head = make_head(d_e=5, m=4, h_d=3, seed=9)
+        hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=10)
+        mat = TestWeightedCeBatch.label_matrix(m=4, h_d=3, seed=11)
+        report, grads = weighted_ce_batch(head, hs, ys, mat, norm)
+        total, per_sample, expected = loop_reference(head, hs, ys, mat, norm)
+        assert abs(report.total - total) < 1e-12
+        np.testing.assert_allclose(report.per_sample, per_sample, rtol=0, atol=1e-12)
+        for key, arr in expected.items():
+            np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
+
+    def test_single_row_batch(self):
+        head = make_head()
+        hs, ys = batch_inputs(n=1)
+        mat = TestWeightedCeBatch.label_matrix()
+        report, _ = weighted_ce_batch(head, hs, ys, mat)
+        assert report.n == 1
+        assert abs(report.per_sample[0][1] - hyper_weight(head, hs[0], mat[ys[0]])) < 1e-12
+
+    def test_predict_rows_match_single_calls(self):
+        head = make_head(m=5, seed=12)
+        hs, _ = batch_inputs(n=30, m=5, seed=13)
+        preds = predict(head, hs)
+        assert preds.tolist() == [predict(head, h) for h in hs]
+        assert isinstance(predict(head, hs[0]), int)

@@ -165,3 +165,32 @@ class TestEuclideanAdam:
         opt = Adam(params, lr=0.1)
         opt.step({"x": np.ones(2)})
         assert view is params["x"] and view[0] != 0.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_update_is_bitwise_textbook_adam(self, weight_decay):
+        # Reference: the out-of-place expressions, one temporary per term.
+        rng = np.random.default_rng(4)
+        shapes = {"emb": (40, 6), "w": (6, 3), "b": (3,)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = {k: v.copy() for k, v in start.items()}
+        ref = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=weight_decay)
+        for t in range(1, 60):
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
+            grads["emb"][rng.random(40) < 0.7] = 0.0  # mostly untouched rows
+            opt.step(grads)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v[k] / (1.0 - b2**t)
+                if weight_decay:
+                    ref[k] -= lr * weight_decay * ref[k]
+                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in shapes:
+            np.testing.assert_array_equal(params[k], ref[k])
+            np.testing.assert_array_equal(opt.m[k], m[k])
+            np.testing.assert_array_equal(opt.v[k], v[k])

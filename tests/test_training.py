@@ -1,13 +1,15 @@
-"""Stage-two training loop: selection, determinism, threading, warm starts."""
+"""Stage-two training loop: selection, determinism, warm starts, batched evaluation."""
 
 import numpy as np
 import pytest
 
 from hyperclass.config import ClassifierConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, generate_synthetic
+from hyperclass.encoder import CHUNK_ROWS, EncoderModel, Vocabulary, encode, tokenize, tokenize_batch
 from hyperclass.errors import ConfigError
 from hyperclass.hierarchy import LabelEmbeddings
-from hyperclass.training import _chunks, evaluate_model, train_classifier
+from hyperclass.loss import ClassifierHead, predict
+from hyperclass.training import evaluate_model, train_classifier
 
 SMALL = dict(d_tok=8, d_e=16, epochs=2)
 
@@ -25,16 +27,6 @@ def tiny_labels(tiny_data):
     rng = np.random.default_rng(0)
     vecs = rng.uniform(-0.5, 0.5, size=(len(tree.nodes), 3))
     return LabelEmbeddings(nodes=list(tree.nodes), vectors=vecs)
-
-
-class TestChunks:
-    def test_partitions_range(self):
-        for n in (1, 5, 16, 17):
-            for parts in (1, 2, 4, 40):
-                chunks = _chunks(n, parts)
-                flat = [i for r in chunks for i in r]
-                assert flat == list(range(n))
-                assert all(len(r) > 0 for r in chunks)
 
 
 class TestConfigErrors:
@@ -93,25 +85,18 @@ class TestSelectionAndHistory:
 
 class TestDeterminismAndThreads:
     @staticmethod
-    def run(tiny_data, tiny_labels, threads):
+    def run(tiny_data, tiny_labels):
         _, class_map, train, dev = tiny_data
-        cfg = ClassifierConfig(loss="wce", threads=threads, seed=4, **SMALL)
+        cfg = ClassifierConfig(loss="wce", seed=4, **SMALL)
         return train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
 
     def test_single_thread_bitwise(self, tiny_data, tiny_labels):
-        a = self.run(tiny_data, tiny_labels, 1)
-        b = self.run(tiny_data, tiny_labels, 1)
+        a = self.run(tiny_data, tiny_labels)
+        b = self.run(tiny_data, tiny_labels)
         for key in a.model.params():
             np.testing.assert_array_equal(a.model.params()[key], b.model.params()[key])
         for key in a.head.params():
             np.testing.assert_array_equal(a.head.params()[key], b.head.params()[key])
-        assert a.history == b.history
-
-    def test_two_threads_reproduce_each_other(self, tiny_data, tiny_labels):
-        a = self.run(tiny_data, tiny_labels, 2)
-        b = self.run(tiny_data, tiny_labels, 2)
-        for key in a.model.params():
-            np.testing.assert_array_equal(a.model.params()[key], b.model.params()[key])
         assert a.history == b.history
 
 
@@ -144,3 +129,20 @@ class TestEvaluateModel:
         assert len(preds) == len(dev.samples)
         assert all(0 <= p < len(dev.label_names) for p in preds)
         assert ev.confusion.sum() == len(dev.samples)
+
+    def test_longer_than_one_chunk_matches_per_sample_predict(self):
+        # More rows than encoder.CHUNK_ROWS, so evaluation spans two chunks.
+        tree, _ = default_synthetic_tree()
+        _, _, test = generate_synthetic(tree, SynthSpec(samples_per_class=300, seed=3))
+        assert len(test) > CHUNK_ROWS
+        vocab = Vocabulary.build([text for text, _ in test.samples])
+        rng = np.random.default_rng(5)
+        model = EncoderModel.init(vocab, 8, 16, rng, scale=1.0)
+        head = ClassifierHead.init(16, len(test.label_names), 2, rng, scale=1.0)
+        ev, preds = evaluate_model(model, head, test)
+        expected = [predict(head, encode(model, tokenize(vocab, text))) for text, _ in test.samples]
+        assert preds == expected
+        assert len(set(preds)) > 1
+        packed = tokenize_batch(vocab, [text for text, _ in test.samples])
+        assert evaluate_model(model, head, test, packed)[1] == preds
+        assert ev.accuracy == np.mean([p == y for p, (_, y) in zip(preds, test.samples)])
