@@ -5,13 +5,11 @@ Euclidean norm strictly below 1; after every constructing operation the
 norm is clamped to <= 1 - EPS_BALL. Tangent vectors are plain float64
 arrays of the same dimension.
 
-`project_to_ball`, `distance`, `distance_grad`, `exp_map_origin`,
-`exp_map_origin_vjp` and `log_map_origin` are batch-first: they take
-`(..., d)` arrays, reduce over `axis=-1` and broadcast the leading axes,
-the convention of the hyperbolic neural network ops of Ganea, Becigneul &
-Hofmann (2018). `distance` returns a float for 1-D inputs. `mobius_add`,
-`exp_map`, `log_map` and `conformal_factor` take single points; the
-per-point Riemannian Adam of stage one calls them once per node.
+Every operation is batch-first: it takes `(..., d)` arrays, reduces over
+`axis=-1` and broadcasts the leading axes, the convention of the
+hyperbolic neural network ops of Ganea, Becigneul & Hofmann (2018). One
+point against many, or row against row, is a single call. `distance`
+returns a float for 1-D inputs.
 
 The ball carries the conformal metric g_x = lambda_x^2 * I with
 lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
@@ -20,6 +18,8 @@ lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NumericalError
 
 # Radial clamp: constructed points satisfy ||x|| <= 1 - EPS_BALL.
 EPS_BALL = 1e-5
@@ -40,15 +40,23 @@ def _scale_rows(scale: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scale[..., None] * x
 
 
+def _row_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, nonzero): norms over the last axis, with rows shorter than
+    EPS_DIV flagged and their r set to 1 so divisions by r stay finite."""
+    r = np.sqrt(_sqnorm(v))
+    nonzero = r >= EPS_DIV
+    return np.where(nonzero, r, 1.0), nonzero
+
+
 def project_to_ball(p: np.ndarray) -> np.ndarray:
     """Retract finite (..., d) points onto the closed ball of radius 1 - EPS_BALL.
 
     Rows already inside are returned unchanged; anything else is rescaled
-    radially. Non-finite input is rejected.
+    radially. Non-finite input raises NumericalError.
     """
     p = np.asarray(p, dtype=np.float64)
     if not np.isfinite(p).all():
-        raise ValueError("point has non-finite components")
+        raise NumericalError("point has non-finite components")
     norm = np.sqrt(_sqnorm(p))
     if (norm <= MAX_NORM).all():
         return p
@@ -56,55 +64,56 @@ def project_to_ball(p: np.ndarray) -> np.ndarray:
     return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p)
 
 
-def conformal_factor(x: np.ndarray) -> float:
-    """lambda_x = 2 / (1 - ||x||^2); always >= 2 inside the ball."""
-    sq = float(np.dot(x, x))
-    return 2.0 / (1.0 - sq)
+def conformal_factor(x: np.ndarray) -> np.ndarray:
+    """lambda_x = 2 / (1 - ||x||^2) per (..., d) point; always >= 2 inside the ball."""
+    return 2.0 / (1.0 - _sqnorm(np.asarray(x, dtype=np.float64)))
+
+
+def riemannian_grad(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
+    """Rescale Euclidean gradients at (..., d) points x by the inverse metric:
+    g_x = lambda_x^2 I, so g^-1 grad = grad * (1 - ||x||^2)^2 / 4."""
+    factor = (1.0 - _sqnorm(np.asarray(x, dtype=np.float64))) ** 2 / 4.0
+    return _scale_rows(factor, euclid_grad)
 
 
 def mobius_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mobius addition x (+) y, re-projected into the ball.
+    """Mobius addition x (+) y of (..., d) points, re-projected into the ball.
 
     x (+) y = ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
               / (1 + 2<x,y> + ||x||^2 ||y||^2)
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xy = float(np.dot(x, y))
-    x2 = float(np.dot(x, x))
-    y2 = float(np.dot(y, y))
-    num = (1.0 + 2.0 * xy + y2) * x + (1.0 - x2) * y
+    xy = np.vecdot(x, y)
+    x2, y2 = _sqnorm(x), _sqnorm(y)
+    num = _scale_rows(1.0 + 2.0 * xy + y2, x) + _scale_rows(1.0 - x2, y)
     den = 1.0 + 2.0 * xy + x2 * y2
-    return project_to_ball(num / den)
+    return project_to_ball(num / den[..., None])
 
 
 def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exponential map at x: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||.
+    """Exponential map at x: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||, row by row.
 
-    The zero-vector limit returns x itself.
+    A zero row of v returns the matching point of x.
     """
     v = np.asarray(v, dtype=np.float64)
-    norm_v = float(np.linalg.norm(v))
-    if norm_v < EPS_DIV:
-        return np.array(x, dtype=np.float64, copy=True)
-    t = np.tanh(0.5 * conformal_factor(x) * norm_v)
-    return mobius_add(x, (t / norm_v) * v)
+    r, nonzero = _row_norms(v)
+    t = np.tanh(0.5 * conformal_factor(x) * r)
+    return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v))
 
 
 def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Logarithmic map at x, inverse of exp_map: returns a tangent vector at x.
+    """Logarithmic map at x, inverse of exp_map: tangent vectors at x, row by row.
 
     log_x(y) = (2 / lambda_x) * artanh(||-x (+) y||) * (-x (+) y) / ||-x (+) y||
     with the y = x limit defined as the zero vector.
     """
     x = np.asarray(x, dtype=np.float64)
     w = mobius_add(-x, y)
-    norm_w = float(np.linalg.norm(w))
-    if norm_w < EPS_DIV:
-        return np.zeros_like(x)
+    r, nonzero = _row_norms(w)
     # artanh argument stays below 1 because mobius_add clamps into the ball.
-    scale = (2.0 / conformal_factor(x)) * np.arctanh(min(norm_w, MAX_NORM)) / norm_w
-    return scale * w
+    artanh = np.arctanh(np.minimum(r, MAX_NORM))
+    return _scale_rows(np.where(nonzero, (2.0 / conformal_factor(x)) * artanh / r, 0.0), w)
 
 
 def _distance_terms(x: np.ndarray, y: np.ndarray):
@@ -151,14 +160,6 @@ def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def distance_from_origin(r: float) -> float:
     """Closed form d(0, x) = 2 artanh(||x||) for a point at radius r."""
     return 2.0 * float(np.arctanh(r))
-
-
-def _row_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, nonzero): norms over the last axis, with rows shorter than
-    EPS_DIV flagged and their r set to 1 so divisions by r stay finite."""
-    r = np.sqrt(_sqnorm(v))
-    nonzero = r >= EPS_DIV
-    return np.where(nonzero, r, 1.0), nonzero
 
 
 def exp_map_origin(v: np.ndarray) -> np.ndarray:

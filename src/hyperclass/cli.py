@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Non-finite training values end as NumericalError; numpy's own
+        # floating-point warnings would only add lines to that message.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except HyperclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,3 +27,7 @@ class StageError(CheckpointError):
 
 class ConfigError(HyperclassError):
     """Inconsistent run configuration (e.g. missing label embedding for a class)."""
+
+
+class NumericalError(HyperclassError, ValueError):
+    """Non-finite values in a point, a loss or a training step (a ValueError too)."""

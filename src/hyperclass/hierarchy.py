@@ -3,8 +3,8 @@
 A LabelTree is a forest of (parent, child) edges plus an ordered list of
 class leaves (one tree node per classifier class). Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
-Riemannian Adam, then scored by how well nearest-neighbour ranking
-reconstructs the edges.
+Riemannian Adam, one batched step per parent-child pair, then scored by
+how well nearest-neighbour ranking reconstructs the edges.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .ball import distance, distance_grad, random_ball_point
 from .config import LabelEmbedConfig
-from .errors import TaxonomyError
-from .optim import AdamState, radam_step
+from .errors import NumericalError, TaxonomyError
+from .optim import RiemannianAdam
 
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
@@ -145,27 +145,12 @@ def build_tree(
     return tree
 
 
-def parse_taxonomy(path) -> list[tuple[str, str]]:
-    """Read `parent<TAB>child` edges; '#' starts a comment, blank lines skipped."""
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TaxonomyError(f"{path}:{lineno}: expected 'parent<TAB>child', got {raw.rstrip()!r}")
-            parent, child = (p.strip() for p in parts)
-            for name in (parent, child):
-                if not NODE_NAME_RE.match(name):
-                    raise TaxonomyError(f"{path}:{lineno}: invalid node name {name!r}")
-            edges.append((parent, child))
-    return edges
+def _read_pairs(path, columns: str, first_node: int) -> list[tuple[str, str]]:
+    """Rows of a two-column TSV; '#' starts a comment, blank lines skipped.
 
-
-def parse_class_map(path) -> list[tuple[str, str]]:
-    """Read `dataset_label<TAB>tree_node` rows; row order defines class indices."""
+    `columns` names the two columns in the error message; the columns from
+    `first_node` on must be valid node names.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -174,11 +159,23 @@ def parse_class_map(path) -> list[tuple[str, str]]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise TaxonomyError(f"{path}:{lineno}: expected 'label<TAB>node', got {raw.rstrip()!r}")
-            label, node = (p.strip() for p in parts)
-            if not NODE_NAME_RE.match(node):
-                raise TaxonomyError(f"{path}:{lineno}: invalid node name {node!r}")
-            rows.append((label, node))
+                raise TaxonomyError(f"{path}:{lineno}: expected {columns!r}, got {raw.rstrip()!r}")
+            row = (parts[0].strip(), parts[1].strip())
+            for name in row[first_node:]:
+                if not NODE_NAME_RE.match(name):
+                    raise TaxonomyError(f"{path}:{lineno}: invalid node name {name!r}")
+            rows.append(row)
+    return rows
+
+
+def parse_taxonomy(path) -> list[tuple[str, str]]:
+    """Read `parent<TAB>child` edges."""
+    return _read_pairs(path, "parent<TAB>child", first_node=0)
+
+
+def parse_class_map(path) -> list[tuple[str, str]]:
+    """Read `dataset_label<TAB>tree_node` rows; row order defines class indices."""
+    rows = _read_pairs(path, "label<TAB>node", first_node=1)
     if not rows:
         raise TaxonomyError(f"{path}: class map is empty")
     return rows
@@ -238,39 +235,37 @@ class LabelEmbeddings:
     def vector(self, node: str) -> np.ndarray:
         return self.vectors[self._index[node]]
 
-    def subset(self, nodes: list[str]) -> np.ndarray:
-        """Rows for the given nodes, in the given order."""
-        return self.vectors[[self._index[n] for n in nodes]]
 
-
-def negative_samples(
-    tree: LabelTree, u: str, k: int, rng: np.random.Generator
-) -> list[str]:
-    """k nodes drawn uniformly with replacement from the complement of
-    {u} and u's children."""
-    excluded = set(tree.children(u))
-    excluded.add(u)
-    candidates = [n for n in tree.nodes if n not in excluded]
-    if not candidates:
+def negative_candidates(tree: LabelTree, u: str) -> np.ndarray:
+    """Rows of tree.nodes that may be drawn as negatives for u: every node
+    except u and u's children."""
+    excluded = {u, *tree.children(u)}
+    rows = np.array([i for i, n in enumerate(tree.nodes) if n not in excluded], dtype=np.intp)
+    if not len(rows):
         raise TaxonomyError(f"no negative candidates for node {u!r}")
-    picks = rng.integers(0, len(candidates), size=k)
-    return [candidates[i] for i in picks]
+    return rows
+
+
+def negative_samples(candidates: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k rows drawn uniformly with replacement from `candidates`."""
+    return candidates[rng.integers(0, len(candidates), size=k)]
 
 
 def label_loss(
-    emb: LabelEmbeddings, pair: tuple[str, str], negatives: list[str]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Negative-sampling softmax loss for one parent-child pair.
+    vectors: np.ndarray, u: int, v: int, negatives: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative-sampling softmax loss for the parent-child pair of rows (u, v).
 
     loss = -log( e^{-d(u,v)} / sum_{v' in {v} + negatives} e^{-d(u,v')} ),
-    evaluated with the log-sum-exp trick. Returns the loss and Euclidean
-    gradients for every involved embedding (accumulated over duplicates).
+    evaluated with the log-sum-exp trick over one batched distance call.
+    Returns the loss, the distinct rows involved (u, v, then the negatives,
+    in order of first appearance) and their (len(rows), d) Euclidean
+    gradients, summed over duplicate negatives.
     """
-    u, v = pair
-    eu = emb.vector(u)
-    names = [v] + list(negatives)
-    others = emb.subset(names)
-    dists = distance(eu, others)
+    others = np.concatenate(([v], negatives))
+    eu = vectors[u]
+    ev = vectors[others]
+    dists = distance(eu, ev)
     scores = -dists
     m = scores.max()
     lse = m + np.log(np.sum(np.exp(scores - m)))
@@ -278,20 +273,28 @@ def label_loss(
     coeff = -np.exp(scores - lse)
     coeff[0] += 1.0
 
-    gu, gn = distance_grad(eu, others)
-    grads: dict[str, np.ndarray] = {u: coeff @ gu}
-    for name, row in zip(names, gn * coeff[:, None]):
-        grads[name] = grads[name] + row if name in grads else row
-    return float(loss), grads
+    gu, gv = distance_grad(eu, ev)
+    # inverse[i]: slot of the i-th of [u, v, *negatives] among the distinct
+    # rows, kept in order of first appearance; only negatives can repeat.
+    slot: dict[int, int] = {}
+    inverse = [slot.setdefault(row, len(slot)) for row in [u, *others.tolist()]]
+    grads = np.zeros((len(slot), vectors.shape[1]))
+    np.add.at(grads, inverse, np.vstack([coeff @ gu, gv * coeff[:, None]]))
+    return float(loss), np.fromiter(slot, dtype=np.intp, count=len(slot)), grads
 
 
 def train_label_embeddings(
     tree: LabelTree, config: LabelEmbedConfig
 ) -> tuple[LabelEmbeddings, float | None]:
-    """Train embeddings for every tree node with per-pair Riemannian Adam steps.
+    """Train embeddings for every tree node, one Riemannian Adam step per pair.
 
+    Pairs are visited one at a time in a fresh random order each epoch; each
+    step moves the distinct rows of the pair (u, v and its negatives).
     Deterministic given config.seed. Returns the embeddings and the mean
     pair loss over the final epoch (None when the tree has no edges).
+    A step whose result is not finite raises NumericalError naming the
+    epoch and the pair; the check is the one in the step's projection, as
+    the loss stays finite while every point is inside the ball.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -302,22 +305,26 @@ def train_label_embeddings(
     if not tree.edges:
         return emb, None
 
-    states = {name: AdamState(lr=config.lr) for name in tree.nodes}
     index = {name: i for i, name in enumerate(tree.nodes)}
+    pairs = [(index[u], index[v]) for u, v in tree.edges]
+    candidates = {index[u]: negative_candidates(tree, u) for u in {p for p, _ in tree.edges}}
+    opt = RiemannianAdam(vectors, lr=config.lr)
     final_loss = None
     for epoch in range(config.epochs):
         lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
-        order = rng.permutation(len(tree.edges))
+        order = rng.permutation(len(pairs))
         epoch_loss = 0.0
         for edge_idx in order:
-            u, v = tree.edges[edge_idx]
-            negs = negative_samples(tree, u, config.negatives, rng)
-            loss, grads = label_loss(emb, (u, v), negs)
+            u, v = pairs[edge_idx]
+            negs = negative_samples(candidates[u], config.negatives, rng)
+            loss, rows, grads = label_loss(vectors, u, v, negs)
+            try:
+                opt.step(rows, grads, lr=lr)
+            except NumericalError as exc:
+                parent, child = tree.edges[edge_idx]
+                raise NumericalError(f"stage one, epoch {epoch}, pair ({parent}, {child}): {exc}") from None
             epoch_loss += loss
-            for name, grad in grads.items():
-                row = index[name]
-                emb.vectors[row] = radam_step(states[name], emb.vectors[row], grad, lr=lr)
-        final_loss = epoch_loss / len(tree.edges)
+        final_loss = epoch_loss / len(pairs)
     return emb, final_loss
 
 
@@ -326,7 +333,9 @@ def reconstruction_map(emb: LabelEmbeddings, tree: LabelTree) -> float:
 
     For every parent u, each child v is ranked by ascending distance among
     the non-neighbours of u (nodes that are neither u nor children of u);
-    the per-parent average precision is averaged over all parents.
+    the per-parent average precision is averaged over all parents. One
+    call per parent gives its distances to all nodes in O(nodes * dim)
+    memory; a (parents, nodes) matrix would need O(parents * nodes * dim).
     """
     parents = [u for u in tree.nodes if tree.children(u)]
     if not parents:
@@ -334,16 +343,12 @@ def reconstruction_map(emb: LabelEmbeddings, tree: LabelTree) -> float:
     index = {name: i for i, name in enumerate(tree.nodes)}
     ap_scores = []
     for u in parents:
-        children = tree.children(u)
-        excluded = set(children) | {u}
-        neg_rows = [index[n] for n in tree.nodes if n not in excluded]
-        eu = emb.vectors[index[u]]
-        neg_dists = distance(eu, emb.vectors[neg_rows])
-        child_dists = distance(eu, emb.vectors[[index[v] for v in children]])
-        ranks = (1 + np.sum(neg_dists[None, :] < child_dists[:, None], axis=1)).tolist()
-        ranks.sort()
-        ap = np.mean([(i + 1) / (r + i) for i, r in enumerate(ranks)])
-        ap_scores.append(ap)
+        row = distance(emb.vectors[index[u]], emb.vectors)
+        children = [index[v] for v in tree.children(u)]
+        non_neighbours = np.delete(row, children + [index[u]])
+        ranks = np.sort(1 + np.sum(non_neighbours < row[children, None], axis=1))
+        i = np.arange(len(ranks))
+        ap_scores.append(np.mean((i + 1) / (ranks + i)))
     return float(np.mean(ap_scores))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import distance, distance_grad, exp_map_origin, exp_map_origin_vjp, project_to_ball
+from .ball import distance, distance_grad, exp_map_origin, exp_map_origin_vjp
 from .config import WEIGHT_NORMS
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
@@ -97,7 +97,7 @@ def cross_entropy(c: np.ndarray, y: int) -> float:
 
 def project_representation(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
     """Ball point exp_0(w_p^T h + b_p), clamped inside the ball."""
-    return project_to_ball(exp_map_origin(h @ head.w_p + head.b_p))
+    return exp_map_origin(h @ head.w_p + head.b_p)
 
 
 def hyper_weight(head: ClassifierHead, h: np.ndarray, e_y: np.ndarray) -> float | np.ndarray:
@@ -110,7 +110,7 @@ def hyper_weight_backward(
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Returns (w, dw/d(tangent vector), dw/dh) per row; the label point is frozen."""
     v = h @ head.w_p + head.b_p
-    z = project_to_ball(exp_map_origin(v))
+    z = exp_map_origin(v)
     w = distance(z, e_y)
     dz, _ = distance_grad(z, e_y)
     dv = exp_map_origin_vjp(v, dz)

@@ -1,10 +1,9 @@
 """First-order optimizers.
 
-RiemannianAdam / rsgd_step update parameters living on the Poincare ball:
-the Euclidean gradient is rescaled by the inverse metric
-(1 - ||theta||^2)^2 / 4, the step is taken through the exponential map,
-and the result is projected back into the ball. Adam moments are kept as
-flat coordinate vectors without parallel transport between steps.
+RiemannianAdam updates rows of a (n, d) matrix of Poincare-ball points
+in one batched step: gradients are rescaled by the inverse metric, the
+Adam direction goes through the exponential map, and moments are (n, d)
+coordinate matrices without parallel transport between steps.
 
 Adam (Euclidean, for the encoder and classifier head) lives here too so
 both training stages share one home.
@@ -12,72 +11,53 @@ both training stages share one home.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .ball import exp_map, project_to_ball
+from .ball import exp_map, riemannian_grad
 
 
-def riemannian_grad(theta: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
-    """Rescale a Euclidean gradient by the inverse ball metric at theta.
+class RiemannianAdam:
+    """Riemannian Adam (Becigneul & Ganea 2019) over the rows of `points`,
+    a (n, d) matrix of ball points updated in place.
 
-    g_theta = lambda_theta^2 I, so g^-1 grad = grad * (1 - ||theta||^2)^2 / 4.
+    Each row keeps its own step count, so a row's bias correction counts
+    only the steps that touched it, exactly as if every row had its own
+    optimizer.
     """
-    sq = float(np.dot(theta, theta))
-    factor = (1.0 - sq) ** 2 / 4.0
-    return euclid_grad * factor
 
+    def __init__(
+        self,
+        points: np.ndarray,
+        lr: float = 0.01,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ):
+        self.points = points
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = np.zeros_like(points)
+        self.v = np.zeros_like(points)
+        self.t = np.zeros(len(points), dtype=np.int64)
 
-def rsgd_step(theta: np.ndarray, euclid_grad: np.ndarray, lr: float) -> np.ndarray:
-    """One Riemannian SGD step: exp_theta(-lr * riemannian_grad)."""
-    step = -lr * riemannian_grad(theta, euclid_grad)
-    return project_to_ball(exp_map(theta, step))
-
-
-@dataclass
-class AdamState:
-    """Per-parameter Riemannian Adam state (moments stored as flat vectors)."""
-
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v: np.ndarray = field(default=None)  # type: ignore[assignment]
-    step_count: int = 0
-
-    def ensure_shape(self, dim: int) -> None:
-        if self.m is None:
-            self.m = np.zeros(dim)
-            self.v = np.zeros(dim)
-
-
-def radam_step(
-    state: AdamState,
-    theta: np.ndarray,
-    euclid_grad: np.ndarray,
-    lr: float | None = None,
-) -> np.ndarray:
-    """One Riemannian Adam step on a single ball parameter.
-
-    The gradient is rescaled to the Riemannian gradient, moments are updated
-    with the usual exponential averages and bias correction, and the update
-    direction -lr * m_hat / (sqrt(v_hat) + eps) is taken through the
-    exponential map at theta. `lr` overrides state.lr for this step only
-    (used by the burn-in phase). Mutates `state` and returns the new theta.
-    """
-    state.ensure_shape(theta.shape[0])
-    g = riemannian_grad(theta, euclid_grad)
-    state.step_count += 1
-    t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    step_lr = state.lr if lr is None else lr
-    direction = -step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return project_to_ball(exp_map(theta, direction))
+    def step(self, rows: np.ndarray, euclid_grad: np.ndarray, lr: float | None = None) -> None:
+        """One step on the distinct `rows`, with (len(rows), d) Euclidean
+        gradients. `lr` overrides self.lr for this step only (the burn-in
+        phase of stage one)."""
+        theta = self.points[rows]
+        g = riemannian_grad(theta, euclid_grad)
+        t = self.t[rows] + 1
+        self.t[rows] = t
+        m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * g
+        v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * g * g
+        self.m[rows] = m
+        self.v[rows] = v
+        m_hat = m / (1.0 - self.beta1**t)[:, None]
+        v_hat = v / (1.0 - self.beta2**t)[:, None]
+        step_lr = self.lr if lr is None else lr
+        self.points[rows] = exp_map(theta, -step_lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
 class Adam:

@@ -5,7 +5,9 @@ best-dev-weighted-F1 parameter selection.
 Each minibatch is one packed `TokenBatch`: one encoder forward pass, one
 batched loss with its backward pass, one encoder backward pass and one
 Adam step. The training and dev sets are tokenized and packed once per
-run. Runs are bitwise reproducible for a fixed seed.
+run. Runs are bitwise reproducible for a fixed seed. A batch whose loss
+is not finite (the only per-batch check) raises NumericalError naming the
+epoch and the batch.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .encoder import (
 # Unused here, but kept importable as training.encode: the tracer test in
 # perfbench/test_perfbench.py checks that this import site is rebound.
 from .encoder import encode  # noqa: F401
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .hierarchy import LabelEmbeddings
 from .loss import ClassifierHead, ce_batch, class_embedding_matrix, predict, weighted_ce_batch
 from .metrics import EvalResult, evaluate
@@ -142,15 +144,20 @@ def train_classifier(
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start : start + config.batch_size]
             tokens = train_tokens.take(batch)
             ys = train_ys[batch]
             hs = encode_batch(model, tokens)
-            if config.loss == "wce":
-                report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
-            else:
-                report, grads = ce_batch(head, hs, ys)
+            try:
+                if config.loss == "wce":
+                    report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
+                else:
+                    report, grads = ce_batch(head, hs, ys)
+                if not np.isfinite(report.total):
+                    raise NumericalError("non-finite loss")
+            except NumericalError as exc:
+                raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
             epoch_loss += report.total * len(batch)
             enc_grads = encode_batch_backward(model, tokens, hs, grads["h"])
             step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}

@@ -43,3 +43,63 @@ def brute_weighted_f1(preds, golds, m):
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         total += (gold_c / n) * f1
     return total
+
+
+def per_node_label_training(tree, config):
+    """Frozen reference for stage one: the per-node loop that batched
+    training replaced, one Riemannian Adam step per node per pair, with
+    1-D Mobius addition and exponential map and a dict of per-node
+    moment states. Returns (vectors, final mean pair loss)."""
+    from hyperclass.ball import distance, distance_grad, project_to_ball, random_ball_point
+
+    def mobius_add(x, y):
+        xy, x2, y2 = float(np.dot(x, y)), float(np.dot(x, x)), float(np.dot(y, y))
+        num = (1.0 + 2.0 * xy + y2) * x + (1.0 - x2) * y
+        return project_to_ball(num / (1.0 + 2.0 * xy + x2 * y2))
+
+    def exp_map(x, v):
+        norm_v = float(np.linalg.norm(v))
+        if norm_v < 1e-12:
+            return np.array(x, copy=True)
+        t = np.tanh(0.5 * (2.0 / (1.0 - float(np.dot(x, x)))) * norm_v)
+        return mobius_add(x, (t / norm_v) * v)
+
+    def adam_step(state, theta, euclid_grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        g = euclid_grad * (1.0 - float(np.dot(theta, theta))) ** 2 / 4.0
+        state["t"] += 1
+        t = state["t"]
+        state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+        state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+        m_hat = state["m"] / (1.0 - beta1**t)
+        v_hat = state["v"] / (1.0 - beta2**t)
+        return project_to_ball(exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps)))
+
+    rng = np.random.default_rng(config.seed)
+    vectors = np.stack([random_ball_point(rng, config.dim, config.init_radius) for _ in tree.nodes])
+    index = {name: i for i, name in enumerate(tree.nodes)}
+    states = {name: {"t": 0, "m": np.zeros(config.dim), "v": np.zeros(config.dim)} for name in tree.nodes}
+    final_loss = None
+    for epoch in range(config.epochs):
+        lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
+        epoch_loss = 0.0
+        for edge_idx in rng.permutation(len(tree.edges)):
+            u, v = tree.edges[edge_idx]
+            excluded = set(tree.children(u)) | {u}
+            candidates = [n for n in tree.nodes if n not in excluded]
+            names = [v] + [candidates[i] for i in rng.integers(0, len(candidates), size=config.negatives)]
+            eu, others = vectors[index[u]], vectors[[index[n] for n in names]]
+            scores = -distance(eu, others)
+            m = scores.max()
+            lse = m + np.log(np.sum(np.exp(scores - m)))
+            epoch_loss += float(-scores[0] + lse)
+            coeff = -np.exp(scores - lse)
+            coeff[0] += 1.0
+            gu, gn = distance_grad(eu, others)
+            grads = {u: coeff @ gu}
+            for name, row in zip(names, gn * coeff[:, None]):
+                grads[name] = grads[name] + row if name in grads else row
+            for name, grad in grads.items():
+                row = index[name]
+                vectors[row] = adam_step(states[name], vectors[row], grad, lr)
+        final_loss = epoch_loss / len(tree.edges)
+    return vectors, final_loss

@@ -28,7 +28,6 @@ from hyperclass.encoder import EncoderModel, Vocabulary, encode, encode_backward
 from hyperclass.experiments import mean_over_seeds, run_synthetic_pipeline
 from hyperclass.checkpoint import load_checkpoint, save_classifier_checkpoint
 from hyperclass.hierarchy import (
-    LabelEmbeddings,
     build_tree,
     label_loss,
     node_depths,
@@ -110,15 +109,13 @@ def test_gradient_suite():
 
     # label-embedding loss
     for trial in range(20):
-        names = ["u", "v", "a", "b"]
-        emb = LabelEmbeddings(
-            nodes=names, vectors=np.stack([random_ball_point(rng, 3, 0.7) for _ in names])
-        )
-        _, grads = label_loss(emb, ("u", "v"), ["a", "b"])
-        for name in names:
-            row = names.index(name)
-            num = numeric_grad(lambda: label_loss(emb, ("u", "v"), ["a", "b"])[0], emb.vectors[row])
-            assert rel_err(grads[name], num) < 1e-4
+        vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in range(4)])
+        negatives = np.array([2, 3])  # rows: u=0, v=1, negatives a=2, b=3
+        _, rows, grads = label_loss(vectors, 0, 1, negatives)
+        assert rows.tolist() == [0, 1, 2, 3]
+        for row, grad in zip(rows, grads):
+            num = numeric_grad(lambda: label_loss(vectors, 0, 1, negatives)[0], vectors[row])
+            assert rel_err(grad, num) < 1e-4
 
     # encoder
     for trial in range(10):

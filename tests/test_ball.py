@@ -22,6 +22,7 @@ from hyperclass.ball import (
     mobius_add,
     project_to_ball,
     random_ball_point,
+    riemannian_grad,
 )
 
 DIMS = (2, 3, 5, 10)
@@ -349,3 +350,63 @@ class TestBatchedKernels:
         rng = np.random.default_rng(110)
         v = rng.standard_normal((50, 3)) * rng.uniform(0, 3, size=(50, 1))
         np.testing.assert_allclose(log_map_origin(exp_map_origin(v)), v, rtol=0, atol=1e-9)
+
+
+def row_pairs(dim, seed):
+    """(x, y) batches whose rows mix interior points, zero rows, x == y
+    rows, y == -x rows and rows on the clamp radius."""
+    rng = np.random.default_rng(seed)
+    x = mixed_rows(dim, seed)[:-2]  # drop the outside row and the tiny one
+    y = np.stack([random_ball_point(rng, dim, 0.95) for _ in x])
+    y[:2] = x[:2]  # x == y
+    y[2] = -x[2]
+    y[3] = 0.0
+    edge = rng.standard_normal(dim)
+    y[4] = edge * (MAX_NORM / np.linalg.norm(edge))
+    return x, y
+
+
+class TestBatchedStageOneKernels:
+    """The kernels of the Riemannian Adam step agree with a loop of 1-D
+    calls on batches mixing zero, x == y and boundary rows."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_mobius_add_matches_rows(self, dim):
+        x, y = row_pairs(dim, seed=120 + dim)
+        out = mobius_add(x, y)
+        assert out.shape == x.shape
+        for i in range(len(x)):
+            np.testing.assert_allclose(out[i], mobius_add(x[i], y[i]), rtol=0, atol=1e-12)
+        # One point against many broadcasts like the row-by-row call.
+        many = mobius_add(x[5], y)
+        for i in range(len(y)):
+            np.testing.assert_allclose(many[i], mobius_add(x[5], y[i]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_exp_and_log_match_rows(self, dim):
+        rng = np.random.default_rng(130 + dim)
+        x, y = row_pairs(dim, seed=131 + dim)
+        v = rng.standard_normal(x.shape) * rng.uniform(0, 3, size=(len(x), 1))
+        v[1] = 0.0
+        v[2] = 1e-14
+        out_exp = exp_map(x, v)
+        out_log = log_map(x, y)
+        for i in range(len(x)):
+            np.testing.assert_allclose(out_exp[i], exp_map(x[i], v[i]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out_log[i], log_map(x[i], y[i]), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out_exp[1], x[1])  # zero tangent: x itself
+        np.testing.assert_array_equal(out_log[:2], 0.0)  # x == y: zero vector
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_conformal_factor_and_riemannian_grad_match_rows(self, dim):
+        rng = np.random.default_rng(140 + dim)
+        x, _ = row_pairs(dim, seed=141 + dim)
+        g = rng.standard_normal(x.shape)
+        lam = conformal_factor(x)
+        rg = riemannian_grad(x, g)
+        assert lam.shape == (len(x),) and rg.shape == x.shape
+        for i in range(len(x)):
+            assert abs(lam[i] - conformal_factor(x[i])) <= 1e-12 * lam[i]
+            np.testing.assert_allclose(rg[i], riemannian_grad(x[i], g[i]), rtol=0, atol=1e-12)
+            # g^-1 = 1 / lambda^2 of the conformal metric.
+            np.testing.assert_allclose(rg[i], g[i] / lam[i] ** 2, rtol=1e-9, atol=0)

@@ -305,6 +305,44 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestNumericalErrors:
+    def test_stage_one_infinite_lr(self, ws, tmp_path):
+        code, _, err = run_cli(
+            ["train-labels", "--hierarchy", ws["data"] / "hierarchy.tsv", "--class-map",
+             ws["data"] / "class-map.tsv", "--dim", "4", "--epochs", "3", "--lr", "inf",
+             "--out", tmp_path / "x.ckpt"]
+        )
+        assert code == 1
+        assert err.startswith("error: stage one, epoch 0, pair (")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_stage_two_absurd_lr(self, ws, tmp_path):
+        code, _, err = run_cli(
+            ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",
+             ws["data"] / "dev.tsv", "--labels-ckpt", ws["labels_ckpt"], "--lr", "1e300",
+             "--out", tmp_path / "x.ckpt"] + SMALL_CLF
+        )
+        assert code == 1
+        assert err.startswith("error: stage two, epoch 0, batch ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_process_stderr_is_one_line(self, ws, tmp_path):
+        # A real process: numpy's floating-point warnings would reach stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperclass", "train-labels", "--hierarchy",
+             str(ws["data"] / "hierarchy.tsv"), "--class-map", str(ws["data"] / "class-map.tsv"),
+             "--dim", "4", "--epochs", "3", "--lr", "inf", "--out", str(tmp_path / "x.ckpt")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: stage one")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hyperclass", "--help"],

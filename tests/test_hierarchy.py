@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, per_node_label_training, rel_err
 from hyperclass.ball import MAX_NORM, random_ball_point
 from hyperclass.config import LabelEmbedConfig
-from hyperclass.errors import TaxonomyError
+from hyperclass.errors import NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
     LabelEmbeddings,
     LabelTree,
@@ -17,6 +17,7 @@ from hyperclass.hierarchy import (
     label_loss,
     load_embeddings_tsv,
     load_tree,
+    negative_candidates,
     negative_samples,
     node_depths,
     parse_class_map,
@@ -165,12 +166,16 @@ class TestBuildTree:
         assert tree.num_classes == 9
 
 
+def draw_names(tree, u, k, rng):
+    return [tree.nodes[i] for i in negative_samples(negative_candidates(tree, u), k, rng)]
+
+
 class TestNegativeSamples:
     def test_excludes_node_and_children(self):
         tree = balanced_tree()
         rng = np.random.default_rng(0)
         for _ in range(200):
-            for pick in negative_samples(tree, "root", 5, rng):
+            for pick in draw_names(tree, "root", 5, rng):
                 assert pick not in ("root", "c0", "c1", "c2")
 
     def test_draws_with_replacement(self):
@@ -178,9 +183,9 @@ class TestNegativeSamples:
         tree2 = build_tree([("r", "a"), ("r", "b"), ("r", "c")], [], mode="expert")
         # only 0 candidates for r in the 2-node tree
         with pytest.raises(TaxonomyError, match="no negative candidates"):
-            negative_samples(tree, "r", 1, np.random.default_rng(0))
+            draw_names(tree, "r", 1, np.random.default_rng(0))
         # a,b,c excluded for r in tree2 -> still an error; for "a" there are 3
-        picks = negative_samples(tree2, "a", 50, np.random.default_rng(0))
+        picks = draw_names(tree2, "a", 50, np.random.default_rng(0))
         assert len(picks) == 50 and set(picks) <= {"r", "b", "c"}
 
     def test_uniform_over_candidates(self):
@@ -188,53 +193,60 @@ class TestNegativeSamples:
         rng = np.random.default_rng(123)
         candidates = [n for n in tree.nodes if n not in ("root", "c0", "c1", "c2")]
         counts = {c: 0 for c in candidates}
-        for pick in negative_samples(tree, "root", 100_000, rng):
+        for pick in draw_names(tree, "root", 100_000, rng):
             counts[pick] += 1
         _, p = stats.chisquare(list(counts.values()))
         assert p > 0.01
 
+    def test_candidates_in_node_order(self):
+        tree = balanced_tree()
+        rows = negative_candidates(tree, "c1")
+        assert [tree.nodes[i] for i in rows] == [
+            n for n in tree.nodes if n not in ("c1", "c1_0", "c1_1", "c1_2")
+        ]
+
 
 class TestLabelLoss:
     @staticmethod
-    def make_emb(points):
-        return LabelEmbeddings(nodes=list(points), vectors=np.array([points[n] for n in points], dtype=np.float64))
+    def loss_of(points, negatives):
+        """label_loss on named 2-D points: u, v, then the named negatives."""
+        names = list(points)
+        vectors = np.array([points[n] for n in names], dtype=np.float64)
+        neg_rows = np.array([names.index(n) for n in negatives])
+        return label_loss(vectors, names.index("u"), names.index("v"), neg_rows)
 
     def test_symmetric_pair_gives_ln2(self):
-        emb = self.make_emb({"u": [0.0, 0.0], "v": [0.3, 0.0], "n": [-0.3, 0.0]})
-        loss, _ = label_loss(emb, ("u", "v"), ["n"])
+        loss, _, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.3, 0.0], "n": [-0.3, 0.0]}, ["n"])
         assert abs(loss - np.log(2.0)) < 1e-12
 
     def test_coincident_pair_distant_negative(self):
         r = np.tanh(5.0)  # d(0, (r,0)) = 2*artanh(r) = 10
-        emb = self.make_emb({"u": [0.0, 0.0], "v": [0.0, 0.0], "n": [r, 0.0]})
-        loss, _ = label_loss(emb, ("u", "v"), ["n"])
+        loss, _, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.0, 0.0], "n": [r, 0.0]}, ["n"])
         assert abs(loss - np.log1p(np.exp(-10.0))) < 1e-9
 
     def test_positive_and_finite(self):
         rng = np.random.default_rng(0)
-        emb = self.make_emb(
-            {name: random_ball_point(rng, 3, 0.95) for name in "uvabc"}
+        loss, _, grads = self.loss_of(
+            {name: random_ball_point(rng, 3, 0.95) for name in "uvabc"}, ["a", "b", "c"]
         )
-        loss, grads = label_loss(emb, ("u", "v"), ["a", "b", "c"])
         assert 0.0 < loss < np.inf
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert np.all(np.isfinite(grads))
 
     @pytest.mark.parametrize("negatives", [["a", "b", "c"], ["a", "a", "b"]])
     def test_gradients_match_finite_differences(self, negatives):
         rng = np.random.default_rng(7)
         names = ["u", "v", "a", "b", "c"]
-        emb = LabelEmbeddings(
-            nodes=names,
-            vectors=np.stack([random_ball_point(rng, 3, 0.7) for _ in names]),
-        )
-        _, grads = label_loss(emb, ("u", "v"), negatives)
-        for name in {"u", "v", *negatives}:
-            row = emb.nodes.index(name)
-            num = numeric_grad(
-                lambda: label_loss(emb, ("u", "v"), negatives)[0],
-                emb.vectors[row],
-            )
-            assert rel_err(grads[name], num) < 1e-4
+        vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in names])
+        neg_rows = np.array([names.index(n) for n in negatives])
+        _, rows, grads = label_loss(vectors, 0, 1, neg_rows)
+        # Distinct rows in order of first appearance, duplicates summed.
+        assert rows.tolist() == list(dict.fromkeys([0, 1, *neg_rows.tolist()]))
+        for row, grad in zip(rows, grads):
+            num = numeric_grad(lambda: label_loss(vectors, 0, 1, neg_rows)[0], vectors[row])
+            assert rel_err(grad, num) < 1e-4
+
+
+PARROTT_FEW_EPOCHS = LabelEmbedConfig(dim=10, epochs=12, negatives=10, burn_in_epochs=4, seed=2)
 
 
 class TestTrainLabelEmbeddings:
@@ -267,6 +279,45 @@ class TestTrainLabelEmbeddings:
         leaf_mean = norms[[i for i, n in enumerate(tree.nodes) if depths[n] == 2]].mean()
         root_mean = norms[[i for i, n in enumerate(tree.nodes) if depths[n] == 0]].mean()
         assert leaf_mean > root_mean
+
+    @pytest.mark.parametrize(
+        "tree, cfg",
+        [
+            (balanced_tree(), LabelEmbedConfig(dim=5, epochs=60, negatives=4, seed=3)),
+            (build_tree(parse_taxonomy(bundled_taxonomy_path()), []), PARROTT_FEW_EPOCHS),
+        ],
+        ids=["balanced", "parrott"],
+    )
+    def test_matches_per_node_reference(self, tree, cfg):
+        # The batched step moves the same points as one step per node.
+        ref_vectors, ref_loss = per_node_label_training(tree, cfg)
+        emb, loss = train_label_embeddings(tree, cfg)
+        np.testing.assert_allclose(emb.vectors, ref_vectors, rtol=0, atol=1e-9)
+        assert abs(loss - ref_loss) <= 1e-9
+        ref = LabelEmbeddings(nodes=tree.nodes, vectors=ref_vectors)
+        assert reconstruction_map(emb, tree) == reconstruction_map(ref, tree)
+
+    def test_nan_gradient_raises_numerical_error(self, monkeypatch):
+        import hyperclass.hierarchy as hierarchy
+
+        calls = []
+
+        def poisoned(vectors, u, v, negatives):
+            loss, rows, grads = label_loss(vectors, u, v, negatives)
+            calls.append(1)
+            if len(calls) == 5:
+                grads[0, 0] = np.nan
+            return loss, rows, grads
+
+        monkeypatch.setattr(hierarchy, "label_loss", poisoned)
+        cfg = LabelEmbedConfig(dim=4, epochs=3, negatives=3, seed=1)
+        with pytest.raises(NumericalError, match=r"stage one, epoch 0, pair \(\w+, \w+\): "):
+            train_label_embeddings(balanced_tree(), cfg)
+
+    def test_infinite_lr_raises_numerical_error(self):
+        cfg = LabelEmbedConfig(dim=4, epochs=3, negatives=3, lr=float("inf"), seed=1)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="stage one, epoch 0, pair"):
+            train_label_embeddings(balanced_tree(), cfg)
 
 
 class TestReconstructionMap:

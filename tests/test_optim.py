@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 
 from helpers import rel_err
-from hyperclass.ball import MAX_NORM, distance, distance_grad, random_ball_point
-from hyperclass.optim import Adam, AdamState, radam_step, riemannian_grad, rsgd_step
+from hyperclass.ball import MAX_NORM, distance, distance_grad, exp_map, random_ball_point, riemannian_grad
+from hyperclass.optim import Adam, RiemannianAdam
 
 
 def dist_sq_grad(theta, target):
     d = distance(theta, target)
     gx, _ = distance_grad(theta, target)
     return d * d, 2.0 * d * gx
+
+
+def riemannian_sgd(theta, euclid_grad, lr):
+    """One Riemannian SGD step, exp_theta(-lr * riemannian_grad), from the ball kernels."""
+    return exp_map(theta, -lr * riemannian_grad(theta, euclid_grad))
+
+
+def radam_point(theta, lr=0.01):
+    """A RiemannianAdam over one point, and that point's row of its matrix."""
+    opt = RiemannianAdam(np.array([theta], dtype=float), lr=lr)
+    return opt, opt.points[0]
 
 
 class TestRiemannianGrad:
@@ -33,10 +44,10 @@ class TestRiemannianGrad:
 class TestRsgd:
     def test_zero_gradient_fixed_point(self):
         theta = np.array([0.2, -0.3])
-        np.testing.assert_array_equal(rsgd_step(theta, np.zeros(2), 0.1), theta)
+        np.testing.assert_array_equal(riemannian_sgd(theta, np.zeros(2), 0.1), theta)
 
     def test_origin_worked_example(self):
-        out = rsgd_step(np.zeros(2), np.array([1.0, 0.0]), lr=0.1)
+        out = riemannian_sgd(np.zeros(2), np.array([1.0, 0.0]), lr=0.1)
         np.testing.assert_allclose(out, [-np.tanh(0.025), 0.0], atol=1e-12)
 
     def test_descent_on_distance_squared(self):
@@ -49,7 +60,7 @@ class TestRsgd:
             theta = random_ball_point(rng, dim, 0.9)
             target = random_ball_point(rng, dim, 0.9)
             f0, g = dist_sq_grad(theta, target)
-            f1, _ = dist_sq_grad(rsgd_step(theta, g, lr=0.01), target)
+            f1, _ = dist_sq_grad(riemannian_sgd(theta, g, lr=0.01), target)
             ok += f1 <= f0 + 1e-12
         assert ok >= 99
 
@@ -57,78 +68,115 @@ class TestRsgd:
         rng = np.random.default_rng(1)
         theta = random_ball_point(rng, 3, 0.99)
         for _ in range(50):
-            theta = rsgd_step(theta, rng.standard_normal(3) * 100.0, lr=1.0)
+            theta = riemannian_sgd(theta, rng.standard_normal(3) * 100.0, lr=1.0)
             assert np.linalg.norm(theta) <= MAX_NORM * (1.0 + 1e-15)
+
+
+ROW0 = np.array([0])
 
 
 class TestRadam:
     def test_zero_gradient_never_moves(self):
-        state = AdamState(lr=0.05)
-        theta = np.array([0.1, 0.4])
+        opt, theta = radam_point([0.1, 0.4], lr=0.05)
+        start = theta.copy()
         for _ in range(20):
-            theta2 = radam_step(state, theta, np.zeros(2))
-            np.testing.assert_array_equal(theta2, theta)
-            theta = theta2
-        assert state.step_count == 20
+            opt.step(ROW0, np.zeros((1, 2)))
+            np.testing.assert_array_equal(opt.points[0], start)
+        assert opt.t[0] == 20
 
     def test_first_step_magnitude(self):
         # At t=1 bias correction makes m_hat the rescaled grad and v_hat its
         # square, so the tangent step is -lr * sign(g) up to eps.
-        state = AdamState(lr=0.01)
+        opt, _ = radam_point(np.zeros(2), lr=0.01)
         g = np.array([3.0, -0.5])
-        out = radam_step(state, np.zeros(2), g)
+        opt.step(ROW0, g[None, :])
         expected_dir = -0.01 * np.sign(g) / (1.0 + 0.0)
         # exp map at origin: tanh(||step||) * unit(step)
         r = np.linalg.norm(expected_dir)
-        np.testing.assert_allclose(out, np.tanh(r) * expected_dir / r, rtol=1e-6)
+        np.testing.assert_allclose(opt.points[0], np.tanh(r) * expected_dir / r, rtol=1e-6)
 
     def test_convergence_to_target(self):
         # 500 steps of lr=0.01 on d(theta, target)^2 reach d < 1e-3.
         rng = np.random.default_rng(2)
         for trial in range(10):
             dim = int(rng.integers(2, 8))
-            theta = random_ball_point(rng, dim, 0.8)
+            opt, _ = radam_point(random_ball_point(rng, dim, 0.8), lr=0.01)
             target = random_ball_point(rng, dim, 0.8)
-            state = AdamState(lr=0.01)
             for _ in range(500):
-                _, g = dist_sq_grad(theta, target)
-                theta = radam_step(state, theta, g)
-            assert distance(theta, target) < 1e-3
+                _, g = dist_sq_grad(opt.points[0], target)
+                opt.step(ROW0, g[None, :])
+            assert distance(opt.points[0], target) < 1e-3
 
     def test_deterministic(self):
         g = np.array([0.3, 0.7, -0.2])
         outs = []
         for _ in range(2):
-            state = AdamState(lr=0.02)
-            theta = np.array([0.1, -0.2, 0.05])
+            opt, _ = radam_point([0.1, -0.2, 0.05], lr=0.02)
             for _ in range(10):
-                theta = radam_step(state, theta, g * state.step_count)
-            outs.append(theta)
+                opt.step(ROW0, (g * opt.t[0])[None, :])
+            outs.append(opt.points[0].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_lr_override_used_for_single_step(self):
-        state_a = AdamState(lr=0.01)
-        state_b = AdamState(lr=1e9)  # ignored when lr= is passed
-        theta = np.array([0.2, 0.1])
-        g = np.array([1.0, -1.0])
-        a = radam_step(state_a, theta, g)
-        b = radam_step(state_b, theta, g, lr=0.01)
-        np.testing.assert_array_equal(a, b)
+        opt_a, _ = radam_point([0.2, 0.1], lr=0.01)
+        opt_b, _ = radam_point([0.2, 0.1], lr=1e9)  # ignored when lr= is passed
+        g = np.array([[1.0, -1.0]])
+        opt_a.step(ROW0, g)
+        opt_b.step(ROW0, g, lr=0.01)
+        np.testing.assert_array_equal(opt_a.points, opt_b.points)
+        assert opt_b.lr == 1e9
 
     def test_stays_in_ball_under_huge_gradients(self):
         rng = np.random.default_rng(3)
-        state = AdamState(lr=0.5)
-        theta = np.zeros(4)
+        opt, _ = radam_point(np.zeros(4), lr=0.5)
         for _ in range(100):
-            theta = radam_step(state, theta, rng.standard_normal(4) * 1e3)
-            assert np.linalg.norm(theta) <= MAX_NORM * (1.0 + 1e-15)
+            opt.step(ROW0, rng.standard_normal((1, 4)) * 1e3)
+            assert np.linalg.norm(opt.points[0]) <= MAX_NORM * (1.0 + 1e-15)
 
     def test_moment_shapes_and_step_count(self):
-        state = AdamState(lr=0.01)
-        theta = np.zeros(7)
-        radam_step(state, theta, np.ones(7))
-        assert state.m.shape == (7,) and state.v.shape == (7,)
-        assert state.step_count == 1
+        opt = RiemannianAdam(np.zeros((5, 7)), lr=0.01)
+        opt.step(np.array([1, 3]), np.ones((2, 7)))
+        assert opt.m.shape == (5, 7) and opt.v.shape == (5, 7)
+        assert opt.t.tolist() == [0, 1, 0, 1, 0]
+
+    def test_updates_points_in_place(self):
+        points = np.zeros((3, 2))
+        opt = RiemannianAdam(points, lr=0.1)
+        opt.step(np.array([2]), np.ones((1, 2)))
+        assert opt.points is points and points[2].any() and not points[:2].any()
+
+    def test_rows_match_textbook_per_point_adam(self):
+        # Reference: the per-point expressions, each point with its own step
+        # count; random row subsets give rows different counts.
+        rng = np.random.default_rng(4)
+        n, dim, lr, b1, b2, eps = 9, 4, 0.05, 0.9, 0.999, 1e-8
+        start = np.stack([random_ball_point(rng, dim, 0.9) for _ in range(n)])
+        opt = RiemannianAdam(start.copy(), lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref = [
+            {"theta": start[i].copy(), "m": np.zeros(dim), "v": np.zeros(dim), "t": 0}
+            for i in range(n)
+        ]
+        for step in range(80):
+            rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            grads = rng.standard_normal((len(rows), dim)) * 10.0 ** rng.uniform(-3, 2)
+            step_lr = lr * 0.1 if step < 10 else None
+            opt.step(rows, grads, lr=step_lr)
+            for row, grad in zip(rows, grads):
+                s = ref[row]
+                g = grad * (1.0 - s["theta"] @ s["theta"]) ** 2 / 4.0
+                s["t"] += 1
+                s["m"] = b1 * s["m"] + (1.0 - b1) * g
+                s["v"] = b2 * s["v"] + (1.0 - b2) * g * g
+                m_hat = s["m"] / (1.0 - b1 ** s["t"])
+                v_hat = s["v"] / (1.0 - b2 ** s["t"])
+                direction = -(step_lr or lr) * m_hat / (np.sqrt(v_hat) + eps)
+                s["theta"] = exp_map(s["theta"], direction)
+        assert len(set(opt.t.tolist())) > 1
+        assert opt.t.tolist() == [s["t"] for s in ref]
+        for row, s in enumerate(ref):
+            np.testing.assert_allclose(opt.points[row], s["theta"], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(opt.m[row], s["m"], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(opt.v[row], s["v"], rtol=1e-12, atol=1e-15)
 
 
 class TestEuclideanAdam:

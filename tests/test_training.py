@@ -6,7 +6,7 @@ import pytest
 from hyperclass.config import ClassifierConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, generate_synthetic
 from hyperclass.encoder import CHUNK_ROWS, EncoderModel, Vocabulary, encode, tokenize, tokenize_batch
-from hyperclass.errors import ConfigError
+from hyperclass.errors import ConfigError, NumericalError
 from hyperclass.hierarchy import LabelEmbeddings
 from hyperclass.loss import ClassifierHead, predict
 from hyperclass.training import evaluate_model, train_classifier
@@ -54,6 +54,32 @@ class TestConfigErrors:
         _, _, train, dev = tiny_data
         with pytest.raises(ConfigError, match="unknown loss"):
             train_classifier(train, dev, ClassifierConfig(loss="focal", **SMALL))
+
+
+class TestNumericalErrors:
+    def test_nan_gradient_named_at_next_batch(self, tiny_data, monkeypatch):
+        # Only each batch's scalar loss is checked, so a NaN gradient in
+        # batch 0 surfaces as the non-finite loss of batch 1.
+        import hyperclass.training as training
+
+        real = training.ce_batch
+
+        def poisoned(head, hs, ys):
+            report, grads = real(head, hs, ys)
+            grads["w_c"][0, 0] = np.nan
+            return report, grads
+
+        monkeypatch.setattr(training, "ce_batch", poisoned)
+        _, _, train, dev = tiny_data
+        with pytest.raises(NumericalError, match="stage two, epoch 0, batch 1: non-finite loss"):
+            train_classifier(train, dev, ClassifierConfig(loss="ce", **SMALL))
+
+    @pytest.mark.parametrize("loss", ["ce", "wce"])
+    def test_infinite_lr_is_named(self, tiny_data, tiny_labels, loss):
+        _, class_map, train, dev = tiny_data
+        cfg = ClassifierConfig(loss=loss, lr=float("inf"), **SMALL)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="stage two, epoch 0, batch 1"):
+            train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
 
 
 class TestSelectionAndHistory:
