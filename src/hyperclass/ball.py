@@ -188,15 +188,6 @@ def exp_map_origin_vjp(v: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return _scale_rows(s, grad_out) + _scale_rows(ds_over_r * np.vecdot(v, grad_out), v)
 
 
-def log_map_origin(y: np.ndarray) -> np.ndarray:
-    """log_0(y) = artanh(||y||) * y / ||y||, the inverse of exp_map_origin,
-    for (..., d) points; rows outside the ball are projected first and a
-    zero row maps to the zero vector. Equals log_map(0, y)."""
-    w = project_to_ball(y)
-    r, nonzero = _row_norms(w)
-    return _scale_rows(np.where(nonzero, np.arctanh(np.minimum(r, MAX_NORM)) / r, 0.0), w)
-
-
 def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> np.ndarray:
     """Uniform sample from the ball of the given radius (polar construction)."""
     direction = rng.standard_normal(dim)

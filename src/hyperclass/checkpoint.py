@@ -76,7 +76,11 @@ def _unpack_sections(blob: bytes, path) -> dict[str, bytes]:
         try:
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
+            raw_name = blob[offset : offset + name_len]
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: section name {raw_name!r} is not UTF-8") from None
             offset += name_len
             (payload_len,) = struct.unpack_from("<Q", blob, offset)
             offset += 8
@@ -252,6 +256,8 @@ def load_checkpoint(path, expect_stage: str | None = None):
     if not all(isinstance(i, int) for i in indices) or sorted(indices) != list(range(len(indices))):
         raise CheckpointError(f"{path}: vocabulary indices are not 0..{len(token_to_index) - 1}")
     class_names = field("class_names", list)
+    if not all(isinstance(n, str) for n in class_names):
+        raise CheckpointError(f"{path}: class_names must be strings")
     arrays = {name: grab(name, len(axes)) for name, axes in _CLASSIFIER_AXES.items()}
     sizes = {"vocabulary size": len(token_to_index), "number of class names": len(class_names)}
     for name, axes in _CLASSIFIER_AXES.items():

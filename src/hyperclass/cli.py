@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import log_map_origin
+from .ball import log_map
 from .checkpoint import (
     STAGE_CLASSIFIER,
     STAGE_LABELS,
@@ -170,7 +170,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - load_checkpoint rejects unknown stages
         raise ConfigError("unsupported checkpoint stage")
     if args.space == "tangent":
-        emb = LabelEmbeddings(nodes=emb.nodes, vectors=log_map_origin(emb.vectors))
+        emb = LabelEmbeddings(nodes=emb.nodes, vectors=log_map(np.zeros(emb.dim), emb.vectors))
     write_atomic(args.out, lambda p: export_embeddings_tsv(emb, p))
     print(json.dumps({"rows": len(emb.nodes), "dim": emb.dim, "space": args.space}))
     return 0

@@ -12,6 +12,12 @@ LOSSES = ("wce", "ce")
 WEIGHT_NORMS = ("none", "batch-mean")
 
 
+def _check_lr(lr: float) -> None:
+    # `not 0 < lr < inf` is also true for nan, which fails every comparison.
+    if not 0 < lr < float("inf"):
+        raise ConfigError(f"learning rate must be positive and finite, got {lr!r}")
+
+
 @dataclass
 class LabelEmbedConfig:
     """Stage 1: hyperbolic label embedding training."""
@@ -27,8 +33,9 @@ class LabelEmbedConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if min(self.dim, self.epochs, self.negatives) < 1 or self.lr <= 0:
-            raise ConfigError("label embedding config requires positive dim/epochs/negatives/lr")
+        if min(self.dim, self.epochs, self.negatives) < 1:
+            raise ConfigError("label embedding config requires positive dim/epochs/negatives")
+        _check_lr(self.lr)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -43,13 +50,9 @@ class ClassifierConfig:
     epochs: int = 30
     batch_size: int = 16
     lr: float = 1e-3
-    weight_decay: float = 0.0
     loss: str = "wce"  # one of LOSSES
     weight_norm: str = "none"  # one of WEIGHT_NORMS
-    min_freq: int = 2
     seed: int = 42
-    # projection output dim; None = match the label embedding dim
-    hyper_dim: int | None = None
 
     def validate(self) -> None:
         if self.loss not in LOSSES:
@@ -58,10 +61,7 @@ class ClassifierConfig:
             raise ConfigError(f"unknown weight-norm mode {self.weight_norm!r}")
         if min(self.d_tok, self.d_e, self.epochs, self.batch_size) < 1:
             raise ConfigError("classifier config requires positive dims/epochs/batch")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.hyper_dim is not None and self.hyper_dim < 1:
-            raise ConfigError("hyper_dim must be positive when set")
+        _check_lr(self.lr)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ClassifierConfig, LabelEmbedConfig, SynthSpec
-from .data import generate_synthetic, make_family_tree
+from .data import default_synthetic_tree, generate_synthetic
 from .hierarchy import LabelEmbeddings, LabelTree, build_tree, train_label_embeddings
 from .training import evaluate_model, train_classifier
 
@@ -30,17 +30,16 @@ def run_synthetic_pipeline(
     spec: SynthSpec | None = None,
     label_cfg: LabelEmbedConfig | None = None,
     clf_cfg: ClassifierConfig | None = None,
-    families: int = 2,
-    leaves_per_family: int = 3,
 ) -> dict:
-    """Run dataset generation + both training stages for one seed.
+    """Run dataset generation + both training stages for one seed on the
+    default two-family tree.
 
     The seed drives the synthetic draw and both training stages. The
     shuffled hierarchy (mode="random") is a fixture shared across seeds,
     like comparing against one broken taxonomy rather than redrawing it
     per run; see scrambled_tree.
     """
-    tree, class_map = make_family_tree(families, leaves_per_family)
+    tree, class_map = default_synthetic_tree()
     spec = replace(spec if spec is not None else SynthSpec(), seed=seed)
     label_cfg = replace(label_cfg if label_cfg is not None else default_label_config(), seed=seed)
     clf_cfg = replace(
@@ -101,12 +100,10 @@ def surviving_sibling_pairs(expert: LabelTree, candidate: LabelTree) -> int:
     return count
 
 
-def scrambled_tree(
-    tree: LabelTree, max_surviving_pairs: int = 1, start_seed: int = 0
-) -> tuple[LabelTree, int]:
+def scrambled_tree(tree: LabelTree, max_surviving_pairs: int = 1) -> tuple[LabelTree, int]:
     """Shuffled-hierarchy fixture for the ablation harness.
 
-    Draws uniform child-slot shuffles from a deterministic seed sequence
+    Draws uniform child-slot shuffles from the seeds 0, 1, 2, ...
     and keeps the first one that actually breaks the sibling structure.
     A uniform shuffle occasionally reproduces the original grouping under
     new parent names (swapping both family subtrees wholesale); that draw
@@ -116,7 +113,7 @@ def scrambled_tree(
     maximally scrambled draws. Returns the tree and the shuffle seed that
     produced it.
     """
-    for shuffle_seed in range(start_seed, start_seed + 1000):
+    for shuffle_seed in range(1000):
         candidate = build_tree(
             tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(shuffle_seed)
         )
@@ -128,9 +125,7 @@ def scrambled_tree(
 STRUCTURELESS_RADIUS = 0.9998
 
 
-def uniform_ball_labels(
-    nodes: list[str], dim: int, rng: np.random.Generator, radius: float = STRUCTURELESS_RADIUS
-) -> LabelEmbeddings:
+def uniform_ball_labels(nodes: list[str], dim: int, rng: np.random.Generator) -> LabelEmbeddings:
     """Hierarchy-free anchors: isotropic random directions at a fixed
     radius, one per node. The radius matches where stage-one training
     places its anchors, so this arm differs from the trained ones only by
@@ -139,7 +134,7 @@ def uniform_ball_labels(
     vectors = np.empty((len(nodes), dim))
     for i in range(len(nodes)):
         direction = rng.standard_normal(dim)
-        vectors[i] = radius * direction / np.linalg.norm(direction)
+        vectors[i] = STRUCTURELESS_RADIUS * direction / np.linalg.norm(direction)
     return LabelEmbeddings(nodes=list(nodes), vectors=vectors)
 
 

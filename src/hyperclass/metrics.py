@@ -36,11 +36,16 @@ def evaluate(preds: list[int], golds: list[int], num_classes: int) -> EvalResult
         raise ValueError(f"preds length {len(preds)} != golds length {len(golds)}")
     if len(golds) == 0:
         raise ValueError("cannot evaluate zero samples")
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for p, g in zip(preds, golds):
-        if not (0 <= p < num_classes and 0 <= g < num_classes):
-            raise ValueError(f"class index out of range: pred={p} gold={g} m={num_classes}")
-        confusion[g, p] += 1
+    p = np.asarray(preds, dtype=np.int64)
+    g = np.asarray(golds, dtype=np.int64)
+    bad = (p < 0) | (p >= num_classes) | (g < 0) | (g >= num_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"class index out of range: pred={preds[i]} gold={golds[i]} m={num_classes}"
+        )
+    cells = np.bincount(g * num_classes + p, minlength=num_classes * num_classes)
+    confusion = cells.reshape(num_classes, num_classes)
     n = len(golds)
     per_class = []
     weighted_f1 = 0.0

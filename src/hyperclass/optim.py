@@ -5,8 +5,8 @@ in one batched step: gradients are rescaled by the inverse metric, the
 Adam direction goes through the exponential map, and moments are (n, d)
 coordinate matrices without parallel transport between steps.
 
-Adam (Euclidean, for the encoder and classifier head) lives here too so
-both training stages share one home.
+Adam (Euclidean, for the encoder and classifier head, without weight
+decay) lives here too so both training stages share one home.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ class RiemannianAdam:
 class Adam:
     """Plain Euclidean Adam over a dict of named parameter arrays.
 
-    Optional decoupled weight decay; updates happen in sorted key order so
-    repeated runs touch memory identically. Moments and parameters are
-    updated in place through two scratch buffers per parameter, with the
-    same floating-point operations in the same order as the textbook
-    expressions, so results are bitwise those of the out-of-place form.
+    Updates happen in sorted key order so repeated runs touch memory
+    identically. Moments and parameters are updated in place through two
+    scratch buffers per parameter, with the same floating-point operations
+    in the same order as the textbook expressions, so results are bitwise
+    those of the out-of-place form.
     """
 
     def __init__(
@@ -77,14 +77,12 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -107,9 +105,6 @@ class Adam:
             np.multiply(g, 1.0 - self.beta2, out=a)
             a *= g
             v += a
-            if self.weight_decay:
-                np.multiply(p, self.lr * self.weight_decay, out=a)
-                p -= a
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(m, bc1, out=a)
             a *= self.lr

@@ -2,6 +2,10 @@
 distance-weighted cross-entropy, with per-epoch dev evaluation and
 best-dev-weighted-F1 parameter selection.
 
+Every run starts from fresh parameters drawn from the config seed: the
+vocabulary keeps the training tokens seen at least twice, and the
+head's ball projection has the label embedding dim.
+
 Each minibatch is one packed `TokenBatch`: one encoder forward pass, one
 batched loss with its backward pass, one encoder backward pass and one
 Adam step. The training and dev sets are tokenized and packed once per
@@ -75,15 +79,10 @@ def train_classifier(
     labels: LabelEmbeddings | None = None,
     class_map: list[tuple[str, str]] | None = None,
     progress: Callable[[dict], None] | None = None,
-    init_params: tuple[EncoderModel, ClassifierHead] | None = None,
 ) -> TrainResult:
     """Stage-two trainer. For loss="wce", `labels` and `class_map` supply
     the frozen ball embedding for each class; for loss="ce" both may be
-    None. Dataset class order must match the class map order.
-
-    `init_params` warm-starts from an existing (model, head) pair, copied
-    so the originals stay untouched; the vocabulary comes from that model
-    and fresh optimizer state is used."""
+    None. Dataset class order must match the class map order."""
     config.validate()
     label_matrix = None
     if config.loss == "wce":
@@ -98,39 +97,16 @@ def train_classifier(
         label_matrix = class_embedding_matrix(labels, [node for _, node in class_map])
 
     rng = np.random.default_rng(config.seed)
-    if init_params is not None:
-        src_model, src_head = init_params
-        model = EncoderModel(
-            vocab=src_model.vocab,
-            embedding=src_model.embedding.copy(),
-            w1=src_model.w1.copy(),
-            b1=src_model.b1.copy(),
-        )
-        head = ClassifierHead(
-            w_c=src_head.w_c.copy(),
-            b_c=src_head.b_c.copy(),
-            w_p=src_head.w_p.copy(),
-            b_p=src_head.b_p.copy(),
-        )
-        vocab = model.vocab
-    else:
-        vocab = Vocabulary.build(_texts(train_ds), min_freq=config.min_freq)
-        model = EncoderModel.init(vocab, config.d_tok, config.d_e, rng)
-        if config.hyper_dim is not None:
-            hyper_dim = config.hyper_dim
-        elif label_matrix is not None:
-            hyper_dim = label_matrix.shape[1]
-        else:
-            hyper_dim = 2
-        head = ClassifierHead.init(config.d_e, len(train_ds.label_names), hyper_dim, rng)
-    if label_matrix is not None and head.w_p.shape[1] != label_matrix.shape[1]:
-        raise ConfigError(
-            f"projection dim {head.w_p.shape[1]} does not match label dim {label_matrix.shape[1]}"
-        )
+    vocab = Vocabulary.build(_texts(train_ds))
+    model = EncoderModel.init(vocab, config.d_tok, config.d_e, rng)
+    # ce never uses w_p/b_p, but still draws them, at dim 2: another size
+    # would shift every later draw of rng and so change ce results.
+    hyper_dim = 2 if label_matrix is None else label_matrix.shape[1]
+    head = ClassifierHead.init(config.d_e, len(train_ds.label_names), hyper_dim, rng)
 
     params = {f"enc.{k}": v for k, v in model.params().items()}
     params.update({f"head.{k}": v for k, v in head.params().items()})
-    opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = Adam(params, lr=config.lr)
 
     train_tokens = tokenize_batch(vocab, _texts(train_ds))
     dev_tokens = tokenize_batch(vocab, _texts(dev_ds))

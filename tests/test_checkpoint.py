@@ -3,10 +3,12 @@ the atomic file writer."""
 
 import io
 import json
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperclass import checkpoint as ckpt
 from hyperclass.cli import main
@@ -122,6 +124,13 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="truncated"):
             ckpt.load_checkpoint(saved)
 
+    def test_section_name_not_utf8(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[10] = 0xFF  # first byte of the first section name, "meta"
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            ckpt.load_checkpoint(saved)
+
     def test_stage_mismatch_is_named_error(self, saved):
         with pytest.raises(StageError, match="expected 'classifier'"):
             ckpt.load_checkpoint(saved, expect_stage=ckpt.STAGE_CLASSIFIER)
@@ -233,6 +242,11 @@ class TestInconsistentMeta:
         with pytest.raises(CheckpointError, match="number of class names"):
             ckpt.load_checkpoint(classifier_path)
 
+    def test_class_names_not_strings(self, classifier_path):
+        rewrite_meta(classifier_path, lambda m: m.update({"class_names": [1, 2]}))
+        with pytest.raises(CheckpointError, match="class_names must be strings"):
+            ckpt.load_checkpoint(classifier_path)
+
     def test_sparse_vocab_indices(self, classifier_path):
         rewrite_meta(classifier_path, lambda m: m["vocab"].update({"<unk>": 99}))
         with pytest.raises(CheckpointError, match="vocabulary indices"):
@@ -250,3 +264,107 @@ class TestInconsistentMeta:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().strip().splitlines()) == 1
         assert not (tmp_path / "e.json").exists()
+
+
+# Any JSON value a meta edit may write in place of another.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def edit_meta(data, meta):
+    """Replace or delete one value, at a drawn depth, of the meta dict."""
+    node = meta
+    while True:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(json_values)
+            return
+
+
+def contents(ck):
+    """(arrays, fields) of a loaded checkpoint, keyed by their names in the file."""
+    if isinstance(ck, ckpt.LabelsCheckpoint):
+        arrays = {"labels.vectors": ck.emb.vectors}
+        fields = {"nodes": ck.emb.nodes, "class_map": [list(row) for row in ck.class_map]}
+    else:
+        arrays = {f"enc.{k}": v for k, v in ck.model.params().items()}
+        arrays.update({f"head.{k}": v for k, v in ck.head.params().items()})
+        fields = {"vocab": ck.model.vocab.token_to_index, "class_names": ck.class_names}
+    fields.update(stage=ck.stage, config=ck.config, seed=ck.seed)
+    return arrays, fields
+
+
+@pytest.fixture(scope="module")
+def fuzz_ws(tmp_path_factory):
+    """A small valid checkpoint of each stage, its arrays, and a dataset."""
+    root = tmp_path_factory.mktemp("fuzz")
+    emb, class_map = make_labels()
+    ckpt.save_labels_checkpoint(root / "labels.ckpt", emb, class_map, {"dim": 3}, seed=0)
+    model, head = make_classifier()
+    ckpt.save_classifier_checkpoint(root / "clf.ckpt", model, head, ["a", "b"], {"lr": 0.1}, seed=0)
+    (root / "data.tsv").write_text("the cat sat\ta\nthe dog ran\tb\n", encoding="utf-8")
+    ws = {"root": root}
+    for stage, name in ((ckpt.STAGE_LABELS, "labels.ckpt"), (ckpt.STAGE_CLASSIFIER, "clf.ckpt")):
+        ws[stage] = ((root / name).read_bytes(), contents(ckpt.load_checkpoint(root / name))[0])
+    return ws
+
+
+class TestFuzzedFiles:
+    """Every truncation, single-byte flip or meta edit (with its CRC
+    recomputed) of a valid checkpoint either loads exactly what the file
+    records or raises CheckpointError, and the CLI reads it with exit 0,
+    or exit 1 and one `error:` line."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_loads_what_the_file_records_or_raises(self, fuzz_ws, data):
+        stage = data.draw(st.sampled_from([ckpt.STAGE_LABELS, ckpt.STAGE_CLASSIFIER]))
+        blob, arrays = fuzz_ws[stage]
+        sections = ckpt._unpack_sections(blob, stage)
+        meta = json.loads(sections["meta"])
+        kind = data.draw(st.sampled_from(["truncate", "flip", "meta"]))
+        if kind == "truncate":
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        elif kind == "flip":
+            i = data.draw(st.integers(0, len(blob) - 1))
+            blob = blob[:i] + bytes([blob[i] ^ data.draw(st.integers(1, 255))]) + blob[i + 1 :]
+        else:
+            edit_meta(data, meta)
+            sections["meta"] = json.dumps(meta).encode("utf-8")
+            blob = ckpt._pack_sections(list(sections.items()))
+        root = fuzz_ws["root"]
+        path = root / "fuzzed.ckpt"
+        path.write_bytes(blob)
+
+        try:
+            loaded = ckpt.load_checkpoint(path)
+        except CheckpointError:
+            pass
+        else:
+            got_arrays, got_fields = contents(loaded)
+            assert got_fields == {key: meta[key] for key in got_fields}
+            assert got_arrays.keys() == arrays.keys()
+            for name, arr in arrays.items():
+                np.testing.assert_array_equal(got_arrays[name], arr)
+
+        data_args = ["--data", str(root / "data.tsv")]
+        for argv in (
+            ["evaluate", "--model", str(path), *data_args, "--out-json", str(root / "e.json")],
+            ["export-embeddings", "--model", str(path), *data_args, "--out", str(root / "x.tsv")],
+        ):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            if code != 0:
+                assert code == 1
+                assert err.getvalue().startswith("error:")
+                assert len(err.getvalue().splitlines()) == 1

@@ -313,7 +313,7 @@ class TestNumericalErrors:
              "--out", tmp_path / "x.ckpt"]
         )
         assert code == 1
-        assert err.startswith("error: stage one, epoch 0, pair (")
+        assert err.startswith("error: learning rate must be positive and finite")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.ckpt").exists()
 
@@ -331,15 +331,16 @@ class TestNumericalErrors:
     def test_process_stderr_is_one_line(self, ws, tmp_path):
         # A real process: numpy's floating-point warnings would reach stderr.
         proc = subprocess.run(
-            [sys.executable, "-m", "hyperclass", "train-labels", "--hierarchy",
-             str(ws["data"] / "hierarchy.tsv"), "--class-map", str(ws["data"] / "class-map.tsv"),
-             "--dim", "4", "--epochs", "3", "--lr", "inf", "--out", str(tmp_path / "x.ckpt")],
+            [sys.executable, "-m", "hyperclass", "train-classifier", "--train",
+             str(ws["data"] / "train.tsv"), "--dev", str(ws["data"] / "dev.tsv"),
+             "--labels-ckpt", str(ws["labels_ckpt"]), "--lr", "1e300",
+             "--out", str(tmp_path / "x.ckpt")] + SMALL_CLF,
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: stage one")
+        assert proc.stderr.startswith("error: stage two, epoch 0, batch ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
 

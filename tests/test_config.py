@@ -5,6 +5,8 @@ import pytest
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.errors import ConfigError
 
+INF, NAN = float("inf"), float("nan")
+
 
 class TestLabelEmbedConfig:
     def test_defaults_valid(self):
@@ -15,6 +17,11 @@ class TestLabelEmbedConfig:
         cfg = LabelEmbedConfig(**{field: value})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("lr", [INF, NAN])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            LabelEmbedConfig(lr=lr).validate()
 
     def test_to_dict_round_trip(self):
         cfg = LabelEmbedConfig(dim=7, seed=3)
@@ -33,14 +40,15 @@ class TestClassifierConfig:
         with pytest.raises(ConfigError, match="weight-norm"):
             ClassifierConfig(weight_norm="zscore").validate()
 
-    @pytest.mark.parametrize("field,value", [("d_tok", 0), ("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("hyper_dim", 0)])
+    @pytest.mark.parametrize("field,value", [("d_tok", 0), ("epochs", 0), ("batch_size", 0), ("lr", 0.0)])
     def test_nonpositive_rejected(self, field, value):
         with pytest.raises(ConfigError):
             ClassifierConfig(**{field: value}).validate()
 
-    def test_hyper_dim_none_allowed(self):
-        ClassifierConfig(hyper_dim=None).validate()
-        ClassifierConfig(hyper_dim=10).validate()
+    @pytest.mark.parametrize("lr", [INF, NAN])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            ClassifierConfig(lr=lr).validate()
 
     def test_to_dict_round_trip(self):
         cfg = ClassifierConfig(loss="ce", epochs=5)

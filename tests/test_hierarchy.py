@@ -7,7 +7,7 @@ from scipy import stats
 from helpers import numeric_grad, per_node_label_training, rel_err
 from hyperclass.ball import MAX_NORM, random_ball_point
 from hyperclass.config import LabelEmbedConfig
-from hyperclass.errors import NumericalError, TaxonomyError
+from hyperclass.errors import ConfigError, NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
     LabelEmbeddings,
     LabelTree,
@@ -314,9 +314,9 @@ class TestTrainLabelEmbeddings:
         with pytest.raises(NumericalError, match=r"stage one, epoch 0, pair \(\w+, \w+\): "):
             train_label_embeddings(balanced_tree(), cfg)
 
-    def test_infinite_lr_raises_numerical_error(self):
+    def test_infinite_lr_rejected_by_config(self):
         cfg = LabelEmbedConfig(dim=4, epochs=3, negatives=3, lr=float("inf"), seed=1)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="stage one, epoch 0, pair"):
+        with pytest.raises(ConfigError, match="learning rate must be positive and finite"):
             train_label_embeddings(balanced_tree(), cfg)
 
 

@@ -66,6 +66,9 @@ class TestErrors:
             evaluate([2], [0], num_classes=2)
         with pytest.raises(ValueError, match="out of range"):
             evaluate([0], [-1], num_classes=2)
+        # The message names the first bad pair.
+        with pytest.raises(ValueError, match=r"pred=1 gold=5 m=2$"):
+            evaluate([0, 1, 7], [1, 5, 0], num_classes=2)
 
 
 class TestProperties:

@@ -1,7 +1,6 @@
 """Riemannian SGD/Adam on ball parameters and Euclidean Adam."""
 
 import numpy as np
-import pytest
 
 from helpers import rel_err
 from hyperclass.ball import MAX_NORM, distance, distance_grad, exp_map, random_ball_point, riemannian_grad
@@ -199,14 +198,6 @@ class TestEuclideanAdam:
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
-    def test_weight_decay_is_decoupled(self):
-        # Zero gradient: decay shrinks the parameter toward 0 regardless of
-        # moment state.
-        params = {"x": np.array([1.0])}
-        opt = Adam(params, lr=0.1, weight_decay=0.5)
-        opt.step({"x": np.zeros(1)})
-        np.testing.assert_allclose(params["x"], [1.0 - 0.1 * 0.5 * 1.0], atol=1e-15)
-
     def test_updates_in_place(self):
         params = {"x": np.zeros(2)}
         view = params["x"]
@@ -214,8 +205,7 @@ class TestEuclideanAdam:
         opt.step({"x": np.ones(2)})
         assert view is params["x"] and view[0] != 0.0
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_in_place_update_is_bitwise_textbook_adam(self, weight_decay):
+    def test_in_place_update_is_bitwise_textbook_adam(self):
         # Reference: the out-of-place expressions, one temporary per term.
         rng = np.random.default_rng(4)
         shapes = {"emb": (40, 6), "w": (6, 3), "b": (3,)}
@@ -225,7 +215,7 @@ class TestEuclideanAdam:
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=weight_decay)
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
         for t in range(1, 60):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
             grads["emb"][rng.random(40) < 0.7] = 0.0  # mostly untouched rows
@@ -235,8 +225,6 @@ class TestEuclideanAdam:
                 v[k] = b2 * v[k] + (1.0 - b2) * g * g
                 m_hat = m[k] / (1.0 - b1**t)
                 v_hat = v[k] / (1.0 - b2**t)
-                if weight_decay:
-                    ref[k] -= lr * weight_decay * ref[k]
                 ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
         for k in shapes:
             np.testing.assert_array_equal(params[k], ref[k])

@@ -1,4 +1,4 @@
-"""Stage-two training loop: selection, determinism, warm starts, batched evaluation."""
+"""Stage-two training loop: selection, determinism, batched evaluation."""
 
 import numpy as np
 import pytest
@@ -44,12 +44,6 @@ class TestConfigErrors:
                 labels=tiny_labels, class_map=reordered,
             )
 
-    def test_hyper_dim_must_match_labels(self, tiny_data, tiny_labels):
-        _, class_map, train, dev = tiny_data
-        cfg = ClassifierConfig(loss="wce", hyper_dim=5, **SMALL)
-        with pytest.raises(ConfigError, match="does not match label dim"):
-            train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
-
     def test_unknown_loss(self, tiny_data):
         _, _, train, dev = tiny_data
         with pytest.raises(ConfigError, match="unknown loss"):
@@ -74,11 +68,19 @@ class TestNumericalErrors:
         with pytest.raises(NumericalError, match="stage two, epoch 0, batch 1: non-finite loss"):
             train_classifier(train, dev, ClassifierConfig(loss="ce", **SMALL))
 
-    @pytest.mark.parametrize("loss", ["ce", "wce"])
-    def test_infinite_lr_is_named(self, tiny_data, tiny_labels, loss):
+    @pytest.mark.parametrize(
+        "loss,lr,error,match",
+        [
+            pytest.param("ce", float("inf"), ConfigError, "positive and finite", id="ce"),
+            pytest.param("ce", float("nan"), ConfigError, "positive and finite", id="ce-nan"),
+            # Finite, so it passes validation, but the first steps overflow.
+            pytest.param("wce", 1e300, NumericalError, r"stage two, epoch 0, batch \d+: ", id="wce"),
+        ],
+    )
+    def test_infinite_lr_is_named(self, tiny_data, tiny_labels, loss, lr, error, match):
         _, class_map, train, dev = tiny_data
-        cfg = ClassifierConfig(loss=loss, lr=float("inf"), **SMALL)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="stage two, epoch 0, batch 1"):
+        cfg = ClassifierConfig(loss=loss, lr=lr, **SMALL)
+        with np.errstate(all="ignore"), pytest.raises(error, match=match):
             train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
 
 
@@ -124,26 +126,6 @@ class TestDeterminismAndThreads:
         for key in a.head.params():
             np.testing.assert_array_equal(a.head.params()[key], b.head.params()[key])
         assert a.history == b.history
-
-
-class TestWarmStart:
-    def test_init_params_copied_not_shared(self, tiny_data, tiny_labels):
-        _, class_map, train, dev = tiny_data
-        cfg = ClassifierConfig(loss="wce", seed=4, **SMALL)
-        first = train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
-        snapshot = {k: v.copy() for k, v in first.model.params().items()}
-        second = train_classifier(
-            train, dev, cfg, labels=tiny_labels, class_map=class_map,
-            init_params=(first.model, first.head),
-        )
-        # source untouched, result retrained from the warm start
-        for key, arr in first.model.params().items():
-            np.testing.assert_array_equal(arr, snapshot[key])
-        assert second.model.vocab is first.model.vocab
-        assert any(
-            not np.array_equal(second.model.params()[k], first.model.params()[k])
-            for k in snapshot
-        )
 
 
 class TestEvaluateModel:
