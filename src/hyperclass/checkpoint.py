@@ -184,11 +184,25 @@ _CLASSIFIER_AXES = {
 }
 
 
+def _is_tsv_field(value) -> bool:
+    """Whether value can be written as one field of a UTF-8 TSV line: a
+    string with no tab, CR or LF that encodes as UTF-8 (no lone surrogate)."""
+    if not isinstance(value, str) or any(c in value for c in "\t\r\n"):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_checkpoint(path, expect_stage: str | None = None):
     """Read and validate a checkpoint of either stage.
 
     Every unreadable, corrupt or internally inconsistent file raises
-    CheckpointError (StageError for a valid file of the wrong stage)."""
+    CheckpointError (StageError for a valid file of the wrong stage). Node,
+    class-map and class names must be TSV fields (see `_is_tsv_field`),
+    because exports and class maps write them as such."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -235,19 +249,26 @@ def load_checkpoint(path, expect_stage: str | None = None):
             )
         return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
 
+    def check_names(key: str, names: list) -> None:
+        for name in names:
+            if not _is_tsv_field(name):
+                raise CheckpointError(
+                    f"{path}: {key} must be strings with no tab or line break that encode "
+                    f"as UTF-8, got {name!r}"
+                )
+
     if stage == STAGE_LABELS:
         vectors = grab("labels.vectors", 2)
         nodes = field("nodes", list)
-        if len(nodes) != len(vectors) or not all(isinstance(n, str) for n in nodes):
+        if len(nodes) != len(vectors):
             raise CheckpointError(
                 f"{path}: {len(nodes)} node names for {len(vectors)} embedding rows"
             )
+        check_names("nodes", nodes)
         rows = field("class_map", list)
-        if not all(
-            isinstance(row, list) and len(row) == 2 and all(isinstance(x, str) for x in row)
-            for row in rows
-        ):
+        if not all(isinstance(row, list) and len(row) == 2 for row in rows):
             raise CheckpointError(f"{path}: class_map rows must be [label, node] string pairs")
+        check_names("class_map entries", [x for row in rows for x in row])
         emb = LabelEmbeddings(nodes=nodes, vectors=vectors)
         return LabelsCheckpoint(emb, [(label, node) for label, node in rows], config, seed)
 
@@ -256,8 +277,7 @@ def load_checkpoint(path, expect_stage: str | None = None):
     if not all(isinstance(i, int) for i in indices) or sorted(indices) != list(range(len(indices))):
         raise CheckpointError(f"{path}: vocabulary indices are not 0..{len(token_to_index) - 1}")
     class_names = field("class_names", list)
-    if not all(isinstance(n, str) for n in class_names):
-        raise CheckpointError(f"{path}: class_names must be strings")
+    check_names("class_names", class_names)
     arrays = {name: grab(name, len(axes)) for name, axes in _CLASSIFIER_AXES.items()}
     sizes = {"vocabulary size": len(token_to_index), "number of class names": len(class_names)}
     for name, axes in _CLASSIFIER_AXES.items():

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,18 @@ from .checkpoint import (
     write_atomic,
 )
 from .config import LOSSES, WEIGHT_NORMS, ClassifierConfig, LabelEmbedConfig, SynthSpec
-from .data import generate_synthetic, infer_label_names, load_dataset, make_family_tree, save_dataset
-from .encoder import encode_chunks, tokenize_batch
+from .data import (
+    LabeledDataset,
+    generate_synthetic,
+    infer_label_names,
+    load_dataset,
+    make_family_tree,
+    save_dataset,
+)
+from .encoder import CHUNK_ROWS, encode_chunks, tokenize_batch
 from .errors import ConfigError, HyperclassError
 from .hierarchy import (
     MODES,
-    LabelEmbeddings,
     build_tree,
     export_embeddings_tsv,
     parse_class_map,
@@ -43,6 +50,7 @@ from .hierarchy import (
     save_class_map,
     save_taxonomy,
     train_label_embeddings,
+    write_embeddings_tsv,
 )
 from .loss import project_representation
 from .training import evaluate_model, train_classifier
@@ -156,24 +164,34 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
     ck = load_checkpoint(args.model)
     if isinstance(ck, LabelsCheckpoint):
-        emb = ck.emb
+        rows, dim = len(ck.emb.nodes), ck.emb.dim
+        chunks = [(ck.emb.nodes, ck.emb.vectors)]
     elif isinstance(ck, ClassifierCheckpoint):
         if args.data is None:
             raise ConfigError("exporting classifier projections requires --data")
         ds = load_dataset(args.data, ck.class_names, split="test")
-        tokens = tokenize_batch(ck.model.vocab, [text for text, _ in ds.samples])
-        vectors = np.concatenate(
-            [project_representation(ck.head, h) for h in encode_chunks(ck.model, tokens)]
-        )
-        names = [f"s{i}_{ds.label_names[y]}" for i, (_, y) in enumerate(ds.samples)]
-        emb = LabelEmbeddings(nodes=names, vectors=vectors)
+        rows, dim = len(ds), ck.head.w_p.shape[1]
+        chunks = _projection_chunks(ck, ds)
     else:  # pragma: no cover - load_checkpoint rejects unknown stages
         raise ConfigError("unsupported checkpoint stage")
     if args.space == "tangent":
-        emb = LabelEmbeddings(nodes=emb.nodes, vectors=log_map(np.zeros(emb.dim), emb.vectors))
-    write_atomic(args.out, lambda p: export_embeddings_tsv(emb, p))
-    print(json.dumps({"rows": len(emb.nodes), "dim": emb.dim, "space": args.space}))
+        origin = np.zeros(dim)
+        chunks = ((names, log_map(origin, vectors)) for names, vectors in chunks)
+    write_atomic(args.out, lambda p: write_embeddings_tsv(p, dim, chunks))
+    print(json.dumps({"rows": rows, "dim": dim, "space": args.space}))
     return 0
+
+
+def _projection_chunks(
+    ck: ClassifierCheckpoint, ds: LabeledDataset
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """(names, ball projections) of ds, CHUNK_ROWS samples at a time; sample
+    i of class y is named s{i}_{y's label}."""
+    tokens = tokenize_batch(ck.model.vocab, [text for text, _ in ds.samples])
+    for start, h in zip(range(0, len(ds), CHUNK_ROWS), encode_chunks(ck.model, tokens)):
+        samples = enumerate(ds.samples[start : start + CHUNK_ROWS], start)
+        names = [f"s{i}_{ds.label_names[y]}" for i, (_, y) in samples]
+        yield names, project_representation(ck.head, h)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,8 @@
 and the default two-family benchmark tree.
 
 Dataset files are UTF-8 TSV `text<TAB>label`, no header; tabs and
-newlines inside text are rejected, not escaped.
+newlines inside text are rejected, not escaped. The synthetic generator
+holds each word pool as a numpy string array, built once per call.
 """
 
 from __future__ import annotations
@@ -116,6 +117,11 @@ def generate_synthetic(
     the rest from the shared noise pool. Pools are disjoint by
     construction. Splits are stratified per class; everything is a pure
     function of (tree, spec).
+
+    Each pool is built once as a numpy string array, and each draw is one
+    `rng.choice(pool, size)`: with replacement and no `p`, that consumes
+    `integers(0, len(pool), size)` from the stream whatever the pool's
+    container, so samples do not depend on how the pools are held.
     """
     spec.validate()
     if not tree.class_leaves:
@@ -127,26 +133,27 @@ def generate_synthetic(
         parent_of[child] = parent
     families = sorted({parent_of[leaf] for leaf in tree.class_leaves if leaf in parent_of})
     family_pool = {
-        fam: [f"fam{fi}_w{j}" for j in range(spec.family_pool_size)]
+        fam: np.array([f"fam{fi}_w{j}" for j in range(spec.family_pool_size)])
         for fi, fam in enumerate(families)
     }
     leaf_pool = {
-        leaf: [f"leaf{li}_w{j}" for j in range(spec.leaf_pool_size)]
+        leaf: np.array([f"leaf{li}_w{j}" for j in range(spec.leaf_pool_size)])
         for li, leaf in enumerate(tree.class_leaves)
     }
-    noise_pool = [f"noise_w{j}" for j in range(spec.noise_vocab)]
+    noise_pool = np.array([f"noise_w{j}" for j in range(spec.noise_vocab)])
 
     k = spec.tokens_per_sample
     n_family = int(spec.family_fraction * k)
     n_leaf = int(spec.leaf_fraction * k)
+    n_noise = k - n_family - n_leaf
     per_class: list[list[str]] = []
     for leaf in tree.class_leaves:
         fam_tokens = family_pool.get(parent_of.get(leaf), noise_pool)
         texts = []
         for _ in range(spec.samples_per_class):
-            tokens = [str(t) for t in rng.choice(fam_tokens, size=n_family)]
-            tokens += [str(t) for t in rng.choice(leaf_pool[leaf], size=n_leaf)]
-            tokens += [str(t) for t in rng.choice(noise_pool, size=k - n_family - n_leaf)]
+            tokens = rng.choice(fam_tokens, size=n_family).tolist()
+            tokens += rng.choice(leaf_pool[leaf], size=n_leaf).tolist()
+            tokens += rng.choice(noise_pool, size=n_noise).tolist()
             rng.shuffle(tokens)
             texts.append(" ".join(tokens))
         per_class.append(texts)

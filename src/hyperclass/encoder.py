@@ -6,13 +6,20 @@ this is the minimal trainable one. A batch of samples is packed into one
 flat token array with per-sample offsets and lengths (`TokenBatch`), so
 the forward and backward passes are a few array operations per batch;
 `encode` and `encode_backward` are one-sample calls into the same kernels.
+
+Tokenizing has one rule: lowercase the text, split it on whitespace and
+strip edge punctuation from each piece. A batch normalizes and looks up
+each distinct piece once, through a memo shared by all of its texts, so
+the per-token work is a dict lookup in C.
 """
 
 from __future__ import annotations
 
 import string
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -28,10 +35,12 @@ class Vocabulary:
 
     @classmethod
     def build(cls, texts: list[str], min_freq: int = 2) -> "Vocabulary":
+        pieces = Counter(piece for text in texts for piece in text.lower().split())
         counts: dict[str, int] = {}
-        for text in texts:
-            for token in _split(text):
-                counts[token] = counts.get(token, 0) + 1
+        for piece, n in pieces.items():
+            token = _normalize(piece)
+            if token:
+                counts[token] = counts.get(token, 0) + n
         mapping = {"<unk>": UNK, "<pad>": PAD}
         for token in sorted(counts):
             if counts[token] >= min_freq and token not in mapping:
@@ -45,13 +54,37 @@ class Vocabulary:
         return self.token_to_index.get(token, UNK)
 
 
-def _split(text: str) -> list[str]:
-    out = []
-    for raw in text.lower().split():
-        token = raw.strip(string.punctuation)
-        if token:
-            out.append(token)
-    return out
+def _normalize(piece: str) -> str:
+    """The token of one lowercased whitespace-split piece; empty if the
+    piece is all punctuation."""
+    return piece.strip(string.punctuation)
+
+
+# Memo value of a piece that normalizes to nothing; never a vocabulary id.
+_SKIP = -1
+
+
+class _PieceIds(dict):
+    """Raw piece -> vocabulary id (UNK when out of vocabulary), or _SKIP
+    for a piece that normalizes to nothing. A missing piece is normalized
+    and looked up once, then served from the dict."""
+
+    def __init__(self, vocab: Vocabulary):
+        super().__init__()
+        self.index = vocab.token_to_index
+
+    def __missing__(self, piece: str) -> int:
+        token = _normalize(piece)
+        value = self[piece] = self.index.get(token, UNK) if token else _SKIP
+        return value
+
+
+def _ids(memo: _PieceIds, text: str) -> list[int]:
+    """Ids of one text's pieces, all-punctuation pieces dropped; [PAD] if none is left."""
+    ids = list(map(memo.__getitem__, text.lower().split()))
+    if _SKIP in ids:
+        ids = [i for i in ids if i != _SKIP]
+    return ids if ids else [PAD]
 
 
 def tokenize(vocab: Vocabulary, text: str) -> list[int]:
@@ -60,9 +93,7 @@ def tokenize(vocab: Vocabulary, text: str) -> list[int]:
     Empty input yields a single PAD token so every sample has at least one
     index to pool over.
     """
-    index = vocab.token_to_index
-    tokens = [index.get(t, UNK) for t in _split(text)]
-    return tokens if tokens else [PAD]
+    return _ids(_PieceIds(vocab), text)
 
 
 @dataclass(frozen=True)
@@ -79,9 +110,7 @@ class TokenBatch:
         lengths = np.array([len(tokens) for tokens in samples], dtype=np.intp)
         if lengths.size and lengths.min() < 1:
             raise ValueError("every sample needs at least one token")
-        ids = np.fromiter(
-            (t for tokens in samples for t in tokens), dtype=np.intp, count=int(lengths.sum())
-        )
+        ids = np.fromiter(chain.from_iterable(samples), dtype=np.intp, count=int(lengths.sum()))
         return cls(ids, _starts(lengths), lengths)
 
     def __len__(self) -> int:
@@ -102,7 +131,9 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
 
 
 def tokenize_batch(vocab: Vocabulary, texts: list[str]) -> TokenBatch:
-    return TokenBatch.pack([tokenize(vocab, text) for text in texts])
+    """`tokenize` of every text, packed; each distinct piece is normalized once."""
+    memo = _PieceIds(vocab)
+    return TokenBatch.pack([_ids(memo, text) for text in texts])
 
 
 @dataclass

@@ -5,11 +5,16 @@ class leaves (one tree node per classifier class). Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
 Riemannian Adam, one batched step per parent-child pair, then scored by
 how well nearest-neighbour ranking reconstructs the edges.
+
+Embeddings and projections are written as TSV from (names, vectors)
+chunks, one formatting operation per row, so a caller can stream rows
+without holding them all.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -367,14 +372,20 @@ def node_depths(tree: LabelTree) -> dict[str, int]:
     return depths
 
 
-def export_embeddings_tsv(emb: LabelEmbeddings, path) -> None:
-    """Write `node<TAB>dim0..dim{d-1}` with 17 significant digits per coordinate."""
+def write_embeddings_tsv(path, dim: int, chunks: Iterable[tuple[list[str], np.ndarray]]) -> None:
+    """Write `node<TAB>dim0..dim{d-1}` with 17 significant digits per
+    coordinate, from (names, (rows, dim) vectors) chunks consumed one at a
+    time; each row is one formatting operation over Python floats."""
+    row = "%s" + "\t%.17g" * dim + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["node"] + [f"dim{i}" for i in range(emb.dim)]
-        fh.write("\t".join(header) + "\n")
-        for name, row in zip(emb.nodes, emb.vectors):
-            coords = "\t".join(f"{x:.17g}" for x in row)
-            fh.write(f"{name}\t{coords}\n")
+        fh.write("\t".join(["node"] + [f"dim{i}" for i in range(dim)]) + "\n")
+        for names, vectors in chunks:
+            fh.writelines(row % (name, *coords) for name, coords in zip(names, vectors.tolist()))
+
+
+def export_embeddings_tsv(emb: LabelEmbeddings, path) -> None:
+    """write_embeddings_tsv of every node as one chunk."""
+    write_embeddings_tsv(path, emb.dim, [(emb.nodes, emb.vectors)])
 
 
 def load_embeddings_tsv(path) -> LabelEmbeddings:

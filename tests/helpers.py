@@ -1,4 +1,7 @@
-"""Shared numerical oracles: central finite differences and error norms."""
+"""Shared oracles: central finite differences, error norms, and frozen
+copies of replaced loop code that the batched code must match."""
+
+import string
 
 import numpy as np
 
@@ -103,3 +106,84 @@ def per_node_label_training(tree, config):
                 vectors[row] = adam_step(states[name], vectors[row], grad, lr)
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss
+
+
+def per_token_ids(token_to_index, text):
+    """Frozen reference tokenizer: the per-token loop that the memoized
+    pass replaced. Lowercase, split, strip edge punctuation token by token,
+    map OOV to UNK (0); an empty result is [PAD] (1)."""
+    ids = []
+    for raw in text.lower().split():
+        token = raw.strip(string.punctuation)
+        if token:
+            ids.append(token_to_index.get(token, 0))
+    return ids if ids else [1]
+
+
+def per_token_vocabulary(texts, min_freq=2):
+    """Frozen reference for Vocabulary.build: counts every stripped token
+    occurrence one at a time. Returns the token -> index mapping."""
+    counts = {}
+    for text in texts:
+        for raw in text.lower().split():
+            token = raw.strip(string.punctuation)
+            if token:
+                counts[token] = counts.get(token, 0) + 1
+    mapping = {"<unk>": 0, "<pad>": 1}
+    for token in sorted(counts):
+        if counts[token] >= min_freq and token not in mapping:
+            mapping[token] = len(mapping)
+    return mapping
+
+
+def per_coordinate_tsv(nodes, vectors, path):
+    """Frozen reference for the embedding TSV writer: each coordinate
+    formatted as its own numpy scalar."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = ["node"] + [f"dim{i}" for i in range(vectors.shape[1])]
+        fh.write("\t".join(header) + "\n")
+        for name, row in zip(nodes, vectors):
+            coords = "\t".join(f"{x:.17g}" for x in row)
+            fh.write(f"{name}\t{coords}\n")
+
+
+def list_pool_synthetic(tree, spec):
+    """Frozen reference for data.generate_synthetic with its pools held as
+    Python lists and every drawn token converted with str(). Returns the
+    (train, dev, test) sample lists."""
+    rng = np.random.default_rng(spec.seed)
+    parent_of = {child: parent for parent, child in tree.edges}
+    families = sorted({parent_of[leaf] for leaf in tree.class_leaves if leaf in parent_of})
+    family_pool = {
+        fam: [f"fam{fi}_w{j}" for j in range(spec.family_pool_size)]
+        for fi, fam in enumerate(families)
+    }
+    leaf_pool = {
+        leaf: [f"leaf{li}_w{j}" for j in range(spec.leaf_pool_size)]
+        for li, leaf in enumerate(tree.class_leaves)
+    }
+    noise_pool = [f"noise_w{j}" for j in range(spec.noise_vocab)]
+    k = spec.tokens_per_sample
+    n_family = int(spec.family_fraction * k)
+    n_leaf = int(spec.leaf_fraction * k)
+    per_class = []
+    for leaf in tree.class_leaves:
+        fam_tokens = family_pool.get(parent_of.get(leaf), noise_pool)
+        texts = []
+        for _ in range(spec.samples_per_class):
+            tokens = [str(t) for t in rng.choice(fam_tokens, size=n_family)]
+            tokens += [str(t) for t in rng.choice(leaf_pool[leaf], size=n_leaf)]
+            tokens += [str(t) for t in rng.choice(noise_pool, size=k - n_family - n_leaf)]
+            rng.shuffle(tokens)
+            texts.append(" ".join(tokens))
+        per_class.append(texts)
+    n_train = int(round(spec.train_fraction * spec.samples_per_class))
+    n_dev = int(round(spec.dev_fraction * spec.samples_per_class))
+    buckets = {"train": [], "dev": [], "test": []}
+    for y, texts in enumerate(per_class):
+        order = rng.permutation(spec.samples_per_class)
+        for pos, idx in enumerate(order):
+            split = "train" if pos < n_train else "dev" if pos < n_train + n_dev else "test"
+            buckets[split].append((texts[idx], y))
+    rng.shuffle(buckets["train"])
+    return buckets["train"], buckets["dev"], buckets["test"]

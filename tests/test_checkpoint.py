@@ -266,6 +266,68 @@ class TestInconsistentMeta:
         assert not (tmp_path / "e.json").exists()
 
 
+def run_main(argv):
+    """(exit code, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+# Tab, CR and LF would split a TSV field or line; a lone surrogate cannot
+# be encoded as UTF-8.
+BAD_NAMES = ["a\tb", "a\rb", "a\nb", "a\ud800"]
+
+
+class TestNamesAreTsvFields:
+    """Names that exports and class maps write as TSV fields."""
+
+    def test_non_ascii_names_load(self, tmp_path):
+        emb, class_map = make_labels()
+        emb = LabelEmbeddings(nodes=["r\u00e9sum\u00e9"] + emb.nodes[1:], vectors=emb.vectors)
+        ckpt.save_labels_checkpoint(tmp_path / "l.ckpt", emb, class_map, {}, seed=0)
+        assert ckpt.load_checkpoint(tmp_path / "l.ckpt").emb.nodes == emb.nodes
+
+    @pytest.mark.parametrize("bad", BAD_NAMES)
+    def test_labels_node_name(self, tmp_path, bad):
+        emb, class_map = make_labels()
+        emb = LabelEmbeddings(nodes=[bad] + emb.nodes[1:], vectors=emb.vectors)
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, class_map, {}, seed=0)
+        with pytest.raises(CheckpointError, match="nodes must be strings"):
+            ckpt.load_checkpoint(p)
+        code, err = run_main(["export-embeddings", "--model", p, "--out", tmp_path / "x.tsv"])
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.glob("x.tsv*")) == []
+
+    @pytest.mark.parametrize("bad", BAD_NAMES)
+    def test_labels_class_map_entry(self, tmp_path, bad):
+        emb, class_map = make_labels()
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, [(bad, "leaf-a")] + class_map[1:], {}, seed=0)
+        with pytest.raises(CheckpointError, match="class_map entries must be strings"):
+            ckpt.load_checkpoint(p)
+
+    @pytest.mark.parametrize("bad", BAD_NAMES)
+    def test_classifier_class_name(self, tmp_path, bad):
+        model, head = make_classifier()
+        p = tmp_path / "c.ckpt"
+        ckpt.save_classifier_checkpoint(p, model, head, ["a", bad], {}, seed=0)
+        with pytest.raises(CheckpointError, match="class_names must be strings"):
+            ckpt.load_checkpoint(p)
+        data = tmp_path / "data.tsv"
+        data.write_text("the cat sat\ta\n")
+        for argv in (
+            ["export-embeddings", "--model", p, "--data", data, "--out", tmp_path / "x.tsv"],
+            ["evaluate", "--model", p, "--data", data, "--out-json", tmp_path / "x.json"],
+        ):
+            code, err = run_main(argv)
+            assert code == 1
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.glob("x.*")) == []
+
+
 # Any JSON value a meta edit may write in place of another.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False) | st.text(max_size=4),

@@ -9,9 +9,16 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from helpers import per_coordinate_tsv
 from hyperclass import checkpoint as ckpt
+from hyperclass import cli
+from hyperclass.ball import log_map
 from hyperclass.cli import main
+from hyperclass.data import load_dataset
+from hyperclass.encoder import CHUNK_ROWS, encode_chunks, tokenize_batch
+from hyperclass.errors import NumericalError
 from hyperclass.hierarchy import load_embeddings_tsv
+from hyperclass.loss import project_representation
 
 
 def run_cli(argv):
@@ -248,6 +255,64 @@ class TestExportEmbeddings:
         emb = load_embeddings_tsv(out)
         assert all(name.startswith("s") and "_fam" in name for name in emb.nodes)
         assert np.all(np.linalg.norm(emb.vectors, axis=1) < 1.0)
+
+
+def head_rows(src, dst, n):
+    """Copy the first n rows of a dataset TSV."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) >= n
+    dst.write_text("".join(lines[:n]), encoding="utf-8")
+    return dst
+
+
+class TestStreamedExport:
+    """The per-chunk export against the whole-array export it replaced."""
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("space", ["ball", "tangent"])
+    def test_bytes_match_whole_array_export(self, ws, tmp_path, rows, space):
+        data = head_rows(ws["data"] / "train.tsv", tmp_path / "data.tsv", rows)
+        out = tmp_path / "out.tsv"
+        code, stdout, _ = run_cli(
+            ["export-embeddings", "--model", ws["clf_ckpt"], "--data", data,
+             "--space", space, "--out", out]
+        )
+        assert code == 0
+        assert json.loads(stdout)["rows"] == rows
+        ck = ckpt.load_checkpoint(ws["clf_ckpt"])
+        ds = load_dataset(data, ck.class_names)
+        tokens = tokenize_batch(ck.model.vocab, [text for text, _ in ds.samples])
+        vectors = np.concatenate(
+            [project_representation(ck.head, h) for h in encode_chunks(ck.model, tokens)]
+        )
+        if space == "tangent":
+            vectors = log_map(np.zeros(vectors.shape[1]), vectors)
+        names = [f"s{i}_{ds.label_names[y]}" for i, (_, y) in enumerate(ds.samples)]
+        per_coordinate_tsv(names, vectors, tmp_path / "expected.tsv")
+        assert out.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+    def test_failure_mid_stream_leaves_no_file(self, ws, tmp_path, monkeypatch):
+        data = head_rows(ws["data"] / "train.tsv", tmp_path / "data.tsv", CHUNK_ROWS + 1)
+        out = tmp_path / "out.tsv"
+        calls = []
+
+        def failing_log_map(x, y):
+            calls.append(len(y))
+            if len(calls) == 2:
+                # The stream is inside write_atomic: its temp file is open.
+                assert (tmp_path / "out.tsv.tmp").exists()
+                raise NumericalError("injected failure in the second chunk")
+            return log_map(x, y)
+
+        monkeypatch.setattr(cli, "log_map", failing_log_map)
+        code, _, err = run_cli(
+            ["export-embeddings", "--model", ws["clf_ckpt"], "--data", data,
+             "--space", "tangent", "--out", out]
+        )
+        assert code == 1
+        assert err.strip() == "error: injected failure in the second chunk"
+        assert calls == [CHUNK_ROWS, 1]
+        assert list(tmp_path.glob("out.tsv*")) == []
 
 
 class TestSeedHandling:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import list_pool_synthetic
 from hyperclass.config import SynthSpec
 from hyperclass.data import (
     LabeledDataset,
@@ -14,6 +15,7 @@ from hyperclass.data import (
     save_dataset,
 )
 from hyperclass.errors import DatasetError
+from hyperclass.hierarchy import build_tree
 
 
 class TestDatasetIo:
@@ -155,3 +157,36 @@ class TestGenerateSynthetic:
         save_dataset(train, p)
         back = load_dataset(p, train.label_names)
         assert back.samples == train.samples
+
+
+class TestListPoolReference:
+    """generate_synthetic against the frozen list-pool generator."""
+
+    @pytest.mark.parametrize(
+        "tree, spec",
+        [
+            (default_synthetic_tree()[0], SynthSpec()),
+            (
+                make_family_tree(3, 2)[0],
+                SynthSpec(
+                    tokens_per_sample=7,
+                    family_fraction=0.3,
+                    leaf_fraction=0.3,
+                    noise_vocab=5,
+                    samples_per_class=30,
+                    family_pool_size=2,
+                    leaf_pool_size=3,
+                    seed=5,
+                ),
+            ),
+            # A class on the root has no family and draws family tokens from noise.
+            (
+                build_tree([("root", "a"), ("root", "b")], ["a", "b", "root"]),
+                SynthSpec(samples_per_class=17, seed=9),
+            ),
+        ],
+    )
+    def test_samples_equal(self, tree, spec):
+        got = generate_synthetic(tree, spec)
+        assert [ds.samples for ds in got] == list(list_pool_synthetic(tree, spec))
+        assert all(ds.label_names == list(tree.class_leaves) for ds in got)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, per_token_ids, per_token_vocabulary, rel_err
 from hyperclass import encoder
 from hyperclass.encoder import (
     PAD,
@@ -77,6 +79,34 @@ class TestTokenize:
             UNK,
             vocab.lookup("sat"),
         ]
+
+
+# Pieces from a small alphabet (so texts repeat pieces) of mixed-case
+# letters, a non-ASCII letter whose lowercase is longer, and punctuation
+# (so some pieces strip to nothing), joined by ASCII and Unicode whitespace.
+pieces = st.text(alphabet="aAbBzZ\u00c9\u0130!.,'-", max_size=4)
+separators = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\x85"])
+texts = st.lists(st.tuples(pieces, separators), max_size=8).map(
+    lambda parts: "".join(piece + sep for piece, sep in parts)
+)
+corpora = st.lists(texts, max_size=8).map(lambda ts: ts + ts[:2])
+
+
+class TestPerTokenReference:
+    """The memoized tokenizer pass against the frozen per-token loop."""
+
+    @given(corpus=corpora, queries=st.lists(texts, max_size=4), min_freq=st.integers(1, 3))
+    def test_build_tokenize_and_batch_match(self, corpus, queries, min_freq):
+        vocab = Vocabulary.build(corpus, min_freq=min_freq)
+        assert list(vocab.token_to_index.items()) == list(
+            per_token_vocabulary(corpus, min_freq).items()
+        )
+        all_texts = corpus + queries + ["", " \u3000 ", "!!! ..."]
+        expected = [per_token_ids(vocab.token_to_index, text) for text in all_texts]
+        assert [tokenize(vocab, text) for text in all_texts] == expected
+        batch = tokenize_batch(vocab, all_texts)
+        assert batch.ids.tolist() == [i for ids in expected for i in ids]
+        assert batch.lengths.tolist() == [len(ids) for ids in expected]
 
 
 class TestEncoderModel:

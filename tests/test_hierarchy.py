@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import numeric_grad, per_node_label_training, rel_err
+from helpers import numeric_grad, per_coordinate_tsv, per_node_label_training, rel_err
 from hyperclass.ball import MAX_NORM, random_ball_point
 from hyperclass.config import LabelEmbedConfig
+from hyperclass.encoder import CHUNK_ROWS
 from hyperclass.errors import ConfigError, NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
     LabelEmbeddings,
@@ -27,6 +28,7 @@ from hyperclass.hierarchy import (
     save_taxonomy,
     train_label_embeddings,
     validate_tree,
+    write_embeddings_tsv,
 )
 
 BALANCED_EDGES = [("root", f"c{i}") for i in range(3)] + [
@@ -382,6 +384,23 @@ class TestEmbeddingTsv:
         back = load_embeddings_tsv(p)
         assert back.nodes == emb.nodes
         np.testing.assert_array_equal(back.vectors, emb.vectors)
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_chunked_writer_matches_per_coordinate_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        # Magnitudes from subnormal to near the float64 maximum.
+        vectors = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-320, 308, size=(rows, 5))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                   np.finfo(float).max, 0.1, 1 / 3, np.inf, -np.inf, np.nan]
+        vectors.flat[: len(special)] = special
+        names = [f"s{i}_é" for i in range(rows)]
+        chunks = (
+            (names[start : start + CHUNK_ROWS], vectors[start : start + CHUNK_ROWS])
+            for start in range(0, rows, CHUNK_ROWS)
+        )
+        write_embeddings_tsv(tmp_path / "new.tsv", 5, chunks)
+        per_coordinate_tsv(names, vectors, tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "emb.tsv"
