@@ -3,8 +3,11 @@
 A LabelTree is a forest of (parent, child) edges plus an ordered list of
 class leaves (one tree node per classifier class). Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
-Riemannian Adam, one batched step per parent-child pair, then scored by
-how well nearest-neighbour ranking reconstructs the edges.
+Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
+as in gensim's PoincareModel: each minibatch is one negative draw, one
+batched loss and one step over the distinct rows it touches. The
+embeddings are then scored by how well nearest-neighbour ranking
+reconstructs the edges.
 
 Embeddings and projections are written as TSV from (names, vectors)
 chunks, one formatting operation per row, so a caller can stream rows
@@ -29,6 +32,11 @@ from .optim import RiemannianAdam
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
 MODES = ("expert", "none", "random")
+
+# Parent-child pairs per stage-one Riemannian Adam step, as in gensim's
+# PoincareModel. Larger batches take fewer steps per epoch and narrowed the
+# expert-vs-shuffled MAP gap on the Parrott taxonomy (at 32).
+PAIRS_PER_STEP = 10
 
 
 @dataclass
@@ -251,55 +259,89 @@ def negative_candidates(tree: LabelTree, u: str) -> np.ndarray:
     return rows
 
 
-def negative_samples(candidates: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k rows drawn uniformly with replacement from `candidates`."""
-    return candidates[rng.integers(0, len(candidates), size=k)]
+def negative_table(tree: LabelTree, parents: Iterable[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, start, count): the negative_candidates of each listed parent,
+    concatenated, so those of node row u are flat[start[u] : start[u] + count[u]].
+    count is 0 for nodes that are not listed."""
+    index = {name: i for i, name in enumerate(tree.nodes)}
+    rows = {index[u]: negative_candidates(tree, u) for u in parents}
+    count = np.zeros(len(tree.nodes), dtype=np.intp)
+    count[list(rows)] = [len(r) for r in rows.values()]
+    start = np.cumsum(count) - count
+    return np.concatenate([rows[i] for i in sorted(rows)]), start, count
+
+
+def negative_samples(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+    parents: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """(len(parents), k) rows: k negatives per parent row, drawn uniformly
+    with replacement from its candidates in `table` (see negative_table).
+
+    One rng.integers call draws them all; it consumes the stream exactly as
+    one call per parent, in order, would.
+    """
+    flat, start, count = table
+    picks = rng.integers(0, count[parents][:, None], size=(len(parents), k))
+    return flat[start[parents][:, None] + picks]
 
 
 def label_loss(
-    vectors: np.ndarray, u: int, v: int, negatives: np.ndarray
+    vectors: np.ndarray, u: int | np.ndarray, v: int | np.ndarray, negatives: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative-sampling softmax loss for the parent-child pair of rows (u, v).
+    """Negative-sampling softmax loss, summed over parent-child pairs of rows.
 
+    For each pair (u, v) with its negatives,
     loss = -log( e^{-d(u,v)} / sum_{v' in {v} + negatives} e^{-d(u,v')} ),
-    evaluated with the log-sum-exp trick over one batched distance call.
-    Returns the loss, the distinct rows involved (u, v, then the negatives,
-    in order of first appearance) and their (len(rows), d) Euclidean
-    gradients, summed over duplicate negatives.
+    evaluated with a row-wise log-sum-exp over one (B, 1+k) distance call.
+    `u` and `v` are (B,) row arrays and `negatives` is (B, k); a scalar u
+    and v with (k,) negatives is the one-pair case. Returns the summed
+    loss, the distinct rows involved, sorted, and their (len(rows), d)
+    Euclidean gradients of the summed loss: a row that appears more than
+    once (a repeated negative, a parent shared by two pairs) gets the sum
+    of its terms.
     """
-    others = np.concatenate(([v], negatives))
-    eu = vectors[u]
+    u = np.atleast_1d(u)
+    others = np.column_stack((np.atleast_1d(v), np.reshape(negatives, (len(u), -1))))
+    eu = vectors[u][:, None, :]
     ev = vectors[others]
     dists = distance(eu, ev)
     scores = -dists
-    m = scores.max()
-    lse = m + np.log(np.sum(np.exp(scores - m)))
-    loss = dists[0] + lse
+    m = scores.max(axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(scores - m), axis=1, keepdims=True))
+    loss = np.sum(dists[:, 0] + lse[:, 0])
     coeff = -np.exp(scores - lse)
-    coeff[0] += 1.0
+    coeff[:, 0] += 1.0
 
     gu, gv = distance_grad(eu, ev)
-    # inverse[i]: slot of the i-th of [u, v, *negatives] among the distinct
-    # rows, kept in order of first appearance; only negatives can repeat.
-    slot: dict[int, int] = {}
-    inverse = [slot.setdefault(row, len(slot)) for row in [u, *others.tolist()]]
-    grads = np.zeros((len(slot), vectors.shape[1]))
-    np.add.at(grads, inverse, np.vstack([coeff @ gu, gv * coeff[:, None]]))
-    return float(loss), np.fromiter(slot, dtype=np.intp, count=len(slot)), grads
+    terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
+    rows, inverse = np.unique(np.column_stack((u, others)).ravel(), return_inverse=True)
+    grads = np.zeros((len(rows), vectors.shape[1]))
+    np.add.at(grads, inverse, terms.reshape(-1, vectors.shape[1]))
+    return float(loss), rows, grads
 
 
 def train_label_embeddings(
     tree: LabelTree, config: LabelEmbedConfig
 ) -> tuple[LabelEmbeddings, float | None]:
-    """Train embeddings for every tree node, one Riemannian Adam step per pair.
+    """Train embeddings for every tree node, one Riemannian Adam step per
+    minibatch of PAIRS_PER_STEP pairs.
 
-    Pairs are visited one at a time in a fresh random order each epoch; each
-    step moves the distinct rows of the pair (u, v and its negatives).
-    Deterministic given config.seed. Returns the embeddings and the mean
-    pair loss over the final epoch (None when the tree has no edges).
+    Each epoch visits the pairs in a fresh random order, PAIRS_PER_STEP at
+    a time; a batch draws every pair's negatives in one call, takes one
+    label_loss over all its pairs and one step over the distinct rows they
+    touch (parents, children and negatives), sorted, each with the sum of
+    its gradients over the batch. The last batch of an epoch may be
+    smaller. Deterministic given config.seed; with PAIRS_PER_STEP 1 the
+    trajectory is that of one step per pair. Returns the embeddings and
+    the mean pair loss over the final epoch (None when the tree has no
+    edges).
     A step whose result is not finite raises NumericalError naming the
-    epoch and the pair; the check is the one in the step's projection, as
-    the loss stays finite while every point is inside the ball.
+    epoch, the batch and its pairs; the check is the one in the step's
+    projection, as the loss stays finite while every point is inside the
+    ball.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -311,25 +353,29 @@ def train_label_embeddings(
         return emb, None
 
     index = {name: i for i, name in enumerate(tree.nodes)}
-    pairs = [(index[u], index[v]) for u, v in tree.edges]
-    candidates = {index[u]: negative_candidates(tree, u) for u in {p for p, _ in tree.edges}}
+    parents = np.array([index[u] for u, _ in tree.edges], dtype=np.intp)
+    children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
+    table = negative_table(tree, (u for u, _ in tree.edges))
     opt = RiemannianAdam(vectors, lr=config.lr)
     final_loss = None
     for epoch in range(config.epochs):
         lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(len(tree.edges))
         epoch_loss = 0.0
-        for edge_idx in order:
-            u, v = pairs[edge_idx]
-            negs = negative_samples(candidates[u], config.negatives, rng)
-            loss, rows, grads = label_loss(vectors, u, v, negs)
+        for batch_idx, start in enumerate(range(0, len(order), PAIRS_PER_STEP)):
+            batch = order[start : start + PAIRS_PER_STEP]
+            u = parents[batch]
+            negs = negative_samples(table, u, config.negatives, rng)
+            loss, rows, grads = label_loss(vectors, u, children[batch], negs)
             try:
                 opt.step(rows, grads, lr=lr)
             except NumericalError as exc:
-                parent, child = tree.edges[edge_idx]
-                raise NumericalError(f"stage one, epoch {epoch}, pair ({parent}, {child}): {exc}") from None
+                pairs = ", ".join("(%s, %s)" % tree.edges[i] for i in batch)
+                raise NumericalError(
+                    f"stage one, epoch {epoch}, batch {batch_idx}, pairs {pairs}: {exc}"
+                ) from None
             epoch_loss += loss
-        final_loss = epoch_loss / len(pairs)
+        final_loss = epoch_loss / len(tree.edges)
     return emb, final_loss
 
 

@@ -11,7 +11,9 @@ batched loss with its backward pass, one encoder backward pass and one
 Adam step. The training and dev sets are tokenized and packed once per
 run. Runs are bitwise reproducible for a fixed seed. A batch whose loss
 is not finite (the only per-batch check) raises NumericalError naming the
-epoch and the batch.
+epoch and the batch; after each epoch's last batch, a parameter that is
+not finite raises NumericalError naming the epoch and the parameter,
+before dev evaluation and the best-parameter copy.
 """
 
 from __future__ import annotations
@@ -139,6 +141,12 @@ def train_classifier(
             step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}
             step_grads.update({f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")})
             opt.step(step_grads)
+        # A batch's loss only shows a bad step at the next batch, so check
+        # the parameters the epoch's last step wrote before they are scored
+        # or kept.
+        for key in sorted(params):
+            if not np.isfinite(params[key]).all():
+                raise NumericalError(f"stage two, epoch {epoch}: non-finite parameter {key}")
         dev_result, _ = evaluate_model(model, head, dev_ds, dev_tokens)
         record = {
             "epoch": epoch,

@@ -20,6 +20,7 @@ from hyperclass.hierarchy import (
     load_tree,
     negative_candidates,
     negative_samples,
+    negative_table,
     node_depths,
     parse_class_map,
     parse_taxonomy,
@@ -169,7 +170,8 @@ class TestBuildTree:
 
 
 def draw_names(tree, u, k, rng):
-    return [tree.nodes[i] for i in negative_samples(negative_candidates(tree, u), k, rng)]
+    table = negative_table(tree, [u])
+    return [tree.nodes[i] for i in negative_samples(table, np.array([tree.nodes.index(u)]), k, rng)[0]]
 
 
 class TestNegativeSamples:
@@ -207,6 +209,21 @@ class TestNegativeSamples:
             n for n in tree.nodes if n not in ("c1", "c1_0", "c1_1", "c1_2")
         ]
 
+    def test_batch_draw_is_the_per_parent_draws_in_order(self):
+        # One call for a batch of parents (repeats included) consumes the
+        # RNG stream as one draw per parent in turn, so batch size 1
+        # reproduces one step per pair.
+        tree = build_tree(parse_taxonomy(bundled_taxonomy_path()), [])
+        names = [u for u, _ in tree.edges]
+        table = negative_table(tree, names)
+        parents = np.array([tree.nodes.index(u) for u in names])[[5, 0, 5, 90, 126, 40, 0]]
+        batch_rng, pair_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batch = negative_samples(table, parents, 10, batch_rng)
+        for row, negs in zip(parents, batch):
+            candidates = negative_candidates(tree, tree.nodes[row])
+            np.testing.assert_array_equal(negs, candidates[pair_rng.integers(0, len(candidates), size=10)])
+        assert batch_rng.random() == pair_rng.random()
+
 
 class TestLabelLoss:
     @staticmethod
@@ -241,11 +258,28 @@ class TestLabelLoss:
         vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in names])
         neg_rows = np.array([names.index(n) for n in negatives])
         _, rows, grads = label_loss(vectors, 0, 1, neg_rows)
-        # Distinct rows in order of first appearance, duplicates summed.
-        assert rows.tolist() == list(dict.fromkeys([0, 1, *neg_rows.tolist()]))
+        # Distinct rows, sorted, duplicates summed.
+        assert rows.tolist() == sorted({0, 1, *neg_rows.tolist()})
         for row, grad in zip(rows, grads):
             num = numeric_grad(lambda: label_loss(vectors, 0, 1, neg_rows)[0], vectors[row])
             assert rel_err(grad, num) < 1e-4
+
+    def test_batch_is_the_sum_of_its_pairs(self):
+        # Pairs 0 and 2 share a parent, pair 1's parent is pair 0's child,
+        # and negatives repeat within and across pairs.
+        rng = np.random.default_rng(3)
+        vectors = np.stack([random_ball_point(rng, 4, 0.8) for _ in range(9)])
+        u = np.array([0, 1, 0, 5])
+        v = np.array([1, 2, 3, 6])
+        negatives = np.array([[4, 4, 5, 8], [0, 4, 7, 7], [2, 8, 8, 8], [0, 1, 4, 2]])
+        loss, rows, grads = label_loss(vectors, u, v, negatives)
+        per_pair = [label_loss(vectors, *pair) for pair in zip(u, v, negatives)]
+        assert abs(loss - sum(p[0] for p in per_pair)) <= 1e-12
+        assert rows.tolist() == sorted({*u.tolist(), *v.tolist(), *negatives.ravel().tolist()})
+        expected = np.zeros((vectors.shape[0], vectors.shape[1]))
+        for _, pair_rows, pair_grads in per_pair:
+            np.add.at(expected, pair_rows, pair_grads)
+        np.testing.assert_allclose(grads, expected[rows], rtol=0, atol=1e-12)
 
 
 PARROTT_FEW_EPOCHS = LabelEmbedConfig(dim=10, epochs=12, negatives=10, burn_in_epochs=4, seed=2)
@@ -265,6 +299,29 @@ class TestTrainLabelEmbeddings:
         b, lb = train_label_embeddings(balanced_tree(), cfg)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert la == lb and la is not None and la > 0.0
+
+    def test_batches_of_ten_bitwise_deterministic(self, monkeypatch):
+        import hyperclass.hierarchy as hierarchy
+
+        assert hierarchy.PAIRS_PER_STEP == 10
+        sizes = []
+
+        def counted(vectors, u, v, negatives):
+            sizes.append(len(u))
+            return label_loss(vectors, u, v, negatives)
+
+        monkeypatch.setattr(hierarchy, "label_loss", counted)
+        tree = build_tree(parse_taxonomy(bundled_taxonomy_path()), [])
+        cfg = LabelEmbedConfig(dim=5, epochs=3, burn_in_epochs=1, seed=4)
+        a, la = train_label_embeddings(tree, cfg)
+        b, lb = train_label_embeddings(tree, cfg)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert la == lb
+        # 127 pairs: one loss call per batch, twelve of 10 and one of 7.
+        assert sizes == 2 * 3 * ([10] * 12 + [7])
+        monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", 1)
+        one, _ = train_label_embeddings(tree, cfg)
+        assert not np.array_equal(a.vectors, one.vectors)
 
     def test_stays_in_ball_with_aggressive_lr(self):
         cfg = LabelEmbedConfig(dim=3, epochs=20, negatives=5, lr=0.5, burn_in_epochs=0, seed=0)
@@ -290,8 +347,12 @@ class TestTrainLabelEmbeddings:
         ],
         ids=["balanced", "parrott"],
     )
-    def test_matches_per_node_reference(self, tree, cfg):
-        # The batched step moves the same points as one step per node.
+    def test_matches_per_node_reference(self, tree, cfg, monkeypatch):
+        # With one pair per batch, the batched step moves the same points
+        # as one step per node.
+        import hyperclass.hierarchy as hierarchy
+
+        monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", 1)
         ref_vectors, ref_loss = per_node_label_training(tree, cfg)
         emb, loss = train_label_embeddings(tree, cfg)
         np.testing.assert_allclose(emb.vectors, ref_vectors, rtol=0, atol=1e-9)
@@ -307,13 +368,16 @@ class TestTrainLabelEmbeddings:
         def poisoned(vectors, u, v, negatives):
             loss, rows, grads = label_loss(vectors, u, v, negatives)
             calls.append(1)
-            if len(calls) == 5:
+            if len(calls) == 2:
                 grads[0, 0] = np.nan
             return loss, rows, grads
 
         monkeypatch.setattr(hierarchy, "label_loss", poisoned)
         cfg = LabelEmbedConfig(dim=4, epochs=3, negatives=3, seed=1)
-        with pytest.raises(NumericalError, match=r"stage one, epoch 0, pair \(\w+, \w+\): "):
+        # 12 pairs in batches of 10: the second call is epoch 0's batch 1,
+        # which holds the last two pairs of the epoch.
+        pair = r"\(\w+, \w+\)"
+        with pytest.raises(NumericalError, match=rf"^stage one, epoch 0, batch 1, pairs {pair}, {pair}: "):
             train_label_embeddings(balanced_tree(), cfg)
 
     def test_infinite_lr_rejected_by_config(self):

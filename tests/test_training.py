@@ -68,6 +68,31 @@ class TestNumericalErrors:
         with pytest.raises(NumericalError, match="stage two, epoch 0, batch 1: non-finite loss"):
             train_classifier(train, dev, ClassifierConfig(loss="ce", **SMALL))
 
+    def test_nan_from_last_step_named_before_dev_eval(self, tiny_data, monkeypatch):
+        # A NaN gradient in an epoch's last batch has no next batch whose
+        # loss would show it.
+        import hyperclass.training as training
+
+        real = training.ce_batch
+        _, _, train, dev = tiny_data
+        cfg = ClassifierConfig(loss="ce", **SMALL)
+        # The batch size does not divide the training set, so the last
+        # batch of an epoch is the only one of its size.
+        last_batch_size = len(train.samples) % cfg.batch_size
+        assert last_batch_size
+
+        def poisoned(head, hs, ys):
+            report, grads = real(head, hs, ys)
+            if len(ys) == last_batch_size:
+                grads["b_c"][0] = np.nan
+            return report, grads
+
+        monkeypatch.setattr(training, "ce_batch", poisoned)
+        # The check must come before the parameters are scored.
+        monkeypatch.setattr(training, "evaluate_model", None)
+        with pytest.raises(NumericalError, match=r"^stage two, epoch 0: non-finite parameter head\.b_c$"):
+            train_classifier(train, dev, cfg)
+
     @pytest.mark.parametrize(
         "loss,lr,error,match",
         [
