@@ -116,8 +116,10 @@ def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _scale_rows(np.where(nonzero, (2.0 / conformal_factor(x)) * artanh / r, 0.0), w)
 
 
-def _distance_terms(x: np.ndarray, y: np.ndarray):
-    """Terms shared by distance and distance_grad; arg is the arcosh argument."""
+def _distance(x: np.ndarray, y: np.ndarray, with_grad: bool):
+    """(d, dd/dx, dd/dy) from one set of shared terms (differences, three
+    squared norms and the arcosh argument); the partials are None unless
+    with_grad. d is a float for two 1-D points."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     diff = x - y
@@ -125,7 +127,17 @@ def _distance_terms(x: np.ndarray, y: np.ndarray):
     b = 1.0 - _sqnorm(x)
     c = 1.0 - _sqnorm(y)
     arg = 1.0 + 2.0 * a / (b * c)
-    return x, y, diff, a, b, c, arg
+    d = np.arccosh(np.maximum(arg, 1.0))
+    d = float(d) if d.ndim == 0 else d
+    if not with_grad:
+        return d, None, None
+    # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
+    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    smooth = root >= EPS_DIV
+    common = np.divide(4.0, b * c * root, out=np.zeros_like(root), where=smooth)
+    gx = _scale_rows(common, diff + _scale_rows(a / b, x))
+    gy = _scale_rows(common, _scale_rows(a / c, y) - diff)
+    return d, gx, gy
 
 
 def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -135,9 +147,7 @@ def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     give a float. The arcosh argument is clamped to >= 1 so cancellation
     near x == y yields 0 instead of NaN.
     """
-    arg = _distance_terms(x, y)[-1]
-    d = np.arccosh(np.maximum(arg, 1.0))
-    return float(d) if d.ndim == 0 else d
+    return _distance(x, y, False)[0]
 
 
 def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,14 +157,15 @@ def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Where x == y (within EPS_DIV) the distance is not differentiable; the
     zero subgradient is returned for both arguments of that row.
     """
-    x, y, diff, a, b, c, arg = _distance_terms(x, y)
-    # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
-    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
-    smooth = root >= EPS_DIV
-    common = np.divide(4.0, b * c * root, out=np.zeros_like(root), where=smooth)
-    gx = _scale_rows(common, diff + _scale_rows(a / b, x))
-    gy = _scale_rows(common, _scale_rows(a / c, y) - diff)
-    return gx, gy
+    return _distance(x, y, True)[1:]
+
+
+def distance_and_grad(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """(distance, dd/dx, dd/dy) from one pass over the shared terms, for
+    callers that need both; bitwise those of `distance` and `distance_grad`."""
+    return _distance(x, y, True)
 
 
 def distance_from_origin(r: float) -> float:

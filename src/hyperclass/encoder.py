@@ -4,8 +4,11 @@ token-embedding table, mean pooling, and a tanh MLP layer.
 The downstream loss only needs a differentiable text -> fixed-dim map;
 this is the minimal trainable one. A batch of samples is packed into one
 flat token array with per-sample offsets and lengths (`TokenBatch`), so
-the forward and backward passes are a few array operations per batch;
-`encode` and `encode_backward` are one-sample calls into the same kernels.
+the forward and backward passes are a few array operations per batch.
+The backward pass returns the embedding gradient as rows: the batch's
+distinct tokens and one gradient row each, never a (vocab, d_tok) table.
+`encode` and `encode_backward` are one-sample calls into the same
+kernels; `encode_backward` returns a dense table.
 
 Tokenizing has one rule: lowercase the text, split it on whitespace and
 strip edge punctuation from each piece. A batch normalizes and looks up
@@ -99,7 +102,8 @@ def tokenize(vocab: Vocabulary, text: str) -> list[int]:
 @dataclass(frozen=True)
 class TokenBatch:
     """Token ids of n samples in one flat array: sample i is
-    ids[offsets[i] : offsets[i] + lengths[i]], and every length is >= 1."""
+    ids[offsets[i] : offsets[i] + lengths[i]], the samples lie back to
+    back in order, and every length is >= 1."""
 
     ids: np.ndarray
     offsets: np.ndarray
@@ -122,6 +126,14 @@ class TokenBatch:
         offsets = _starts(lengths)
         source = np.repeat(self.offsets[rows] - offsets, lengths)
         return TokenBatch(self.ids[source + np.arange(len(source))], offsets, lengths)
+
+    def span(self, start: int, stop: int) -> "TokenBatch":
+        """Samples start..stop-1 (stop clipped to the batch, start < len(self)),
+        as views: their ids are one contiguous run, so nothing is gathered."""
+        lengths = self.lengths[start:stop]
+        first = self.offsets[start]
+        ids = self.ids[first : first + int(lengths.sum())]
+        return TokenBatch(ids, self.offsets[start:stop] - first, lengths)
 
 
 def _starts(lengths: np.ndarray) -> np.ndarray:
@@ -186,38 +198,64 @@ def _pool(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
 
 def encode_batch(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
     """h = tanh(meanpool(embedding[tokens]) @ w1 + b1), one row per sample."""
-    return np.tanh(_pool(model, batch) @ model.w1 + model.b1)
+    return encode_batch_pooled(model, batch)[0]
+
+
+def encode_batch_pooled(model: EncoderModel, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(h, pooled): encode_batch and the mean-pooled token embeddings it
+    was computed from, which encode_batch_backward reuses."""
+    pooled = _pool(model, batch)
+    return np.tanh(pooled @ model.w1 + model.b1), pooled
+
+
+def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for ids in [0, n), without the
+    sort: a mark per id gives the sorted distinct ids, and their running
+    count gives each id's index among them."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    index = np.empty(n, dtype=np.intp)
+    index[rows] = np.arange(len(rows))
+    return rows, index[ids]
 
 
 def encode_batch_backward(
-    model: EncoderModel, batch: TokenBatch, h: np.ndarray, upstream_grad: np.ndarray
-) -> dict[str, np.ndarray]:
+    model: EncoderModel,
+    batch: TokenBatch,
+    h: np.ndarray,
+    upstream_grad: np.ndarray,
+    pooled: np.ndarray | None = None,
+) -> dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Gradients of sum_i upstream_grad[i] . h[i] w.r.t. the encoder
-    parameters, where h = encode_batch(model, batch).
+    parameters, where h, pooled = encode_batch_pooled(model, batch);
+    `pooled` is recomputed when not given.
 
-    Returns dense arrays shaped like the parameters; embedding rows see the
-    1/length factor of mean pooling, and repeated tokens accumulate.
+    "w1" and "b1" are dense. "embedding" is (rows, grads): the batch's
+    distinct token ids, sorted, and their (len(rows), d_tok) gradient
+    rows; every other row's gradient is zero. Rows see the 1/length factor
+    of mean pooling, and repeated tokens accumulate.
     """
+    if pooled is None:
+        pooled = _pool(model, batch)
     dpre = upstream_grad * (1.0 - h * h)
     dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
     # Token-by-sample occurrence counts over the batch's distinct tokens:
     # row t of the embedding gradient is sum_i counts[t, i] * dpooled[i].
-    tokens, inverse = np.unique(batch.ids, return_inverse=True)
+    rows, inverse = _distinct_rows(batch.ids, len(model.embedding))
     samples = np.repeat(np.arange(len(batch)), batch.lengths)
-    counts = np.bincount(inverse * len(batch) + samples, minlength=len(tokens) * len(batch))
-    embedding = np.zeros_like(model.embedding)
-    embedding[tokens] = counts.reshape(len(tokens), len(batch)).astype(float) @ dpooled
+    counts = np.bincount(inverse * len(batch) + samples, minlength=len(rows) * len(batch))
     return {
-        "w1": _pool(model, batch).T @ dpre,
+        "w1": pooled.T @ dpre,
         "b1": dpre.sum(axis=0),
-        "embedding": embedding,
+        "embedding": (rows, counts.reshape(len(rows), len(batch)).astype(float) @ dpooled),
     }
 
 
 def encode_chunks(model: EncoderModel, batch: TokenBatch) -> Iterator[np.ndarray]:
     """encode_batch over consecutive chunks of CHUNK_ROWS samples."""
     for start in range(0, len(batch), CHUNK_ROWS):
-        yield encode_batch(model, batch.take(slice(start, start + CHUNK_ROWS)))
+        yield encode_batch(model, batch.span(start, start + CHUNK_ROWS))
 
 
 def encode(model: EncoderModel, tokens: list[int]) -> np.ndarray:
@@ -228,7 +266,12 @@ def encode(model: EncoderModel, tokens: list[int]) -> np.ndarray:
 def encode_backward(
     model: EncoderModel, tokens: list[int], upstream_grad: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """encode_batch_backward for one sample."""
+    """encode_batch_backward for one sample, with the embedding gradient
+    as a dense table shaped like model.embedding."""
     batch = TokenBatch.pack([tokens])
     h = encode_batch(model, batch)
-    return encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :])
+    grads = encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :])
+    rows, row_grads = grads["embedding"]
+    grads["embedding"] = np.zeros_like(model.embedding)
+    grads["embedding"][rows] = row_grads
+    return grads

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import distance, distance_grad, random_ball_point
+from .ball import distance, distance_and_grad, random_ball_point
 from .config import LabelEmbedConfig
 from .errors import NumericalError, TaxonomyError
 from .optim import RiemannianAdam
@@ -295,7 +295,8 @@ def label_loss(
 
     For each pair (u, v) with its negatives,
     loss = -log( e^{-d(u,v)} / sum_{v' in {v} + negatives} e^{-d(u,v')} ),
-    evaluated with a row-wise log-sum-exp over one (B, 1+k) distance call.
+    evaluated with a row-wise log-sum-exp over one (B, 1+k) call that
+    gives the distances and their gradients.
     `u` and `v` are (B,) row arrays and `negatives` is (B, k); a scalar u
     and v with (k,) negatives is the one-pair case. Returns the summed
     loss, the distinct rows involved, sorted, and their (len(rows), d)
@@ -307,15 +308,13 @@ def label_loss(
     others = np.column_stack((np.atleast_1d(v), np.reshape(negatives, (len(u), -1))))
     eu = vectors[u][:, None, :]
     ev = vectors[others]
-    dists = distance(eu, ev)
+    dists, gu, gv = distance_and_grad(eu, ev)
     scores = -dists
     m = scores.max(axis=1, keepdims=True)
     lse = m + np.log(np.sum(np.exp(scores - m), axis=1, keepdims=True))
     loss = np.sum(dists[:, 0] + lse[:, 0])
     coeff = -np.exp(scores - lse)
     coeff[:, 0] += 1.0
-
-    gu, gv = distance_grad(eu, ev)
     terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
     rows, inverse = np.unique(np.column_stack((u, others)).ravel(), return_inverse=True)
     grads = np.zeros((len(rows), vectors.shape[1]))

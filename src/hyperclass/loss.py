@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import distance, distance_grad, exp_map_origin, exp_map_origin_vjp
+from .ball import distance, distance_and_grad, exp_map_origin, exp_map_origin_vjp
 from .config import WEIGHT_NORMS
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
@@ -60,10 +60,9 @@ class ClassifierHead:
 
 @dataclass
 class LossReport:
-    """total = mean over the batch of (effective weight_i) * ce_i."""
+    """total = mean over the n samples of the batch of (effective weight_i) * ce_i."""
 
     total: float
-    per_sample: list[tuple[float, float]]
     n: int
 
 
@@ -111,8 +110,7 @@ def hyper_weight_backward(
     """Returns (w, dw/d(tangent vector), dw/dh) per row; the label point is frozen."""
     v = h @ head.w_p + head.b_p
     z = exp_map_origin(v)
-    w = distance(z, e_y)
-    dz, _ = distance_grad(z, e_y)
+    w, dz, _ = distance_and_grad(z, e_y)
     dv = exp_map_origin_vjp(v, dz)
     return w, dv, dv @ head.w_p.T
 
@@ -129,7 +127,7 @@ def class_embedding_matrix(labels: LabelEmbeddings, class_leaves: list[str]) -> 
 def ce_batch(
     head: ClassifierHead, hs: np.ndarray, ys: np.ndarray
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    """Plain mean cross-entropy baseline; weights reported as 1."""
+    """Plain mean cross-entropy baseline: every weight is 1."""
     n = hs.shape[0]
     ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
     dlogits /= n
@@ -140,7 +138,7 @@ def ce_batch(
         "b_p": np.zeros_like(head.b_p),
         "h": dlogits @ head.w_c.T,
     }
-    return LossReport(float(ces.mean()), [(ce, 1.0) for ce in ces.tolist()], n), grads
+    return LossReport(float(ces.mean()), n), grads
 
 
 def weighted_ce_batch(
@@ -153,8 +151,8 @@ def weighted_ce_batch(
     """total = (1/N) sum_i w_i * ce_i, with gradients through both factors.
 
     With weight_norm="batch-mean" the raw distances are divided by their
-    batch mean (differentiated through); the report stores the effective
-    weights. Label embeddings receive no gradient.
+    batch mean (differentiated through). Label embeddings receive no
+    gradient.
     """
     if weight_norm not in WEIGHT_NORMS:
         raise ConfigError(f"unknown weight norm {weight_norm!r}")
@@ -182,5 +180,4 @@ def weighted_ce_batch(
         "b_p": dv.sum(axis=0),
         "h": dlogits @ head.w_c.T + dtotal_dw[:, None] * dh_w,
     }
-    report = LossReport(total, list(zip(ces.tolist(), eff_w.tolist())), n)
-    return report, grads
+    return LossReport(total, n), grads

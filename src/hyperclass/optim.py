@@ -6,7 +6,14 @@ Adam direction goes through the exponential map, and moments are (n, d)
 coordinate matrices without parallel transport between steps.
 
 Adam (Euclidean, for the encoder and classifier head, without weight
-decay) lives here too so both training stages share one home.
+decay) lives here too so both training stages share one home. Its
+moments and scratch are one flat buffer with a view per parameter, so the
+moment decay and the update pass are one array operation each over every
+parameter; over a `FlatParams` the final subtraction is one as well. A
+parameter may take its gradient as rows (the embedding rows a text batch
+touched): the decay and update still cover every element, and only the
+adding of exact zeros to the other rows' moments is skipped, so every
+parameter stays bitwise the textbook update.
 """
 
 from __future__ import annotations
@@ -60,14 +67,39 @@ class RiemannianAdam:
         self.points[rows] = exp_map(theta, -step_lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
+class FlatParams(dict):
+    """Named parameter arrays that are views of one 1-D float64 buffer,
+    `flat`, laid out in sorted key order; built from copies of `arrays`.
+
+    An operation over every parameter (a finiteness check, a copy, a
+    restore, Adam's update) is one call on `flat`. Update the views in
+    place; a key rebound to another array leaves the buffer.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        super().__init__()
+        self.flat = np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)], dtype=np.float64)
+        self.update(_views(self.flat, arrays))
+
+
+def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A view of `flat` shaped like each of `arrays`, back to back in sorted key order."""
+    views, offset = {}, 0
+    for key in sorted(arrays):
+        size = np.size(arrays[key])
+        views[key] = flat[offset : offset + size].reshape(np.shape(arrays[key]))
+        offset += size
+    return views
+
+
 class Adam:
     """Plain Euclidean Adam over a dict of named parameter arrays.
 
-    Updates happen in sorted key order so repeated runs touch memory
-    identically. Moments and parameters are updated in place through two
-    scratch buffers per parameter, with the same floating-point operations
-    in the same order as the textbook expressions, so results are bitwise
-    those of the out-of-place form.
+    Moments and parameters are updated in place through two scratch
+    buffers, with the same floating-point operations in the same order as
+    the textbook expressions, so results are bitwise those of the
+    out-of-place form. m, v and the scratch are rows of one flat buffer
+    laid out in sorted key order; `m` and `v` map each key to its view.
     """
 
     def __init__(
@@ -84,32 +116,53 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
-        self._scratch = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
+        self._keys = sorted(params)
+        self._flat = np.zeros((4, sum(np.size(p) for p in params.values())))
+        self.m, self.v, self._a, _ = (_views(row, params) for row in self._flat)
+        flat = getattr(params, "flat", None)
+        # The final p -= update: one call over a FlatParams buffer (same
+        # layout as the moments), else one per parameter.
+        if flat is None:
+            self._updates = [(params[k], self._a[k]) for k in self._keys]
+        else:
+            self._updates = [(flat, self._flat[2])]
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None) -> None:
+        """One step. `rows` maps the key of a parameter whose gradient comes
+        as rows to their distinct indices along its first axis; grads[key]
+        then holds only those rows, and every other row's gradient is zero."""
+        rows = rows or {}
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for key in sorted(self.params):
+        m, v, a, b = self._flat
+        m *= self.beta1
+        v *= self.beta2
+        for key in self._keys:
             g = grads[key]
-            m, v, p = self.m[key], self.v[key], self.params[key]
-            a, b = self._scratch[key]
+            if key in rows:
+                # m[r] = beta1 * m[r] + (1 - beta1) * g, and likewise v, on
+                # the given rows only: the other rows would add exact zeros.
+                r = rows[key]
+                self.m[key][r] += g * (1.0 - self.beta1)
+                gg = g * (1.0 - self.beta2)
+                gg *= g
+                self.v[key][r] += gg
+                continue
+            s = self._a[key]
             # m = beta1 * m + (1 - beta1) * g
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            self.m[key] += s
             # v = beta2 * v + (1 - beta2) * g * g
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
-            a *= g
-            v += a
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            self.v[key] += s
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        for p, update in self._updates:
+            p -= update

@@ -6,19 +6,24 @@ Every run starts from fresh parameters drawn from the config seed: the
 vocabulary keeps the training tokens seen at least twice, and the
 head's ball projection has the label embedding dim.
 
-Each minibatch is one packed `TokenBatch`: one encoder forward pass, one
-batched loss with its backward pass, one encoder backward pass and one
-Adam step. The training and dev sets are tokenized and packed once per
-run. Runs are bitwise reproducible for a fixed seed. A batch whose loss
-is not finite (the only per-batch check) raises NumericalError naming the
-epoch and the batch; after each epoch's last batch, a parameter that is
-not finite raises NumericalError naming the epoch and the parameter,
-before dev evaluation and the best-parameter copy.
+Every parameter lives in one flat buffer (`optim.FlatParams`), so the
+per-epoch finiteness check, the best-parameter copy and its restore are
+one call each. The training and dev sets are tokenized and packed once
+per run; each epoch gathers its permuted training samples once, and each
+minibatch is a contiguous span of them: one encoder forward pass, one
+batched loss with its backward pass, one encoder backward pass (the
+embedding gradient as the batch's token rows) and one Adam step. Runs
+are bitwise reproducible for a fixed seed. A batch whose loss is not
+finite (the only per-batch check) raises NumericalError naming the epoch
+and the batch; after each epoch's last batch, a parameter that is not
+finite raises NumericalError naming the epoch and the first such
+parameter in sorted key order, before dev evaluation and the
+best-parameter copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,8 +34,8 @@ from .encoder import (
     EncoderModel,
     TokenBatch,
     Vocabulary,
-    encode_batch,
     encode_batch_backward,
+    encode_batch_pooled,
     encode_chunks,
     tokenize_batch,
 )
@@ -41,7 +46,7 @@ from .errors import ConfigError, NumericalError
 from .hierarchy import LabelEmbeddings
 from .loss import ClassifierHead, ce_batch, class_embedding_matrix, predict, weighted_ce_batch
 from .metrics import EvalResult, evaluate
-from .optim import Adam
+from .optim import Adam, FlatParams
 
 
 @dataclass
@@ -106,8 +111,12 @@ def train_classifier(
     hyper_dim = 2 if label_matrix is None else label_matrix.shape[1]
     head = ClassifierHead.init(config.d_e, len(train_ds.label_names), hyper_dim, rng)
 
-    params = {f"enc.{k}": v for k, v in model.params().items()}
-    params.update({f"head.{k}": v for k, v in head.params().items()})
+    params = FlatParams(
+        {f"enc.{k}": v for k, v in model.params().items()}
+        | {f"head.{k}": v for k, v in head.params().items()}
+    )
+    model = replace(model, **{k: params[f"enc.{k}"] for k in model.params()})
+    head = replace(head, **{k: params[f"head.{k}"] for k in head.params()})
     opt = Adam(params, lr=config.lr)
 
     train_tokens = tokenize_batch(vocab, _texts(train_ds))
@@ -118,15 +127,16 @@ def train_classifier(
     history: list[dict] = []
     best_epoch = -1
     best_wf1 = -1.0
-    best_params: dict[str, np.ndarray] = {}
+    best_flat = None
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        epoch_tokens = train_tokens.take(order)
+        epoch_ys = train_ys[order]
         epoch_loss = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            batch = order[start : start + config.batch_size]
-            tokens = train_tokens.take(batch)
-            ys = train_ys[batch]
-            hs = encode_batch(model, tokens)
+            tokens = epoch_tokens.span(start, start + config.batch_size)
+            ys = epoch_ys[start : start + config.batch_size]
+            hs, pooled = encode_batch_pooled(model, tokens)
             try:
                 if config.loss == "wce":
                     report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
@@ -136,17 +146,19 @@ def train_classifier(
                     raise NumericalError("non-finite loss")
             except NumericalError as exc:
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
-            epoch_loss += report.total * len(batch)
-            enc_grads = encode_batch_backward(model, tokens, hs, grads["h"])
+            epoch_loss += report.total * len(ys)
+            enc_grads = encode_batch_backward(model, tokens, hs, grads["h"], pooled)
+            rows, emb_grads = enc_grads.pop("embedding")
             step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}
+            step_grads["enc.embedding"] = emb_grads
             step_grads.update({f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")})
-            opt.step(step_grads)
+            opt.step(step_grads, rows={"enc.embedding": rows})
         # A batch's loss only shows a bad step at the next batch, so check
         # the parameters the epoch's last step wrote before they are scored
         # or kept.
-        for key in sorted(params):
-            if not np.isfinite(params[key]).all():
-                raise NumericalError(f"stage two, epoch {epoch}: non-finite parameter {key}")
+        if not np.isfinite(params.flat).all():
+            key = next(k for k in sorted(params) if not np.isfinite(params[k]).all())
+            raise NumericalError(f"stage two, epoch {epoch}: non-finite parameter {key}")
         dev_result, _ = evaluate_model(model, head, dev_ds, dev_tokens)
         record = {
             "epoch": epoch,
@@ -160,7 +172,7 @@ def train_classifier(
         if dev_result.weighted_f1 > best_wf1:
             best_wf1 = dev_result.weighted_f1
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-    for key, value in best_params.items():
-        np.copyto(params[key], value)
+            best_flat = params.flat.copy()
+    if best_flat is not None:
+        np.copyto(params.flat, best_flat)
     return TrainResult(model, head, history, best_epoch, best_wf1)

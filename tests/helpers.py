@@ -187,3 +187,95 @@ def list_pool_synthetic(tree, spec):
             buckets[split].append((texts[idx], y))
     rng.shuffle(buckets["train"])
     return buckets["train"], buckets["dev"], buckets["test"]
+
+
+def dense_table_train_classifier(train_ds, dev_ds, config, labels=None, class_map=None):
+    """Frozen reference for training.train_classifier: a dict of separate
+    parameter arrays, the embedding gradient scattered into a zeroed
+    (vocab, d_tok) table found with np.unique, one `take` per minibatch,
+    and a dense Adam stepping each parameter in turn. Returns (history,
+    best_epoch, best_dev_wf1, params) with the best epoch's parameters."""
+    from hyperclass.encoder import EncoderModel, Vocabulary, encode_batch, tokenize_batch
+    from hyperclass.loss import ClassifierHead, ce_batch, class_embedding_matrix, weighted_ce_batch
+    from hyperclass.training import evaluate_model
+
+    def backward(model, batch, h, upstream):
+        dpre = upstream * (1.0 - h * h)
+        dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
+        tokens, inverse = np.unique(batch.ids, return_inverse=True)
+        samples = np.repeat(np.arange(len(batch)), batch.lengths)
+        counts = np.bincount(inverse * len(batch) + samples, minlength=len(tokens) * len(batch))
+        embedding = np.zeros_like(model.embedding)
+        embedding[tokens] = counts.reshape(len(tokens), len(batch)).astype(float) @ dpooled
+        sums = np.add.reduceat(model.embedding[batch.ids], batch.offsets, axis=0)
+        pooled = sums / batch.lengths[:, None]
+        return {"w1": pooled.T @ dpre, "b1": dpre.sum(axis=0), "embedding": embedding}
+
+    def adam_step(params, state, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+        state["t"] += 1
+        bc1 = 1.0 - b1 ** state["t"]
+        bc2 = 1.0 - b2 ** state["t"]
+        for key in sorted(params):
+            g, m, v = grads[key], state["m"][key], state["v"][key]
+            m *= b1
+            m += g * (1.0 - b1)
+            v *= b2
+            a = g * (1.0 - b2)
+            a *= g
+            v += a
+            a = m / bc1
+            a *= lr
+            b = np.sqrt(v / bc2)
+            b += eps
+            a /= b
+            params[key] -= a
+
+    label_matrix = None
+    if config.loss == "wce":
+        label_matrix = class_embedding_matrix(labels, [node for _, node in class_map])
+    texts = lambda ds: [text for text, _ in ds.samples]  # noqa: E731
+    rng = np.random.default_rng(config.seed)
+    vocab = Vocabulary.build(texts(train_ds))
+    model = EncoderModel.init(vocab, config.d_tok, config.d_e, rng)
+    hyper_dim = 2 if label_matrix is None else label_matrix.shape[1]
+    head = ClassifierHead.init(config.d_e, len(train_ds.label_names), hyper_dim, rng)
+    params = {f"enc.{k}": v for k, v in model.params().items()}
+    params.update({f"head.{k}": v for k, v in head.params().items()})
+    state = {"t": 0, "m": {k: np.zeros_like(p) for k, p in params.items()}}
+    state["v"] = {k: np.zeros_like(p) for k, p in params.items()}
+    train_tokens = tokenize_batch(vocab, texts(train_ds))
+    dev_tokens = tokenize_batch(vocab, texts(dev_ds))
+    train_ys = np.array([y for _, y in train_ds.samples], dtype=np.int64)
+    n = len(train_tokens)
+    history, best_epoch, best_wf1, best_params = [], -1, -1.0, {}
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            tokens = train_tokens.take(batch)
+            ys = train_ys[batch]
+            hs = encode_batch(model, tokens)
+            if config.loss == "wce":
+                report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
+            else:
+                report, grads = ce_batch(head, hs, ys)
+            epoch_loss += report.total * len(batch)
+            step_grads = {f"enc.{k}": v for k, v in backward(model, tokens, hs, grads["h"]).items()}
+            step_grads.update({f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")})
+            adam_step(params, state, step_grads, config.lr)
+        dev_result, _ = evaluate_model(model, head, dev_ds, dev_tokens)
+        history.append(
+            {
+                "epoch": epoch,
+                "train_loss": epoch_loss / n,
+                "dev_acc": dev_result.accuracy,
+                "dev_wf1": dev_result.weighted_f1,
+            }
+        )
+        if dev_result.weighted_f1 > best_wf1:
+            best_wf1, best_epoch = dev_result.weighted_f1, epoch
+            best_params = {k: v.copy() for k, v in params.items()}
+    for key, value in best_params.items():
+        np.copyto(params[key], value)
+    return history, best_epoch, best_wf1, params

@@ -12,6 +12,7 @@ from hyperclass.ball import (
     MAX_NORM,
     conformal_factor,
     distance,
+    distance_and_grad,
     distance_from_origin,
     distance_grad,
     exp_map,
@@ -211,6 +212,59 @@ class TestDistanceGrad:
         x = np.array([0.3, -0.2])
         gx, gy = distance_grad(x, x.copy())
         assert not gx.any() and not gy.any()
+
+
+def separate_distance_and_grad(x, y):
+    """Frozen reference: `distance` and then `distance_grad`, each
+    recomputing the shared terms, as two separate kernels."""
+
+    def terms(x, y):
+        diff = x - y
+        a = np.vecdot(diff, diff)
+        b = 1.0 - np.vecdot(x, x)
+        c = 1.0 - np.vecdot(y, y)
+        return diff, a, b, c, 1.0 + 2.0 * a / (b * c)
+
+    d = np.arccosh(np.maximum(terms(x, y)[-1], 1.0))
+    diff, a, b, c, arg = terms(x, y)
+    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    common = np.divide(4.0, b * c * root, out=np.zeros_like(root), where=root >= 1e-12)
+    gx = common[..., None] * (diff + (a / b)[..., None] * x)
+    gy = common[..., None] * ((a / c)[..., None] * y - diff)
+    return d, gx, gy
+
+
+class TestDistanceAndGrad:
+    """The one-pass kernel is bitwise the separate distance and gradient
+    kernels, on the (B, 1+k, d) stage-one shape and on (n, d) rows."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 10])
+    def test_stage_one_batch_shape(self, dim):
+        rng = np.random.default_rng(150 + dim)
+        points = np.stack([random_ball_point(rng, dim, 0.95) for _ in range(30)])
+        points[7] = 0.0
+        u = rng.integers(0, 30, size=10)
+        others = rng.integers(0, 30, size=(10, 11))
+        others[0, 3] = u[0]  # a negative equal to its parent: zero subgradient
+        eu, ev = points[u][:, None, :], points[others]
+        got = distance_and_grad(eu, ev)
+        expected = separate_distance_and_grad(eu, ev)
+        assert got[0].shape == (10, 11) and got[1].shape == got[2].shape == (10, 11, dim)
+        for out, ref in zip(got, expected):
+            np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(got[0], distance(eu, ev))
+        for out, ref in zip(got[1:], distance_grad(eu, ev)):
+            np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_row_pairs(self, dim):
+        x, y = row_pairs(dim, seed=160 + dim)
+        got = distance_and_grad(x, y)
+        for out, ref in zip(got, separate_distance_and_grad(x, y)):
+            np.testing.assert_array_equal(out, ref)
+        d, gx, gy = distance_and_grad(x[5], y[5])
+        assert isinstance(d, float) and d == distance(x[5], y[5])
+        np.testing.assert_array_equal(gx, got[1][5])
 
 
 class TestExpOriginVjp:

@@ -17,10 +17,19 @@ from hyperclass.encoder import (
     encode_backward,
     encode_batch,
     encode_batch_backward,
+    encode_batch_pooled,
     encode_chunks,
     tokenize,
     tokenize_batch,
 )
+
+
+def densified(model, grads):
+    """grads with its (rows, grads) embedding gradient as a dense table."""
+    rows, row_grads = grads["embedding"]
+    table = np.zeros_like(model.embedding)
+    table[rows] = row_grads
+    return {**grads, "embedding": table}
 
 
 def small_vocab():
@@ -199,6 +208,13 @@ class TestTokenBatch:
             start, length = batch.offsets[i], batch.lengths[i]
             assert batch.ids[start : start + length].tolist() == tokens
 
+    def test_span_is_take_of_a_slice(self):
+        batch = TokenBatch.pack(SAMPLES).take([4, 0, 2, 3, 1])
+        for start, stop in ((0, 5), (1, 3), (4, 5), (2, 99)):
+            spanned, taken = batch.span(start, stop), batch.take(slice(start, stop))
+            for field in ("ids", "offsets", "lengths"):
+                assert getattr(spanned, field).tolist() == getattr(taken, field).tolist()
+
     def test_take_reorders_and_slices(self):
         batch = TokenBatch.pack(SAMPLES)
         for rows in ([4, 0, 2], [1], slice(1, 4), np.array([3, 3, 0])):
@@ -234,7 +250,7 @@ class TestBatchedEncoder:
         model = self.model()
         batch = TokenBatch.pack(SAMPLES)
         upstream = np.random.default_rng(12).standard_normal((len(SAMPLES), model.d_e))
-        grads = encode_batch_backward(model, batch, encode_batch(model, batch), upstream)
+        grads = densified(model, encode_batch_backward(model, batch, encode_batch(model, batch), upstream))
         expected = {k: np.zeros_like(v) for k, v in model.params().items()}
         for tokens, g in zip(SAMPLES, upstream):
             for key, arr in encode_backward(model, tokens, g).items():
@@ -246,7 +262,7 @@ class TestBatchedEncoder:
         model = self.model(seed=13)
         batch = TokenBatch.pack(SAMPLES)
         upstream = np.random.default_rng(14).standard_normal((len(SAMPLES), model.d_e))
-        grads = encode_batch_backward(model, batch, encode_batch(model, batch), upstream)
+        grads = densified(model, encode_batch_backward(model, batch, encode_batch(model, batch), upstream))
         for key, arr in model.params().items():
             num = numeric_grad(lambda: float(np.sum(upstream * encode_batch(model, batch))), arr)
             assert rel_err(grads[key], num) < 1e-4, key
@@ -259,3 +275,27 @@ class TestBatchedEncoder:
         chunks = list(encode_chunks(model, batch))
         assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
         np.testing.assert_array_equal(np.concatenate(chunks), encode_batch(model, batch))
+
+    def test_backward_rows_are_the_distinct_tokens_and_pooled_is_reused(self):
+        model = self.model(seed=15)
+        batch = TokenBatch.pack(SAMPLES)
+        upstream = np.random.default_rng(16).standard_normal((len(SAMPLES), model.d_e))
+        h, pooled = encode_batch_pooled(model, batch)
+        np.testing.assert_array_equal(h, encode_batch(model, batch))
+        given = encode_batch_backward(model, batch, h, upstream, pooled)
+        recomputed = encode_batch_backward(model, batch, h, upstream)
+        rows, row_grads = given["embedding"]
+        assert rows.tolist() == sorted({t for tokens in SAMPLES for t in tokens})
+        assert row_grads.shape == (len(rows), model.embedding.shape[1])
+        for key in ("w1", "b1"):
+            np.testing.assert_array_equal(given[key], recomputed[key])
+        np.testing.assert_array_equal(row_grads, recomputed["embedding"][1])
+
+
+@given(n=st.integers(1, 40), data=st.data())
+def test_distinct_rows_is_unique_with_inverse(n, data):
+    ids = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60)), dtype=np.intp)
+    rows, inverse = encoder._distinct_rows(ids, n)
+    expected_rows, expected_inverse = np.unique(ids, return_inverse=True)
+    assert rows.tolist() == expected_rows.tolist()
+    assert inverse.tolist() == expected_inverse.tolist()

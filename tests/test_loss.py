@@ -143,8 +143,8 @@ class TestCeBatch:
         hs, ys = batch_inputs()
         report, _ = ce_batch(head, hs, ys)
         ces = [cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))]
+        # Every weight is 1: the total is the plain mean.
         assert abs(report.total - np.mean(ces)) < 1e-12
-        assert all(w == 1.0 for _, w in report.per_sample)
         assert report.n == len(ys)
 
     def test_gradients_match_finite_differences(self):
@@ -180,17 +180,18 @@ class TestWeightedCeBatch:
         hs, ys = batch_inputs()
         mat = self.label_matrix()
         report, _ = weighted_ce_batch(head, hs, ys, mat)
-        per = np.array(report.per_sample)
-        assert abs(report.total - np.mean(per[:, 0] * per[:, 1])) < 1e-12
-        for i in range(len(ys)):
-            assert abs(per[i, 1] - hyper_weight(head, hs[i], mat[int(ys[i])])) < 1e-12
+        ces = [cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))]
+        ws = [hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))]
+        assert abs(report.total - np.mean(np.multiply(ces, ws))) < 1e-12
 
     def test_batch_mean_weights_average_to_one(self):
         head = make_head()
         hs, ys = batch_inputs()
-        report, _ = weighted_ce_batch(head, hs, ys, self.label_matrix(), "batch-mean")
-        weights = [w for _, w in report.per_sample]
-        assert abs(np.mean(weights) - 1.0) < 1e-12
+        mat = self.label_matrix()
+        report, _ = weighted_ce_batch(head, hs, ys, mat, "batch-mean")
+        ces = np.array([cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))])
+        raw = np.array([hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))])
+        assert abs(report.total - np.mean(raw / raw.mean() * ces)) < 1e-12
 
     @pytest.mark.parametrize("norm", ["none", "batch-mean"])
     def test_gradients_match_finite_differences(self, norm):
@@ -224,7 +225,7 @@ class TestWeightedCeBatch:
         h = np.zeros((1, 4))
         mat = np.stack([exp_map_origin(head.b_p), np.array([0.5, 0.0])])
         report, grads = weighted_ce_batch(head, h, np.array([0]), mat)
-        assert report.per_sample[0][1] == 0.0
+        assert hyper_weight(head, h[0], mat[0]) == 0.0
         assert report.total == 0.0
         np.testing.assert_array_equal(grads["w_c"], 0.0)
         np.testing.assert_array_equal(grads["b_c"], 0.0)
@@ -290,7 +291,7 @@ def loop_reference(head, hs, ys, label_matrix=None, weight_norm="none"):
         grads["w_p"] += dtotal_dw[i] * np.outer(hs[i], dv)
         grads["b_p"] += dtotal_dw[i] * dv
         grads["h"][i] = head.w_c @ dlogit + dtotal_dw[i] * dh
-    return total, list(zip(ces.tolist(), eff_w.tolist())), grads
+    return total, grads
 
 
 class TestBatchedAgainstLoop:
@@ -298,9 +299,8 @@ class TestBatchedAgainstLoop:
         head = make_head(d_e=5, m=4, seed=7)
         hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=8)
         report, grads = ce_batch(head, hs, ys)
-        total, per_sample, expected = loop_reference(head, hs, ys)
+        total, expected = loop_reference(head, hs, ys)
         assert abs(report.total - total) < 1e-12
-        np.testing.assert_allclose(report.per_sample, per_sample, rtol=0, atol=1e-12)
         for key, arr in expected.items():
             np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
 
@@ -310,9 +310,8 @@ class TestBatchedAgainstLoop:
         hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=10)
         mat = TestWeightedCeBatch.label_matrix(m=4, h_d=3, seed=11)
         report, grads = weighted_ce_batch(head, hs, ys, mat, norm)
-        total, per_sample, expected = loop_reference(head, hs, ys, mat, norm)
+        total, expected = loop_reference(head, hs, ys, mat, norm)
         assert abs(report.total - total) < 1e-12
-        np.testing.assert_allclose(report.per_sample, per_sample, rtol=0, atol=1e-12)
         for key, arr in expected.items():
             np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
 
@@ -322,7 +321,8 @@ class TestBatchedAgainstLoop:
         mat = TestWeightedCeBatch.label_matrix()
         report, _ = weighted_ce_batch(head, hs, ys, mat)
         assert report.n == 1
-        assert abs(report.per_sample[0][1] - hyper_weight(head, hs[0], mat[ys[0]])) < 1e-12
+        expected = hyper_weight(head, hs[0], mat[ys[0]]) * cross_entropy(logits(head, hs[0]), int(ys[0]))
+        assert abs(report.total - expected) < 1e-12
 
     def test_predict_rows_match_single_calls(self):
         head = make_head(m=5, seed=12)

@@ -4,7 +4,7 @@ import numpy as np
 
 from helpers import rel_err
 from hyperclass.ball import MAX_NORM, distance, distance_grad, exp_map, random_ball_point, riemannian_grad
-from hyperclass.optim import Adam, RiemannianAdam
+from hyperclass.optim import Adam, FlatParams, RiemannianAdam
 
 
 def dist_sq_grad(theta, target):
@@ -230,3 +230,45 @@ class TestEuclideanAdam:
             np.testing.assert_array_equal(params[k], ref[k])
             np.testing.assert_array_equal(opt.m[k], m[k])
             np.testing.assert_array_equal(opt.v[k], v[k])
+
+    def test_row_gradients_are_bitwise_the_zero_filled_dense_step(self):
+        # One optimizer takes the embedding gradient as rows over a
+        # FlatParams, the other the same gradient as a zero-filled table
+        # over separate arrays. Row 0 is touched twice, 450 steps apart;
+        # rows 40-49 never; some steps touch no row at all.
+        rng = np.random.default_rng(5)
+        shapes = {"emb": (50, 6), "w": (6, 3), "b": (3,)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        sparse = FlatParams(start)
+        dense = {k: v.copy() for k, v in start.items()}
+        opt_sparse = Adam(sparse, lr=0.02)
+        opt_dense = Adam(dense, lr=0.02)
+        for step in range(600):
+            touched = (rng.random(50) < 0.2) & (np.arange(50) < 40)
+            touched[0] = step in (0, 450)
+            if step % 97 == 3:
+                touched[:] = False
+            rows = np.flatnonzero(touched)
+            scale = 10.0 ** rng.uniform(-5, 2, size=(len(rows), 1))
+            row_grads = rng.standard_normal((len(rows), 6)) * scale
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items() if k != "emb"}
+            table = np.zeros(shapes["emb"])
+            table[rows] = row_grads
+            opt_sparse.step({**grads, "emb": row_grads}, rows={"emb": rows})
+            opt_dense.step({**grads, "emb": table})
+        for k in shapes:
+            np.testing.assert_array_equal(sparse[k], dense[k])
+            np.testing.assert_array_equal(opt_sparse.m[k], opt_dense.m[k])
+            np.testing.assert_array_equal(opt_sparse.v[k], opt_dense.v[k])
+        assert not opt_sparse.m["emb"][40:].any() and (sparse["emb"][40:] == start["emb"][40:]).all()
+        assert (sparse["emb"][0] != start["emb"][0]).all()
+
+    def test_flat_params_are_views_of_one_buffer(self):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}
+        params = FlatParams(arrays)
+        assert params.flat.tolist() == [7.0, 8.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all(np.shares_memory(params[k], params.flat) for k in arrays)
+        assert params["w"].shape == (2, 3) and not np.shares_memory(params["w"], arrays["w"])
+        opt = Adam(params, lr=0.1)
+        opt.step({"w": np.ones((2, 3)), "b": -np.ones(2)})
+        assert params.flat[:2].tolist() == params["b"].tolist() and (params["b"] > [7.0, 8.0]).all()

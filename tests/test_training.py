@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import dense_table_train_classifier
 from hyperclass.config import ClassifierConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, generate_synthetic
 from hyperclass.encoder import CHUNK_ROWS, EncoderModel, Vocabulary, encode, tokenize, tokenize_batch
@@ -151,6 +152,28 @@ class TestDeterminismAndThreads:
         for key in a.head.params():
             np.testing.assert_array_equal(a.head.params()[key], b.head.params()[key])
         assert a.history == b.history
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("loss,norm", [("ce", "none"), ("wce", "none"), ("wce", "batch-mean")])
+    def test_matches_dense_table_training_bitwise(self, tiny_data, tiny_labels, loss, norm):
+        _, class_map, train, dev = tiny_data
+        # At this lr every run learns, and the best epoch is not the last,
+        # so the restore of the best parameters is compared too.
+        cfg = ClassifierConfig(loss=loss, weight_norm=norm, epochs=6, lr=0.03, d_tok=8, d_e=16, seed=3)
+        assert len(train.samples) % cfg.batch_size
+        result = train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
+        assert result.best_epoch < cfg.epochs - 1
+        history, best_epoch, best_wf1, params = dense_table_train_classifier(
+            train, dev, cfg, labels=tiny_labels, class_map=class_map
+        )
+        assert result.history == history
+        assert (result.best_epoch, result.best_dev_wf1) == (best_epoch, best_wf1)
+        trained = {f"enc.{k}": v for k, v in result.model.params().items()}
+        trained.update({f"head.{k}": v for k, v in result.head.params().items()})
+        assert trained.keys() == params.keys()
+        for key, value in params.items():
+            np.testing.assert_array_equal(trained[key], value, err_msg=key)
 
 
 class TestEvaluateModel:
