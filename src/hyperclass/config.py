@@ -88,6 +88,11 @@ class SynthSpec:
     seed: int = 42
 
     def validate(self) -> None:
+        for name in ("family_fraction", "leaf_fraction", "train_fraction", "dev_fraction"):
+            value = getattr(self, name)
+            # `not 0 <= value <= 1` is also true for nan and the infinities.
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be finite and in [0, 1], got {value!r}")
         if self.family_fraction + self.leaf_fraction > 1.0:
             raise ConfigError("family_fraction + leaf_fraction must be <= 1")
         counts = (

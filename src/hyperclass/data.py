@@ -3,7 +3,8 @@ and the default two-family benchmark tree.
 
 Dataset files are UTF-8 TSV `text<TAB>label`, no header; tabs and
 newlines inside text are rejected, not escaped. The synthetic generator
-holds each word pool as a numpy string array, built once per call.
+holds each class's family, leaf and noise pools as one numpy word array
+and draws a sample's tokens from it in one bounded-integer call.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .config import SynthSpec
 from .errors import DatasetError
 from .hierarchy import LabelTree, build_tree
 
-SPLITS = ("train", "dev", "test")
-
 
 @dataclass
 class LabeledDataset:
@@ -30,12 +29,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def class_counts(self) -> list[int]:
-        counts = [0] * len(self.label_names)
-        for _, y in self.samples:
-            counts[y] += 1
-        return counts
 
 
 def infer_label_names(path) -> list[str]:
@@ -118,64 +111,62 @@ def generate_synthetic(
     construction. Splits are stratified per class; everything is a pure
     function of (tree, spec).
 
-    Each pool is built once as a numpy string array, and each draw is one
-    `rng.choice(pool, size)`: with replacement and no `p`, that consumes
-    `integers(0, len(pool), size)` from the stream whatever the pool's
-    container, so samples do not depend on how the pools are held.
+    Each class holds its family, leaf and noise pools as one word array,
+    and each sample is one `rng.integers(0, high)` over per-position pool
+    sizes, offset into that array, then one shuffle. numpy draws each
+    bounded value below 2**32 from one 32-bit word by Lemire's method, in
+    the broadcast path as in the fill path, and a bound of 1 draws nothing,
+    so this consumes the stream exactly as one `rng.choice(pool, size)` per
+    pool would: with replacement and no `p`, that is
+    `integers(0, len(pool), size)`.
     """
     spec.validate()
     if not tree.class_leaves:
         raise DatasetError("tree has no class leaves to generate for")
     rng = np.random.default_rng(spec.seed)
 
-    parent_of = {}
-    for parent, child in tree.edges:
-        parent_of[child] = parent
+    parent_of = {child: parent for parent, child in tree.edges}
     families = sorted({parent_of[leaf] for leaf in tree.class_leaves if leaf in parent_of})
     family_pool = {
-        fam: np.array([f"fam{fi}_w{j}" for j in range(spec.family_pool_size)])
+        fam: [f"fam{fi}_w{j}" for j in range(spec.family_pool_size)]
         for fi, fam in enumerate(families)
     }
-    leaf_pool = {
-        leaf: np.array([f"leaf{li}_w{j}" for j in range(spec.leaf_pool_size)])
-        for li, leaf in enumerate(tree.class_leaves)
-    }
-    noise_pool = np.array([f"noise_w{j}" for j in range(spec.noise_vocab)])
+    noise_pool = [f"noise_w{j}" for j in range(spec.noise_vocab)]
 
     k = spec.tokens_per_sample
     n_family = int(spec.family_fraction * k)
     n_leaf = int(spec.leaf_fraction * k)
-    n_noise = k - n_family - n_leaf
+    counts = (n_family, n_leaf, k - n_family - n_leaf)
     per_class: list[list[str]] = []
-    for leaf in tree.class_leaves:
-        fam_tokens = family_pool.get(parent_of.get(leaf), noise_pool)
+    for li, leaf in enumerate(tree.class_leaves):
+        leaf_pool = [f"leaf{li}_w{j}" for j in range(spec.leaf_pool_size)]
+        pools = (family_pool.get(parent_of.get(leaf), noise_pool), leaf_pool, noise_pool)
+        words = np.array(pools[0] + pools[1] + pools[2])
+        sizes = [len(pool) for pool in pools]
+        # Position i draws below high[i] from the pool that starts at base[i].
+        high = np.repeat(sizes, counts)
+        base = np.repeat(np.cumsum([0] + sizes[:-1]), counts)
         texts = []
         for _ in range(spec.samples_per_class):
-            tokens = rng.choice(fam_tokens, size=n_family).tolist()
-            tokens += rng.choice(leaf_pool[leaf], size=n_leaf).tolist()
-            tokens += rng.choice(noise_pool, size=n_noise).tolist()
+            tokens = words[base + rng.integers(0, high)].tolist()
             rng.shuffle(tokens)
             texts.append(" ".join(tokens))
         per_class.append(texts)
 
     n_train = int(round(spec.train_fraction * spec.samples_per_class))
     n_dev = int(round(spec.dev_fraction * spec.samples_per_class))
-    buckets: dict[str, list[tuple[str, int]]] = {s: [] for s in SPLITS}
+    train: list[tuple[str, int]] = []
+    dev: list[tuple[str, int]] = []
+    test: list[tuple[str, int]] = []
     for y, texts in enumerate(per_class):
-        order = rng.permutation(spec.samples_per_class)
-        for pos, idx in enumerate(order):
-            if pos < n_train:
-                split = "train"
-            elif pos < n_train + n_dev:
-                split = "dev"
-            else:
-                split = "test"
-            buckets[split].append((texts[idx], y))
-    train = buckets["train"]
+        order = rng.permutation(spec.samples_per_class).tolist()
+        train += [(texts[i], y) for i in order[:n_train]]
+        dev += [(texts[i], y) for i in order[n_train : n_train + n_dev]]
+        test += [(texts[i], y) for i in order[n_train + n_dev :]]
     rng.shuffle(train)
     label_names = list(tree.class_leaves)
     return (
         LabeledDataset(train, label_names, "train"),
-        LabeledDataset(buckets["dev"], label_names, "dev"),
-        LabeledDataset(buckets["test"], label_names, "test"),
+        LabeledDataset(dev, label_names, "dev"),
+        LabeledDataset(test, label_names, "test"),
     )

@@ -147,6 +147,14 @@ def per_coordinate_tsv(nodes, vectors, path):
             fh.write(f"{name}\t{coords}\n")
 
 
+def class_counts(ds):
+    """Number of samples per class index of a LabeledDataset."""
+    counts = [0] * len(ds.label_names)
+    for _, y in ds.samples:
+        counts[y] += 1
+    return counts
+
+
 def list_pool_synthetic(tree, spec):
     """Frozen reference for data.generate_synthetic with its pools held as
     Python lists and every drawn token converted with str(). Returns the

@@ -77,6 +77,18 @@ class TestSynthData:
         assert list(ws["data"].glob("*.tmp")) == []
         assert list(ws["root"].glob("*.tmp")) == []
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--family-fraction", "-0.5"), ("--leaf-fraction", "-0.3"), ("--leaf-fraction", "nan")]
+    )
+    def test_bad_synth_fraction_is_one_line_error(self, tmp_path, flag, value):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(["synth-data", "--out-dir", out_dir, flag, value])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite and in [0, 1]")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
 
 class TestTrainLabels:
     def test_stdout_and_artifacts(self, ws):

@@ -73,3 +73,25 @@ class TestSynthSpec:
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ConfigError):
             SynthSpec(**{field: 0}).validate()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"family_fraction": -0.5},
+            {"leaf_fraction": -0.3},
+            {"family_fraction": NAN},
+            {"leaf_fraction": INF},
+            {"train_fraction": -0.1, "dev_fraction": 0.5},
+            {"dev_fraction": -0.2},
+            {"train_fraction": NAN},
+            {"dev_fraction": 1.5, "train_fraction": 0.0},
+        ],
+    )
+    def test_fraction_outside_unit_interval_rejected(self, fields):
+        with pytest.raises(ConfigError, match=rf"{next(iter(fields))} must be finite and in \[0, 1\]"):
+            SynthSpec(**fields).validate()
+
+    def test_unit_interval_edges_accepted(self):
+        SynthSpec(family_fraction=1.0, leaf_fraction=0.0).validate()
+        SynthSpec(family_fraction=0.0, leaf_fraction=1.0).validate()
+        SynthSpec(train_fraction=0.0, dev_fraction=0.5).validate()

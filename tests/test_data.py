@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import list_pool_synthetic
+from helpers import class_counts, list_pool_synthetic
 from hyperclass.config import SynthSpec
 from hyperclass.data import (
     LabeledDataset,
@@ -66,7 +66,7 @@ class TestDatasetIo:
 
     def test_class_counts(self):
         ds = LabeledDataset([("a", 0), ("b", 1), ("c", 1)], ["x", "y"])
-        assert ds.class_counts() == [1, 2]
+        assert class_counts(ds) == [1, 2]
 
 
 class TestFamilyTree:
@@ -88,9 +88,9 @@ class TestGenerateSynthetic:
         tree, _ = default_synthetic_tree()
         train, dev, test = generate_synthetic(tree, SynthSpec())
         assert (len(train), len(dev), len(test)) == (840, 180, 180)
-        assert train.class_counts() == [140] * 6
-        assert dev.class_counts() == [30] * 6
-        assert test.class_counts() == [30] * 6
+        assert class_counts(train) == [140] * 6
+        assert class_counts(dev) == [30] * 6
+        assert class_counts(test) == [30] * 6
         assert (train.split, dev.split, test.split) == ("train", "dev", "test")
 
     def test_token_composition(self):
@@ -184,9 +184,41 @@ class TestListPoolReference:
                 build_tree([("root", "a"), ("root", "b")], ["a", "b", "root"]),
                 SynthSpec(samples_per_class=17, seed=9),
             ),
+            # Pools of one word: a bound of 1 draws nothing from the stream.
+            (
+                make_family_tree(2, 2)[0],
+                SynthSpec(noise_vocab=1, family_pool_size=1, leaf_pool_size=1, samples_per_class=20, seed=3),
+            ),
+            # No noise tokens, then no leaf tokens.
+            (
+                make_family_tree(2, 2)[0],
+                SynthSpec(family_fraction=0.5, leaf_fraction=0.5, samples_per_class=20, seed=4),
+            ),
+            (make_family_tree(2, 2)[0], SynthSpec(leaf_fraction=0.0, samples_per_class=20, seed=6)),
+            (make_family_tree(2, 2)[0], SynthSpec(tokens_per_sample=1, samples_per_class=20, seed=7)),
+            (make_family_tree(6, 6)[0], SynthSpec(samples_per_class=30, seed=8)),
+            # The infer-cli benchmark's test-split spec.
+            (
+                default_synthetic_tree()[0],
+                SynthSpec(samples_per_class=2000, train_fraction=0.01, dev_fraction=0.01, seed=11),
+            ),
         ],
     )
     def test_samples_equal(self, tree, spec):
         got = generate_synthetic(tree, spec)
         assert [ds.samples for ds in got] == list(list_pool_synthetic(tree, spec))
         assert all(ds.label_names == list(tree.class_leaves) for ds in got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_broadcast_bounds_draw_as_consecutive_calls(self, seed):
+        # generate_synthetic rests on this: one integers() call over an
+        # array of per-position bounds reads the stream exactly as one
+        # integers(0, n, k) call per pool would, bounds of 1 included.
+        pools = [(6, 4), (1, 3), (120, 2), (1, 1), (200, 6), (7, 0), (2**31, 2)]
+        high = np.repeat([n for n, _ in pools], [k for _, k in pools])
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            got = a.integers(0, high)
+            want = np.concatenate([b.integers(0, n, k) for n, k in pools])
+            np.testing.assert_array_equal(got, want)
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
