@@ -55,51 +55,72 @@ def project_to_ball(p: np.ndarray) -> np.ndarray:
     radially. Non-finite input raises NumericalError.
     """
     p = np.asarray(p, dtype=np.float64)
-    if not np.isfinite(p).all():
-        raise NumericalError("point has non-finite components")
     norm = np.sqrt(_sqnorm(p))
+    # A non-finite row has a nan or inf norm, so it never passes this test.
     if (norm <= MAX_NORM).all():
         return p
+    if not np.isfinite(p).all():
+        raise NumericalError("point has non-finite components")
     # Inside rows are scaled by exactly 1.0, outside rows by MAX_NORM / norm.
     return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p)
 
 
+# The kernels below accept x2 = ||x||^2 of their base points, so a caller
+# that needs several of them at the same points (a Riemannian step: the
+# gradient rescaling, then the exponential map) computes it once. Each
+# computes it when not given.
+
+
+def _with_sqnorm(x: np.ndarray, x2: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(x as float64, x2), computing x2 = ||x||^2 when it is None."""
+    x = np.asarray(x, dtype=np.float64)
+    return x, _sqnorm(x) if x2 is None else x2
+
+
+def _conformal(x2: np.ndarray) -> np.ndarray:
+    """lambda_x from x2 = ||x||^2."""
+    return 2.0 / (1.0 - x2)
+
+
 def conformal_factor(x: np.ndarray) -> np.ndarray:
     """lambda_x = 2 / (1 - ||x||^2) per (..., d) point; always >= 2 inside the ball."""
-    return 2.0 / (1.0 - _sqnorm(np.asarray(x, dtype=np.float64)))
+    return _conformal(_sqnorm(np.asarray(x, dtype=np.float64)))
 
 
-def riemannian_grad(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
+def riemannian_grad(
+    x: np.ndarray, euclid_grad: np.ndarray, x2: np.ndarray | None = None
+) -> np.ndarray:
     """Rescale Euclidean gradients at (..., d) points x by the inverse metric:
     g_x = lambda_x^2 I, so g^-1 grad = grad * (1 - ||x||^2)^2 / 4."""
-    factor = (1.0 - _sqnorm(np.asarray(x, dtype=np.float64))) ** 2 / 4.0
-    return _scale_rows(factor, euclid_grad)
+    x2 = _with_sqnorm(x, x2)[1]
+    return _scale_rows((1.0 - x2) ** 2 / 4.0, euclid_grad)
 
 
-def mobius_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def mobius_add(x: np.ndarray, y: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     """Mobius addition x (+) y of (..., d) points, re-projected into the ball.
 
     x (+) y = ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
               / (1 + 2<x,y> + ||x||^2 ||y||^2)
     """
-    x = np.asarray(x, dtype=np.float64)
+    x, x2 = _with_sqnorm(x, x2)
     y = np.asarray(y, dtype=np.float64)
-    xy = np.vecdot(x, y)
-    x2, y2 = _sqnorm(x), _sqnorm(y)
-    num = _scale_rows(1.0 + 2.0 * xy + y2, x) + _scale_rows(1.0 - x2, y)
-    den = 1.0 + 2.0 * xy + x2 * y2
-    return project_to_ball(num / den[..., None])
+    # 1 + 2<x,y>, shared by the numerator and the denominator.
+    a = 1.0 + 2.0 * np.vecdot(x, y)
+    y2 = _sqnorm(y)
+    num = _scale_rows(a + y2, x) + _scale_rows(1.0 - x2, y)
+    return project_to_ball(num / (a + x2 * y2)[..., None])
 
 
-def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def exp_map(x: np.ndarray, v: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     """Exponential map at x: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||, row by row.
 
     A zero row of v returns the matching point of x.
     """
+    x, x2 = _with_sqnorm(x, x2)
     v = np.asarray(v, dtype=np.float64)
     r, nonzero = _row_norms(v)
-    t = np.tanh(0.5 * conformal_factor(x) * r)
-    return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v))
+    t = np.tanh(0.5 * _conformal(x2) * r)
+    return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v), x2)
 
 
 def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -108,12 +129,13 @@ def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     log_x(y) = (2 / lambda_x) * artanh(||-x (+) y||) * (-x (+) y) / ||-x (+) y||
     with the y = x limit defined as the zero vector.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = mobius_add(-x, y)
+    # ||-x||^2 is ||x||^2 bit for bit.
+    x, x2 = _with_sqnorm(x, None)
+    w = mobius_add(-x, y, x2)
     r, nonzero = _row_norms(w)
     # artanh argument stays below 1 because mobius_add clamps into the ball.
     artanh = np.arctanh(np.minimum(r, MAX_NORM))
-    return _scale_rows(np.where(nonzero, (2.0 / conformal_factor(x)) * artanh / r, 0.0), w)
+    return _scale_rows(np.where(nonzero, (2.0 / _conformal(x2)) * artanh / r, 0.0), w)
 
 
 def _distance(x: np.ndarray, y: np.ndarray, with_grad: bool):
@@ -126,7 +148,8 @@ def _distance(x: np.ndarray, y: np.ndarray, with_grad: bool):
     a = _sqnorm(diff)
     b = 1.0 - _sqnorm(x)
     c = 1.0 - _sqnorm(y)
-    arg = 1.0 + 2.0 * a / (b * c)
+    bc = b * c
+    arg = 1.0 + 2.0 * a / bc
     d = np.arccosh(np.maximum(arg, 1.0))
     d = float(d) if d.ndim == 0 else d
     if not with_grad:
@@ -134,7 +157,7 @@ def _distance(x: np.ndarray, y: np.ndarray, with_grad: bool):
     # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
     root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
     smooth = root >= EPS_DIV
-    common = np.divide(4.0, b * c * root, out=np.zeros_like(root), where=smooth)
+    common = np.divide(4.0, bc * root, out=np.zeros_like(root), where=smooth)
     gx = _scale_rows(common, diff + _scale_rows(a / b, x))
     gy = _scale_rows(common, _scale_rows(a / c, y) - diff)
     return d, gx, gy
@@ -166,11 +189,6 @@ def distance_and_grad(
     """(distance, dd/dx, dd/dy) from one pass over the shared terms, for
     callers that need both; bitwise those of `distance` and `distance_grad`."""
     return _distance(x, y, True)
-
-
-def distance_from_origin(r: float) -> float:
-    """Closed form d(0, x) = 2 artanh(||x||) for a point at radius r."""
-    return 2.0 * float(np.arctanh(r))
 
 
 def exp_map_origin(v: np.ndarray) -> np.ndarray:

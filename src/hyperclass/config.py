@@ -36,6 +36,15 @@ class LabelEmbedConfig:
         if min(self.dim, self.epochs, self.negatives) < 1:
             raise ConfigError("label embedding config requires positive dim/epochs/negatives")
         _check_lr(self.lr)
+        if self.burn_in_epochs < 0:
+            raise ConfigError(f"burn_in_epochs must be >= 0, got {self.burn_in_epochs!r}")
+        # Each comparison below is also false for nan.
+        if not 0 < self.burn_in_factor < float("inf"):
+            raise ConfigError(
+                f"burn_in_factor must be positive and finite, got {self.burn_in_factor!r}"
+            )
+        if not 0 < self.init_radius < 1:
+            raise ConfigError(f"init_radius must be in (0, 1), got {self.init_radius!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -26,6 +26,8 @@ from itertools import chain
 
 import numpy as np
 
+from .optim import _distinct_rows
+
 UNK = 0
 PAD = 1
 
@@ -206,18 +208,6 @@ def encode_batch_pooled(model: EncoderModel, batch: TokenBatch) -> tuple[np.ndar
     was computed from, which encode_batch_backward reuses."""
     pooled = _pool(model, batch)
     return np.tanh(pooled @ model.w1 + model.b1), pooled
-
-
-def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(ids, return_inverse=True) for ids in [0, n), without the
-    sort: a mark per id gives the sorted distinct ids, and their running
-    count gives each id's index among them."""
-    mark = np.zeros(n, dtype=bool)
-    mark[ids] = True
-    rows = np.flatnonzero(mark)
-    index = np.empty(n, dtype=np.intp)
-    index[rows] = np.arange(len(rows))
-    return rows, index[ids]
 
 
 def encode_batch_backward(

@@ -4,10 +4,11 @@ A LabelTree is a forest of (parent, child) edges plus an ordered list of
 class leaves (one tree node per classifier class). Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
 Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
-as in gensim's PoincareModel: each minibatch is one negative draw, one
-batched loss and one step over the distinct rows it touches. The
-embeddings are then scored by how well nearest-neighbour ranking
-reconstructs the edges.
+as in gensim's PoincareModel. Each epoch draws every pair's negatives in
+one call into one matrix of rows; each minibatch is a slice of it, one
+gather of its points, one batched loss and one step over the distinct
+rows it touches. The embeddings are then scored by how well
+nearest-neighbour ranking reconstructs the edges.
 
 Embeddings and projections are written as TSV from (names, vectors)
 chunks, one formatting operation per row, so a caller can stream rows
@@ -27,7 +28,7 @@ import numpy as np
 from .ball import distance, distance_and_grad, random_ball_point
 from .config import LabelEmbedConfig
 from .errors import NumericalError, TaxonomyError
-from .optim import RiemannianAdam
+from .optim import RiemannianAdam, _distinct_rows
 
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
@@ -216,18 +217,6 @@ def bundled_taxonomy_path(name: str = "parrott") -> Path:
     return path
 
 
-def load_tree(
-    taxonomy_path,
-    class_map_path,
-    mode: str = "expert",
-    rng: np.random.Generator | None = None,
-) -> LabelTree:
-    """Load and validate a LabelTree from the two TSV files."""
-    edges = parse_taxonomy(taxonomy_path)
-    class_rows = parse_class_map(class_map_path)
-    return build_tree(edges, [node for _, node in class_rows], mode=mode, rng=rng)
-
-
 @dataclass
 class LabelEmbeddings:
     """One ball point per tree node, as rows of a (n_nodes, dim) matrix."""
@@ -298,28 +287,34 @@ def label_loss(
     evaluated with a row-wise log-sum-exp over one (B, 1+k) call that
     gives the distances and their gradients.
     `u` and `v` are (B,) row arrays and `negatives` is (B, k); a scalar u
-    and v with (k,) negatives is the one-pair case. Returns the summed
+    and v with (k,) negatives is the one-pair case. The points are one
+    gather of the (B, 2+k) rows [u | v | negatives]. Returns the summed
     loss, the distinct rows involved, sorted, and their (len(rows), d)
     Euclidean gradients of the summed loss: a row that appears more than
     once (a repeated negative, a parent shared by two pairs) gets the sum
     of its terms.
     """
     u = np.atleast_1d(u)
-    others = np.column_stack((np.atleast_1d(v), np.reshape(negatives, (len(u), -1))))
-    eu = vectors[u][:, None, :]
-    ev = vectors[others]
-    dists, gu, gv = distance_and_grad(eu, ev)
+    idx = np.concatenate(
+        (u[:, None], np.atleast_1d(v)[:, None], np.reshape(negatives, (len(u), -1))), axis=1
+    )
+    points = vectors.take(idx, axis=0)
+    dists, gu, gv = distance_and_grad(points[:, :1], points[:, 1:])
     scores = -dists
     m = scores.max(axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(scores - m), axis=1, keepdims=True))
-    loss = np.sum(dists[:, 0] + lse[:, 0])
+    lse = m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True))
+    loss = (dists[:, 0] + lse[:, 0]).sum()
     coeff = -np.exp(scores - lse)
     coeff[:, 0] += 1.0
+    # Terms laid out like idx: the parent's, then one per other row.
     terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
-    rows, inverse = np.unique(np.column_stack((u, others)).ravel(), return_inverse=True)
-    grads = np.zeros((len(rows), vectors.shape[1]))
-    np.add.at(grads, inverse, terms.reshape(-1, vectors.shape[1]))
-    return float(loss), rows, grads
+    rows, inverse = _distinct_rows(idx, len(vectors))
+    # Summed into the flat (len(rows) * d) buffer, each coordinate of a
+    # term at its own position: the 1-D form of np.add.at is the fast one.
+    d = vectors.shape[1]
+    grads = np.zeros(len(rows) * d)
+    np.add.at(grads, (inverse[..., None] * d + np.arange(d)).ravel(), terms.ravel())
+    return float(loss), rows, grads.reshape(len(rows), d)
 
 
 def train_label_embeddings(
@@ -329,14 +324,16 @@ def train_label_embeddings(
     minibatch of PAIRS_PER_STEP pairs.
 
     Each epoch visits the pairs in a fresh random order, PAIRS_PER_STEP at
-    a time; a batch draws every pair's negatives in one call, takes one
-    label_loss over all its pairs and one step over the distinct rows they
-    touch (parents, children and negatives), sorted, each with the sum of
-    its gradients over the batch. The last batch of an epoch may be
-    smaller. Deterministic given config.seed; with PAIRS_PER_STEP 1 the
-    trajectory is that of one step per pair. Returns the embeddings and
-    the mean pair loss over the final epoch (None when the tree has no
-    edges).
+    a time. Right after the permutation, one draw gives every pair's
+    negatives for the epoch (the RNG stream is read as by one draw per
+    batch), laid out as one (pairs, 2+k) matrix of rows [parent | child |
+    negatives]; a batch is a slice of it. A batch takes one label_loss
+    over all its pairs and one step over the distinct rows they touch
+    (parents, children and negatives), sorted, each with the sum of its
+    gradients over the batch. The last batch of an epoch may be smaller.
+    Deterministic given config.seed; with PAIRS_PER_STEP 1 the trajectory
+    is that of one step per pair. Returns the embeddings and the mean pair
+    loss over the final epoch (None when the tree has no edges).
     A step whose result is not finite raises NumericalError naming the
     epoch, the batch and its pairs; the check is the one in the step's
     projection, as the loss stays finite while every point is inside the
@@ -360,18 +357,20 @@ def train_label_embeddings(
     for epoch in range(config.epochs):
         lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
         order = rng.permutation(len(tree.edges))
+        u = parents[order]
+        negatives = negative_samples(table, u, config.negatives, rng)
+        pairs = np.column_stack((u, children[order], negatives))
         epoch_loss = 0.0
         for batch_idx, start in enumerate(range(0, len(order), PAIRS_PER_STEP)):
-            batch = order[start : start + PAIRS_PER_STEP]
-            u = parents[batch]
-            negs = negative_samples(table, u, config.negatives, rng)
-            loss, rows, grads = label_loss(vectors, u, children[batch], negs)
+            batch = pairs[start : start + PAIRS_PER_STEP]
+            loss, rows, grads = label_loss(vectors, batch[:, 0], batch[:, 1], batch[:, 2:])
             try:
                 opt.step(rows, grads, lr=lr)
             except NumericalError as exc:
-                pairs = ", ".join("(%s, %s)" % tree.edges[i] for i in batch)
+                edges = order[start : start + PAIRS_PER_STEP]
+                names = ", ".join("(%s, %s)" % tree.edges[i] for i in edges)
                 raise NumericalError(
-                    f"stage one, epoch {epoch}, batch {batch_idx}, pairs {pairs}: {exc}"
+                    f"stage one, epoch {epoch}, batch {batch_idx}, pairs {names}: {exc}"
                 ) from None
             epoch_loss += loss
         final_loss = epoch_loss / len(tree.edges)

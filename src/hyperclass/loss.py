@@ -8,9 +8,9 @@ The per-sample weight w_i is the ball distance between that projected
 point and the frozen embedding of the true label; the batch loss is
 mean(w_i * ce_i) with gradients through both factors.
 
-`logits`, `predict`, `project_representation` and the hyper-weight
-functions take h as one (d_e,) row or an (n, d_e) batch; the batch losses
-compute every term and vector-Jacobian product on (n, .) arrays.
+`logits`, `predict`, `project_representation` and `hyper_weight_backward`
+take h as one (d_e,) row or an (n, d_e) batch; the batch losses compute
+every term and vector-Jacobian product on (n, .) arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import distance, distance_and_grad, exp_map_origin, exp_map_origin_vjp
+from .ball import distance_and_grad, exp_map_origin, exp_map_origin_vjp
 from .config import WEIGHT_NORMS
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
@@ -89,19 +89,9 @@ def _ce_and_dlogits(c: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ces, dlogits
 
 
-def cross_entropy(c: np.ndarray, y: int) -> float:
-    """-log softmax(c)[y] for one logit row."""
-    return float(_ce_and_dlogits(np.asarray(c)[None, :], np.array([y]))[0][0])
-
-
 def project_representation(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
     """Ball point exp_0(w_p^T h + b_p), clamped inside the ball."""
     return exp_map_origin(h @ head.w_p + head.b_p)
-
-
-def hyper_weight(head: ClassifierHead, h: np.ndarray, e_y: np.ndarray) -> float | np.ndarray:
-    """w = d(exp_0(w_p^T h + b_p), e_y)."""
-    return distance(project_representation(head, h), e_y)
 
 
 def hyper_weight_backward(

@@ -3,7 +3,14 @@
 RiemannianAdam updates rows of a (n, d) matrix of Poincare-ball points
 in one batched step: gradients are rescaled by the inverse metric, the
 Adam direction goes through the exponential map, and moments are (n, d)
-coordinate matrices without parallel transport between steps.
+coordinate matrices without parallel transport between steps. A step
+gathers and scatters both moments at once and computes the rows' squared
+norms once for the rescaling and the exponential map, so it costs a fixed
+few dozen array operations whatever the number of rows.
+
+`_distinct_rows` finds the sorted distinct rows of a row step, and where
+each given id falls among them, for both stages: the tree-node rows of a
+stage-one batch and the token ids of a stage-two batch.
 
 Adam (Euclidean, for the encoder and classifier head, without weight
 decay) lives here too so both training stages share one home. Its
@@ -20,7 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import exp_map, riemannian_grad
+from .ball import _sqnorm, exp_map, riemannian_grad
+
+
+def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for ids in [0, n), without the
+    sort: a mark per id gives the sorted distinct ids, and their running
+    count gives each id's index among them."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    rows = mark.nonzero()[0]
+    index = np.empty(n, dtype=np.intp)
+    index[rows] = np.arange(len(rows))
+    return rows, index[ids]
 
 
 class RiemannianAdam:
@@ -29,7 +48,9 @@ class RiemannianAdam:
 
     Each row keeps its own step count, so a row's bias correction counts
     only the steps that touched it, exactly as if every row had its own
-    optimizer.
+    optimizer. The moments are the two (n, d) views `m` and `v` of one
+    (n, 2, d) buffer, so a step reads and writes both in one gather and
+    one scatter.
     """
 
     def __init__(
@@ -45,26 +66,37 @@ class RiemannianAdam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros_like(points)
-        self.v = np.zeros_like(points)
+        self._mv = np.zeros((len(points), 2, points.shape[1]))
+        self.m, self.v = self._mv[:, 0], self._mv[:, 1]
         self.t = np.zeros(len(points), dtype=np.int64)
+        # beta1 and beta2, and 1 - each, as columns against a row's (2, d) moments.
+        self._decay = np.array([[beta1], [beta2]])
+        self._gain = 1.0 - self._decay
 
     def step(self, rows: np.ndarray, euclid_grad: np.ndarray, lr: float | None = None) -> None:
         """One step on the distinct `rows`, with (len(rows), d) Euclidean
         gradients. `lr` overrides self.lr for this step only (the burn-in
-        phase of stage one)."""
-        theta = self.points[rows]
-        g = riemannian_grad(theta, euclid_grad)
+        phase of stage one).
+
+        ||theta||^2 of the rows is computed once, for the gradient
+        rescaling, the conformal factor and the Mobius sum of the
+        exponential map."""
+        theta = self.points.take(rows, axis=0)
+        x2 = _sqnorm(theta)
+        g = riemannian_grad(theta, euclid_grad, x2)
         t = self.t[rows] + 1
         self.t[rows] = t
-        m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * g
-        v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * g * g
-        self.m[rows] = m
-        self.v[rows] = v
-        m_hat = m / (1.0 - self.beta1**t)[:, None]
-        v_hat = v / (1.0 - self.beta2**t)[:, None]
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
+        mv = self._decay * self._mv.take(rows, axis=0)
+        gain = self._gain * g[:, None, :]
+        gain[:, 1] *= g
+        mv += gain
+        self._mv[rows] = mv
+        # m_hat and v_hat: each moment over its bias correction 1 - beta**t.
+        mv /= (1.0 - self._decay**t).T[:, :, None]
         step_lr = self.lr if lr is None else lr
-        self.points[rows] = exp_map(theta, -step_lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        direction = -step_lr * mv[:, 0] / (np.sqrt(mv[:, 1]) + self.eps)
+        self.points[rows] = exp_map(theta, direction, x2)
 
 
 class FlatParams(dict):

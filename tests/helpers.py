@@ -48,6 +48,25 @@ def brute_weighted_f1(preds, golds, m):
     return total
 
 
+def distance_from_origin(r):
+    """Closed form d(0, x) = 2 artanh(||x||) for a point at radius r."""
+    return 2.0 * float(np.arctanh(r))
+
+
+def cross_entropy(c, y):
+    """-log softmax(c)[y] for one logit row, by a max-shifted log-sum-exp."""
+    shifted = np.asarray(c, dtype=float) - np.max(c)
+    return float(np.log(np.exp(shifted).sum()) - shifted[y])
+
+
+def hyper_weight(head, h, e_y):
+    """Distance weight w = d(exp_0(w_p^T h + b_p), e_y) of one row or a batch."""
+    from hyperclass.ball import distance
+    from hyperclass.loss import project_representation
+
+    return distance(project_representation(head, h), e_y)
+
+
 def per_node_label_training(tree, config):
     """Frozen reference for stage one: the per-node loop that batched
     training replaced, one Riemannian Adam step per node per pair, with
@@ -104,6 +123,79 @@ def per_node_label_training(tree, config):
             for name, grad in grads.items():
                 row = index[name]
                 vectors[row] = adam_step(states[name], vectors[row], grad, lr)
+        final_loss = epoch_loss / len(tree.edges)
+    return vectors, final_loss
+
+
+def batched_label_training(tree, config, pairs_per_step=10):
+    """Frozen reference for stage one in minibatches of pairs, as first
+    batched: every minibatch draws its own negatives, gathers the parents
+    and the other rows separately, finds its distinct rows with np.unique,
+    and steps a Riemannian Adam with separate m and v matrices whose
+    gradient rescaling, conformal factor and Mobius sum each recompute
+    ||theta||^2. Returns (vectors, final mean pair loss)."""
+    from hyperclass.ball import distance_and_grad, project_to_ball, random_ball_point
+    from hyperclass.hierarchy import negative_samples, negative_table
+
+    def sqnorm(x):
+        return np.vecdot(x, x)
+
+    def mobius_add(x, y):
+        xy, x2, y2 = np.vecdot(x, y), sqnorm(x), sqnorm(y)
+        num = (1.0 + 2.0 * xy + y2)[:, None] * x + (1.0 - x2)[:, None] * y
+        return project_to_ball(num / (1.0 + 2.0 * xy + x2 * y2)[:, None])
+
+    def exp_map(x, v):
+        r = np.sqrt(sqnorm(v))
+        nonzero = r >= 1e-12
+        r = np.where(nonzero, r, 1.0)
+        t = np.tanh(0.5 * (2.0 / (1.0 - sqnorm(x))) * r)
+        return mobius_add(x, np.where(nonzero, t / r, 0.0)[:, None] * v)
+
+    def label_loss(vectors, u, v, negatives):
+        others = np.column_stack((v, negatives))
+        dists, gu, gv = distance_and_grad(vectors[u][:, None, :], vectors[others])
+        scores = -dists
+        m = scores.max(axis=1, keepdims=True)
+        lse = m + np.log(np.sum(np.exp(scores - m), axis=1, keepdims=True))
+        loss = np.sum(dists[:, 0] + lse[:, 0])
+        coeff = -np.exp(scores - lse)
+        coeff[:, 0] += 1.0
+        terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
+        rows, inverse = np.unique(np.column_stack((u, others)).ravel(), return_inverse=True)
+        grads = np.zeros((len(rows), vectors.shape[1]))
+        np.add.at(grads, inverse, terms.reshape(-1, vectors.shape[1]))
+        return float(loss), rows, grads
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(config.seed)
+    vectors = np.stack([random_ball_point(rng, config.dim, config.init_radius) for _ in tree.nodes])
+    index = {name: i for i, name in enumerate(tree.nodes)}
+    parents = np.array([index[u] for u, _ in tree.edges], dtype=np.intp)
+    children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
+    table = negative_table(tree, (u for u, _ in tree.edges))
+    m, v = np.zeros_like(vectors), np.zeros_like(vectors)
+    steps = np.zeros(len(vectors), dtype=np.int64)
+    final_loss = None
+    for epoch in range(config.epochs):
+        lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
+        order = rng.permutation(len(tree.edges))
+        epoch_loss = 0.0
+        for start in range(0, len(order), pairs_per_step):
+            batch = order[start : start + pairs_per_step]
+            u = parents[batch]
+            negs = negative_samples(table, u, config.negatives, rng)
+            loss, rows, grads = label_loss(vectors, u, children[batch], negs)
+            theta = vectors[rows]
+            g = ((1.0 - sqnorm(theta)) ** 2 / 4.0)[:, None] * grads
+            t = steps[rows] + 1
+            steps[rows] = t
+            m[rows] = b1 * m[rows] + (1.0 - b1) * g
+            v[rows] = b2 * v[rows] + (1.0 - b2) * g * g
+            m_hat = m[rows] / (1.0 - b1**t)[:, None]
+            v_hat = v[rows] / (1.0 - b2**t)[:, None]
+            vectors[rows] = exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps))
+            epoch_loss += loss
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss
 

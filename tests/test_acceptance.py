@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_weighted_f1, numeric_grad, rel_err
+from helpers import brute_weighted_f1, distance_from_origin, hyper_weight, numeric_grad, rel_err
 from hyperclass.ball import (
     distance,
-    distance_from_origin,
     distance_grad,
     exp_map,
     log_map,
@@ -136,7 +135,7 @@ def test_gradient_suite():
             assert rel_err(grads[key], num) < 1e-4
 
     # distance weight
-    from hyperclass.loss import hyper_weight, hyper_weight_backward
+    from hyperclass.loss import hyper_weight_backward
 
     for trial in range(20):
         _, head, _, _, mat = small_text_setup(seed=trial)

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import numeric_grad, per_coordinate_tsv, per_node_label_training, rel_err
+from helpers import (
+    batched_label_training,
+    numeric_grad,
+    per_coordinate_tsv,
+    per_node_label_training,
+    rel_err,
+)
 from hyperclass.ball import MAX_NORM, random_ball_point
 from hyperclass.config import LabelEmbedConfig
+from hyperclass.data import default_synthetic_tree, make_family_tree
 from hyperclass.encoder import CHUNK_ROWS
 from hyperclass.errors import ConfigError, NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
@@ -17,7 +24,6 @@ from hyperclass.hierarchy import (
     export_embeddings_tsv,
     label_loss,
     load_embeddings_tsv,
-    load_tree,
     negative_candidates,
     negative_samples,
     negative_table,
@@ -40,6 +46,10 @@ BALANCED_LEAVES = [f"c{i}_{j}" for i in range(3) for j in range(3)]
 
 def balanced_tree(mode="expert", rng=None):
     return build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode=mode, rng=rng)
+
+
+def parrott_tree():
+    return build_tree(parse_taxonomy(bundled_taxonomy_path()), [])
 
 
 class TestParsing:
@@ -163,7 +173,7 @@ class TestBuildTree:
         cmap = tmp_path / "map.tsv"
         save_taxonomy(BALANCED_EDGES, tax)
         save_class_map([(leaf, leaf) for leaf in BALANCED_LEAVES], cmap)
-        tree = load_tree(tax, cmap)
+        tree = build_tree(parse_taxonomy(tax), [node for _, node in parse_class_map(cmap)])
         assert tree.edges == BALANCED_EDGES
         assert tree.class_leaves == BALANCED_LEAVES
         assert tree.num_classes == 9
@@ -359,6 +369,31 @@ class TestTrainLabelEmbeddings:
         assert abs(loss - ref_loss) <= 1e-9
         ref = LabelEmbeddings(nodes=tree.nodes, vectors=ref_vectors)
         assert reconstruction_map(emb, tree) == reconstruction_map(ref, tree)
+
+    @pytest.mark.parametrize(
+        "tree, cfg, pairs_per_step",
+        [
+            *(
+                (parrott_tree(), LabelEmbedConfig(dim=10, epochs=40, seed=seed), 10)
+                for seed in (1, 2, 3)
+            ),
+            (default_synthetic_tree()[0], LabelEmbedConfig(dim=10, epochs=300), 10),
+            (make_family_tree(5, 3)[0], LabelEmbedConfig(dim=6, epochs=30, seed=8), 10),
+            (balanced_tree(), LabelEmbedConfig(dim=5, epochs=40, negatives=4, seed=3), 1),
+        ],
+        ids=["parrott-1", "parrott-2", "parrott-3", "family-300", "twenty-edges", "one-pair"],
+    )
+    def test_matches_frozen_batched_reference_bitwise(self, tree, cfg, pairs_per_step, monkeypatch):
+        # One negative draw per epoch, one gather per batch, the mark-array
+        # row finder and the fused step move the same points as the trainer
+        # that drew, gathered and stepped each part on its own.
+        import hyperclass.hierarchy as hierarchy
+
+        monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", pairs_per_step)
+        ref_vectors, ref_loss = batched_label_training(tree, cfg, pairs_per_step)
+        emb, loss = train_label_embeddings(tree, cfg)
+        np.testing.assert_array_equal(emb.vectors, ref_vectors)
+        assert loss == ref_loss
 
     def test_nan_gradient_raises_numerical_error(self, monkeypatch):
         import hyperclass.hierarchy as hierarchy

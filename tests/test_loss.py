@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
-from hyperclass.ball import distance_from_origin, exp_map_origin, random_ball_point
+from helpers import cross_entropy, distance_from_origin, hyper_weight, numeric_grad, rel_err
+from hyperclass.ball import exp_map_origin, random_ball_point
 from hyperclass.errors import ConfigError
 from hyperclass.hierarchy import LabelEmbeddings
 from hyperclass.loss import (
     ClassifierHead,
     ce_batch,
     class_embedding_matrix,
-    cross_entropy,
-    hyper_weight,
     hyper_weight_backward,
     logits,
     predict,
