@@ -274,7 +274,10 @@ def load_checkpoint(path, expect_stage: str | None = None):
 
     token_to_index = field("vocab", dict)
     indices = list(token_to_index.values())
-    if not all(isinstance(i, int) for i in indices) or sorted(indices) != list(range(len(indices))):
+    if (
+        not all(isinstance(i, int) and not isinstance(i, bool) for i in indices)
+        or sorted(indices) != list(range(len(indices)))
+    ):
         raise CheckpointError(f"{path}: vocabulary indices are not 0..{len(token_to_index) - 1}")
     class_names = field("class_names", list)
     check_names("class_names", class_names)

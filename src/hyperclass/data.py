@@ -54,20 +54,23 @@ def load_dataset(path, label_names: list[str], split: str = "train") -> LabeledD
 def _rows(path):
     with open(path, encoding="utf-8") as fh:
         lineno = 0
-        for line in fh:
-            lineno += 1
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected text<TAB>label, got {len(parts)} fields"
-                )
-            text, label = parts
-            if not label:
-                raise DatasetError(f"{path}:{lineno}: empty label")
-            yield lineno, label, text
+        try:
+            for line in fh:
+                lineno += 1
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise DatasetError(
+                        f"{path}:{lineno}: expected text<TAB>label, got {len(parts)} fields"
+                    )
+                text, label = parts
+                if not label:
+                    raise DatasetError(f"{path}:{lineno}: empty label")
+                yield lineno, label, text
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:

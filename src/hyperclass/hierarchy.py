@@ -167,18 +167,22 @@ def _read_pairs(path, columns: str, first_node: int) -> list[tuple[str, str]]:
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TaxonomyError(f"{path}:{lineno}: expected {columns!r}, got {raw.rstrip()!r}")
-            row = (parts[0].strip(), parts[1].strip())
-            for name in row[first_node:]:
-                if not NODE_NAME_RE.match(name):
-                    raise TaxonomyError(f"{path}:{lineno}: invalid node name {name!r}")
-            rows.append(row)
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise TaxonomyError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise TaxonomyError(f"{path}:{lineno}: expected {columns!r}, got {raw.rstrip()!r}")
+        row = (parts[0].strip(), parts[1].strip())
+        for name in row[first_node:]:
+            if not NODE_NAME_RE.match(name):
+                raise TaxonomyError(f"{path}:{lineno}: invalid node name {name!r}")
+        rows.append(row)
     return rows
 
 

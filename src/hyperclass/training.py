@@ -42,7 +42,7 @@ from .encoder import (
 # Unused here, but kept importable as training.encode: the tracer test in
 # perfbench/test_perfbench.py checks that this import site is rebound.
 from .encoder import encode  # noqa: F401
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DatasetError, NumericalError
 from .hierarchy import LabelEmbeddings
 from .loss import ClassifierHead, ce_batch, class_embedding_matrix, predict, weighted_ce_batch
 from .metrics import EvalResult, evaluate
@@ -89,8 +89,12 @@ def train_classifier(
 ) -> TrainResult:
     """Stage-two trainer. For loss="wce", `labels` and `class_map` supply
     the frozen ball embedding for each class; for loss="ce" both may be
-    None. Dataset class order must match the class map order."""
+    None. Dataset class order must match the class map order. An empty
+    training or dev split is a DatasetError, raised before any training."""
     config.validate()
+    for role, ds in (("training", train_ds), ("dev", dev_ds)):
+        if not ds.samples:
+            raise DatasetError(f"the {role} split is empty")
     label_matrix = None
     if config.loss == "wce":
         if labels is None or class_map is None:

@@ -252,6 +252,12 @@ class TestInconsistentMeta:
         with pytest.raises(CheckpointError, match="vocabulary indices"):
             ckpt.load_checkpoint(classifier_path)
 
+    def test_boolean_vocab_indices(self, classifier_path):
+        # JSON false and true pass an int check and sort as 0 and 1.
+        rewrite_meta(classifier_path, lambda m: m["vocab"].update({"<unk>": False, "<pad>": True}))
+        with pytest.raises(CheckpointError, match="vocabulary indices"):
+            ckpt.load_checkpoint(classifier_path)
+
     def test_cli_reports_error_and_exits_1(self, classifier_path, tmp_path):
         rewrite_meta(classifier_path, lambda m: m["class_names"].append("c"))
         data = tmp_path / "data.tsv"

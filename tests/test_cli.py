@@ -140,6 +140,18 @@ class TestTrainLabels:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_non_utf8_taxonomy_is_one_line_error(self, ws, tmp_path):
+        bad = tmp_path / "tax.tsv"
+        bad.write_bytes((ws["data"] / "hierarchy.tsv").read_bytes() + b"root\t\xff\n")
+        code, _, err = run_cli(
+            ["train-labels", "--hierarchy", bad, "--class-map", ws["data"] / "class-map.tsv",
+             "--out", tmp_path / "x.ckpt"]
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestTrainClassifier:
     def test_progress_lines_are_json(self, ws):
@@ -225,6 +237,18 @@ class TestEvaluate:
         )
         assert code == 1
         assert "unknown label" in err
+
+    def test_non_utf8_data_is_one_line_error(self, ws, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes((ws["data"] / "test.tsv").read_bytes() + b"caf\xff\tfam0_leaf0\n")
+        code, _, err = run_cli(
+            ["evaluate", "--model", ws["clf_ckpt"], "--data", bad,
+             "--out-json", tmp_path / "e.json"]
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestExportEmbeddings:

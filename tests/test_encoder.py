@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import numeric_grad, per_token_ids, per_token_vocabulary, rel_err
 from hyperclass import encoder, optim
 from hyperclass.encoder import (
+    CHUNK_ROWS,
     PAD,
     UNK,
     EncoderModel,
@@ -116,6 +117,49 @@ class TestPerTokenReference:
         batch = tokenize_batch(vocab, all_texts)
         assert batch.ids.tolist() == [i for ids in expected for i in ids]
         assert batch.lengths.tolist() == [len(ids) for ids in expected]
+
+
+# Texts that leave no vocabulary token or only UNK: the cases where
+# tokenize_batch drops pieces or inserts PAD.
+ODD_TEXTS = {
+    "empty": "",
+    "whitespace": " \t \u3000 ",
+    "punctuation": "!!! ... --",
+    "out_of_vocabulary": "Zebra unicorn!",
+}
+
+
+class TestChunkBoundaries:
+    """tokenize_batch over more than two chunks of CHUNK_ROWS texts, against
+    the frozen per-token loop."""
+
+    def expect(self, vocab, texts):
+        expected = [per_token_ids(vocab.token_to_index, text) for text in texts]
+        lengths = [len(ids) for ids in expected]
+        batch = tokenize_batch(vocab, texts)
+        assert batch.ids.tolist() == [i for ids in expected for i in ids]
+        assert batch.lengths.tolist() == lengths
+        assert batch.offsets.tolist() == np.cumsum([0] + lengths[:-1]).tolist()
+
+    @pytest.mark.parametrize("kind", list(ODD_TEXTS))
+    def test_odd_texts_at_chunk_edges_and_filling_a_chunk(self, kind):
+        normal = ["the cat sat", "A dog ran.", "the, the dog", "cat !!!"]
+        texts = [normal[i % len(normal)] for i in range(3 * CHUNK_ROWS + 5)]
+        for edge in (0, CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 3 * CHUNK_ROWS - 1, len(texts) - 1):
+            texts[edge] = ODD_TEXTS[kind]
+        texts[CHUNK_ROWS : 2 * CHUNK_ROWS] = [ODD_TEXTS[kind]] * CHUNK_ROWS
+        self.expect(small_vocab(), texts)
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS])
+    def test_only_odd_texts(self, n):
+        odd = list(ODD_TEXTS.values())
+        self.expect(small_vocab(), [odd[i % len(odd)] for i in range(n)])
+
+    def test_empty_list(self):
+        batch = tokenize_batch(small_vocab(), [])
+        assert len(batch) == 0
+        for field in (batch.ids, batch.offsets, batch.lengths):
+            assert field.shape == (0,) and field.dtype == np.intp
 
 
 class TestEncoderModel:

@@ -5,6 +5,7 @@ import pytest
 
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree
+from hyperclass.errors import DatasetError
 from hyperclass.experiments import (
     STRUCTURELESS_RADIUS,
     mean_over_seeds,
@@ -106,6 +107,14 @@ class TestRunSyntheticPipeline:
         a = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
         b = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "fractions, empty",
+        [(dict(dev_fraction=0.0), "dev"), (dict(train_fraction=0.0), "training")],
+    )
+    def test_empty_split_is_dataset_error(self, fractions, empty):
+        with pytest.raises(DatasetError, match=f"the {empty} split is empty"):
+            run_synthetic_pipeline(1, loss="ce", spec=SynthSpec(**fractions))
 
 
 def test_mean_over_seeds():

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import dense_table_train_classifier
 from hyperclass.config import ClassifierConfig, SynthSpec
-from hyperclass.data import default_synthetic_tree, generate_synthetic
+from hyperclass.data import LabeledDataset, default_synthetic_tree, generate_synthetic
 from hyperclass.encoder import CHUNK_ROWS, EncoderModel, Vocabulary, encode, tokenize, tokenize_batch
-from hyperclass.errors import ConfigError, NumericalError
+from hyperclass.errors import ConfigError, DatasetError, NumericalError
 from hyperclass.hierarchy import LabelEmbeddings
 from hyperclass.loss import ClassifierHead, predict
 from hyperclass.training import evaluate_model, train_classifier
@@ -49,6 +49,18 @@ class TestConfigErrors:
         _, _, train, dev = tiny_data
         with pytest.raises(ConfigError, match="unknown loss"):
             train_classifier(train, dev, ClassifierConfig(loss="focal", **SMALL))
+
+
+class TestEmptySplits:
+    @pytest.mark.parametrize("empty", ["training", "dev"])
+    def test_named_before_training(self, tiny_data, empty):
+        _, _, train, dev = tiny_data
+        if empty == "training":
+            train = LabeledDataset([], train.label_names, "train")
+        else:
+            dev = LabeledDataset([], dev.label_names, "dev")
+        with pytest.raises(DatasetError, match=f"the {empty} split is empty"):
+            train_classifier(train, dev, ClassifierConfig(loss="ce", **SMALL))
 
 
 class TestNumericalErrors:
