@@ -82,11 +82,6 @@ def _conformal(x2: np.ndarray) -> np.ndarray:
     return 2.0 / (1.0 - x2)
 
 
-def conformal_factor(x: np.ndarray) -> np.ndarray:
-    """lambda_x = 2 / (1 - ||x||^2) per (..., d) point; always >= 2 inside the ball."""
-    return _conformal(_sqnorm(np.asarray(x, dtype=np.float64)))
-
-
 def riemannian_grad(
     x: np.ndarray, euclid_grad: np.ndarray, x2: np.ndarray | None = None
 ) -> np.ndarray:

@@ -149,15 +149,8 @@ def save_classifier_checkpoint(
     config: dict,
     seed: int,
 ) -> None:
-    arrays = {
-        "enc.embedding": model.embedding,
-        "enc.w1": model.w1,
-        "enc.b1": model.b1,
-        "head.w_c": head.w_c,
-        "head.b_c": head.b_c,
-        "head.w_p": head.w_p,
-        "head.b_p": head.b_p,
-    }
+    arrays = {f"enc.{k}": v for k, v in model.params().items()}
+    arrays |= {f"head.{k}": v for k, v in head.params().items()}
     meta = {
         "stage": STAGE_CLASSIFIER,
         "seed": seed,
@@ -290,16 +283,9 @@ def load_checkpoint(path, expect_stage: str | None = None):
                     f"{path}: {name} has shape {arrays[name].shape}, "
                     f"but the {axis} is {sizes[axis]}"
                 )
-    model = EncoderModel(
-        vocab=Vocabulary(token_to_index),
-        embedding=arrays["enc.embedding"],
-        w1=arrays["enc.w1"],
-        b1=arrays["enc.b1"],
-    )
-    head = ClassifierHead(
-        w_c=arrays["head.w_c"],
-        b_c=arrays["head.b_c"],
-        w_p=arrays["head.w_p"],
-        b_p=arrays["head.b_p"],
-    )
-    return ClassifierCheckpoint(model, head, class_names, config, seed)
+    parts: dict[str, dict[str, np.ndarray]] = {"enc": {}, "head": {}}
+    for name, arr in arrays.items():
+        owner, key = name.split(".")
+        parts[owner][key] = arr
+    model = EncoderModel(vocab=Vocabulary(token_to_index), **parts["enc"])
+    return ClassifierCheckpoint(model, ClassifierHead(**parts["head"]), class_names, config, seed)

@@ -43,12 +43,10 @@ from .errors import ConfigError, HyperclassError
 from .hierarchy import (
     MODES,
     build_tree,
-    export_embeddings_tsv,
     parse_class_map,
     parse_taxonomy,
     reconstruction_map,
-    save_class_map,
-    save_taxonomy,
+    save_pairs,
     train_label_embeddings,
     write_embeddings_tsv,
 )
@@ -67,6 +65,10 @@ def _default_seed() -> int:
 
 
 def cmd_train_labels(args: argparse.Namespace) -> int:
+    cfg = LabelEmbedConfig(
+        dim=args.dim, epochs=args.epochs, negatives=args.neg, lr=args.lr, seed=args.seed
+    )
+    cfg.validate()
     edges = parse_taxonomy(args.hierarchy)
     class_rows = parse_class_map(args.class_map)
     tree = build_tree(
@@ -75,14 +77,12 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
         mode=args.mode,
         rng=np.random.default_rng(args.seed),
     )
-    cfg = LabelEmbedConfig(
-        dim=args.dim, epochs=args.epochs, negatives=args.neg, lr=args.lr, seed=args.seed
-    )
-    cfg.validate()
     emb, final_loss = train_label_embeddings(tree, cfg)
     map_score = reconstruction_map(emb, tree)
     save_labels_checkpoint(args.out, emb, class_rows, cfg.to_dict(), args.seed)
-    write_atomic(str(args.out) + ".tsv", lambda p: export_embeddings_tsv(emb, p))
+    write_atomic(
+        str(args.out) + ".tsv", lambda p: write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)])
+    )
     print(json.dumps({"final_loss": final_loss, "map": map_score}))
     return 0
 
@@ -155,8 +155,8 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
     for ds in splits:
         write_atomic(out_dir / f"{ds.split}.tsv", lambda p, d=ds: save_dataset(d, p))
         counts[ds.split] = len(ds.samples)
-    write_atomic(out_dir / "hierarchy.tsv", lambda p: save_taxonomy(tree.edges, p))
-    write_atomic(out_dir / "class-map.tsv", lambda p: save_class_map(class_rows, p))
+    write_atomic(out_dir / "hierarchy.tsv", lambda p: save_pairs(tree.edges, p))
+    write_atomic(out_dir / "class-map.tsv", lambda p: save_pairs(class_rows, p))
     print(json.dumps({**counts, "classes": tree.num_classes, "out_dir": str(out_dir)}))
     return 0
 
@@ -166,14 +166,12 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     if isinstance(ck, LabelsCheckpoint):
         rows, dim = len(ck.emb.nodes), ck.emb.dim
         chunks = [(ck.emb.nodes, ck.emb.vectors)]
-    elif isinstance(ck, ClassifierCheckpoint):
-        if args.data is None:
-            raise ConfigError("exporting classifier projections requires --data")
+    elif args.data is None:
+        raise ConfigError("exporting classifier projections requires --data")
+    else:
         ds = load_dataset(args.data, ck.class_names, split="test")
         rows, dim = len(ds), ck.head.w_p.shape[1]
         chunks = _projection_chunks(ck, ds)
-    else:  # pragma: no cover - load_checkpoint rejects unknown stages
-        raise ConfigError("unsupported checkpoint stage")
     if args.space == "tangent":
         origin = np.zeros(dim)
         chunks = ((names, log_map(origin, vectors)) for names, vectors in chunks)

@@ -18,6 +18,12 @@ def _check_lr(lr: float) -> None:
         raise ConfigError(f"learning rate must be positive and finite, got {lr!r}")
 
 
+def _check_seed(seed: int) -> None:
+    # np.random.default_rng takes only non-negative integers.
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass
 class LabelEmbedConfig:
     """Stage 1: hyperbolic label embedding training."""
@@ -36,6 +42,7 @@ class LabelEmbedConfig:
         if min(self.dim, self.epochs, self.negatives) < 1:
             raise ConfigError("label embedding config requires positive dim/epochs/negatives")
         _check_lr(self.lr)
+        _check_seed(self.seed)
         if self.burn_in_epochs < 0:
             raise ConfigError(f"burn_in_epochs must be >= 0, got {self.burn_in_epochs!r}")
         # Each comparison below is also false for nan.
@@ -71,6 +78,7 @@ class ClassifierConfig:
         if min(self.d_tok, self.d_e, self.epochs, self.batch_size) < 1:
             raise ConfigError("classifier config requires positive dims/epochs/batch")
         _check_lr(self.lr)
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,6 +123,7 @@ class SynthSpec:
             raise ConfigError("all synthetic counts must be positive")
         if not 0 < self.train_fraction + self.dev_fraction < 1:
             raise ConfigError("train/dev fractions must leave room for a test split")
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

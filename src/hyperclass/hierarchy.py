@@ -5,10 +5,10 @@ class leaves (one tree node per classifier class). Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
 Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
 as in gensim's PoincareModel. Each epoch draws every pair's negatives in
-one call into one matrix of rows; each minibatch is a slice of it, one
-gather of its points, one batched loss and one step over the distinct
-rows it touches. The embeddings are then scored by how well
-nearest-neighbour ranking reconstructs the edges.
+one call into one matrix of rows; each minibatch is a slice of it that
+label_loss takes as it is: one gather of its points, one batched loss and
+one step over the distinct rows it touches. The embeddings are then
+scored by how well nearest-neighbour ranking reconstructs the edges.
 
 Embeddings and projections are written as TSV from (names, vectors)
 chunks, one formatting operation per row, so a caller can stream rows
@@ -45,7 +45,6 @@ class LabelTree:
     nodes: list[str]
     edges: list[tuple[str, str]]  # (parent, child)
     class_leaves: list[str]
-    mode: str = "expert"
 
     _children: dict[str, list[str]] = field(default_factory=dict, repr=False)
 
@@ -154,7 +153,7 @@ def build_tree(
         if rng is None:
             raise TaxonomyError("random mode requires an RNG (seeded) for the shuffle")
         final_edges = _shuffle_edges(list(edges), rng)
-    tree = LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves), mode=mode)
+    tree = LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
     validate_tree(tree)
     return tree
 
@@ -199,18 +198,12 @@ def parse_class_map(path) -> list[tuple[str, str]]:
     return rows
 
 
-def save_taxonomy(edges: list[tuple[str, str]], path) -> None:
-    """Inverse of parse_taxonomy."""
+def save_pairs(rows: list[tuple[str, str]], path) -> None:
+    """Inverse of parse_taxonomy and parse_class_map: one TAB-separated
+    pair per line, in order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for parent, child in edges:
-            fh.write(f"{parent}\t{child}\n")
-
-
-def save_class_map(rows: list[tuple[str, str]], path) -> None:
-    """Inverse of parse_class_map; row order defines class indices."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, node in rows:
-            fh.write(f"{label}\t{node}\n")
+        for first, second in rows:
+            fh.write(f"{first}\t{second}\n")
 
 
 def bundled_taxonomy_path(name: str = "parrott") -> Path:
@@ -281,27 +274,19 @@ def negative_samples(
     return flat[start[parents][:, None] + picks]
 
 
-def label_loss(
-    vectors: np.ndarray, u: int | np.ndarray, v: int | np.ndarray, negatives: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+def label_loss(vectors: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative-sampling softmax loss, summed over parent-child pairs of rows.
 
-    For each pair (u, v) with its negatives,
+    `idx` is a (B, 2+k) matrix of rows of `vectors`, one pair per row:
+    [u | v | negatives]. For each pair (u, v) with its negatives,
     loss = -log( e^{-d(u,v)} / sum_{v' in {v} + negatives} e^{-d(u,v')} ),
     evaluated with a row-wise log-sum-exp over one (B, 1+k) call that
-    gives the distances and their gradients.
-    `u` and `v` are (B,) row arrays and `negatives` is (B, k); a scalar u
-    and v with (k,) negatives is the one-pair case. The points are one
-    gather of the (B, 2+k) rows [u | v | negatives]. Returns the summed
-    loss, the distinct rows involved, sorted, and their (len(rows), d)
-    Euclidean gradients of the summed loss: a row that appears more than
-    once (a repeated negative, a parent shared by two pairs) gets the sum
-    of its terms.
+    gives the distances and their gradients. The points are one gather of
+    idx. Returns the summed loss, the distinct rows involved, sorted, and
+    their (len(rows), d) Euclidean gradients of the summed loss: a row that
+    appears more than once (a repeated negative, a parent shared by two
+    pairs) gets the sum of its terms.
     """
-    u = np.atleast_1d(u)
-    idx = np.concatenate(
-        (u[:, None], np.atleast_1d(v)[:, None], np.reshape(negatives, (len(u), -1))), axis=1
-    )
     points = vectors.take(idx, axis=0)
     dists, gu, gv = distance_and_grad(points[:, :1], points[:, 1:])
     scores = -dists
@@ -366,8 +351,7 @@ def train_label_embeddings(
         pairs = np.column_stack((u, children[order], negatives))
         epoch_loss = 0.0
         for batch_idx, start in enumerate(range(0, len(order), PAIRS_PER_STEP)):
-            batch = pairs[start : start + PAIRS_PER_STEP]
-            loss, rows, grads = label_loss(vectors, batch[:, 0], batch[:, 1], batch[:, 2:])
+            loss, rows, grads = label_loss(vectors, pairs[start : start + PAIRS_PER_STEP])
             try:
                 opt.step(rows, grads, lr=lr)
             except NumericalError as exc:
@@ -431,23 +415,24 @@ def write_embeddings_tsv(path, dim: int, chunks: Iterable[tuple[list[str], np.nd
             fh.writelines(row % (name, *coords) for name, coords in zip(names, vectors.tolist()))
 
 
-def export_embeddings_tsv(emb: LabelEmbeddings, path) -> None:
-    """write_embeddings_tsv of every node as one chunk."""
-    write_embeddings_tsv(path, emb.dim, [(emb.nodes, emb.vectors)])
-
-
 def load_embeddings_tsv(path) -> LabelEmbeddings:
-    """Inverse of export_embeddings_tsv."""
+    """Inverse of write_embeddings_tsv."""
+    nodes, rows = [], []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if not header or header[0] != "node":
-            raise TaxonomyError(f"{path}: not an embedding TSV (bad header)")
-        dim = len(header) - 1
-        nodes, rows = [], []
-        for lineno, raw in enumerate(fh, start=2):
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != dim + 1:
-                raise TaxonomyError(f"{path}:{lineno}: expected {dim + 1} columns")
-            nodes.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+        try:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[0] != "node":
+                raise TaxonomyError(f"{path}: not an embedding TSV (bad header)")
+            dim = len(header) - 1
+            for lineno, raw in enumerate(fh, start=2):
+                parts = raw.rstrip("\n").split("\t")
+                if len(parts) != dim + 1:
+                    raise TaxonomyError(f"{path}:{lineno}: expected {dim + 1} columns")
+                try:
+                    rows.append([float(x) for x in parts[1:]])
+                except ValueError as exc:
+                    raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
+                nodes.append(parts[0])
+        except UnicodeDecodeError as exc:
+            raise TaxonomyError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return LabelEmbeddings(nodes=nodes, vectors=np.array(rows, dtype=np.float64))

@@ -10,7 +10,8 @@ mean(w_i * ce_i) with gradients through both factors.
 
 `logits`, `predict`, `project_representation` and `hyper_weight_backward`
 take h as one (d_e,) row or an (n, d_e) batch; the batch losses compute
-every term and vector-Jacobian product on (n, .) arrays.
+every term and vector-Jacobian product on (n, .) arrays and return
+(total, grads): the float batch loss and its gradients.
 """
 
 from __future__ import annotations
@@ -50,20 +51,8 @@ class ClassifierHead:
             b_p=rng.uniform(-scale, scale, size=hyper_dim),
         )
 
-    @property
-    def num_classes(self) -> int:
-        return self.w_c.shape[1]
-
     def params(self) -> dict[str, np.ndarray]:
         return {"w_c": self.w_c, "b_c": self.b_c, "w_p": self.w_p, "b_p": self.b_p}
-
-
-@dataclass
-class LossReport:
-    """total = mean over the n samples of the batch of (effective weight_i) * ce_i."""
-
-    total: float
-    n: int
 
 
 def logits(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
@@ -116,8 +105,8 @@ def class_embedding_matrix(labels: LabelEmbeddings, class_leaves: list[str]) -> 
 
 def ce_batch(
     head: ClassifierHead, hs: np.ndarray, ys: np.ndarray
-) -> tuple[LossReport, dict[str, np.ndarray]]:
-    """Plain mean cross-entropy baseline: every weight is 1."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """total = (1/N) sum_i ce_i: the plain cross-entropy baseline, every weight 1."""
     n = hs.shape[0]
     ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
     dlogits /= n
@@ -128,7 +117,7 @@ def ce_batch(
         "b_p": np.zeros_like(head.b_p),
         "h": dlogits @ head.w_c.T,
     }
-    return LossReport(float(ces.mean()), n), grads
+    return float(ces.mean()), grads
 
 
 def weighted_ce_batch(
@@ -137,7 +126,7 @@ def weighted_ce_batch(
     ys: np.ndarray,
     label_matrix: np.ndarray,
     weight_norm: str = "none",
-) -> tuple[LossReport, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """total = (1/N) sum_i w_i * ce_i, with gradients through both factors.
 
     With weight_norm="batch-mean" the raw distances are divided by their
@@ -170,4 +159,4 @@ def weighted_ce_batch(
         "b_p": dv.sum(axis=0),
         "h": dlogits @ head.w_c.T + dtotal_dw[:, None] * dh_w,
     }
-    return LossReport(total, n), grads
+    return total, grads

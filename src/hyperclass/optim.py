@@ -13,10 +13,10 @@ each given id falls among them, for both stages: the tree-node rows of a
 stage-one batch and the token ids of a stage-two batch.
 
 Adam (Euclidean, for the encoder and classifier head, without weight
-decay) lives here too so both training stages share one home. Its
-moments and scratch are one flat buffer with a view per parameter, so the
-moment decay and the update pass are one array operation each over every
-parameter; over a `FlatParams` the final subtraction is one as well. A
+decay) lives here too so both training stages share one home. It steps a
+`FlatParams`, and its moments and scratch are one flat buffer laid out
+the same way, so the moment decay, the update pass and the final
+subtraction are one array operation each over every parameter. A
 parameter may take its gradient as rows (the embedding rows a text batch
 touched): the decay and update still cover every element, and only the
 adding of exact zeros to the other rows' moments is skipped, so every
@@ -125,18 +125,18 @@ def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndar
 
 
 class Adam:
-    """Plain Euclidean Adam over a dict of named parameter arrays.
+    """Plain Euclidean Adam over a FlatParams.
 
     Moments and parameters are updated in place through two scratch
     buffers, with the same floating-point operations in the same order as
     the textbook expressions, so results are bitwise those of the
     out-of-place form. m, v and the scratch are rows of one flat buffer
-    laid out in sorted key order; `m` and `v` map each key to its view.
+    laid out like `params.flat`; `m` and `v` map each key to its view.
     """
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: FlatParams,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -148,21 +148,14 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._keys = sorted(params)
-        self._flat = np.zeros((4, sum(np.size(p) for p in params.values())))
+        self._flat = np.zeros((4, len(params.flat)))
         self.m, self.v, self._a, _ = (_views(row, params) for row in self._flat)
-        flat = getattr(params, "flat", None)
-        # The final p -= update: one call over a FlatParams buffer (same
-        # layout as the moments), else one per parameter.
-        if flat is None:
-            self._updates = [(params[k], self._a[k]) for k in self._keys]
-        else:
-            self._updates = [(flat, self._flat[2])]
 
     def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None) -> None:
-        """One step. `rows` maps the key of a parameter whose gradient comes
-        as rows to their distinct indices along its first axis; grads[key]
-        then holds only those rows, and every other row's gradient is zero."""
+        """One step; `grads` needs every key of params. `rows` maps the key
+        of a parameter whose gradient comes as rows to their distinct
+        indices along its first axis; grads[key] then holds only those rows,
+        and every other row's gradient is zero."""
         rows = rows or {}
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
@@ -170,7 +163,7 @@ class Adam:
         m, v, a, b = self._flat
         m *= self.beta1
         v *= self.beta2
-        for key in self._keys:
+        for key in self.m:
             g = grads[key]
             if key in rows:
                 # m[r] = beta1 * m[r] + (1 - beta1) * g, and likewise v, on
@@ -196,5 +189,4 @@ class Adam:
         np.sqrt(b, out=b)
         b += self.eps
         a /= b
-        for p, update in self._updates:
-            p -= update
+        self.params.flat -= a

@@ -143,14 +143,14 @@ def train_classifier(
             hs, pooled = encode_batch_pooled(model, tokens)
             try:
                 if config.loss == "wce":
-                    report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
+                    total, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
                 else:
-                    report, grads = ce_batch(head, hs, ys)
-                if not np.isfinite(report.total):
+                    total, grads = ce_batch(head, hs, ys)
+                if not np.isfinite(total):
                     raise NumericalError("non-finite loss")
             except NumericalError as exc:
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
-            epoch_loss += report.total * len(ys)
+            epoch_loss += total * len(ys)
             enc_grads = encode_batch_backward(model, tokens, hs, grads["h"], pooled)
             rows, emb_grads = enc_grads.pop("embedding")
             step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}

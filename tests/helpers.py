@@ -53,6 +53,12 @@ def distance_from_origin(r):
     return 2.0 * float(np.arctanh(r))
 
 
+def conformal_factor(x):
+    """lambda_x = 2 / (1 - ||x||^2) per (..., d) point; always >= 2 inside the ball."""
+    x = np.asarray(x, dtype=np.float64)
+    return 2.0 / (1.0 - np.sum(x * x, axis=-1))
+
+
 def cross_entropy(c, y):
     """-log softmax(c)[y] for one logit row, by a max-shifted log-sum-exp."""
     shifted = np.asarray(c, dtype=float) - np.max(c)
@@ -357,10 +363,10 @@ def dense_table_train_classifier(train_ds, dev_ds, config, labels=None, class_ma
             ys = train_ys[batch]
             hs = encode_batch(model, tokens)
             if config.loss == "wce":
-                report, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
+                total, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
             else:
-                report, grads = ce_batch(head, hs, ys)
-            epoch_loss += report.total * len(batch)
+                total, grads = ce_batch(head, hs, ys)
+            epoch_loss += total * len(batch)
             step_grads = {f"enc.{k}": v for k, v in backward(model, tokens, hs, grads["h"]).items()}
             step_grads.update({f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")})
             adam_step(params, state, step_grads, config.lr)

@@ -109,11 +109,11 @@ def test_gradient_suite():
     # label-embedding loss
     for trial in range(20):
         vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in range(4)])
-        negatives = np.array([2, 3])  # rows: u=0, v=1, negatives a=2, b=3
-        _, rows, grads = label_loss(vectors, 0, 1, negatives)
+        idx = np.array([[0, 1, 2, 3]])  # rows: u=0, v=1, negatives a=2, b=3
+        _, rows, grads = label_loss(vectors, idx)
         assert rows.tolist() == [0, 1, 2, 3]
         for row, grad in zip(rows, grads):
-            num = numeric_grad(lambda: label_loss(vectors, 0, 1, negatives)[0], vectors[row])
+            num = numeric_grad(lambda: label_loss(vectors, idx)[0], vectors[row])
             assert rel_err(grad, num) < 1e-4
 
     # encoder
@@ -131,7 +131,7 @@ def test_gradient_suite():
         hs = np.random.default_rng(trial).standard_normal((4, 3)) * 0.5
         _, grads = ce_batch(head, hs, ys)
         for key in ("w_c", "b_c"):
-            num = numeric_grad(lambda: ce_batch(head, hs, ys)[0].total, head.params()[key])
+            num = numeric_grad(lambda: ce_batch(head, hs, ys)[0], head.params()[key])
             assert rel_err(grads[key], num) < 1e-4
 
     # distance weight
@@ -150,7 +150,7 @@ def test_gradient_suite():
 
         def total():
             hs = np.stack([encode(model, toks) for toks in tokens])
-            return weighted_ce_batch(head, hs, ys, mat, norm)[0].total
+            return weighted_ce_batch(head, hs, ys, mat, norm)[0]
 
         hs = np.stack([encode(model, toks) for toks in tokens])
         _, grads = weighted_ce_batch(head, hs, ys, mat, norm)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import distance_from_origin, numeric_grad, rel_err
+from helpers import conformal_factor, distance_from_origin, numeric_grad, rel_err
 from hyperclass.ball import (
     EPS_BALL,
     MAX_NORM,
-    conformal_factor,
     distance,
     distance_and_grad,
     distance_grad,

@@ -373,6 +373,29 @@ class TestSeedHandling:
         assert code == 0
         assert ckpt.load_checkpoint(out_path).seed == 7
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["synth-data", "train-labels", "train-classifier"])
+    def test_negative_seed_is_one_line_error(self, ws, tmp_path, monkeypatch, command, source):
+        data = ws["data"]
+        argv = {
+            "synth-data": ["synth-data", "--out-dir", tmp_path / "d"] + SMALL_DATA,
+            "train-labels": ["train-labels", "--hierarchy", data / "hierarchy.tsv", "--class-map",
+                             data / "class-map.tsv", "--dim", "3", "--epochs", "5",
+                             "--out", tmp_path / "x.ckpt"],
+            "train-classifier": ["train-classifier", "--train", data / "train.tsv", "--dev",
+                                 data / "dev.tsv", "--labels-ckpt", ws["labels_ckpt"],
+                                 "--out", tmp_path / "x.ckpt"] + SMALL_CLF,
+        }[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("HYPERCLASS_SEED", "-1")
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_env_seed_is_runtime_error(self, monkeypatch):
         monkeypatch.setenv("HYPERCLASS_SEED", "not-a-number")
         code, _, err = run_cli(["synth-data", "--out-dir", "unused"])

@@ -8,6 +8,13 @@ from hyperclass.errors import ConfigError
 INF, NAN = float("inf"), float("nan")
 
 
+@pytest.mark.parametrize("config", [LabelEmbedConfig, ClassifierConfig, SynthSpec])
+def test_negative_seed_rejected(config):
+    config(seed=0).validate()
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        config(seed=-1).validate()
+
+
 class TestLabelEmbedConfig:
     def test_defaults_valid(self):
         LabelEmbedConfig().validate()

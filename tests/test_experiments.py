@@ -5,7 +5,7 @@ import pytest
 
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree
-from hyperclass.errors import DatasetError
+from hyperclass.errors import ConfigError, DatasetError
 from hyperclass.experiments import (
     STRUCTURELESS_RADIUS,
     mean_over_seeds,
@@ -115,6 +115,11 @@ class TestRunSyntheticPipeline:
     def test_empty_split_is_dataset_error(self, fractions, empty):
         with pytest.raises(DatasetError, match=f"the {empty} split is empty"):
             run_synthetic_pipeline(1, loss="ce", spec=SynthSpec(**fractions))
+
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            run_synthetic_pipeline(-1)
 
 
 def test_mean_over_seeds():

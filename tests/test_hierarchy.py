@@ -21,7 +21,6 @@ from hyperclass.hierarchy import (
     LabelTree,
     build_tree,
     bundled_taxonomy_path,
-    export_embeddings_tsv,
     label_loss,
     load_embeddings_tsv,
     negative_candidates,
@@ -31,8 +30,7 @@ from hyperclass.hierarchy import (
     parse_class_map,
     parse_taxonomy,
     reconstruction_map,
-    save_class_map,
-    save_taxonomy,
+    save_pairs,
     train_label_embeddings,
     validate_tree,
     write_embeddings_tsv,
@@ -89,13 +87,13 @@ class TestParsing:
 
     def test_save_taxonomy_round_trip(self, tmp_path):
         p = tmp_path / "tax.tsv"
-        save_taxonomy(BALANCED_EDGES, p)
+        save_pairs(BALANCED_EDGES, p)
         assert parse_taxonomy(p) == BALANCED_EDGES
 
     def test_save_class_map_round_trip(self, tmp_path):
         rows = [("label-0", "c0_0"), ("label-1", "c1_2")]
         p = tmp_path / "map.tsv"
-        save_class_map(rows, p)
+        save_pairs(rows, p)
         assert parse_class_map(p) == rows
 
 
@@ -171,8 +169,8 @@ class TestBuildTree:
     def test_load_tree_from_files(self, tmp_path):
         tax = tmp_path / "tax.tsv"
         cmap = tmp_path / "map.tsv"
-        save_taxonomy(BALANCED_EDGES, tax)
-        save_class_map([(leaf, leaf) for leaf in BALANCED_LEAVES], cmap)
+        save_pairs(BALANCED_EDGES, tax)
+        save_pairs([(leaf, leaf) for leaf in BALANCED_LEAVES], cmap)
         tree = build_tree(parse_taxonomy(tax), [node for _, node in parse_class_map(cmap)])
         assert tree.edges == BALANCED_EDGES
         assert tree.class_leaves == BALANCED_LEAVES
@@ -241,8 +239,7 @@ class TestLabelLoss:
         """label_loss on named 2-D points: u, v, then the named negatives."""
         names = list(points)
         vectors = np.array([points[n] for n in names], dtype=np.float64)
-        neg_rows = np.array([names.index(n) for n in negatives])
-        return label_loss(vectors, names.index("u"), names.index("v"), neg_rows)
+        return label_loss(vectors, np.array([[names.index(n) for n in ["u", "v", *negatives]]]))
 
     def test_symmetric_pair_gives_ln2(self):
         loss, _, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.3, 0.0], "n": [-0.3, 0.0]}, ["n"])
@@ -266,12 +263,12 @@ class TestLabelLoss:
         rng = np.random.default_rng(7)
         names = ["u", "v", "a", "b", "c"]
         vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in names])
-        neg_rows = np.array([names.index(n) for n in negatives])
-        _, rows, grads = label_loss(vectors, 0, 1, neg_rows)
+        idx = np.array([[names.index(n) for n in ["u", "v", *negatives]]])
+        _, rows, grads = label_loss(vectors, idx)
         # Distinct rows, sorted, duplicates summed.
-        assert rows.tolist() == sorted({0, 1, *neg_rows.tolist()})
+        assert rows.tolist() == sorted(set(idx.ravel().tolist()))
         for row, grad in zip(rows, grads):
-            num = numeric_grad(lambda: label_loss(vectors, 0, 1, neg_rows)[0], vectors[row])
+            num = numeric_grad(lambda: label_loss(vectors, idx)[0], vectors[row])
             assert rel_err(grad, num) < 1e-4
 
     def test_batch_is_the_sum_of_its_pairs(self):
@@ -282,8 +279,9 @@ class TestLabelLoss:
         u = np.array([0, 1, 0, 5])
         v = np.array([1, 2, 3, 6])
         negatives = np.array([[4, 4, 5, 8], [0, 4, 7, 7], [2, 8, 8, 8], [0, 1, 4, 2]])
-        loss, rows, grads = label_loss(vectors, u, v, negatives)
-        per_pair = [label_loss(vectors, *pair) for pair in zip(u, v, negatives)]
+        idx = np.column_stack((u, v, negatives))
+        loss, rows, grads = label_loss(vectors, idx)
+        per_pair = [label_loss(vectors, pair[None]) for pair in idx]
         assert abs(loss - sum(p[0] for p in per_pair)) <= 1e-12
         assert rows.tolist() == sorted({*u.tolist(), *v.tolist(), *negatives.ravel().tolist()})
         expected = np.zeros((vectors.shape[0], vectors.shape[1]))
@@ -316,9 +314,9 @@ class TestTrainLabelEmbeddings:
         assert hierarchy.PAIRS_PER_STEP == 10
         sizes = []
 
-        def counted(vectors, u, v, negatives):
-            sizes.append(len(u))
-            return label_loss(vectors, u, v, negatives)
+        def counted(vectors, idx):
+            sizes.append(len(idx))
+            return label_loss(vectors, idx)
 
         monkeypatch.setattr(hierarchy, "label_loss", counted)
         tree = build_tree(parse_taxonomy(bundled_taxonomy_path()), [])
@@ -400,8 +398,8 @@ class TestTrainLabelEmbeddings:
 
         calls = []
 
-        def poisoned(vectors, u, v, negatives):
-            loss, rows, grads = label_loss(vectors, u, v, negatives)
+        def poisoned(vectors, idx):
+            loss, rows, grads = label_loss(vectors, idx)
             calls.append(1)
             if len(calls) == 2:
                 grads[0, 0] = np.nan
@@ -479,7 +477,7 @@ class TestEmbeddingTsv:
             vectors=rng.uniform(-0.99, 0.99, size=(3, 5)),
         )
         p = tmp_path / "emb.tsv"
-        export_embeddings_tsv(emb, p)
+        write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)])
         back = load_embeddings_tsv(p)
         assert back.nodes == emb.nodes
         np.testing.assert_array_equal(back.vectors, emb.vectors)
@@ -511,6 +509,18 @@ class TestEmbeddingTsv:
         p = tmp_path / "emb.tsv"
         p.write_text("node\tdim0\tdim1\na\t0.5\n")
         with pytest.raises(TaxonomyError, match=r"emb\.tsv:2"):
+            load_embeddings_tsv(p)
+
+    def test_not_utf8_is_named(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_bytes(b"node\tdim0\na\xff\t0.5\n")
+        with pytest.raises(TaxonomyError, match=r"emb\.tsv: not UTF-8 text"):
+            load_embeddings_tsv(p)
+
+    def test_bad_coordinate_names_line(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("node\tdim0\tdim1\na\t0.5\t0.25\nb\t0.5\tx\n")
+        with pytest.raises(TaxonomyError, match=r"emb\.tsv:3: could not convert string to float: 'x'"):
             load_embeddings_tsv(p)
 
 

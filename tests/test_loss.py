@@ -139,11 +139,10 @@ class TestCeBatch:
     def test_total_is_mean_and_weights_one(self):
         head = make_head()
         hs, ys = batch_inputs()
-        report, _ = ce_batch(head, hs, ys)
+        total, _ = ce_batch(head, hs, ys)
         ces = [cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))]
         # Every weight is 1: the total is the plain mean.
-        assert abs(report.total - np.mean(ces)) < 1e-12
-        assert report.n == len(ys)
+        assert abs(total - np.mean(ces)) < 1e-12
 
     def test_gradients_match_finite_differences(self):
         head = make_head()
@@ -151,7 +150,7 @@ class TestCeBatch:
         _, grads = ce_batch(head, hs, ys)
 
         def f():
-            return ce_batch(head, hs, ys)[0].total
+            return ce_batch(head, hs, ys)[0]
 
         for key in ("w_c", "b_c"):
             num = numeric_grad(f, head.params()[key])
@@ -177,19 +176,19 @@ class TestWeightedCeBatch:
         head = make_head()
         hs, ys = batch_inputs()
         mat = self.label_matrix()
-        report, _ = weighted_ce_batch(head, hs, ys, mat)
+        total, _ = weighted_ce_batch(head, hs, ys, mat)
         ces = [cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))]
         ws = [hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))]
-        assert abs(report.total - np.mean(np.multiply(ces, ws))) < 1e-12
+        assert abs(total - np.mean(np.multiply(ces, ws))) < 1e-12
 
     def test_batch_mean_weights_average_to_one(self):
         head = make_head()
         hs, ys = batch_inputs()
         mat = self.label_matrix()
-        report, _ = weighted_ce_batch(head, hs, ys, mat, "batch-mean")
+        total, _ = weighted_ce_batch(head, hs, ys, mat, "batch-mean")
         ces = np.array([cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))])
         raw = np.array([hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))])
-        assert abs(report.total - np.mean(raw / raw.mean() * ces)) < 1e-12
+        assert abs(total - np.mean(raw / raw.mean() * ces)) < 1e-12
 
     @pytest.mark.parametrize("norm", ["none", "batch-mean"])
     def test_gradients_match_finite_differences(self, norm):
@@ -199,7 +198,7 @@ class TestWeightedCeBatch:
         _, grads = weighted_ce_batch(head, hs, ys, mat, norm)
 
         def f():
-            return weighted_ce_batch(head, hs, ys, mat, norm)[0].total
+            return weighted_ce_batch(head, hs, ys, mat, norm)[0]
 
         for key in ("w_c", "b_c", "w_p", "b_p"):
             num = numeric_grad(f, head.params()[key])
@@ -222,9 +221,9 @@ class TestWeightedCeBatch:
         head = make_head(m=2)
         h = np.zeros((1, 4))
         mat = np.stack([exp_map_origin(head.b_p), np.array([0.5, 0.0])])
-        report, grads = weighted_ce_batch(head, h, np.array([0]), mat)
+        total, grads = weighted_ce_batch(head, h, np.array([0]), mat)
         assert hyper_weight(head, h[0], mat[0]) == 0.0
-        assert report.total == 0.0
+        assert total == 0.0
         np.testing.assert_array_equal(grads["w_c"], 0.0)
         np.testing.assert_array_equal(grads["b_c"], 0.0)
 
@@ -244,9 +243,9 @@ class TestWeightedCeBatch:
         r = np.tanh(0.5)  # d(0, (r,0)) = 2 artanh(r) = 1.0
         mat = np.stack([[r, 0.0], [0.0, r], [-r, 0.0]])
         hs, ys = batch_inputs()
-        w_report, w_grads = weighted_ce_batch(head, hs, ys, mat)
-        c_report, c_grads = ce_batch(head, hs, ys)
-        assert abs(w_report.total - c_report.total) < 1e-12
+        w_total, w_grads = weighted_ce_batch(head, hs, ys, mat)
+        c_total, c_grads = ce_batch(head, hs, ys)
+        assert abs(w_total - c_total) < 1e-12
         np.testing.assert_allclose(w_grads["w_c"], c_grads["w_c"], atol=1e-12)
         np.testing.assert_allclose(w_grads["b_c"], c_grads["b_c"], atol=1e-12)
 
@@ -296,9 +295,9 @@ class TestBatchedAgainstLoop:
     def test_ce_batch(self):
         head = make_head(d_e=5, m=4, seed=7)
         hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=8)
-        report, grads = ce_batch(head, hs, ys)
+        got, grads = ce_batch(head, hs, ys)
         total, expected = loop_reference(head, hs, ys)
-        assert abs(report.total - total) < 1e-12
+        assert abs(got - total) < 1e-12
         for key, arr in expected.items():
             np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
 
@@ -307,9 +306,9 @@ class TestBatchedAgainstLoop:
         head = make_head(d_e=5, m=4, h_d=3, seed=9)
         hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=10)
         mat = TestWeightedCeBatch.label_matrix(m=4, h_d=3, seed=11)
-        report, grads = weighted_ce_batch(head, hs, ys, mat, norm)
+        got, grads = weighted_ce_batch(head, hs, ys, mat, norm)
         total, expected = loop_reference(head, hs, ys, mat, norm)
-        assert abs(report.total - total) < 1e-12
+        assert abs(got - total) < 1e-12
         for key, arr in expected.items():
             np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
 
@@ -317,10 +316,9 @@ class TestBatchedAgainstLoop:
         head = make_head()
         hs, ys = batch_inputs(n=1)
         mat = TestWeightedCeBatch.label_matrix()
-        report, _ = weighted_ce_batch(head, hs, ys, mat)
-        assert report.n == 1
+        total, _ = weighted_ce_batch(head, hs, ys, mat)
         expected = hyper_weight(head, hs[0], mat[ys[0]]) * cross_entropy(logits(head, hs[0]), int(ys[0]))
-        assert abs(report.total - expected) < 1e-12
+        assert abs(total - expected) < 1e-12
 
     def test_predict_rows_match_single_calls(self):
         head = make_head(m=5, seed=12)

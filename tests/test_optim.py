@@ -1,6 +1,7 @@
 """Riemannian SGD/Adam on ball parameters and Euclidean Adam."""
 
 import numpy as np
+import pytest
 
 from helpers import rel_err
 from hyperclass.ball import MAX_NORM, distance, distance_grad, exp_map, random_ball_point, riemannian_grad
@@ -181,7 +182,7 @@ class TestRadam:
 class TestEuclideanAdam:
     def test_minimizes_quadratic(self):
         target = np.array([1.0, -2.0, 0.5])
-        params = {"x": np.zeros(3)}
+        params = FlatParams({"x": np.zeros(3)})
         opt = Adam(params, lr=0.05)
         for _ in range(500):
             opt.step({"x": 2.0 * (params["x"] - target)})
@@ -190,7 +191,7 @@ class TestEuclideanAdam:
     def test_deterministic_across_runs(self):
         results = []
         for _ in range(2):
-            params = {"b": np.ones(2), "a": np.full(2, -1.0)}
+            params = FlatParams({"b": np.ones(2), "a": np.full(2, -1.0)})
             opt = Adam(params, lr=0.01)
             for t in range(20):
                 opt.step({"a": params["a"] * 0.1 + t, "b": params["b"] * 0.2 - t})
@@ -199,7 +200,7 @@ class TestEuclideanAdam:
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
     def test_updates_in_place(self):
-        params = {"x": np.zeros(2)}
+        params = FlatParams({"x": np.zeros(2)})
         view = params["x"]
         opt = Adam(params, lr=0.1)
         opt.step({"x": np.ones(2)})
@@ -210,7 +211,7 @@ class TestEuclideanAdam:
         rng = np.random.default_rng(4)
         shapes = {"emb": (40, 6), "w": (6, 3), "b": (3,)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        params = {k: v.copy() for k, v in start.items()}
+        params = FlatParams(start)
         ref = {k: v.copy() for k, v in start.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
@@ -232,15 +233,14 @@ class TestEuclideanAdam:
             np.testing.assert_array_equal(opt.v[k], v[k])
 
     def test_row_gradients_are_bitwise_the_zero_filled_dense_step(self):
-        # One optimizer takes the embedding gradient as rows over a
-        # FlatParams, the other the same gradient as a zero-filled table
-        # over separate arrays. Row 0 is touched twice, 450 steps apart;
-        # rows 40-49 never; some steps touch no row at all.
+        # One optimizer takes the embedding gradient as rows, the other the
+        # same gradient as a zero-filled table. Row 0 is touched twice, 450
+        # steps apart; rows 40-49 never; some steps touch no row at all.
         rng = np.random.default_rng(5)
         shapes = {"emb": (50, 6), "w": (6, 3), "b": (3,)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
         sparse = FlatParams(start)
-        dense = {k: v.copy() for k, v in start.items()}
+        dense = FlatParams(start)
         opt_sparse = Adam(sparse, lr=0.02)
         opt_dense = Adam(dense, lr=0.02)
         for step in range(600):
@@ -262,6 +262,15 @@ class TestEuclideanAdam:
             np.testing.assert_array_equal(opt_sparse.v[k], opt_dense.v[k])
         assert not opt_sparse.m["emb"][40:].any() and (sparse["emb"][40:] == start["emb"][40:]).all()
         assert (sparse["emb"][0] != start["emb"][0]).all()
+
+    def test_missing_gradient_raises(self):
+        # A parameter without a gradient is an error, not a parameter left
+        # out of the step.
+        params = FlatParams({"w": np.ones(2), "b": np.ones(1)})
+        opt = Adam(params, lr=0.1)
+        with pytest.raises(KeyError, match="w"):
+            opt.step({"b": np.ones(1)})
+        assert params.flat.tolist() == [1.0, 1.0, 1.0]
 
     def test_flat_params_are_views_of_one_buffer(self):
         arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}

@@ -72,9 +72,9 @@ class TestNumericalErrors:
         real = training.ce_batch
 
         def poisoned(head, hs, ys):
-            report, grads = real(head, hs, ys)
+            total, grads = real(head, hs, ys)
             grads["w_c"][0, 0] = np.nan
-            return report, grads
+            return total, grads
 
         monkeypatch.setattr(training, "ce_batch", poisoned)
         _, _, train, dev = tiny_data
@@ -95,10 +95,10 @@ class TestNumericalErrors:
         assert last_batch_size
 
         def poisoned(head, hs, ys):
-            report, grads = real(head, hs, ys)
+            total, grads = real(head, hs, ys)
             if len(ys) == last_batch_size:
                 grads["b_c"][0] = np.nan
-            return report, grads
+            return total, grads
 
         monkeypatch.setattr(training, "ce_batch", poisoned)
         # The check must come before the parameters are scored.
