@@ -54,15 +54,22 @@ def project_to_ball(p: np.ndarray) -> np.ndarray:
     Rows already inside are returned unchanged; anything else is rescaled
     radially. Non-finite input raises NumericalError.
     """
+    return _project(p)[0]
+
+
+def _project(p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(project_to_ball(p), ||p||^2), the squared norms only when no row
+    moved (else None), for a caller that needs them next."""
     p = np.asarray(p, dtype=np.float64)
-    norm = np.sqrt(_sqnorm(p))
+    p2 = _sqnorm(p)
+    norm = np.sqrt(p2)
     # A non-finite row has a nan or inf norm, so it never passes this test.
     if (norm <= MAX_NORM).all():
-        return p
+        return p, p2
     if not np.isfinite(p).all():
         raise NumericalError("point has non-finite components")
     # Inside rows are scaled by exactly 1.0, outside rows by MAX_NORM / norm.
-    return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p)
+    return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p), None
 
 
 # The kernels below accept x2 = ||x||^2 of their base points, so a caller
@@ -133,27 +140,29 @@ def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _scale_rows(np.where(nonzero, (2.0 / _conformal(x2)) * artanh / r, 0.0), w)
 
 
-def _distance(x: np.ndarray, y: np.ndarray, with_grad: bool):
-    """(d, dd/dx, dd/dy) from one set of shared terms (differences, three
-    squared norms and the arcosh argument); the partials are None unless
-    with_grad. d is a float for two 1-D points."""
-    x = np.asarray(x, dtype=np.float64)
+def _distance(x: np.ndarray, y: np.ndarray, partials: int = 0, x2: np.ndarray | None = None):
+    """(d, *partials): d and the first `partials` of (dd/dx, dd/dy), from
+    one set of shared terms (differences, three squared norms and the
+    arcosh argument). d is a float for two 1-D points."""
+    x, x2 = _with_sqnorm(x, x2)
     y = np.asarray(y, dtype=np.float64)
     diff = x - y
     a = _sqnorm(diff)
-    b = 1.0 - _sqnorm(x)
+    b = 1.0 - x2
     c = 1.0 - _sqnorm(y)
     bc = b * c
     arg = 1.0 + 2.0 * a / bc
     d = np.arccosh(np.maximum(arg, 1.0))
     d = float(d) if d.ndim == 0 else d
-    if not with_grad:
-        return d, None, None
+    if not partials:
+        return (d,)
     # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
     root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
     smooth = root >= EPS_DIV
     common = np.divide(4.0, bc * root, out=np.zeros_like(root), where=smooth)
     gx = _scale_rows(common, diff + _scale_rows(a / b, x))
+    if partials == 1:
+        return d, gx
     gy = _scale_rows(common, _scale_rows(a / c, y) - diff)
     return d, gx, gy
 
@@ -165,7 +174,7 @@ def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     give a float. The arcosh argument is clamped to >= 1 so cancellation
     near x == y yields 0 instead of NaN.
     """
-    return _distance(x, y, False)[0]
+    return _distance(x, y)[0]
 
 
 def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +184,7 @@ def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Where x == y (within EPS_DIV) the distance is not differentiable; the
     zero subgradient is returned for both arguments of that row.
     """
-    return _distance(x, y, True)[1:]
+    return _distance(x, y, 2)[1:]
 
 
 def distance_and_grad(
@@ -183,33 +192,46 @@ def distance_and_grad(
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """(distance, dd/dx, dd/dy) from one pass over the shared terms, for
     callers that need both; bitwise those of `distance` and `distance_grad`."""
-    return _distance(x, y, True)
+    return _distance(x, y, 2)
 
 
 def exp_map_origin(v: np.ndarray) -> np.ndarray:
     """exp_0(v) = tanh(||v||) * v / ||v|| for (..., d) tangent vectors at the
     origin; a zero row maps to the origin."""
-    v = np.asarray(v, dtype=np.float64)
-    r, nonzero = _row_norms(v)
-    return project_to_ball(_scale_rows(np.where(nonzero, np.tanh(r) / r, 0.0), v))
+    return _exp_map_origin(np.asarray(v, dtype=np.float64))[0]
 
 
-def exp_map_origin_vjp(v: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of exp_map_origin: maps d/dp into d/dv, row by row.
-
-    With s(r) = tanh(r)/r the Jacobian is s(r) I + (s'(r)/r) v v^T. The
-    r -> 0 limit is the identity. The radial clamp in exp_map_origin only
-    activates for tanh(r) > 1 - EPS_BALL (r > ~6), where the smooth part
-    of the Jacobian is already ~1e-10; the clamp is treated as identity.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+def _exp_map_origin(v: np.ndarray):
+    """(exp_0(v), its squared norms or None as from _project, and the row
+    terms (r, nonzero, tanh(r), tanh(r) / r) of v that the VJP reuses)."""
     r, nonzero = _row_norms(v)
     t = np.tanh(r)
-    s = np.where(nonzero, t / r, 1.0)
+    s = t / r
+    z, z2 = _project(_scale_rows(np.where(nonzero, s, 0.0), v))
+    return z, z2, (r, nonzero, t, s)
+
+
+def exp_origin_distance_and_grad(
+    v: np.ndarray, y: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """(d, dd/dv) for d = distance(exp_map_origin(v), y), with y frozen,
+    row by row over (..., d) tangent vectors v at the origin.
+
+    Each shared term is computed once: the row norms and tanh of v serve
+    the map and its VJP, and ||exp_0(v)||^2 serves the clamp and the
+    distance. With s(r) = tanh(r)/r the Jacobian of exp_0 is
+    s(r) I + (s'(r)/r) v v^T, and its r -> 0 limit is the identity. The
+    radial clamp only activates for tanh(r) > 1 - EPS_BALL (r > ~6), where
+    the smooth part of the Jacobian is already ~1e-10; the clamp is
+    treated as identity.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    z, z2, (r, nonzero, t, s) = _exp_map_origin(v)
+    d, dz = _distance(z, y, 1, z2)
+    s = np.where(nonzero, s, 1.0)
     # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
     ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)
-    return _scale_rows(s, grad_out) + _scale_rows(ds_over_r * np.vecdot(v, grad_out), v)
+    return d, _scale_rows(s, dz) + _scale_rows(ds_over_r * np.vecdot(v, dz), v)
 
 
 def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> np.ndarray:

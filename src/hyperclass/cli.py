@@ -2,7 +2,8 @@
 stages, evaluation, and embedding export.
 
 Exit codes: 0 success, 1 named runtime error, 2 usage error (argparse).
-`HYPERCLASS_SEED` sets the default seed; an explicit --seed wins. Every
+`HYPERCLASS_SEED` sets the default seed of the subcommands that take
+--seed, and only they read it; an explicit --seed wins. Every
 output file is written to a temp path in the destination directory and
 renamed into place, so failed runs leave no partial artifacts.
 """
@@ -149,6 +150,11 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
     )
     spec.validate()
     splits = generate_synthetic(tree, spec)
+    empty = [ds.split for ds in splits if not ds.samples]
+    if empty:
+        raise ConfigError(
+            f"--samples-per-class {spec.samples_per_class} leaves empty splits: {', '.join(empty)}"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
@@ -198,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hierarchy-aware text classification on the Poincare ball.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("train-labels", help="stage 1: train hyperbolic label embeddings")
     p.add_argument("--hierarchy", required=True, help="taxonomy TSV: parent<TAB>child")
@@ -208,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--neg", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
     p.add_argument("--out", required=True, help="checkpoint path; TSV written to <out>.tsv")
     p.set_defaults(func=cmd_train_labels)
 
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--d-tok", type=int, default=64)
     p.add_argument("--d-e", type=int, default=128)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_classifier)
 
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-class", type=int, default=SynthSpec.samples_per_class)
     p.add_argument("--family-pool", type=int, default=SynthSpec.family_pool_size)
     p.add_argument("--leaf-pool", type=int, default=SynthSpec.leaf_pool_size)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser(
@@ -263,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         # Non-finite training values end as NumericalError; numpy's own
         # floating-point warnings would only add lines to that message.
         with np.errstate(all="ignore"):

@@ -217,7 +217,7 @@ class EncoderModel:
 
 
 def _pool(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
-    sums = np.add.reduceat(model.embedding[batch.ids], batch.offsets, axis=0)
+    sums = np.add.reduceat(model.embedding.take(batch.ids, axis=0), batch.offsets, axis=0)
     return sums / batch.lengths[:, None]
 
 

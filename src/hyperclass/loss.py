@@ -11,7 +11,10 @@ mean(w_i * ce_i) with gradients through both factors.
 `logits`, `predict`, `project_representation` and `hyper_weight_backward`
 take h as one (d_e,) row or an (n, d_e) batch; the batch losses compute
 every term and vector-Jacobian product on (n, .) arrays and return
-(total, grads): the float batch loss and its gradients.
+(total, grads): the float batch loss and its gradients. The weight and
+its gradient come from one ball kernel, `exp_origin_distance_and_grad`,
+which computes each term the exponential map, the distance and their
+backward passes share once, and no gradient for the frozen label points.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import distance_and_grad, exp_map_origin, exp_map_origin_vjp
+from .ball import exp_map_origin, exp_origin_distance_and_grad
 from .config import WEIGHT_NORMS
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
@@ -88,9 +91,7 @@ def hyper_weight_backward(
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Returns (w, dw/d(tangent vector), dw/dh) per row; the label point is frozen."""
     v = h @ head.w_p + head.b_p
-    z = exp_map_origin(v)
-    w, dz, _ = distance_and_grad(z, e_y)
-    dv = exp_map_origin_vjp(v, dz)
+    w, dv = exp_origin_distance_and_grad(v, e_y)
     return w, dv, dv @ head.w_p.T
 
 

@@ -20,7 +20,12 @@ subtraction are one array operation each over every parameter. A
 parameter may take its gradient as rows (the embedding rows a text batch
 touched): the decay and update still cover every element, and only the
 adding of exact zeros to the other rows' moments is skipped, so every
-parameter stays bitwise the textbook update.
+parameter stays bitwise the textbook update. The dense gradients are
+copied into one scratch row laid out like the parameters, so their moment
+updates run once per span of consecutive dense keys, not once per key;
+and once the first bias correction 1 - beta1**t rounds to exactly 1.0
+(step 356 for beta1 = 0.9), the update skips dividing by it. A step reads
+every gradient before it changes any state.
 """
 
 from __future__ import annotations
@@ -149,42 +154,76 @@ class Adam:
         self.eps = eps
         self.t = 0
         self._flat = np.zeros((4, len(params.flat)))
-        self.m, self.v, self._a, _ = (_views(row, params) for row in self._flat)
+        self.m, self.v, _, self._g = (_views(row, params) for row in self._flat)
+        # Per set of row-gradient keys: (g, scratch, m, v) views of each span
+        # of consecutive dense-gradient keys in the flat layout.
+        self._spans: dict[frozenset, list[tuple[np.ndarray, ...]]] = {}
+
+    def _dense_spans(self, row_keys: frozenset) -> list[tuple[np.ndarray, ...]]:
+        spans = self._spans.get(row_keys)
+        if spans is None:
+            bounds, stop = [], 0
+            for key, view in self.m.items():
+                start, stop = stop, stop + view.size
+                if key in row_keys:
+                    continue
+                if bounds and bounds[-1][1] == start:
+                    bounds[-1][1] = stop
+                else:
+                    bounds.append([start, stop])
+            m, v, a, b = self._flat
+            spans = [(b[i:j], a[i:j], m[i:j], v[i:j]) for i, j in bounds]
+            self._spans[row_keys] = spans
+        return spans
 
     def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None) -> None:
         """One step; `grads` needs every key of params. `rows` maps the key
         of a parameter whose gradient comes as rows to their distinct
         indices along its first axis; grads[key] then holds only those rows,
-        and every other row's gradient is zero."""
+        and every other row's gradient is zero.
+
+        Every gradient is read before any state changes, so a missing one
+        raises KeyError and leaves t, m, v and the parameters as they were.
+        """
         rows = rows or {}
+        # The dense gradients are copied into the last scratch row, laid out
+        # like the parameters, so their moment updates run once per span of
+        # consecutive keys rather than once per key.
+        row_grads = {}
+        for key, g in self._g.items():
+            if key in rows:
+                row_grads[key] = grads[key]
+            else:
+                np.copyto(g, grads[key])
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         m, v, a, b = self._flat
         m *= self.beta1
         v *= self.beta2
-        for key in self.m:
-            g = grads[key]
-            if key in rows:
-                # m[r] = beta1 * m[r] + (1 - beta1) * g, and likewise v, on
-                # the given rows only: the other rows would add exact zeros.
-                r = rows[key]
-                self.m[key][r] += g * (1.0 - self.beta1)
-                gg = g * (1.0 - self.beta2)
-                gg *= g
-                self.v[key][r] += gg
-                continue
-            s = self._a[key]
+        for g, s, m_span, v_span in self._dense_spans(frozenset(rows)):
             # m = beta1 * m + (1 - beta1) * g
             np.multiply(g, 1.0 - self.beta1, out=s)
-            self.m[key] += s
+            m_span += s
             # v = beta2 * v + (1 - beta2) * g * g
             np.multiply(g, 1.0 - self.beta2, out=s)
             s *= g
-            self.v[key] += s
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=a)
-        a *= self.lr
+            v_span += s
+        for key, g in row_grads.items():
+            # m[r] = beta1 * m[r] + (1 - beta1) * g, and likewise v, on the
+            # given rows only: the other rows would add exact zeros.
+            r = rows[key]
+            self.m[key][r] += g * (1.0 - self.beta1)
+            gg = g * (1.0 - self.beta2)
+            gg *= g
+            self.v[key][r] += gg
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps). Once beta1**t <= 2**-54
+        # (from step 356 for beta1 = 0.9), bc1 is exactly 1.0 and m / bc1 is m.
+        if bc1 == 1.0:
+            np.multiply(m, self.lr, out=a)
+        else:
+            np.divide(m, bc1, out=a)
+            a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
         b += self.eps

@@ -12,7 +12,9 @@ one call each. The training and dev sets are tokenized and packed once
 per run; each epoch gathers its permuted training samples once, and each
 minibatch is a contiguous span of them: one encoder forward pass, one
 batched loss with its backward pass, one encoder backward pass (the
-embedding gradient as the batch's token rows) and one Adam step. Runs
+embedding gradient as the batch's token rows) and one Adam step, which
+updates the dense parameters as two spans of the flat buffer and the
+embedding by its touched rows. Runs
 are bitwise reproducible for a fixed seed. A batch whose loss is not
 finite (the only per-batch check) raises NumericalError naming the epoch
 and the batch; after each epoch's last batch, a parameter that is not
@@ -152,10 +154,16 @@ def train_classifier(
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
             epoch_loss += total * len(ys)
             enc_grads = encode_batch_backward(model, tokens, hs, grads["h"], pooled)
-            rows, emb_grads = enc_grads.pop("embedding")
-            step_grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-            step_grads["enc.embedding"] = emb_grads
-            step_grads.update({f"head.{k}": grads[k] for k in ("w_c", "b_c", "w_p", "b_p")})
+            rows, emb_grads = enc_grads["embedding"]
+            step_grads = {
+                "enc.embedding": emb_grads,
+                "enc.w1": enc_grads["w1"],
+                "enc.b1": enc_grads["b1"],
+                "head.w_c": grads["w_c"],
+                "head.b_c": grads["b_c"],
+                "head.w_p": grads["w_p"],
+                "head.b_p": grads["b_p"],
+            }
             opt.step(step_grads, rows={"enc.embedding": rows})
         # A batch's loss only shows a bad step at the next batch, so check
         # the parameters the epoch's last step wrote before they are scored

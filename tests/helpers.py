@@ -73,6 +73,36 @@ def hyper_weight(head, h, e_y):
     return distance(project_representation(head, h), e_y)
 
 
+def exp_map_origin_vjp(v, grad_out):
+    """Vector-Jacobian product of ball.exp_map_origin: maps d/dp into d/dv,
+    row by row, from its own row norms and tanh.
+
+    With s(r) = tanh(r)/r the Jacobian is s(r) I + (s'(r)/r) v v^T. The
+    r -> 0 limit is the identity; the radial clamp is treated as identity.
+    """
+    from hyperclass.ball import _row_norms, _scale_rows
+
+    v = np.asarray(v, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    r, nonzero = _row_norms(v)
+    t = np.tanh(r)
+    s = np.where(nonzero, t / r, 1.0)
+    # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
+    ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)
+    return _scale_rows(s, grad_out) + _scale_rows(ds_over_r * np.vecdot(v, grad_out), v)
+
+
+def composed_origin_distance_and_grad(v, y):
+    """Frozen reference for ball.exp_origin_distance_and_grad: (d, dd/dv) of
+    d = distance(exp_map_origin(v), y) from three separate kernels, each
+    computing its own norms: exp_map_origin, distance_and_grad (both
+    partials) and exp_map_origin_vjp."""
+    from hyperclass.ball import distance_and_grad, exp_map_origin
+
+    d, dz, _ = distance_and_grad(exp_map_origin(v), y)
+    return d, exp_map_origin_vjp(v, dz)
+
+
 def per_node_label_training(tree, config):
     """Frozen reference for stage one: the per-node loop that batched
     training replaced, one Riemannian Adam step per node per pair, with

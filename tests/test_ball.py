@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import conformal_factor, distance_from_origin, numeric_grad, rel_err
+from helpers import (
+    composed_origin_distance_and_grad,
+    conformal_factor,
+    distance_from_origin,
+    exp_map_origin_vjp,
+    numeric_grad,
+    rel_err,
+)
 from hyperclass.ball import (
     EPS_BALL,
     MAX_NORM,
@@ -15,7 +22,7 @@ from hyperclass.ball import (
     distance_grad,
     exp_map,
     exp_map_origin,
-    exp_map_origin_vjp,
+    exp_origin_distance_and_grad,
     log_map,
     mobius_add,
     project_to_ball,
@@ -279,6 +286,59 @@ class TestExpOriginVjp:
     def test_zero_limit_is_identity(self):
         g = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(exp_map_origin_vjp(np.zeros(3), g), g)
+
+
+class TestExpOriginDistance:
+    """The weight path's fused kernel, d(exp_0(v), y) and its gradient in
+    v, is bitwise the three separate kernels it replaced."""
+
+    @staticmethod
+    def tangents(dim, seed, clamp):
+        """Rows of v with a zero row, tiny and large rows, and, if clamp, a
+        row whose exp_0 lies past MAX_NORM, so project_to_ball moves it."""
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((12, dim))
+        v *= rng.uniform(0.01, 3.0, size=(12, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        v[3] = 0.0
+        v[5] = 1e-14
+        if clamp:
+            v[8] *= 9.0 / np.linalg.norm(v[8])
+            assert np.tanh(np.linalg.norm(v[8])) > MAX_NORM
+        else:
+            assert (np.tanh(np.linalg.norm(v, axis=1)) <= MAX_NORM).all()
+        y = np.stack([random_ball_point(rng, dim, 0.95) for _ in range(12)])
+        y[0] = exp_map_origin(v[0])  # coincident: the zero subgradient
+        return v, y
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_batch_matches_composed_kernels_bitwise(self, dim, clamp):
+        v, y = self.tangents(dim, seed=170 + dim, clamp=clamp)
+        d, dv = exp_origin_distance_and_grad(v, y)
+        ref_d, ref_dv = composed_origin_distance_and_grad(v, y)
+        np.testing.assert_array_equal(d, ref_d)
+        np.testing.assert_array_equal(dv, ref_dv)
+        assert d[0] == 0.0 and not dv[0].any()
+        assert (dv[3] != 0.0).any()  # a zero row still passes the gradient through
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_one_row_matches_composed_kernels_bitwise(self, clamp):
+        v, y = self.tangents(4, seed=180, clamp=clamp)
+        for row in (1, 3, 5, 8):
+            d, dv = exp_origin_distance_and_grad(v[row], y[row])
+            ref_d, ref_dv = composed_origin_distance_and_grad(v[row], y[row])
+            assert isinstance(d, float) and d == ref_d
+            np.testing.assert_array_equal(dv, ref_dv)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(190)
+        for _ in range(100):
+            dim = int(rng.integers(2, 6))
+            v = rng.standard_normal(dim) * rng.uniform(0.01, 2.0)
+            y = random_ball_point(rng, dim, 0.9)
+            analytic = exp_origin_distance_and_grad(v, y)[1]
+            numeric = numeric_grad(lambda: distance(exp_map_origin(v), y), v)
+            assert rel_err(analytic, numeric) < 1e-4
 
 
 class TestProject:

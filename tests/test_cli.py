@@ -89,6 +89,18 @@ class TestSynthData:
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "per_class, message",
+        [("1", "leaves empty splits: dev, test"), ("3", "leaves empty splits: dev")],
+    )
+    def test_empty_split_is_one_line_error(self, tmp_path, per_class, message):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(["synth-data", "--out-dir", out_dir, "--samples-per-class", per_class])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --samples-per-class {per_class} {message}\n"
+        assert not out_dir.exists()
+
 
 class TestTrainLabels:
     def test_stdout_and_artifacts(self, ws):
@@ -401,6 +413,19 @@ class TestSeedHandling:
         code, _, err = run_cli(["synth-data", "--out-dir", "unused"])
         assert code == 1
         assert "HYPERCLASS_SEED" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    def test_bad_env_seed_ignored_by_commands_without_seed(self, ws, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("HYPERCLASS_SEED", "abc")
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--model", ws["clf_ckpt"], "--data", ws["data"] / "test.tsv",
+                         "--out-json", out],
+            "export-embeddings": ["export-embeddings", "--model", ws["labels_ckpt"], "--out", out],
+        }[command]
+        code, _, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.is_file()
 
 
 class TestUsageErrors:

@@ -232,6 +232,36 @@ class TestEuclideanAdam:
             np.testing.assert_array_equal(opt.m[k], m[k])
             np.testing.assert_array_equal(opt.v[k], v[k])
 
+    def test_past_unit_bias_correction_is_bitwise_textbook_adam(self):
+        # 400 steps: from step 356 on, 1 - 0.9**t is exactly 1.0 and the
+        # step skips m / bc1. "emb" takes row gradients, and it splits the
+        # dense keys into two spans of the flat buffer: "a", then "w", "z".
+        rng = np.random.default_rng(6)
+        shapes = {"a": (4,), "emb": (30, 5), "w": (5, 3), "z": (3,)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = FlatParams(start)
+        ref = {k: x.copy() for k, x in start.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 401):
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
+            rows = np.flatnonzero(rng.random(30) < 0.3)
+            grads["emb"][np.setdiff1d(np.arange(30), rows)] = 0.0
+            opt.step({**grads, "emb": grads["emb"][rows]}, rows={"emb": rows})
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v[k] / (1.0 - b2**t)
+                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert 1.0 - b1**355 < 1.0 == 1.0 - b1**356
+        for k in shapes:
+            np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
+            np.testing.assert_array_equal(opt.m[k], m[k], err_msg=k)
+            np.testing.assert_array_equal(opt.v[k], v[k], err_msg=k)
+
     def test_row_gradients_are_bitwise_the_zero_filled_dense_step(self):
         # One optimizer takes the embedding gradient as rows, the other the
         # same gradient as a zero-filled table. Row 0 is touched twice, 450
@@ -265,12 +295,20 @@ class TestEuclideanAdam:
 
     def test_missing_gradient_raises(self):
         # A parameter without a gradient is an error, not a parameter left
-        # out of the step.
-        params = FlatParams({"w": np.ones(2), "b": np.ones(1)})
-        opt = Adam(params, lr=0.1)
-        with pytest.raises(KeyError, match="w"):
-            opt.step({"b": np.ones(1)})
-        assert params.flat.tolist() == [1.0, 1.0, 1.0]
+        # out of the step, and the failed step leaves the optimizer as it
+        # was: the moments of keys read before the missing one included.
+        for row_key in (None, "b", "w"):
+            params = FlatParams({"w": np.ones((2, 1)), "b": np.ones(1)})
+            opt = Adam(params, lr=0.1)
+            rows = None if row_key is None else {row_key: np.array([0])}
+            opt.step({"w": np.ones((1 if row_key == "w" else 2, 1)), "b": np.ones(1)}, rows=rows)
+            before = [params.flat.copy(), *(x.copy() for x in [*opt.m.values(), *opt.v.values()])]
+            with pytest.raises(KeyError, match="w"):
+                opt.step({"b": np.ones(1)}, rows=rows)
+            assert opt.t == 1
+            for got, want in zip([params.flat, *opt.m.values(), *opt.v.values()], before):
+                np.testing.assert_array_equal(got, want)
+            assert opt.m["b"].tolist() == [1.0 - 0.9] and opt.v["b"].tolist() == [1.0 - 0.999]
 
     def test_flat_params_are_views_of_one_buffer(self):
         arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}

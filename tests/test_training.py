@@ -188,6 +188,24 @@ class TestFrozenReference:
             np.testing.assert_array_equal(trained[key], value, err_msg=key)
 
 
+    @pytest.mark.parametrize("loss", ["ce", "wce"])
+    def test_matches_dense_table_training_bitwise_past_step_356(self, tiny_data, tiny_labels, loss):
+        # 17 batches an epoch for 22 epochs: 374 Adam steps, so the steps
+        # from 356 on run with Adam's first bias correction exactly 1.0.
+        _, class_map, train, dev = tiny_data
+        cfg = ClassifierConfig(loss=loss, epochs=22, batch_size=5, lr=0.01, d_tok=4, d_e=6, seed=5)
+        assert -(-len(train.samples) // cfg.batch_size) * cfg.epochs > 356
+        result = train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
+        history, best_epoch, best_wf1, params = dense_table_train_classifier(
+            train, dev, cfg, labels=tiny_labels, class_map=class_map
+        )
+        assert result.history == history
+        assert (result.best_epoch, result.best_dev_wf1) == (best_epoch, best_wf1)
+        trained = {f"enc.{k}": v for k, v in result.model.params().items()}
+        trained.update({f"head.{k}": v for k, v in result.head.params().items()})
+        for key, value in params.items():
+            np.testing.assert_array_equal(trained[key], value, err_msg=key)
+
 class TestEvaluateModel:
     def test_preds_align_with_samples(self, tiny_data, tiny_labels):
         _, class_map, train, dev = tiny_data
