@@ -13,6 +13,7 @@ import math
 import os
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -98,10 +99,6 @@ def _unpack_sections(blob: bytes, path) -> dict[str, bytes]:
     return sections
 
 
-def _array_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def write_atomic(path, writer: Callable[[Path], object]) -> None:
     """Run `writer(tmp_path)` on `<path>.tmp` in the destination directory,
     then rename it over `path`. If the writer or the rename raises, the
@@ -117,28 +114,26 @@ def write_atomic(path, writer: Callable[[Path], object]) -> None:
         raise
 
 
-def _write_checkpoint(path, sections: list[tuple[str, bytes]]) -> None:
+def _save(path, stage: str, config: dict, seed: int, fields: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint atomically: a meta section (the stage, seed,
+    config, the stage's own `fields` and every array's shape, as compact
+    JSON with sorted keys), then one section per array, in name order, of
+    raw little-endian float64."""
+    shapes = {name: list(arr.shape) for name, arr in arrays.items()}
+    meta = {"stage": stage, "seed": seed, "config": config, "shapes": shapes, **fields}
+    sections = [("meta", json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"))]
+    sections += [
+        (name, np.ascontiguousarray(arr, dtype="<f8").tobytes()) for name, arr in sorted(arrays.items())
+    ]
     blob = _pack_sections(sections)
     write_atomic(path, lambda tmp: tmp.write_bytes(blob))
-
-
-def _meta_json(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save_labels_checkpoint(
     path, emb: LabelEmbeddings, class_map: list[tuple[str, str]], config: dict, seed: int
 ) -> None:
-    meta = {
-        "stage": STAGE_LABELS,
-        "seed": seed,
-        "config": config,
-        "nodes": list(emb.nodes),
-        "class_map": [[label, node] for label, node in class_map],
-        "shapes": {"labels.vectors": list(emb.vectors.shape)},
-    }
-    sections = [("meta", _meta_json(meta)), ("labels.vectors", _array_bytes(emb.vectors))]
-    _write_checkpoint(path, sections)
+    fields = {"nodes": list(emb.nodes), "class_map": [[label, node] for label, node in class_map]}
+    _save(path, STAGE_LABELS, config, seed, fields, {"labels.vectors": emb.vectors})
 
 
 def save_classifier_checkpoint(
@@ -151,17 +146,8 @@ def save_classifier_checkpoint(
 ) -> None:
     arrays = {f"enc.{k}": v for k, v in model.params().items()}
     arrays |= {f"head.{k}": v for k, v in head.params().items()}
-    meta = {
-        "stage": STAGE_CLASSIFIER,
-        "seed": seed,
-        "config": config,
-        "class_names": list(class_names),
-        "vocab": model.vocab.token_to_index,
-        "shapes": {name: list(arr.shape) for name, arr in arrays.items()},
-    }
-    sections = [("meta", _meta_json(meta))]
-    sections += [(name, _array_bytes(arr)) for name, arr in sorted(arrays.items())]
-    _write_checkpoint(path, sections)
+    fields = {"class_names": list(class_names), "vocab": model.vocab.token_to_index}
+    _save(path, STAGE_CLASSIFIER, config, seed, fields, arrays)
 
 
 # Named axes of every classifier array; arrays sharing an axis name must
@@ -195,7 +181,9 @@ def load_checkpoint(path, expect_stage: str | None = None):
     Every unreadable, corrupt or internally inconsistent file raises
     CheckpointError (StageError for a valid file of the wrong stage). Node,
     class-map and class names must be TSV fields (see `_is_tsv_field`),
-    because exports and class maps write them as such."""
+    because exports and class maps write them as such, and no node, class
+    map label or node, or class name may repeat. Arrays must be finite, and label points inside the
+    unit ball."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -240,7 +228,10 @@ def load_checkpoint(path, expect_stage: str | None = None):
                 f"{path}: section {name!r} holds {len(payload)} bytes, "
                 f"which does not match its recorded shape {shape!r}"
             )
-        return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: section {name!r} holds non-finite values")
+        return arr
 
     def check_names(key: str, names: list) -> None:
         for name in names:
@@ -250,6 +241,11 @@ def load_checkpoint(path, expect_stage: str | None = None):
                     f"as UTF-8, got {name!r}"
                 )
 
+    def check_unique(key: str, names: list[str]) -> None:
+        repeated = [name for name, n in Counter(names).items() if n > 1]
+        if repeated:
+            raise CheckpointError(f"{path}: {repeated[0]!r} appears twice in {key}")
+
     if stage == STAGE_LABELS:
         vectors = grab("labels.vectors", 2)
         nodes = field("nodes", list)
@@ -258,10 +254,16 @@ def load_checkpoint(path, expect_stage: str | None = None):
                 f"{path}: {len(nodes)} node names for {len(vectors)} embedding rows"
             )
         check_names("nodes", nodes)
+        check_unique("nodes", nodes)
+        outside = np.flatnonzero(~(np.vecdot(vectors, vectors) < 1.0))
+        if len(outside):
+            raise CheckpointError(f"{path}: node {nodes[outside[0]]!r} lies outside the unit ball")
         rows = field("class_map", list)
         if not all(isinstance(row, list) and len(row) == 2 for row in rows):
             raise CheckpointError(f"{path}: class_map rows must be [label, node] string pairs")
         check_names("class_map entries", [x for row in rows for x in row])
+        check_unique("class_map labels", [label for label, _ in rows])
+        check_unique("class_map nodes", [node for _, node in rows])
         emb = LabelEmbeddings(nodes=nodes, vectors=vectors)
         return LabelsCheckpoint(emb, [(label, node) for label, node in rows], config, seed)
 
@@ -274,6 +276,7 @@ def load_checkpoint(path, expect_stage: str | None = None):
         raise CheckpointError(f"{path}: vocabulary indices are not 0..{len(token_to_index) - 1}")
     class_names = field("class_names", list)
     check_names("class_names", class_names)
+    check_unique("class_names", class_names)
     arrays = {name: grab(name, len(axes)) for name, axes in _CLASSIFIER_AXES.items()}
     sizes = {"vocabulary size": len(token_to_index), "number of class names": len(class_names)}
     for name, axes in _CLASSIFIER_AXES.items():

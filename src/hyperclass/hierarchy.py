@@ -42,16 +42,61 @@ PAIRS_PER_STEP = 10
 
 @dataclass
 class LabelTree:
+    """A forest of (parent, child) edges over `nodes`, plus the ordered
+    class leaves (one tree node per classifier class).
+
+    Construction checks the invariants, raising TaxonomyError, and indexes
+    the tree once: `index` maps each name to its row of `nodes`, `parent`
+    holds each row's parent row (-1 for a root) and `depth` its number of
+    edges below its root.
+    """
+
     nodes: list[str]
     edges: list[tuple[str, str]]  # (parent, child)
     class_leaves: list[str]
 
-    _children: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    parent: np.ndarray = field(init=False, repr=False, compare=False)
+    depth: np.ndarray = field(init=False, repr=False, compare=False)
+    _children: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.index = {name: i for i, name in enumerate(self.nodes)}
+        if len(self.index) != len(self.nodes):
+            raise TaxonomyError("duplicate node names")
+        parent_rows = [-1] * len(self.nodes)
         self._children = {}
         for parent, child in self.edges:
+            if parent not in self.index or child not in self.index:
+                raise TaxonomyError(f"edge ({parent}, {child}) references unknown node")
+            row = self.index[child]
+            if parent_rows[row] >= 0:
+                raise TaxonomyError(
+                    f"node {child!r} has two parents: {self.nodes[parent_rows[row]]!r} and {parent!r}"
+                )
+            parent_rows[row] = self.index[parent]
             self._children.setdefault(parent, []).append(child)
+        self.parent = np.array(parent_rows, dtype=np.intp)
+        # Every row walks up one edge per step. A forest's rows all reach a
+        # root within len(nodes) steps; a row still below a parent after
+        # that is on a cycle or under one, and its ancestor then is on it.
+        self.depth = np.zeros(len(self.nodes), dtype=np.intp)
+        up = self.parent
+        for _ in range(len(self.nodes) + 1):
+            below = up >= 0
+            if not below.any():
+                break
+            self.depth += below
+            up = np.where(below, self.parent[up], -1)
+        else:
+            raise TaxonomyError(f"cycle detected through node {self.nodes[up[up >= 0][0]]!r}")
+        seen = set()
+        for leaf in self.class_leaves:
+            if leaf not in self.index:
+                raise TaxonomyError(f"class leaf {leaf!r} is not a tree node")
+            if leaf in seen:
+                raise TaxonomyError(f"duplicate class leaf {leaf!r}")
+            seen.add(leaf)
 
     def children(self, node: str) -> list[str]:
         return self._children.get(node, [])
@@ -61,41 +106,6 @@ class LabelTree:
         return len(self.class_leaves)
 
 
-def validate_tree(tree: LabelTree) -> None:
-    """Check the forest and class-leaf invariants, raising TaxonomyError."""
-    node_set = set(tree.nodes)
-    if len(node_set) != len(tree.nodes):
-        raise TaxonomyError("duplicate node names")
-    parent_of: dict[str, str] = {}
-    for parent, child in tree.edges:
-        if parent not in node_set or child not in node_set:
-            raise TaxonomyError(f"edge ({parent}, {child}) references unknown node")
-        if child in parent_of:
-            raise TaxonomyError(f"node {child!r} has two parents: {parent_of[child]!r} and {parent!r}")
-        parent_of[child] = parent
-    # Walk parent chains; with <=1 parent per node, any cycle is a loop in a chain.
-    state: dict[str, int] = {}
-    for start in tree.nodes:
-        chain = []
-        node = start
-        while node in parent_of and state.get(node, 0) == 0:
-            state[node] = 1
-            chain.append(node)
-            node = parent_of[node]
-        if state.get(node) == 1:
-            raise TaxonomyError(f"cycle detected through node {node!r}")
-        for visited in chain:
-            state[visited] = 2
-        state[start] = 2
-    seen = set()
-    for leaf in tree.class_leaves:
-        if leaf not in node_set:
-            raise TaxonomyError(f"class leaf {leaf!r} is not a tree node")
-        if leaf in seen:
-            raise TaxonomyError(f"duplicate class leaf {leaf!r}")
-        seen.add(leaf)
-
-
 def _shuffle_edges(edges: list[tuple[str, str]], rng: np.random.Generator) -> list[tuple[str, str]]:
     """Permute the child slots of the expert edges, keeping the degree
     sequence; resamples until the result is still a forest."""
@@ -103,13 +113,8 @@ def _shuffle_edges(edges: list[tuple[str, str]], rng: np.random.Generator) -> li
     for _ in range(10_000):
         perm = rng.permutation(len(children))
         shuffled = [(edges[i][0], children[perm[i]]) for i in range(len(edges))]
-        candidate = LabelTree(
-            nodes=sorted({n for e in shuffled for n in e}),
-            edges=shuffled,
-            class_leaves=[],
-        )
         try:
-            validate_tree(candidate)
+            LabelTree(nodes=sorted({n for e in shuffled for n in e}), edges=shuffled, class_leaves=[])
         except TaxonomyError:
             continue
         return shuffled
@@ -122,7 +127,7 @@ def build_tree(
     mode: str = "expert",
     rng: np.random.Generator | None = None,
 ) -> LabelTree:
-    """Assemble and validate a LabelTree from in-memory edges.
+    """Assemble a LabelTree from in-memory edges.
 
     mode="none" drops all edges; mode="random" shuffles the expert child
     slots using `rng`. Nodes are the union of edge endpoints and class
@@ -130,17 +135,7 @@ def build_tree(
     """
     if mode not in MODES:
         raise TaxonomyError(f"unknown hierarchy mode {mode!r}")
-    nodes: list[str] = []
-    seen: set[str] = set()
-    for parent, child in edges:
-        for name in (parent, child):
-            if name not in seen:
-                seen.add(name)
-                nodes.append(name)
-    for leaf in class_leaves:
-        if leaf not in seen:
-            seen.add(leaf)
-            nodes.append(leaf)
+    nodes = list(dict.fromkeys([name for edge in edges for name in edge] + list(class_leaves)))
     if mode == "expert":
         if not edges:
             raise TaxonomyError("expert mode requires a non-empty edge list")
@@ -153,13 +148,12 @@ def build_tree(
         if rng is None:
             raise TaxonomyError("random mode requires an RNG (seeded) for the shuffle")
         final_edges = _shuffle_edges(list(edges), rng)
-    tree = LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
-    validate_tree(tree)
-    return tree
+    return LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
 
 
-def _read_pairs(path, columns: str, first_node: int) -> list[tuple[str, str]]:
-    """Rows of a two-column TSV; '#' starts a comment, blank lines skipped.
+def _read_pairs(path, columns: str, first_node: int) -> list[tuple[int, tuple[str, str]]]:
+    """(line number, row) of each row of a two-column TSV; '#' starts a
+    comment, blank lines skipped.
 
     `columns` names the two columns in the error message; the columns from
     `first_node` on must be valid node names.
@@ -181,21 +175,29 @@ def _read_pairs(path, columns: str, first_node: int) -> list[tuple[str, str]]:
         for name in row[first_node:]:
             if not NODE_NAME_RE.match(name):
                 raise TaxonomyError(f"{path}:{lineno}: invalid node name {name!r}")
-        rows.append(row)
+        rows.append((lineno, row))
     return rows
 
 
 def parse_taxonomy(path) -> list[tuple[str, str]]:
     """Read `parent<TAB>child` edges."""
-    return _read_pairs(path, "parent<TAB>child", first_node=0)
+    return [row for _, row in _read_pairs(path, "parent<TAB>child", first_node=0)]
 
 
 def parse_class_map(path) -> list[tuple[str, str]]:
-    """Read `dataset_label<TAB>tree_node` rows; row order defines class indices."""
+    """Read `dataset_label<TAB>tree_node` rows; row order defines class
+    indices, so each label may appear on one row only."""
     rows = _read_pairs(path, "label<TAB>node", first_node=1)
     if not rows:
         raise TaxonomyError(f"{path}: class map is empty")
-    return rows
+    first_line: dict[str, int] = {}
+    for lineno, (label, _) in rows:
+        if label in first_line:
+            raise TaxonomyError(
+                f"{path}:{lineno}: label {label!r} is already mapped on line {first_line[label]}"
+            )
+        first_line[label] = lineno
+    return [row for _, row in rows]
 
 
 def save_pairs(rows: list[tuple[str, str]], path) -> None:
@@ -235,26 +237,20 @@ class LabelEmbeddings:
         return self.vectors[self._index[node]]
 
 
-def negative_candidates(tree: LabelTree, u: str) -> np.ndarray:
-    """Rows of tree.nodes that may be drawn as negatives for u: every node
-    except u and u's children."""
-    excluded = {u, *tree.children(u)}
-    rows = np.array([i for i, n in enumerate(tree.nodes) if n not in excluded], dtype=np.intp)
-    if not len(rows):
-        raise TaxonomyError(f"no negative candidates for node {u!r}")
-    return rows
-
-
-def negative_table(tree: LabelTree, parents: Iterable[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat, start, count): the negative_candidates of each listed parent,
-    concatenated, so those of node row u are flat[start[u] : start[u] + count[u]].
-    count is 0 for nodes that are not listed."""
-    index = {name: i for i, name in enumerate(tree.nodes)}
-    rows = {index[u]: negative_candidates(tree, u) for u in parents}
+def negative_table(tree: LabelTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, start, count): the rows that may be drawn as negatives for
+    each node row u with children (every node except u and u's children,
+    in node order), concatenated, so those of u are
+    flat[start[u] : start[u] + count[u]]. count is 0 for nodes without
+    children."""
+    parents = np.flatnonzero(np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.nodes)))
+    allowed = (np.arange(len(tree.nodes)) != parents[:, None]) & (tree.parent != parents[:, None])
     count = np.zeros(len(tree.nodes), dtype=np.intp)
-    count[list(rows)] = [len(r) for r in rows.values()]
-    start = np.cumsum(count) - count
-    return np.concatenate([rows[i] for i in sorted(rows)]), start, count
+    count[parents] = allowed.sum(axis=1)
+    if not count[parents].all():
+        u = parents[count[parents] == 0][0]
+        raise TaxonomyError(f"no negative candidates for node {tree.nodes[u]!r}")
+    return np.nonzero(allowed)[1], np.cumsum(count) - count, count
 
 
 def negative_samples(
@@ -337,10 +333,9 @@ def train_label_embeddings(
     if not tree.edges:
         return emb, None
 
-    index = {name: i for i, name in enumerate(tree.nodes)}
-    parents = np.array([index[u] for u, _ in tree.edges], dtype=np.intp)
-    children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
-    table = negative_table(tree, (u for u, _ in tree.edges))
+    children = np.array([tree.index[v] for _, v in tree.edges], dtype=np.intp)
+    parents = tree.parent[children]
+    table = negative_table(tree)
     opt = RiemannianAdam(vectors, lr=config.lr)
     final_loss = None
     for epoch in range(config.epochs):
@@ -374,34 +369,18 @@ def reconstruction_map(emb: LabelEmbeddings, tree: LabelTree) -> float:
     call per parent gives its distances to all nodes in O(nodes * dim)
     memory; a (parents, nodes) matrix would need O(parents * nodes * dim).
     """
-    parents = [u for u in tree.nodes if tree.children(u)]
-    if not parents:
+    parents = np.flatnonzero(np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.nodes)))
+    if not len(parents):
         return 0.0
-    index = {name: i for i, name in enumerate(tree.nodes)}
     ap_scores = []
     for u in parents:
-        row = distance(emb.vectors[index[u]], emb.vectors)
-        children = [index[v] for v in tree.children(u)]
-        non_neighbours = np.delete(row, children + [index[u]])
+        row = distance(emb.vectors[u], emb.vectors)
+        children = np.flatnonzero(tree.parent == u)
+        non_neighbours = np.delete(row, np.append(children, u))
         ranks = np.sort(1 + np.sum(non_neighbours < row[children, None], axis=1))
         i = np.arange(len(ranks))
         ap_scores.append(np.mean((i + 1) / (ranks + i)))
     return float(np.mean(ap_scores))
-
-
-def node_depths(tree: LabelTree) -> dict[str, int]:
-    """Depth of every node: roots (no parent) at 0."""
-    parent_of = {child: parent for parent, child in tree.edges}
-    depths: dict[str, int] = {}
-
-    def depth(node: str) -> int:
-        if node not in depths:
-            depths[node] = 0 if node not in parent_of else depth(parent_of[node]) + 1
-        return depths[node]
-
-    for node in tree.nodes:
-        depth(node)
-    return depths
 
 
 def write_embeddings_tsv(path, dim: int, chunks: Iterable[tuple[list[str], np.ndarray]]) -> None:

@@ -1,6 +1,7 @@
 """Shared oracles: central finite differences, error norms, and frozen
 copies of replaced loop code that the batched code must match."""
 
+import json
 import string
 
 import numpy as np
@@ -163,6 +164,47 @@ def per_node_label_training(tree, config):
     return vectors, final_loss
 
 
+def negative_candidates(tree, u):
+    """Frozen reference for the negatives of node u: the rows of
+    tree.nodes that are neither u nor one of u's children, from a scan of
+    every node name."""
+    from hyperclass.errors import TaxonomyError
+
+    excluded = {u, *tree.children(u)}
+    rows = np.array([i for i, n in enumerate(tree.nodes) if n not in excluded], dtype=np.intp)
+    if not len(rows):
+        raise TaxonomyError(f"no negative candidates for node {u!r}")
+    return rows
+
+
+def per_parent_negative_table(tree, parents):
+    """Frozen reference for hierarchy.negative_table: (flat, start, count)
+    from one negative_candidates call per listed parent name, concatenated
+    in row order; count is 0 for nodes that are not listed."""
+    index = {name: i for i, name in enumerate(tree.nodes)}
+    rows = {index[u]: negative_candidates(tree, u) for u in parents}
+    count = np.zeros(len(tree.nodes), dtype=np.intp)
+    count[list(rows)] = [len(r) for r in rows.values()]
+    start = np.cumsum(count) - count
+    return np.concatenate([rows[i] for i in sorted(rows)]), start, count
+
+
+def node_depths(tree):
+    """Frozen reference for LabelTree.depth: {name: depth}, found by
+    recursion up a child -> parent dict; roots (no parent) at 0."""
+    parent_of = {child: parent for parent, child in tree.edges}
+    depths = {}
+
+    def depth(node):
+        if node not in depths:
+            depths[node] = 0 if node not in parent_of else depth(parent_of[node]) + 1
+        return depths[node]
+
+    for node in tree.nodes:
+        depth(node)
+    return depths
+
+
 def batched_label_training(tree, config, pairs_per_step=10):
     """Frozen reference for stage one in minibatches of pairs, as first
     batched: every minibatch draws its own negatives, gathers the parents
@@ -171,7 +213,7 @@ def batched_label_training(tree, config, pairs_per_step=10):
     gradient rescaling, conformal factor and Mobius sum each recompute
     ||theta||^2. Returns (vectors, final mean pair loss)."""
     from hyperclass.ball import distance_and_grad, project_to_ball, random_ball_point
-    from hyperclass.hierarchy import negative_samples, negative_table
+    from hyperclass.hierarchy import negative_samples
 
     def sqnorm(x):
         return np.vecdot(x, x)
@@ -209,7 +251,7 @@ def batched_label_training(tree, config, pairs_per_step=10):
     index = {name: i for i, name in enumerate(tree.nodes)}
     parents = np.array([index[u] for u, _ in tree.edges], dtype=np.intp)
     children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
-    table = negative_table(tree, (u for u, _ in tree.edges))
+    table = per_parent_negative_table(tree, (u for u, _ in tree.edges))
     m, v = np.zeros_like(vectors), np.zeros_like(vectors)
     steps = np.zeros(len(vectors), dtype=np.int64)
     final_loss = None
@@ -234,6 +276,50 @@ def batched_label_training(tree, config, pairs_per_step=10):
             epoch_loss += loss
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss
+
+
+def _meta_json(meta):
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _f8(arr):
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def per_stage_labels_bytes(emb, class_map, config, seed):
+    """Frozen reference for save_labels_checkpoint: the file bytes from
+    the stage's own meta dict and section list."""
+    from hyperclass.checkpoint import _pack_sections
+
+    meta = {
+        "stage": "labels",
+        "seed": seed,
+        "config": config,
+        "nodes": list(emb.nodes),
+        "class_map": [[label, node] for label, node in class_map],
+        "shapes": {"labels.vectors": list(emb.vectors.shape)},
+    }
+    return _pack_sections([("meta", _meta_json(meta)), ("labels.vectors", _f8(emb.vectors))])
+
+
+def per_stage_classifier_bytes(model, head, class_names, config, seed):
+    """Frozen reference for save_classifier_checkpoint: the file bytes
+    from the stage's own meta dict and section list."""
+    from hyperclass.checkpoint import _pack_sections
+
+    arrays = {f"enc.{k}": v for k, v in model.params().items()}
+    arrays |= {f"head.{k}": v for k, v in head.params().items()}
+    meta = {
+        "stage": "classifier",
+        "seed": seed,
+        "config": config,
+        "class_names": list(class_names),
+        "vocab": model.vocab.token_to_index,
+        "shapes": {name: list(arr.shape) for name, arr in arrays.items()},
+    }
+    sections = [("meta", _meta_json(meta))]
+    sections += [(name, _f8(arr)) for name, arr in sorted(arrays.items())]
+    return _pack_sections(sections)
 
 
 def per_token_ids(token_to_index, text):

@@ -29,7 +29,6 @@ from hyperclass.checkpoint import load_checkpoint, save_classifier_checkpoint
 from hyperclass.hierarchy import (
     build_tree,
     label_loss,
-    node_depths,
     reconstruction_map,
     train_label_embeddings,
 )
@@ -179,14 +178,13 @@ def test_label_embedding_quality():
         (f"c{i}", f"c{i}_{j}") for i in range(3) for j in range(3)
     ]
     tree = build_tree(edges, [f"c{i}_{j}" for i in range(3) for j in range(3)])
-    depths = node_depths(tree)
     maps, leaf_means, root_means = [], [], []
     for seed in SEEDS:
         emb, _ = train_label_embeddings(tree, LabelEmbedConfig(dim=10, epochs=300, seed=seed))
         maps.append(reconstruction_map(emb, tree))
         norms = np.linalg.norm(emb.vectors, axis=1)
-        leaf_means.append(norms[[i for i, n in enumerate(tree.nodes) if depths[n] == 2]].mean())
-        root_means.append(norms[[i for i, n in enumerate(tree.nodes) if depths[n] == 0]].mean())
+        leaf_means.append(norms[tree.depth == 2].mean())
+        root_means.append(norms[tree.depth == 0].mean())
     assert np.mean(maps) >= 0.9
     assert np.mean(leaf_means) > np.mean(root_means)
     assert time.monotonic() - start < 60.0

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import per_stage_classifier_bytes, per_stage_labels_bytes
+
 from hyperclass import checkpoint as ckpt
 from hyperclass.cli import main
 from hyperclass.encoder import EncoderModel, Vocabulary, encode, tokenize
@@ -22,7 +24,8 @@ def make_labels():
     rng = np.random.default_rng(0)
     emb = LabelEmbeddings(
         nodes=["root", "fam0", "leaf-a", "leaf_b"],
-        vectors=rng.uniform(-0.9, 0.9, size=(4, 3)),
+        # Inside the unit ball: each squared norm is at most 3 * 0.5**2.
+        vectors=rng.uniform(-0.5, 0.5, size=(4, 3)),
     )
     class_map = [("label a", "leaf-a"), ("label b", "leaf_b")]
     return emb, class_map
@@ -59,6 +62,23 @@ class TestLabelsRoundTrip:
         emb, class_map = make_labels()
         ckpt.save_labels_checkpoint(tmp_path / "labels.ckpt", emb, class_map, {}, 0)
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestWriterBytes:
+    """The one shared writer puts out the bytes each stage's own writer did."""
+
+    def test_labels(self, tmp_path):
+        emb, class_map = make_labels()
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, class_map, {"dim": 3, "lr": 0.1}, seed=7)
+        assert p.read_bytes() == per_stage_labels_bytes(emb, class_map, {"dim": 3, "lr": 0.1}, 7)
+
+    def test_classifier(self, tmp_path):
+        model, head = make_classifier()
+        p = tmp_path / "c.ckpt"
+        ckpt.save_classifier_checkpoint(p, model, head, ["b", "a"], {"loss": "wce"}, seed=3)
+        expected = per_stage_classifier_bytes(model, head, ["b", "a"], {"loss": "wce"}, 3)
+        assert p.read_bytes() == expected
 
 
 class TestClassifierRoundTrip:
@@ -332,6 +352,99 @@ class TestNamesAreTsvFields:
             assert code == 1
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert list(tmp_path.glob("x.*")) == []
+
+
+class TestRepeatedNames:
+    """A repeated name would give two class indices one label, or one name two rows."""
+
+    def test_labels_class_map_label(self, tmp_path):
+        emb, _ = make_labels()
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, [("lab", "leaf-a"), ("lab", "leaf_b")], {}, seed=0)
+        with pytest.raises(CheckpointError, match="'lab' appears twice in class_map labels"):
+            ckpt.load_checkpoint(p)
+
+    def test_labels_class_map_node(self, tmp_path):
+        # Two labels on one node would train two classes toward one anchor.
+        emb, _ = make_labels()
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, [("a", "leaf-a"), ("b", "leaf-a")], {}, seed=0)
+        with pytest.raises(CheckpointError, match="'leaf-a' appears twice in class_map nodes"):
+            ckpt.load_checkpoint(p)
+
+    def test_labels_node_name(self, tmp_path):
+        emb, class_map = make_labels()
+        emb = LabelEmbeddings(nodes=["root", "fam0", "leaf-a", "fam0"], vectors=emb.vectors)
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, class_map[:1], {}, seed=0)
+        with pytest.raises(CheckpointError, match="'fam0' appears twice in nodes"):
+            ckpt.load_checkpoint(p)
+
+    def test_labels_checkpoint_rejected_by_train_classifier(self, tmp_path):
+        emb, _ = make_labels()
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, [("a", "leaf-a"), ("a", "leaf_b")], {}, seed=0)
+        data = tmp_path / "data.tsv"
+        data.write_text("the cat sat\ta\nthe dog ran\ta\n")
+        code, err = run_main(["train-classifier", "--train", data, "--dev", data, "--labels-ckpt", p,
+                              "--epochs", "1", "--out", tmp_path / "c.ckpt"])
+        assert code == 1
+        assert err.startswith("error:") and "appears twice" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "c.ckpt").exists()
+
+    def test_classifier_class_name(self, tmp_path):
+        model, head = make_classifier()
+        p = tmp_path / "c.ckpt"
+        ckpt.save_classifier_checkpoint(p, model, head, ["a", "a"], {}, seed=0)
+        with pytest.raises(CheckpointError, match="'a' appears twice in class_names"):
+            ckpt.load_checkpoint(p)
+        data = tmp_path / "data.tsv"
+        data.write_text("the cat sat\ta\n")
+        code, err = run_main(["evaluate", "--model", p, "--data", data, "--out-json", tmp_path / "e.json"])
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e.json").exists()
+
+
+class TestArrayValues:
+    """Arrays with valid CRCs whose values no trained model holds."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_classifier_section(self, tmp_path, value):
+        model, head = make_classifier()
+        head.w_c[:] = value
+        p = tmp_path / "c.ckpt"
+        ckpt.save_classifier_checkpoint(p, model, head, ["a", "b"], {}, seed=0)
+        with pytest.raises(CheckpointError, match="section 'head.w_c' holds non-finite values"):
+            ckpt.load_checkpoint(p)
+        data = tmp_path / "data.tsv"
+        data.write_text("the cat sat\ta\n")
+        code, err = run_main(["evaluate", "--model", p, "--data", data, "--out-json", tmp_path / "e.json"])
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e.json").exists()
+
+    def test_non_finite_label_vectors(self, tmp_path):
+        emb, class_map = make_labels()
+        emb.vectors[2, 1] = np.nan
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, class_map, {}, seed=0)
+        with pytest.raises(CheckpointError, match="section 'labels.vectors' holds non-finite values"):
+            ckpt.load_checkpoint(p)
+
+    @pytest.mark.parametrize("point", [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.6, -0.8, 0.0]])
+    def test_label_point_outside_ball(self, tmp_path, point):
+        emb, class_map = make_labels()
+        emb.vectors[1] = point
+        p = tmp_path / "l.ckpt"
+        ckpt.save_labels_checkpoint(p, emb, class_map, {}, seed=0)
+        with pytest.raises(CheckpointError, match="node 'fam0' lies outside the unit ball"):
+            ckpt.load_checkpoint(p)
+        code, err = run_main(["export-embeddings", "--model", p, "--out", tmp_path / "x.tsv"])
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.glob("x.tsv*")) == []
 
 
 # Any JSON value a meta edit may write in place of another.

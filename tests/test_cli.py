@@ -165,6 +165,22 @@ class TestTrainLabels:
         assert not (tmp_path / "x.ckpt").exists()
 
 
+    def test_repeated_class_map_label_is_one_line_error(self, ws, tmp_path):
+        # Mapping fam0_leaf0 to two nodes would leave one class without samples.
+        bad = tmp_path / "map.tsv"
+        rows = (ws["data"] / "class-map.tsv").read_text().splitlines()
+        assert rows[1] == "fam0_leaf1\tfam0_leaf1"
+        rows[1] = "fam0_leaf0\tfam0_leaf1"
+        bad.write_text("\n".join(rows) + "\n")
+        code, _, err = run_cli(
+            ["train-labels", "--hierarchy", ws["data"] / "hierarchy.tsv", "--class-map", bad,
+             "--out", tmp_path / "x.ckpt"]
+        )
+        assert code == 1
+        assert err == f"error: {bad}:2: label 'fam0_leaf0' is already mapped on line 1\n"
+        assert list(tmp_path.glob("x.ckpt*")) == []
+
+
 class TestTrainClassifier:
     def test_progress_lines_are_json(self, ws):
         lines = [json.loads(line) for line in ws["clf_stdout"].splitlines()]

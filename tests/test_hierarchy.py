@@ -1,4 +1,6 @@
-"""Taxonomy parsing, tree modes, label-embedding training, and MAP."""
+"""Taxonomy parsing, tree modes and index, label-embedding training, and MAP."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ from scipy import stats
 
 from helpers import (
     batched_label_training,
+    negative_candidates,
+    node_depths,
     numeric_grad,
     per_coordinate_tsv,
     per_node_label_training,
+    per_parent_negative_table,
     rel_err,
 )
 from hyperclass.ball import MAX_NORM, random_ball_point
@@ -23,16 +28,13 @@ from hyperclass.hierarchy import (
     bundled_taxonomy_path,
     label_loss,
     load_embeddings_tsv,
-    negative_candidates,
     negative_samples,
     negative_table,
-    node_depths,
     parse_class_map,
     parse_taxonomy,
     reconstruction_map,
     save_pairs,
     train_label_embeddings,
-    validate_tree,
     write_embeddings_tsv,
 )
 
@@ -79,6 +81,12 @@ class TestParsing:
         with pytest.raises(TaxonomyError, match="empty"):
             parse_class_map(p)
 
+    def test_class_map_repeated_label_names_line(self, tmp_path):
+        p = tmp_path / "map.tsv"
+        p.write_text("a\tx\n# comment\nb\ty\na\tz\n")
+        with pytest.raises(TaxonomyError, match=r"map\.tsv:4: label 'a' is already mapped on line 1"):
+            parse_class_map(p)
+
     def test_class_map_bad_node_name(self, tmp_path):
         p = tmp_path / "map.tsv"
         p.write_text("fine\tok\nfine2\tbad node\n")
@@ -99,9 +107,8 @@ class TestParsing:
 
 class TestTreeValidation:
     def test_duplicate_nodes(self):
-        tree = LabelTree(nodes=["a", "a"], edges=[], class_leaves=[])
         with pytest.raises(TaxonomyError, match="duplicate node"):
-            validate_tree(tree)
+            LabelTree(nodes=["a", "a"], edges=[], class_leaves=[])
 
     def test_two_parents(self):
         with pytest.raises(TaxonomyError, match="two parents"):
@@ -111,16 +118,22 @@ class TestTreeValidation:
         with pytest.raises(TaxonomyError, match="cycle"):
             build_tree([("a", "b"), ("b", "c"), ("c", "a")], [])
 
+    def test_cycle_with_tail_names_a_node_on_the_cycle(self):
+        # t0 -> t1 hangs under the cycle a -> b -> c -> a; in every node
+        # order, the tail rows included first, the error names a, b or c.
+        edges = [("c", "t0"), ("t0", "t1"), ("a", "b"), ("b", "c"), ("c", "a")]
+        for nodes in itertools.permutations(["t0", "t1", "a", "b", "c"]):
+            with pytest.raises(TaxonomyError, match=r"^cycle detected through node '[abc]'$"):
+                LabelTree(nodes=list(nodes), edges=edges, class_leaves=[])
+
     def test_edge_with_unknown_node(self):
-        tree = LabelTree(nodes=["a"], edges=[("a", "ghost")], class_leaves=[])
         with pytest.raises(TaxonomyError, match="unknown node"):
-            validate_tree(tree)
+            LabelTree(nodes=["a"], edges=[("a", "ghost")], class_leaves=[])
 
     def test_class_leaf_missing(self):
         # build_tree unions leaves into the node set, so construct directly
-        tree = LabelTree(nodes=["a", "b"], edges=[("a", "b")], class_leaves=["zzz"])
         with pytest.raises(TaxonomyError, match="not a tree node"):
-            validate_tree(tree)
+            LabelTree(nodes=["a", "b"], edges=[("a", "b")], class_leaves=["zzz"])
 
     def test_duplicate_class_leaf(self):
         with pytest.raises(TaxonomyError, match="duplicate class leaf"):
@@ -154,7 +167,7 @@ class TestBuildTree:
         tree = balanced_tree("random", rng=np.random.default_rng(0))
         assert sorted(p for p, _ in tree.edges) == sorted(p for p, _ in BALANCED_EDGES)
         assert sorted(c for _, c in tree.edges) == sorted(c for _, c in BALANCED_EDGES)
-        validate_tree(tree)
+        assert tree == LabelTree(tree.nodes, tree.edges, tree.class_leaves)
 
     def test_random_is_deterministic_per_seed(self):
         a = balanced_tree("random", rng=np.random.default_rng(5))
@@ -178,7 +191,7 @@ class TestBuildTree:
 
 
 def draw_names(tree, u, k, rng):
-    table = negative_table(tree, [u])
+    table = negative_table(tree)
     return [tree.nodes[i] for i in negative_samples(table, np.array([tree.nodes.index(u)]), k, rng)[0]]
 
 
@@ -191,14 +204,13 @@ class TestNegativeSamples:
                 assert pick not in ("root", "c0", "c1", "c2")
 
     def test_draws_with_replacement(self):
-        tree = build_tree([("r", "a")], ["a"], mode="expert")
-        tree2 = build_tree([("r", "a"), ("r", "b"), ("r", "c")], [], mode="expert")
-        # only 0 candidates for r in the 2-node tree
-        with pytest.raises(TaxonomyError, match="no negative candidates"):
-            draw_names(tree, "r", 1, np.random.default_rng(0))
-        # a,b,c excluded for r in tree2 -> still an error; for "a" there are 3
-        picks = draw_names(tree2, "a", 50, np.random.default_rng(0))
-        assert len(picks) == 50 and set(picks) <= {"r", "b", "c"}
+        # a's only candidates are r and b: 50 draws repeat them.
+        tree = build_tree([("r", "a"), ("r", "b"), ("a", "x")], [], mode="expert")
+        picks = draw_names(tree, "a", 50, np.random.default_rng(0))
+        assert len(picks) == 50 and set(picks) == {"r", "b"}
+        # r and its one child leave r no candidate at all.
+        with pytest.raises(TaxonomyError, match="no negative candidates for node 'r'"):
+            negative_table(build_tree([("r", "a")], ["a"], mode="expert"))
 
     def test_uniform_over_candidates(self):
         tree = balanced_tree()
@@ -212,7 +224,9 @@ class TestNegativeSamples:
 
     def test_candidates_in_node_order(self):
         tree = balanced_tree()
-        rows = negative_candidates(tree, "c1")
+        flat, start, count = negative_table(tree)
+        u = tree.index["c1"]
+        rows = flat[start[u] : start[u] + count[u]]
         assert [tree.nodes[i] for i in rows] == [
             n for n in tree.nodes if n not in ("c1", "c1_0", "c1_1", "c1_2")
         ]
@@ -223,7 +237,7 @@ class TestNegativeSamples:
         # reproduces one step per pair.
         tree = build_tree(parse_taxonomy(bundled_taxonomy_path()), [])
         names = [u for u, _ in tree.edges]
-        table = negative_table(tree, names)
+        table = negative_table(tree)
         parents = np.array([tree.nodes.index(u) for u in names])[[5, 0, 5, 90, 126, 40, 0]]
         batch_rng, pair_rng = np.random.default_rng(9), np.random.default_rng(9)
         batch = negative_samples(table, parents, 10, batch_rng)
@@ -341,10 +355,9 @@ class TestTrainLabelEmbeddings:
         cfg = LabelEmbedConfig(dim=10, epochs=300, seed=0)
         emb, _ = train_label_embeddings(tree, cfg)
         assert reconstruction_map(emb, tree) >= 0.9
-        depths = node_depths(tree)
         norms = np.linalg.norm(emb.vectors, axis=1)
-        leaf_mean = norms[[i for i, n in enumerate(tree.nodes) if depths[n] == 2]].mean()
-        root_mean = norms[[i for i, n in enumerate(tree.nodes) if depths[n] == 0]].mean()
+        leaf_mean = norms[tree.depth == 2].mean()
+        root_mean = norms[tree.depth == 0].mean()
         assert leaf_mean > root_mean
 
     @pytest.mark.parametrize(
@@ -466,7 +479,48 @@ class TestReconstructionMap:
 class TestNodeDepths:
     def test_chain_and_isolated(self):
         tree = build_tree([("a", "b"), ("b", "c")], ["iso"])
-        assert node_depths(tree) == {"a": 0, "b": 1, "c": 2, "iso": 0}
+        assert dict(zip(tree.nodes, tree.depth.tolist())) == {"a": 0, "b": 1, "c": 2, "iso": 0}
+
+
+def shuffled(tree, seed):
+    return build_tree(tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(seed))
+
+
+EXPERT_TREES = {
+    "parrott": parrott_tree(),
+    "family-2x3": make_family_tree(2, 3)[0],
+    "family-6x6": make_family_tree(6, 6)[0],
+    "balanced": balanced_tree(),
+    # A 40-edge chain listed from the bottom up: each row's parent comes after it.
+    "chain": build_tree([(f"n{i}", f"n{i + 1}") for i in reversed(range(40))], []),
+}
+ORACLE_TREES = EXPERT_TREES | {
+    f"{name}-random-{seed}": shuffled(EXPERT_TREES[name], seed)
+    for name in ("parrott", "family-2x3", "family-6x6")
+    for seed in (0, 1)
+}
+
+
+@pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
+class TestTreeIndex:
+    """The index a LabelTree builds once equals what the per-node code
+    that it replaced worked out from the names on every call."""
+
+    def test_index_and_parent(self, tree):
+        parent_of = {child: parent for parent, child in tree.edges}
+        assert tree.index == {name: i for i, name in enumerate(tree.nodes)}
+        expected = [tree.nodes.index(parent_of[n]) if n in parent_of else -1 for n in tree.nodes]
+        assert tree.parent.tolist() == expected
+
+    def test_depth(self, tree):
+        assert dict(zip(tree.nodes, tree.depth.tolist())) == node_depths(tree)
+
+    def test_negative_table(self, tree):
+        table = negative_table(tree)
+        expected = per_parent_negative_table(tree, (u for u, _ in tree.edges))
+        for got, want in zip(table, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEmbeddingTsv:
@@ -530,9 +584,8 @@ class TestBundledEmotionTaxonomy:
         tree = build_tree(edges, [])
         assert len(tree.edges) == 127
         assert len(tree.nodes) == 133
-        depths = node_depths(tree)
-        assert set(depths.values()) == {0, 1, 2}
-        assert sum(1 for n in tree.nodes if depths[n] == 0) == 6
+        assert set(tree.depth.tolist()) == {0, 1, 2}
+        assert np.count_nonzero(tree.depth == 0) == 6
         leaves = [n for n in tree.nodes if not tree.children(n)]
         assert len(leaves) == 107
 
