@@ -209,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True, help="taxonomy TSV: parent<TAB>child")
     p.add_argument("--class-map", required=True, help="TSV: dataset_label<TAB>tree_node")
     p.add_argument("--mode", choices=MODES, default="expert")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--neg", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--dim", type=int, default=LabelEmbedConfig.dim)
+    p.add_argument("--epochs", type=int, default=LabelEmbedConfig.epochs)
+    p.add_argument("--neg", type=int, default=LabelEmbedConfig.negatives)
+    p.add_argument("--lr", type=float, default=LabelEmbedConfig.lr)
     p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
     p.add_argument("--out", required=True, help="checkpoint path; TSV written to <out>.tsv")
     p.set_defaults(func=cmd_train_labels)
@@ -221,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--labels-ckpt", help="stage-1 checkpoint (required for --loss wce)")
-    p.add_argument("--loss", choices=LOSSES, default="wce")
-    p.add_argument("--weight-norm", choices=WEIGHT_NORMS, default="none")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--d-tok", type=int, default=64)
-    p.add_argument("--d-e", type=int, default=128)
+    p.add_argument("--loss", choices=LOSSES, default=ClassifierConfig.loss)
+    p.add_argument("--weight-norm", choices=WEIGHT_NORMS, default=ClassifierConfig.weight_norm)
+    p.add_argument("--epochs", type=int, default=ClassifierConfig.epochs)
+    p.add_argument("--batch", type=int, default=ClassifierConfig.batch_size)
+    p.add_argument("--lr", type=float, default=ClassifierConfig.lr)
+    p.add_argument("--d-tok", type=int, default=ClassifierConfig.d_tok)
+    p.add_argument("--d-e", type=int, default=ClassifierConfig.d_e)
     p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_classifier)

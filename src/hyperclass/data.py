@@ -128,10 +128,11 @@ def generate_synthetic(
         raise DatasetError("tree has no class leaves to generate for")
     rng = np.random.default_rng(spec.seed)
 
-    parent_of = {child: parent for parent, child in tree.edges}
-    families = sorted({parent_of[leaf] for leaf in tree.class_leaves if leaf in parent_of})
+    # Each class leaf's family is its parent row; a root leaf (-1) has none.
+    family = tree.parent[[tree.index[leaf] for leaf in tree.class_leaves]].tolist()
+    families = sorted({tree.nodes[row] for row in family if row >= 0})
     family_pool = {
-        fam: [f"fam{fi}_w{j}" for j in range(spec.family_pool_size)]
+        tree.index[fam]: [f"fam{fi}_w{j}" for j in range(spec.family_pool_size)]
         for fi, fam in enumerate(families)
     }
     noise_pool = [f"noise_w{j}" for j in range(spec.noise_vocab)]
@@ -141,9 +142,9 @@ def generate_synthetic(
     n_leaf = int(spec.leaf_fraction * k)
     counts = (n_family, n_leaf, k - n_family - n_leaf)
     per_class: list[list[str]] = []
-    for li, leaf in enumerate(tree.class_leaves):
+    for li, row in enumerate(family):
         leaf_pool = [f"leaf{li}_w{j}" for j in range(spec.leaf_pool_size)]
-        pools = (family_pool.get(parent_of.get(leaf), noise_pool), leaf_pool, noise_pool)
+        pools = (family_pool.get(row, noise_pool), leaf_pool, noise_pool)
         words = np.array(pools[0] + pools[1] + pools[2])
         sizes = [len(pool) for pool in pools]
         # Position i draws below high[i] from the pool that starts at base[i].

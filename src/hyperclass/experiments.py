@@ -87,17 +87,13 @@ def run_synthetic_pipeline(
 
 
 def surviving_sibling_pairs(expert: LabelTree, candidate: LabelTree) -> int:
-    """Count class-leaf pairs that are siblings in both trees."""
-    expert_groups = [set(expert.children(p)) for p in expert.nodes if expert.children(p)]
-    leaves = set(expert.class_leaves)
-    count = 0
-    for parent in candidate.nodes:
-        kids = [c for c in candidate.children(parent) if c in leaves]
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                if any(kids[i] in g and kids[j] in g for g in expert_groups):
-                    count += 1
-    return count
+    """Count class-leaf pairs that are siblings in both trees: pairs whose
+    parent row is the same, and not -1, in each."""
+    siblings = np.ones((expert.num_classes, expert.num_classes), dtype=bool)
+    for tree in (expert, candidate):
+        parent = tree.parent[[tree.index[leaf] for leaf in expert.class_leaves]]
+        siblings &= (parent[:, None] == parent) & (parent >= 0)
+    return int(np.triu(siblings, 1).sum())
 
 
 def scrambled_tree(tree: LabelTree, max_surviving_pairs: int = 1) -> tuple[LabelTree, int]:

@@ -47,8 +47,9 @@ class LabelTree:
 
     Construction checks the invariants, raising TaxonomyError, and indexes
     the tree once: `index` maps each name to its row of `nodes`, `parent`
-    holds each row's parent row (-1 for a root) and `depth` its number of
-    edges below its root.
+    holds each row's parent row (-1 for a root), `depth` its number of
+    edges below its root and `parents` the sorted rows that have at least
+    one child.
     """
 
     nodes: list[str]
@@ -58,14 +59,13 @@ class LabelTree:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     parent: np.ndarray = field(init=False, repr=False, compare=False)
     depth: np.ndarray = field(init=False, repr=False, compare=False)
-    _children: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    parents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.index = {name: i for i, name in enumerate(self.nodes)}
         if len(self.index) != len(self.nodes):
             raise TaxonomyError("duplicate node names")
         parent_rows = [-1] * len(self.nodes)
-        self._children = {}
         for parent, child in self.edges:
             if parent not in self.index or child not in self.index:
                 raise TaxonomyError(f"edge ({parent}, {child}) references unknown node")
@@ -75,8 +75,9 @@ class LabelTree:
                     f"node {child!r} has two parents: {self.nodes[parent_rows[row]]!r} and {parent!r}"
                 )
             parent_rows[row] = self.index[parent]
-            self._children.setdefault(parent, []).append(child)
         self.parent = np.array(parent_rows, dtype=np.intp)
+        # Not np.unique: its first call imports numpy.ma, about 1.5 MiB.
+        self.parents = np.flatnonzero(np.bincount(self.parent[self.parent >= 0], minlength=len(self.nodes)))
         # Every row walks up one edge per step. A forest's rows all reach a
         # root within len(nodes) steps; a row still below a parent after
         # that is on a cycle or under one, and its ancestor then is on it.
@@ -97,9 +98,6 @@ class LabelTree:
             if leaf in seen:
                 raise TaxonomyError(f"duplicate class leaf {leaf!r}")
             seen.add(leaf)
-
-    def children(self, node: str) -> list[str]:
-        return self._children.get(node, [])
 
     @property
     def num_classes(self) -> int:
@@ -129,13 +127,14 @@ def build_tree(
 ) -> LabelTree:
     """Assemble a LabelTree from in-memory edges.
 
-    mode="none" drops all edges; mode="random" shuffles the expert child
-    slots using `rng`. Nodes are the union of edge endpoints and class
-    leaves, in first-appearance order.
+    Nodes are the edge endpoints, in first-appearance order, in every mode,
+    so a class leaf that no edge names is not a tree node and fails
+    LabelTree's check. mode="none" keeps those nodes and drops all edges;
+    mode="random" shuffles the expert child slots using `rng`.
     """
     if mode not in MODES:
         raise TaxonomyError(f"unknown hierarchy mode {mode!r}")
-    nodes = list(dict.fromkeys([name for edge in edges for name in edge] + list(class_leaves)))
+    nodes = list(dict.fromkeys(name for edge in edges for name in edge))
     if mode == "expert":
         if not edges:
             raise TaxonomyError("expert mode requires a non-empty edge list")
@@ -243,7 +242,7 @@ def negative_table(tree: LabelTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     in node order), concatenated, so those of u are
     flat[start[u] : start[u] + count[u]]. count is 0 for nodes without
     children."""
-    parents = np.flatnonzero(np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.nodes)))
+    parents = tree.parents
     allowed = (np.arange(len(tree.nodes)) != parents[:, None]) & (tree.parent != parents[:, None])
     count = np.zeros(len(tree.nodes), dtype=np.intp)
     count[parents] = allowed.sum(axis=1)
@@ -294,11 +293,9 @@ def label_loss(vectors: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray,
     # Terms laid out like idx: the parent's, then one per other row.
     terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
     rows, inverse = _distinct_rows(idx, len(vectors))
-    # Summed into the flat (len(rows) * d) buffer, each coordinate of a
-    # term at its own position: the 1-D form of np.add.at is the fast one.
     d = vectors.shape[1]
-    grads = np.zeros(len(rows) * d)
-    np.add.at(grads, (inverse[..., None] * d + np.arange(d)).ravel(), terms.ravel())
+    slots = (inverse[..., None] * d + np.arange(d)).ravel()
+    grads = np.bincount(slots, weights=terms.ravel(), minlength=len(rows) * d)
     return float(loss), rows, grads.reshape(len(rows), d)
 
 
@@ -369,11 +366,10 @@ def reconstruction_map(emb: LabelEmbeddings, tree: LabelTree) -> float:
     call per parent gives its distances to all nodes in O(nodes * dim)
     memory; a (parents, nodes) matrix would need O(parents * nodes * dim).
     """
-    parents = np.flatnonzero(np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.nodes)))
-    if not len(parents):
+    if not len(tree.parents):
         return 0.0
     ap_scores = []
-    for u in parents:
+    for u in tree.parents:
         row = distance(emb.vectors[u], emb.vectors)
         children = np.flatnonzero(tree.parent == u)
         non_neighbours = np.delete(row, np.append(children, u))

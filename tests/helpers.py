@@ -143,7 +143,7 @@ def per_node_label_training(tree, config):
         epoch_loss = 0.0
         for edge_idx in rng.permutation(len(tree.edges)):
             u, v = tree.edges[edge_idx]
-            excluded = set(tree.children(u)) | {u}
+            excluded = {c for p, c in tree.edges if p == u} | {u}
             candidates = [n for n in tree.nodes if n not in excluded]
             names = [v] + [candidates[i] for i in rng.integers(0, len(candidates), size=config.negatives)]
             eu, others = vectors[index[u]], vectors[[index[n] for n in names]]
@@ -170,7 +170,7 @@ def negative_candidates(tree, u):
     every node name."""
     from hyperclass.errors import TaxonomyError
 
-    excluded = {u, *tree.children(u)}
+    excluded = {u, *(c for p, c in tree.edges if p == u)}
     rows = np.array([i for i, n in enumerate(tree.nodes) if n not in excluded], dtype=np.intp)
     if not len(rows):
         raise TaxonomyError(f"no negative candidates for node {u!r}")
@@ -187,6 +187,27 @@ def per_parent_negative_table(tree, parents):
     count[list(rows)] = [len(r) for r in rows.values()]
     start = np.cumsum(count) - count
     return np.concatenate([rows[i] for i in sorted(rows)]), start, count
+
+
+def nested_loop_sibling_pairs(expert, candidate):
+    """Frozen reference for experiments.surviving_sibling_pairs: the
+    class-leaf pairs that are siblings in both trees, counted by a nested
+    loop over each candidate parent's children against the expert's
+    sibling groups."""
+
+    def children(tree, node):
+        return [c for p, c in tree.edges if p == node]
+
+    expert_groups = [set(children(expert, p)) for p in expert.nodes if children(expert, p)]
+    leaves = set(expert.class_leaves)
+    count = 0
+    for parent in candidate.nodes:
+        kids = [c for c in children(candidate, parent) if c in leaves]
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                if any(kids[i] in g and kids[j] in g for g in expert_groups):
+                    count += 1
+    return count
 
 
 def node_depths(tree):

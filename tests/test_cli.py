@@ -14,6 +14,7 @@ from hyperclass import checkpoint as ckpt
 from hyperclass import cli
 from hyperclass.ball import log_map
 from hyperclass.cli import main
+from hyperclass.config import ClassifierConfig, LabelEmbedConfig
 from hyperclass.data import load_dataset
 from hyperclass.encoder import CHUNK_ROWS, encode_chunks, tokenize_batch
 from hyperclass.errors import NumericalError
@@ -179,6 +180,44 @@ class TestTrainLabels:
         assert code == 1
         assert err == f"error: {bad}:2: label 'fam0_leaf0' is already mapped on line 1\n"
         assert list(tmp_path.glob("x.ckpt*")) == []
+
+    def test_class_map_node_outside_taxonomy_is_one_line_error(self, ws, tmp_path):
+        # A typo in a class-map node names no taxonomy node; it must not
+        # become an isolated root that trains and saves.
+        bad = tmp_path / "map.tsv"
+        rows = (ws["data"] / "class-map.tsv").read_text().splitlines()
+        assert rows[2] == "fam0_leaf2\tfam0_leaf2"
+        rows[2] = "fam0_leaf2\tfam0_leaf2x"
+        bad.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            ["train-labels", "--hierarchy", ws["data"] / "hierarchy.tsv", "--class-map", bad,
+             "--dim", "3", "--epochs", "5", "--out", tmp_path / "x.ckpt"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: class leaf 'fam0_leaf2x' is not a tree node\n"
+        assert list(tmp_path.glob("x.ckpt*")) == []
+
+
+def test_training_flag_defaults_are_the_config_defaults(ws, tmp_path, monkeypatch):
+    # Without the config flags, each command saves the dataclass defaults:
+    # every flag reaches its own field.
+    monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
+    data = ws["data"]
+    code, _, _ = run_cli(
+        ["train-labels", "--hierarchy", data / "hierarchy.tsv", "--class-map",
+         data / "class-map.tsv", "--out", tmp_path / "labels.ckpt"]
+    )
+    assert code == 0
+    labels = ckpt.load_checkpoint(tmp_path / "labels.ckpt", expect_stage=ckpt.STAGE_LABELS)
+    assert labels.config == LabelEmbedConfig().to_dict()
+    code, _, _ = run_cli(
+        ["train-classifier", "--train", data / "train.tsv", "--dev", data / "dev.tsv",
+         "--labels-ckpt", tmp_path / "labels.ckpt", "--out", tmp_path / "clf.ckpt"]
+    )
+    assert code == 0
+    clf = ckpt.load_checkpoint(tmp_path / "clf.ckpt", expect_stage=ckpt.STAGE_CLASSIFIER)
+    assert clf.config == ClassifierConfig().to_dict()
 
 
 class TestTrainClassifier:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import nested_loop_sibling_pairs
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
-from hyperclass.data import default_synthetic_tree
+from hyperclass.data import default_synthetic_tree, make_family_tree
 from hyperclass.errors import ConfigError, DatasetError
 from hyperclass.experiments import (
     STRUCTURELESS_RADIUS,
@@ -33,6 +34,16 @@ class TestSurvivingSiblingPairs:
         )
         assert swapped.edges != tree.edges
         assert surviving_sibling_pairs(tree, swapped) == 6
+
+    @pytest.mark.parametrize("shape", [(2, 3), (6, 6)])
+    def test_matches_nested_loop_oracle(self, shape):
+        tree, _ = make_family_tree(*shape)
+        assert surviving_sibling_pairs(tree, tree) == nested_loop_sibling_pairs(tree, tree)
+        for seed in range(30):
+            candidate = build_tree(
+                tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(seed)
+            )
+            assert surviving_sibling_pairs(tree, candidate) == nested_loop_sibling_pairs(tree, candidate)
 
 
 class TestScrambledTree:

@@ -22,6 +22,7 @@ from hyperclass.data import default_synthetic_tree, make_family_tree
 from hyperclass.encoder import CHUNK_ROWS
 from hyperclass.errors import ConfigError, NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
+    MODES,
     LabelEmbeddings,
     LabelTree,
     build_tree,
@@ -131,7 +132,6 @@ class TestTreeValidation:
             LabelTree(nodes=["a"], edges=[("a", "ghost")], class_leaves=[])
 
     def test_class_leaf_missing(self):
-        # build_tree unions leaves into the node set, so construct directly
         with pytest.raises(TaxonomyError, match="not a tree node"):
             LabelTree(nodes=["a", "b"], edges=[("a", "b")], class_leaves=["zzz"])
 
@@ -142,8 +142,19 @@ class TestTreeValidation:
 
 class TestBuildTree:
     def test_node_order_is_first_appearance(self):
-        tree = build_tree([("r", "b"), ("r", "a")], ["a", "z"])
-        assert tree.nodes == ["r", "b", "a", "z"]
+        tree = build_tree([("r", "b"), ("r", "a")], ["a"])
+        assert tree.nodes == ["r", "b", "a"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_class_leaf_outside_edges_rejected(self, mode):
+        # Nodes come from the edges only, in every mode: a class leaf that
+        # no edge names is not a tree node.
+        with pytest.raises(TaxonomyError, match=r"^class leaf 'z' is not a tree node$"):
+            build_tree(BALANCED_EDGES, BALANCED_LEAVES + ["z"], mode=mode, rng=np.random.default_rng(0))
+
+    def test_none_mode_on_empty_taxonomy_rejected(self):
+        with pytest.raises(TaxonomyError, match=r"^class leaf 'a' is not a tree node$"):
+            build_tree([], ["a"], mode="none")
 
     def test_none_mode_drops_edges_keeps_nodes(self):
         tree = build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="none")
@@ -454,7 +465,7 @@ class TestReconstructionMap:
         assert reconstruction_map(emb, tree) == 1.0
 
     def test_child_ranked_second_gives_half(self):
-        tree = build_tree([("r", "c")], ["x"])
+        tree = LabelTree(nodes=["r", "c", "x"], edges=[("r", "c")], class_leaves=["x"])
         emb = LabelEmbeddings(
             nodes=tree.nodes,
             vectors=np.array([[0.0, 0.0], [0.5, 0.0], [0.1, 0.0]]),
@@ -478,7 +489,7 @@ class TestReconstructionMap:
 
 class TestNodeDepths:
     def test_chain_and_isolated(self):
-        tree = build_tree([("a", "b"), ("b", "c")], ["iso"])
+        tree = LabelTree(nodes=["a", "b", "c", "iso"], edges=[("a", "b"), ("b", "c")], class_leaves=["iso"])
         assert dict(zip(tree.nodes, tree.depth.tolist())) == {"a": 0, "b": 1, "c": 2, "iso": 0}
 
 
@@ -514,6 +525,11 @@ class TestTreeIndex:
 
     def test_depth(self, tree):
         assert dict(zip(tree.nodes, tree.depth.tolist())) == node_depths(tree)
+
+    def test_parents(self, tree):
+        expected = np.array(sorted({tree.index[u] for u, _ in tree.edges}), dtype=np.intp)
+        assert tree.parents.dtype == expected.dtype
+        np.testing.assert_array_equal(tree.parents, expected)
 
     def test_negative_table(self, tree):
         table = negative_table(tree)
@@ -586,7 +602,8 @@ class TestBundledEmotionTaxonomy:
         assert len(tree.nodes) == 133
         assert set(tree.depth.tolist()) == {0, 1, 2}
         assert np.count_nonzero(tree.depth == 0) == 6
-        leaves = [n for n in tree.nodes if not tree.children(n)]
+        with_children = {p for p, _ in tree.edges}
+        leaves = [n for n in tree.nodes if n not in with_children]
         assert len(leaves) == 107
 
     def test_unknown_name_rejected(self):
