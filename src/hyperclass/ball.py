@@ -54,34 +54,15 @@ def project_to_ball(p: np.ndarray) -> np.ndarray:
     Rows already inside are returned unchanged; anything else is rescaled
     radially. Non-finite input raises NumericalError.
     """
-    return _project(p)[0]
-
-
-def _project(p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(project_to_ball(p), ||p||^2), the squared norms only when no row
-    moved (else None), for a caller that needs them next."""
     p = np.asarray(p, dtype=np.float64)
-    p2 = _sqnorm(p)
-    norm = np.sqrt(p2)
+    norm = np.sqrt(_sqnorm(p))
     # A non-finite row has a nan or inf norm, so it never passes this test.
     if (norm <= MAX_NORM).all():
-        return p, p2
+        return p
     if not np.isfinite(p).all():
         raise NumericalError("point has non-finite components")
     # Inside rows are scaled by exactly 1.0, outside rows by MAX_NORM / norm.
-    return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p), None
-
-
-# The kernels below accept x2 = ||x||^2 of their base points, so a caller
-# that needs several of them at the same points (a Riemannian step: the
-# gradient rescaling, then the exponential map) computes it once. Each
-# computes it when not given.
-
-
-def _with_sqnorm(x: np.ndarray, x2: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(x as float64, x2), computing x2 = ||x||^2 when it is None."""
-    x = np.asarray(x, dtype=np.float64)
-    return x, _sqnorm(x) if x2 is None else x2
+    return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p)
 
 
 def _conformal(x2: np.ndarray) -> np.ndarray:
@@ -89,23 +70,22 @@ def _conformal(x2: np.ndarray) -> np.ndarray:
     return 2.0 / (1.0 - x2)
 
 
-def riemannian_grad(
-    x: np.ndarray, euclid_grad: np.ndarray, x2: np.ndarray | None = None
-) -> np.ndarray:
+def riemannian_grad(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
     """Rescale Euclidean gradients at (..., d) points x by the inverse metric:
     g_x = lambda_x^2 I, so g^-1 grad = grad * (1 - ||x||^2)^2 / 4."""
-    x2 = _with_sqnorm(x, x2)[1]
+    x2 = _sqnorm(np.asarray(x, dtype=np.float64))
     return _scale_rows((1.0 - x2) ** 2 / 4.0, euclid_grad)
 
 
-def mobius_add(x: np.ndarray, y: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
+def mobius_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mobius addition x (+) y of (..., d) points, re-projected into the ball.
 
     x (+) y = ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
               / (1 + 2<x,y> + ||x||^2 ||y||^2)
     """
-    x, x2 = _with_sqnorm(x, x2)
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    x2 = _sqnorm(x)
     # 1 + 2<x,y>, shared by the numerator and the denominator.
     a = 1.0 + 2.0 * np.vecdot(x, y)
     y2 = _sqnorm(y)
@@ -113,16 +93,16 @@ def mobius_add(x: np.ndarray, y: np.ndarray, x2: np.ndarray | None = None) -> np
     return project_to_ball(num / (a + x2 * y2)[..., None])
 
 
-def exp_map(x: np.ndarray, v: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
+def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exponential map at x: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||, row by row.
 
     A zero row of v returns the matching point of x.
     """
-    x, x2 = _with_sqnorm(x, x2)
+    x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     r, nonzero = _row_norms(v)
-    t = np.tanh(0.5 * _conformal(x2) * r)
-    return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v), x2)
+    t = np.tanh(0.5 * _conformal(_sqnorm(x)) * r)
+    return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v))
 
 
 def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -131,24 +111,23 @@ def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     log_x(y) = (2 / lambda_x) * artanh(||-x (+) y||) * (-x (+) y) / ||-x (+) y||
     with the y = x limit defined as the zero vector.
     """
-    # ||-x||^2 is ||x||^2 bit for bit.
-    x, x2 = _with_sqnorm(x, None)
-    w = mobius_add(-x, y, x2)
+    x = np.asarray(x, dtype=np.float64)
+    w = mobius_add(-x, y)
     r, nonzero = _row_norms(w)
     # artanh argument stays below 1 because mobius_add clamps into the ball.
     artanh = np.arctanh(np.minimum(r, MAX_NORM))
-    return _scale_rows(np.where(nonzero, (2.0 / _conformal(x2)) * artanh / r, 0.0), w)
+    return _scale_rows(np.where(nonzero, (2.0 / _conformal(_sqnorm(x))) * artanh / r, 0.0), w)
 
 
-def _distance(x: np.ndarray, y: np.ndarray, partials: int = 0, x2: np.ndarray | None = None):
+def _distance(x: np.ndarray, y: np.ndarray, partials: int = 0):
     """(d, *partials): d and the first `partials` of (dd/dx, dd/dy), from
     one set of shared terms (differences, three squared norms and the
     arcosh argument). d is a float for two 1-D points."""
-    x, x2 = _with_sqnorm(x, x2)
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     diff = x - y
     a = _sqnorm(diff)
-    b = 1.0 - x2
+    b = 1.0 - _sqnorm(x)
     c = 1.0 - _sqnorm(y)
     bc = b * c
     arg = 1.0 + 2.0 * a / bc
@@ -177,21 +156,14 @@ def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return _distance(x, y)[0]
 
 
-def distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean partial derivatives (dd/dx, dd/dy) of `distance`, both
-    shaped like the broadcast of x and y.
-
-    Where x == y (within EPS_DIV) the distance is not differentiable; the
-    zero subgradient is returned for both arguments of that row.
-    """
-    return _distance(x, y, 2)[1:]
-
-
 def distance_and_grad(
     x: np.ndarray, y: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """(distance, dd/dx, dd/dy) from one pass over the shared terms, for
-    callers that need both; bitwise those of `distance` and `distance_grad`."""
+    """(distance, dd/dx, dd/dy) from one pass over the shared terms; the
+    distance is bitwise that of `distance`. Both partials are shaped like
+    the broadcast of x and y. Where x == y (within EPS_DIV) the distance is
+    not differentiable, and the zero subgradient is returned for both
+    arguments of that row."""
     return _distance(x, y, 2)
 
 
@@ -202,13 +174,12 @@ def exp_map_origin(v: np.ndarray) -> np.ndarray:
 
 
 def _exp_map_origin(v: np.ndarray):
-    """(exp_0(v), its squared norms or None as from _project, and the row
-    terms (r, nonzero, tanh(r), tanh(r) / r) of v that the VJP reuses)."""
+    """(exp_0(v), and the row terms (r, nonzero, tanh(r), tanh(r) / r) of v
+    that the VJP reuses)."""
     r, nonzero = _row_norms(v)
     t = np.tanh(r)
     s = t / r
-    z, z2 = _project(_scale_rows(np.where(nonzero, s, 0.0), v))
-    return z, z2, (r, nonzero, t, s)
+    return project_to_ball(_scale_rows(np.where(nonzero, s, 0.0), v)), (r, nonzero, t, s)
 
 
 def exp_origin_distance_and_grad(
@@ -217,17 +188,16 @@ def exp_origin_distance_and_grad(
     """(d, dd/dv) for d = distance(exp_map_origin(v), y), with y frozen,
     row by row over (..., d) tangent vectors v at the origin.
 
-    Each shared term is computed once: the row norms and tanh of v serve
-    the map and its VJP, and ||exp_0(v)||^2 serves the clamp and the
-    distance. With s(r) = tanh(r)/r the Jacobian of exp_0 is
+    The row norms and tanh of v are computed once and serve both the map
+    and its VJP. With s(r) = tanh(r)/r the Jacobian of exp_0 is
     s(r) I + (s'(r)/r) v v^T, and its r -> 0 limit is the identity. The
     radial clamp only activates for tanh(r) > 1 - EPS_BALL (r > ~6), where
     the smooth part of the Jacobian is already ~1e-10; the clamp is
     treated as identity.
     """
     v = np.asarray(v, dtype=np.float64)
-    z, z2, (r, nonzero, t, s) = _exp_map_origin(v)
-    d, dz = _distance(z, y, 1, z2)
+    z, (r, nonzero, t, s) = _exp_map_origin(v)
+    d, dz = _distance(z, y, 1)
     s = np.where(nonzero, s, 1.0)
     # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
     ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)

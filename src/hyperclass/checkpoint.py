@@ -99,34 +99,45 @@ def _unpack_sections(blob: bytes, path) -> dict[str, bytes]:
     return sections
 
 
-def write_atomic(path, writer: Callable[[Path], object]) -> None:
-    """Run `writer(tmp_path)` on `<path>.tmp` in the destination directory,
-    then rename it over `path`. If the writer or the rename raises, the
-    temp file is removed and the error propagates, so a failed write
-    leaves neither a partial `path` nor a stray temp file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def write_atomic(outputs: dict[str | os.PathLike, Callable[[Path], object]]) -> None:
+    """Write every output of a command, or none of them.
+
+    Each `writer(tmp_path)` writes `<path>.tmp` in its destination
+    directory, and only once every writer has succeeded are the temp files
+    renamed over their paths. If a writer or a rename raises, every temp
+    file and every output already renamed is removed and the error
+    propagates. A writer touches only its temp file, so an OSError with an
+    errno is raised again naming the output's given path, not the temp
+    file."""
+    staged = [(Path(path), writer) for path, writer in outputs.items()]
+    temps = [path.with_name(path.name + ".tmp") for path, _ in staged]
+    renamed: list[Path] = []
     try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        for (current, writer), tmp in zip(staged, temps):
+            writer(tmp)
+        for (current, _), tmp in zip(staged, temps):
+            os.replace(tmp, current)
+            renamed.append(current)
+    except BaseException as exc:
+        for path in temps + renamed:
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(current)) from exc
         raise
 
 
 def _save(path, stage: str, config: dict, seed: int, fields: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint atomically: a meta section (the stage, seed,
+    """Write a checkpoint to `path`: a meta section (the stage, seed,
     config, the stage's own `fields` and every array's shape, as compact
     JSON with sorted keys), then one section per array, in name order, of
-    raw little-endian float64."""
+    raw little-endian float64. The CLI writes it through write_atomic."""
     shapes = {name: list(arr.shape) for name, arr in arrays.items()}
     meta = {"stage": stage, "seed": seed, "config": config, "shapes": shapes, **fields}
     sections = [("meta", json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"))]
     sections += [
         (name, np.ascontiguousarray(arr, dtype="<f8").tobytes()) for name, arr in sorted(arrays.items())
     ]
-    blob = _pack_sections(sections)
-    write_atomic(path, lambda tmp: tmp.write_bytes(blob))
+    Path(path).write_bytes(_pack_sections(sections))
 
 
 def save_labels_checkpoint(

@@ -3,9 +3,10 @@ stages, evaluation, and embedding export.
 
 Exit codes: 0 success, 1 named runtime error, 2 usage error (argparse).
 `HYPERCLASS_SEED` sets the default seed of the subcommands that take
---seed, and only they read it; an explicit --seed wins. Every
-output file is written to a temp path in the destination directory and
-renamed into place, so failed runs leave no partial artifacts.
+--seed, and only they read it; an explicit --seed wins. A command
+writes each of its output files to a temp path in the destination
+directory and renames them into place only after all are written, so a
+failed command leaves none of its outputs and no temp file.
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
     )
     emb, final_loss = train_label_embeddings(tree, cfg)
     map_score = reconstruction_map(emb, tree)
-    save_labels_checkpoint(args.out, emb, class_rows, cfg.to_dict(), args.seed)
     write_atomic(
-        str(args.out) + ".tsv", lambda p: write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)])
+        {
+            args.out: lambda p: save_labels_checkpoint(p, emb, class_rows, cfg.to_dict(), args.seed),
+            f"{args.out}.tsv": lambda p: write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)]),
+        }
     )
     print(json.dumps({"final_loss": final_loss, "map": map_score}))
     return 0
@@ -120,8 +123,12 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
         class_map=class_map,
         progress=lambda record: print(json.dumps(record), flush=True),
     )
-    save_classifier_checkpoint(
-        args.out, result.model, result.head, label_names, cfg.to_dict(), args.seed
+    write_atomic(
+        {
+            args.out: lambda p: save_classifier_checkpoint(
+                p, result.model, result.head, label_names, cfg.to_dict(), args.seed
+            )
+        }
     )
     return 0
 
@@ -131,7 +138,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = load_dataset(args.data, ck.class_names, split="test")
     result, _ = evaluate_model(ck.model, ck.head, ds)
     blob = json.dumps(result.to_dict(), indent=2) + "\n"
-    write_atomic(args.out_json, lambda p: Path(p).write_text(blob, encoding="utf-8"))
+    write_atomic({args.out_json: lambda p: p.write_text(blob, encoding="utf-8")})
     print(json.dumps({"accuracy": result.accuracy, "weighted_f1": result.weighted_f1}))
     return 0
 
@@ -157,12 +164,11 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = {}
-    for ds in splits:
-        write_atomic(out_dir / f"{ds.split}.tsv", lambda p, d=ds: save_dataset(d, p))
-        counts[ds.split] = len(ds.samples)
-    write_atomic(out_dir / "hierarchy.tsv", lambda p: save_pairs(tree.edges, p))
-    write_atomic(out_dir / "class-map.tsv", lambda p: save_pairs(class_rows, p))
+    outputs = {out_dir / f"{ds.split}.tsv": lambda p, d=ds: save_dataset(d, p) for ds in splits}
+    outputs[out_dir / "hierarchy.tsv"] = lambda p: save_pairs(tree.edges, p)
+    outputs[out_dir / "class-map.tsv"] = lambda p: save_pairs(class_rows, p)
+    write_atomic(outputs)
+    counts = {ds.split: len(ds.samples) for ds in splits}
     print(json.dumps({**counts, "classes": tree.num_classes, "out_dir": str(out_dir)}))
     return 0
 
@@ -181,7 +187,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     if args.space == "tangent":
         origin = np.zeros(dim)
         chunks = ((names, log_map(origin, vectors)) for names, vectors in chunks)
-    write_atomic(args.out, lambda p: write_embeddings_tsv(p, dim, chunks))
+    write_atomic({args.out: lambda p: write_embeddings_tsv(p, dim, chunks)})
     print(json.dumps({"rows": rows, "dim": dim, "space": args.space}))
     return 0
 
@@ -274,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         # floating-point warnings would only add lines to that message.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except HyperclassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HyperclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,8 @@ take h as one (d_e,) row or an (n, d_e) batch; the batch losses compute
 every term and vector-Jacobian product on (n, .) arrays and return
 (total, grads): the float batch loss and its gradients. The weight and
 its gradient come from one ball kernel, `exp_origin_distance_and_grad`,
-which computes each term the exponential map, the distance and their
-backward passes share once, and no gradient for the frozen label points.
+which computes the row terms that the exponential map and its backward
+pass share once, and no gradient for the frozen label points.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ RiemannianAdam updates rows of a (n, d) matrix of Poincare-ball points
 in one batched step: gradients are rescaled by the inverse metric, the
 Adam direction goes through the exponential map, and moments are (n, d)
 coordinate matrices without parallel transport between steps. A step
-gathers and scatters both moments at once and computes the rows' squared
-norms once for the rescaling and the exponential map, so it costs a fixed
-few dozen array operations whatever the number of rows.
+gathers and scatters both moments at once, so it costs a fixed few dozen
+array operations whatever the number of rows.
 
 `_distinct_rows` finds the sorted distinct rows of a row step, and where
 each given id falls among them, for both stages: the tree-node rows of a
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import _sqnorm, exp_map, riemannian_grad
+from .ball import exp_map, riemannian_grad
 
 
 def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,14 +80,9 @@ class RiemannianAdam:
     def step(self, rows: np.ndarray, euclid_grad: np.ndarray, lr: float | None = None) -> None:
         """One step on the distinct `rows`, with (len(rows), d) Euclidean
         gradients. `lr` overrides self.lr for this step only (the burn-in
-        phase of stage one).
-
-        ||theta||^2 of the rows is computed once, for the gradient
-        rescaling, the conformal factor and the Mobius sum of the
-        exponential map."""
+        phase of stage one)."""
         theta = self.points.take(rows, axis=0)
-        x2 = _sqnorm(theta)
-        g = riemannian_grad(theta, euclid_grad, x2)
+        g = riemannian_grad(theta, euclid_grad)
         t = self.t[rows] + 1
         self.t[rows] = t
         # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
@@ -101,7 +95,7 @@ class RiemannianAdam:
         mv /= (1.0 - self._decay**t).T[:, :, None]
         step_lr = self.lr if lr is None else lr
         direction = -step_lr * mv[:, 0] / (np.sqrt(mv[:, 1]) + self.eps)
-        self.points[rows] = exp_map(theta, direction, x2)
+        self.points[rows] = exp_map(theta, direction)
 
 
 class FlatParams(dict):

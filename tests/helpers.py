@@ -60,6 +60,15 @@ def conformal_factor(x):
     return 2.0 / (1.0 - np.sum(x * x, axis=-1))
 
 
+def distance_grad(x, y):
+    """Euclidean partial derivatives (dd/dx, dd/dy) of ball.distance, both
+    shaped like the broadcast of x and y; the zero subgradient where x == y
+    (within EPS_DIV)."""
+    from hyperclass.ball import distance_and_grad
+
+    return distance_and_grad(x, y)[1:]
+
+
 def cross_entropy(c, y):
     """-log softmax(c)[y] for one logit row, by a max-shifted log-sum-exp."""
     shifted = np.asarray(c, dtype=float) - np.max(c)
@@ -109,7 +118,7 @@ def per_node_label_training(tree, config):
     training replaced, one Riemannian Adam step per node per pair, with
     1-D Mobius addition and exponential map and a dict of per-node
     moment states. Returns (vectors, final mean pair loss)."""
-    from hyperclass.ball import distance, distance_grad, project_to_ball, random_ball_point
+    from hyperclass.ball import distance, project_to_ball, random_ball_point
 
     def mobius_add(x, y):
         xy, x2, y2 = float(np.dot(x, y)), float(np.dot(x, x)), float(np.dot(y, y))

@@ -11,10 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_weighted_f1, distance_from_origin, hyper_weight, numeric_grad, rel_err
+from helpers import (
+    brute_weighted_f1,
+    distance_from_origin,
+    distance_grad,
+    hyper_weight,
+    numeric_grad,
+    rel_err,
+)
 from hyperclass.ball import (
     distance,
-    distance_grad,
     exp_map,
     log_map,
     mobius_add,

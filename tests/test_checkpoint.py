@@ -188,7 +188,7 @@ class TestWriteAtomic:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            ckpt.write_atomic(target, writer)
+            ckpt.write_atomic({target: writer})
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_writer_keeps_previous_file(self, tmp_path):
@@ -200,15 +200,26 @@ class TestWriteAtomic:
             raise ValueError("bad row")
 
         with pytest.raises(ValueError):
-            ckpt.write_atomic(target, writer)
+            ckpt.write_atomic({target: writer})
         assert target.read_text() == "old"
         assert list(tmp_path.iterdir()) == [target]
 
     def test_success_renames_into_place(self, tmp_path):
         target = tmp_path / "out.tsv"
-        ckpt.write_atomic(target, lambda tmp: tmp.write_text("done"))
+        ckpt.write_atomic({target: lambda tmp: tmp.write_text("done")})
         assert target.read_text() == "done"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_second_writer_leaves_neither_output(self, tmp_path):
+        first, second = tmp_path / "a.ckpt", tmp_path / "a.ckpt.tsv"
+
+        def failing(tmp):
+            tmp.write_text("partial")
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="bad row"):
+            ckpt.write_atomic({first: lambda tmp: tmp.write_text("done"), second: failing})
+        assert list(tmp_path.iterdir()) == []
 
 
 def rewrite_meta(path, edit):

@@ -199,6 +199,41 @@ class TestTrainLabels:
         assert list(tmp_path.glob("x.ckpt*")) == []
 
 
+class TestOutputFailures:
+    """A command that cannot write one of its outputs leaves none of them,
+    and its one error line names the path given, not a temp file."""
+
+    def train_labels(self, ws, out):
+        return ["train-labels", "--hierarchy", ws["data"] / "hierarchy.tsv", "--class-map",
+                ws["data"] / "class-map.tsv", "--dim", "3", "--epochs", "5", "--out", out]
+
+    def assert_one_line_error(self, code, out, err, path, reason):
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {reason}: {str(path)!r}\n"
+
+    def test_missing_output_directory(self, ws, tmp_path):
+        out = tmp_path / "nodir" / "l.ckpt"
+        code, stdout, err = run_cli(self.train_labels(ws, out))
+        self.assert_one_line_error(code, stdout, err, out, "[Errno 2] No such file or directory")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_at_labels_tsv(self, ws, tmp_path):
+        out = tmp_path / "l.ckpt"
+        blocker = tmp_path / "l.ckpt.tsv"
+        blocker.mkdir()
+        code, stdout, err = run_cli(self.train_labels(ws, out))
+        self.assert_one_line_error(code, stdout, err, blocker, "[Errno 21] Is a directory")
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_directory_at_synth_test_split(self, tmp_path):
+        blocker = tmp_path / "test.tsv"
+        blocker.mkdir()
+        code, stdout, err = run_cli(["synth-data", "--out-dir", tmp_path] + SMALL_DATA)
+        self.assert_one_line_error(code, stdout, err, blocker, "[Errno 21] Is a directory")
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
 def test_training_flag_defaults_are_the_config_defaults(ws, tmp_path, monkeypatch):
     # Without the config flags, each command saves the dataclass defaults:
     # every flag reaches its own field.

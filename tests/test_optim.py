@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import rel_err
-from hyperclass.ball import MAX_NORM, distance, distance_grad, exp_map, random_ball_point, riemannian_grad
+from helpers import distance_grad, rel_err
+from hyperclass.ball import MAX_NORM, distance, exp_map, random_ball_point, riemannian_grad
 from hyperclass.optim import Adam, FlatParams, RiemannianAdam
 
 
