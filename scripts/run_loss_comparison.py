@@ -10,13 +10,14 @@ claim is about the mean.
 import argparse
 import json
 
+from hyperclass.config import WEIGHT_NORMS, ClassifierConfig
 from hyperclass.experiments import mean_over_seeds, run_synthetic_pipeline
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=5, help="run seeds 0..N-1")
-    ap.add_argument("--weight-norm", choices=("none", "batch-mean"), default="none")
+    ap.add_argument("--weight-norm", choices=WEIGHT_NORMS, default=ClassifierConfig.weight_norm)
     args = ap.parse_args()
 
     records = {"wce": [], "ce": []}

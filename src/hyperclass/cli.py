@@ -1,12 +1,16 @@
 """Command-line pipeline: synthetic data generation, both training
 stages, evaluation, and embedding export.
 
+Each config flag sets the field of the same name in `LabelEmbedConfig`,
+`ClassifierConfig` or `SynthSpec`; an omitted flag keeps the dataclass
+default, so every default lives in `config.py` alone.
+
 Exit codes: 0 success, 1 named runtime error, 2 usage error (argparse).
-`HYPERCLASS_SEED` sets the default seed of the subcommands that take
---seed, and only they read it; an explicit --seed wins. A command
-writes each of its output files to a temp path in the destination
-directory and renames them into place only after all are written, so a
-failed command leaves none of its outputs and no temp file.
+`HYPERCLASS_SEED` sets the seed of the subcommands that take --seed,
+and only they read it; an explicit --seed wins. A command writes each
+of its output files to a temp path in the destination directory and
+renames them into place only after all are written, so a failed command
+leaves none of its outputs and no temp file.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +37,8 @@ from .checkpoint import (
     write_atomic,
 )
 from .config import LOSSES, WEIGHT_NORMS, ClassifierConfig, LabelEmbedConfig, SynthSpec
-from .data import (
-    LabeledDataset,
-    generate_synthetic,
-    infer_label_names,
-    load_dataset,
-    make_family_tree,
-    save_dataset,
-)
-from .encoder import CHUNK_ROWS, encode_chunks, tokenize_batch
+from .data import LabeledDataset, generate_synthetic, load_dataset, make_family_tree, save_dataset
+from .encoder import encode_chunks, tokenize_batch
 from .errors import ConfigError, HyperclassError
 from .hierarchy import (
     MODES,
@@ -56,20 +54,23 @@ from .loss import project_representation
 from .training import evaluate_model, train_classifier
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("HYPERCLASS_SEED")
-    if raw is None:
-        return 42
+def _env_seed() -> int:
+    raw = os.environ["HYPERCLASS_SEED"]
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"HYPERCLASS_SEED must be an integer, got {raw!r}") from None
 
 
+def _config(cls, args: argparse.Namespace):
+    """A `cls` config from the flags named after its fields; a flag left
+    out is None and keeps the dataclass default."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
+
+
 def cmd_train_labels(args: argparse.Namespace) -> int:
-    cfg = LabelEmbedConfig(
-        dim=args.dim, epochs=args.epochs, negatives=args.neg, lr=args.lr, seed=args.seed
-    )
+    cfg = _config(LabelEmbedConfig, args)
     cfg.validate()
     edges = parse_taxonomy(args.hierarchy)
     class_rows = parse_class_map(args.class_map)
@@ -77,13 +78,13 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
         edges,
         [node for _, node in class_rows],
         mode=args.mode,
-        rng=np.random.default_rng(args.seed),
+        rng=np.random.default_rng(cfg.seed),
     )
     emb, final_loss = train_label_embeddings(tree, cfg)
     map_score = reconstruction_map(emb, tree)
     write_atomic(
         {
-            args.out: lambda p: save_labels_checkpoint(p, emb, class_rows, cfg.to_dict(), args.seed),
+            args.out: lambda p: save_labels_checkpoint(p, emb, class_rows, cfg.to_dict(), cfg.seed),
             f"{args.out}.tsv": lambda p: write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)]),
         }
     )
@@ -92,29 +93,18 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_train_classifier(args: argparse.Namespace) -> int:
-    cfg = ClassifierConfig(
-        d_tok=args.d_tok,
-        d_e=args.d_e,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        loss=args.loss,
-        weight_norm=args.weight_norm,
-        seed=args.seed,
-    )
+    cfg = _config(ClassifierConfig, args)
     cfg.validate()
-    labels = class_map = None
-    if args.loss == "wce":
+    labels = class_map = label_names = None
+    if cfg.loss == "wce":
         if args.labels_ckpt is None:
             raise ConfigError("--loss wce requires --labels-ckpt")
         ck = load_checkpoint(args.labels_ckpt, expect_stage=STAGE_LABELS)
         labels, class_map = ck.emb, ck.class_map
         label_names = [label for label, _ in class_map]
-    else:
-        # ce ignores label-embedding inputs; class order comes from the data.
-        label_names = infer_label_names(args.train)
+    # ce ignores label-embedding inputs; class order comes from the training data.
     train_ds = load_dataset(args.train, label_names, split="train")
-    dev_ds = load_dataset(args.dev, label_names, split="dev")
+    dev_ds = load_dataset(args.dev, train_ds.label_names, split="dev")
     result = train_classifier(
         train_ds,
         dev_ds,
@@ -126,7 +116,7 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
     write_atomic(
         {
             args.out: lambda p: save_classifier_checkpoint(
-                p, result.model, result.head, label_names, cfg.to_dict(), args.seed
+                p, result.model, result.head, train_ds.label_names, cfg.to_dict(), cfg.seed
             )
         }
     )
@@ -145,16 +135,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
     tree, class_rows = make_family_tree(args.families, args.leaves_per_family)
-    spec = SynthSpec(
-        tokens_per_sample=args.tokens_per_sample,
-        family_fraction=args.family_fraction,
-        leaf_fraction=args.leaf_fraction,
-        noise_vocab=args.noise_vocab,
-        samples_per_class=args.samples_per_class,
-        family_pool_size=args.family_pool,
-        leaf_pool_size=args.leaf_pool,
-        seed=args.seed,
-    )
+    spec = _config(SynthSpec, args)
     spec.validate()
     splits = generate_synthetic(tree, spec)
     empty = [ds.split for ds in splits if not ds.samples]
@@ -195,12 +176,14 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
 def _projection_chunks(
     ck: ClassifierCheckpoint, ds: LabeledDataset
 ) -> Iterator[tuple[list[str], np.ndarray]]:
-    """(names, ball projections) of ds, CHUNK_ROWS samples at a time; sample
-    i of class y is named s{i}_{y's label}."""
+    """(names, ball projections) of ds, one encoder chunk at a time;
+    sample i of class y is named s{i}_{y's label}."""
     tokens = tokenize_batch(ck.model.vocab, [text for text, _ in ds.samples])
-    for start, h in zip(range(0, len(ds), CHUNK_ROWS), encode_chunks(ck.model, tokens)):
-        samples = enumerate(ds.samples[start : start + CHUNK_ROWS], start)
+    start = 0
+    for h in encode_chunks(ck.model, tokens):
+        samples = enumerate(ds.samples[start : start + len(h)], start)
         names = [f"s{i}_{ds.label_names[y]}" for i, (_, y) in samples]
+        start += len(h)
         yield names, project_representation(ck.head, h)
 
 
@@ -215,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True, help="taxonomy TSV: parent<TAB>child")
     p.add_argument("--class-map", required=True, help="TSV: dataset_label<TAB>tree_node")
     p.add_argument("--mode", choices=MODES, default="expert")
-    p.add_argument("--dim", type=int, default=LabelEmbedConfig.dim)
-    p.add_argument("--epochs", type=int, default=LabelEmbedConfig.epochs)
-    p.add_argument("--neg", type=int, default=LabelEmbedConfig.negatives)
-    p.add_argument("--lr", type=float, default=LabelEmbedConfig.lr)
-    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--neg", type=int, dest="negatives")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else the config default")
     p.add_argument("--out", required=True, help="checkpoint path; TSV written to <out>.tsv")
     p.set_defaults(func=cmd_train_labels)
 
@@ -227,14 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--labels-ckpt", help="stage-1 checkpoint (required for --loss wce)")
-    p.add_argument("--loss", choices=LOSSES, default=ClassifierConfig.loss)
-    p.add_argument("--weight-norm", choices=WEIGHT_NORMS, default=ClassifierConfig.weight_norm)
-    p.add_argument("--epochs", type=int, default=ClassifierConfig.epochs)
-    p.add_argument("--batch", type=int, default=ClassifierConfig.batch_size)
-    p.add_argument("--lr", type=float, default=ClassifierConfig.lr)
-    p.add_argument("--d-tok", type=int, default=ClassifierConfig.d_tok)
-    p.add_argument("--d-e", type=int, default=ClassifierConfig.d_e)
-    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
+    p.add_argument("--loss", choices=LOSSES)
+    p.add_argument("--weight-norm", choices=WEIGHT_NORMS)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--d-tok", type=int)
+    p.add_argument("--d-e", type=int)
+    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else the config default")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_classifier)
 
@@ -248,14 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--families", type=int, default=2)
     p.add_argument("--leaves-per-family", type=int, default=3)
-    p.add_argument("--tokens-per-sample", type=int, default=SynthSpec.tokens_per_sample)
-    p.add_argument("--family-fraction", type=float, default=SynthSpec.family_fraction)
-    p.add_argument("--leaf-fraction", type=float, default=SynthSpec.leaf_fraction)
-    p.add_argument("--noise-vocab", type=int, default=SynthSpec.noise_vocab)
-    p.add_argument("--samples-per-class", type=int, default=SynthSpec.samples_per_class)
-    p.add_argument("--family-pool", type=int, default=SynthSpec.family_pool_size)
-    p.add_argument("--leaf-pool", type=int, default=SynthSpec.leaf_pool_size)
-    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else 42")
+    p.add_argument("--tokens-per-sample", type=int)
+    p.add_argument("--family-fraction", type=float)
+    p.add_argument("--leaf-fraction", type=float)
+    p.add_argument("--noise-vocab", type=int)
+    p.add_argument("--samples-per-class", type=int)
+    p.add_argument("--family-pool", type=int, dest="family_pool_size")
+    p.add_argument("--leaf-pool", type=int, dest="leaf_pool_size")
+    p.add_argument("--seed", type=int, help="default: HYPERCLASS_SEED, else the config default")
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser(
@@ -274,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = _default_seed()
+        if "seed" in vars(args) and args.seed is None and "HYPERCLASS_SEED" in os.environ:
+            args.seed = _env_seed()
         # Non-finite training values end as NumericalError; numpy's own
         # floating-point warnings would only add lines to that message.
         with np.errstate(all="ignore"):

@@ -31,18 +31,16 @@ class LabeledDataset:
         return len(self.samples)
 
 
-def infer_label_names(path) -> list[str]:
-    """Sorted unique labels of a dataset file, for runs without a class map."""
-    names = set()
-    for _, label, _ in _rows(path):
-        names.add(label)
-    return sorted(names)
-
-
-def load_dataset(path, label_names: list[str], split: str = "train") -> LabeledDataset:
+def load_dataset(path, label_names: list[str] | None = None, split: str = "train") -> LabeledDataset:
+    """The dataset file at `path`, its labels indexed by `label_names`.
+    With no names, the classes are the file's sorted distinct labels."""
+    rows = _rows(path)
+    if label_names is None:
+        rows = list(rows)
+        label_names = sorted({label for _, label, _ in rows})
     index = {name: i for i, name in enumerate(label_names)}
     samples = []
-    for lineno, label, text in _rows(path):
+    for lineno, label, text in rows:
         if label not in index:
             raise DatasetError(f"{path}:{lineno}: unknown label {label!r}")
         samples.append((text, index[label]))

@@ -60,7 +60,7 @@ class RiemannianAdam:
     def __init__(
         self,
         points: np.ndarray,
-        lr: float = 0.01,
+        lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
@@ -136,7 +136,7 @@ class Adam:
     def __init__(
         self,
         params: FlatParams,
-        lr: float = 1e-3,
+        lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,

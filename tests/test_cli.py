@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hyperclass import checkpoint as ckpt
 from hyperclass import cli
 from hyperclass.ball import log_map
 from hyperclass.cli import main
-from hyperclass.config import ClassifierConfig, LabelEmbedConfig
-from hyperclass.data import load_dataset
+from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
+from hyperclass.data import generate_synthetic, load_dataset
 from hyperclass.encoder import CHUNK_ROWS, encode_chunks, tokenize_batch
 from hyperclass.errors import NumericalError
 from hyperclass.hierarchy import load_embeddings_tsv
@@ -236,7 +237,7 @@ class TestOutputFailures:
 
 def test_training_flag_defaults_are_the_config_defaults(ws, tmp_path, monkeypatch):
     # Without the config flags, each command saves the dataclass defaults:
-    # every flag reaches its own field.
+    # the parser holds none of its own.
     monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
     data = ws["data"]
     code, _, _ = run_cli(
@@ -253,6 +254,56 @@ def test_training_flag_defaults_are_the_config_defaults(ws, tmp_path, monkeypatc
     assert code == 0
     clf = ckpt.load_checkpoint(tmp_path / "clf.ckpt", expect_stage=ckpt.STAGE_CLASSIFIER)
     assert clf.config == ClassifierConfig().to_dict()
+
+
+# Per command, each config flag with its field and a non-default value.
+CONFIG_FLAGS = {
+    "train-labels": (LabelEmbedConfig, {
+        "--dim": ("dim", 5), "--epochs": ("epochs", 7), "--neg": ("negatives", 3),
+        "--lr": ("lr", 0.05), "--seed": ("seed", 4),
+    }),
+    "train-classifier": (ClassifierConfig, {
+        "--loss": ("loss", "ce"), "--weight-norm": ("weight_norm", "batch-mean"),
+        "--epochs": ("epochs", 2), "--batch": ("batch_size", 32), "--lr": ("lr", 0.002),
+        "--d-tok": ("d_tok", 8), "--d-e": ("d_e", 12), "--seed": ("seed", 6),
+    }),
+    "synth-data": (SynthSpec, {
+        "--tokens-per-sample": ("tokens_per_sample", 10), "--family-fraction": ("family_fraction", 0.3),
+        "--leaf-fraction": ("leaf_fraction", 0.3), "--noise-vocab": ("noise_vocab", 30),
+        "--samples-per-class": ("samples_per_class", 20), "--family-pool": ("family_pool_size", 5),
+        "--leaf-pool": ("leaf_pool_size", 12), "--seed": ("seed", 8),
+    }),
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_FLAGS))
+def test_every_config_flag_reaches_its_field(ws, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
+    cls, flags = CONFIG_FLAGS[command]
+    given = dict(flags.values())
+    default = cls()
+    assert all(getattr(default, name) != value for name, value in given.items())
+    argv = [command] + [str(a) for flag, (_, value) in flags.items() for a in (flag, value)]
+    data, out = ws["data"], tmp_path / "out"
+    if command == "train-labels":
+        argv += ["--hierarchy", data / "hierarchy.tsv", "--class-map", data / "class-map.tsv"]
+    elif command == "train-classifier":
+        argv += ["--train", data / "train.tsv", "--dev", data / "dev.tsv"]
+    specs = []
+
+    def capture(tree, spec):
+        specs.append(spec)
+        return generate_synthetic(tree, spec)
+
+    monkeypatch.setattr(cli, "generate_synthetic", capture)
+    code, _, _ = run_cli(argv + (["--out-dir", out] if command == "synth-data" else ["--out", out]))
+    assert code == 0
+    expected = replace(default, **given)
+    if command == "synth-data":
+        assert specs == [expected]
+    else:
+        saved = ckpt.load_checkpoint(out)
+        assert (saved.config, saved.seed) == (expected.to_dict(), expected.seed)
 
 
 class TestTrainClassifier:

@@ -1,0 +1,135 @@
+"""One table-driven sweep of the CLI's numeric flags and HYPERCLASS_SEED.
+
+Every case ends one of three ways, never with a traceback: exit 0 with
+valid outputs, exit 1 with exactly one `error:` line and no output or temp
+file, or exit 2 with usage. Untested on purpose: a huge count that passes
+every rule and then sizes an array (`--dim`, `--d-tok`, `--d-e`,
+`--samples-per-class`, `--noise-vocab`, `--tokens-per-sample`,
+`--family-pool`, `--leaf-pool`, `--families` or `--leaves-per-family` at
+1e11, say) fails in numpy's allocator, not in a rule.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from hyperclass import checkpoint as ckpt
+from hyperclass.ball import random_ball_point
+from hyperclass.cli import main
+from hyperclass.config import LabelEmbedConfig
+
+VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "abc"]
+NUMERIC_FLAGS = {
+    "train-labels": ["--dim", "--epochs", "--neg", "--lr", "--seed"],
+    "train-classifier": ["--epochs", "--batch", "--lr", "--d-tok", "--d-e", "--seed"],
+    "synth-data": [
+        "--families", "--leaves-per-family", "--tokens-per-sample", "--family-fraction",
+        "--leaf-fraction", "--noise-vocab", "--samples-per-class", "--family-pool",
+        "--leaf-pool", "--seed",
+    ],
+}
+# Stage one steps through exp_map, which turns a step whose tangent norm
+# overflows into no step at all, so every point stays where it started.
+SILENT_NO_OP = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 7: an overflowing exp_map step is a silent no-op"
+)
+CASES = [
+    pytest.param(command, flag, value, marks=SILENT_NO_OP)
+    if (command, flag, value) == ("train-labels", "--lr", "1e308")
+    else (command, flag, value)
+    for command, flags in NUMERIC_FLAGS.items()
+    for flag in flags
+    for value in VALUES
+]
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of cli.main, usage exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    code, _, _ = run(["synth-data", "--out-dir", root, "--samples-per-class", "10",
+                      "--leaf-pool", "12", "--noise-vocab", "30"])
+    assert code == 0
+    code, _, _ = run(["train-labels", "--hierarchy", root / "hierarchy.tsv", "--class-map",
+                      root / "class-map.tsv", "--dim", "3", "--epochs", "5",
+                      "--out", root / "labels.ckpt"])
+    assert code == 0
+    return root
+
+
+def argv_and_outputs(command, inputs, out):
+    """A small run of `command` writing under `out`, and the files it writes."""
+    if command == "train-labels":
+        argv = ["train-labels", "--hierarchy", inputs / "hierarchy.tsv", "--class-map",
+                inputs / "class-map.tsv", "--dim", "3", "--epochs", "5", "--out", out / "l.ckpt"]
+        return argv, ["l.ckpt", "l.ckpt.tsv"]
+    if command == "train-classifier":
+        argv = ["train-classifier", "--train", inputs / "train.tsv", "--dev", inputs / "dev.tsv",
+                "--labels-ckpt", inputs / "labels.ckpt", "--epochs", "1", "--d-tok", "4",
+                "--d-e", "4", "--out", out / "c.ckpt"]
+        return argv, ["c.ckpt"]
+    argv = ["synth-data", "--out-dir", out, "--samples-per-class", "10", "--leaf-pool", "12",
+            "--noise-vocab", "30"]
+    return argv, ["train.tsv", "dev.tsv", "test.tsv", "hierarchy.tsv", "class-map.tsv"]
+
+
+def assert_valid_outputs(out, names):
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    if "l.ckpt" in names:
+        # Stage one must move every point from its seeded initialization.
+        ck = ckpt.load_checkpoint(out / "l.ckpt", expect_stage=ckpt.STAGE_LABELS)
+        rng = np.random.default_rng(ck.seed)
+        radius = LabelEmbedConfig.init_radius
+        init = np.stack([random_ball_point(rng, ck.emb.dim, radius) for _ in ck.emb.nodes])
+        assert np.all(np.any(ck.emb.vectors != init, axis=1))
+    if "c.ckpt" in names:
+        ckpt.load_checkpoint(out / "c.ckpt", expect_stage=ckpt.STAGE_CLASSIFIER)
+
+
+def assert_one_of_three_ends(code, stdout, err, out, names):
+    assert "Traceback" not in stdout + err
+    if code == 0:
+        assert err == ""
+        assert_valid_outputs(out, names)
+    elif code == 1:
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+    else:
+        assert code == 2
+        assert err.startswith("usage: ")
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, value", CASES)
+def test_numeric_flag(inputs, tmp_path, monkeypatch, command, flag, value):
+    monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, names = argv_and_outputs(command, inputs, out)
+    # The last occurrence of a flag wins, so the swept value overrides the base run's.
+    code, stdout, err = run(argv + [flag, value])
+    assert_one_of_three_ends(code, stdout, err, out, names)
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+@pytest.mark.parametrize("command", list(NUMERIC_FLAGS))
+def test_env_seed(inputs, tmp_path, monkeypatch, command, value):
+    monkeypatch.setenv("HYPERCLASS_SEED", value)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, names = argv_and_outputs(command, inputs, out)
+    code, stdout, err = run(argv)
+    assert_one_of_three_ends(code, stdout, err, out, names)

@@ -9,7 +9,6 @@ from hyperclass.data import (
     LabeledDataset,
     default_synthetic_tree,
     generate_synthetic,
-    infer_label_names,
     load_dataset,
     make_family_tree,
     save_dataset,
@@ -62,7 +61,7 @@ class TestDatasetIo:
     def test_infer_label_names_sorted_unique(self, tmp_path):
         p = tmp_path / "data.tsv"
         p.write_text("t1\tzeta\nt2\talpha\nt3\tzeta\n")
-        assert infer_label_names(p) == ["alpha", "zeta"]
+        assert load_dataset(p).label_names == ["alpha", "zeta"]
 
     def test_class_counts(self):
         ds = LabeledDataset([("a", 0), ("b", 1), ("c", 1)], ["x", "y"])
