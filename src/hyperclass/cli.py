@@ -134,6 +134,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
+    counts = {"--families": args.families, "--leaves-per-family": args.leaves_per_family}
+    for flag, count in counts.items():
+        if count < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {count}")
     tree, class_rows = make_family_tree(args.families, args.leaves_per_family)
     spec = _config(SynthSpec, args)
     spec.validate()

@@ -1,8 +1,14 @@
-"""Dataclass configs for both training stages and the synthetic data generator."""
+"""Dataclass configs for both training stages and the synthetic data generator.
+
+A field is a setting some caller changes. Values the method fixes are
+constants of the module that uses them: stage one's burn-in and init
+radius in `hierarchy`, the Adam constants in `optim` and the parameter
+init scale in `encoder`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 
@@ -32,10 +38,6 @@ class LabelEmbedConfig:
     epochs: int = 300
     negatives: int = 10
     lr: float = 0.01
-    # First epochs run at lr * burn_in_factor to avoid early boundary collapse.
-    burn_in_epochs: int = 10
-    burn_in_factor: float = 0.1
-    init_radius: float = 1e-3
     seed: int = 42
 
     def validate(self) -> None:
@@ -43,15 +45,6 @@ class LabelEmbedConfig:
             raise ConfigError("label embedding config requires positive dim/epochs/negatives")
         _check_lr(self.lr)
         _check_seed(self.seed)
-        if self.burn_in_epochs < 0:
-            raise ConfigError(f"burn_in_epochs must be >= 0, got {self.burn_in_epochs!r}")
-        # Each comparison below is also false for nan.
-        if not 0 < self.burn_in_factor < float("inf"):
-            raise ConfigError(
-                f"burn_in_factor must be positive and finite, got {self.burn_in_factor!r}"
-            )
-        if not 0 < self.init_radius < 1:
-            raise ConfigError(f"init_radius must be in (0, 1), got {self.init_radius!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

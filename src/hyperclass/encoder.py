@@ -61,9 +61,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_index)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_index.get(token, UNK)
-
 
 def _normalize(piece: str) -> str:
     """The token of one lowercased whitespace-split piece; empty if the
@@ -180,6 +177,11 @@ def tokenize_batch(vocab: Vocabulary, texts: list[str]) -> TokenBatch:
     return TokenBatch(ids, _starts(lengths), lengths)
 
 
+# Half-width of the uniform draw of every encoder and head parameter:
+# small enough that tanh starts in its linear range and every logit near 0.
+INIT_SCALE = 0.05
+
+
 @dataclass
 class EncoderModel:
     """Mean-pooled token embeddings followed by one tanh layer.
@@ -194,31 +196,17 @@ class EncoderModel:
 
     @classmethod
     def init(
-        cls,
-        vocab: Vocabulary,
-        d_tok: int,
-        d_e: int,
-        rng: np.random.Generator,
-        scale: float = 0.05,
+        cls, vocab: Vocabulary, d_tok: int, d_e: int, rng: np.random.Generator
     ) -> "EncoderModel":
         return cls(
             vocab=vocab,
-            embedding=rng.uniform(-scale, scale, size=(len(vocab), d_tok)),
-            w1=rng.uniform(-scale, scale, size=(d_tok, d_e)),
-            b1=rng.uniform(-scale, scale, size=d_e),
+            embedding=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(vocab), d_tok)),
+            w1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d_tok, d_e)),
+            b1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=d_e),
         )
-
-    @property
-    def d_e(self) -> int:
-        return self.w1.shape[1]
 
     def params(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "w1": self.w1, "b1": self.b1}
-
-
-def _pool(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
-    sums = np.add.reduceat(model.embedding.take(batch.ids, axis=0), batch.offsets, axis=0)
-    return sums / batch.lengths[:, None]
 
 
 def encode_batch(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
@@ -229,7 +217,8 @@ def encode_batch(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
 def encode_batch_pooled(model: EncoderModel, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
     """(h, pooled): encode_batch and the mean-pooled token embeddings it
     was computed from, which encode_batch_backward reuses."""
-    pooled = _pool(model, batch)
+    sums = np.add.reduceat(model.embedding.take(batch.ids, axis=0), batch.offsets, axis=0)
+    pooled = sums / batch.lengths[:, None]
     return np.tanh(pooled @ model.w1 + model.b1), pooled
 
 
@@ -238,19 +227,16 @@ def encode_batch_backward(
     batch: TokenBatch,
     h: np.ndarray,
     upstream_grad: np.ndarray,
-    pooled: np.ndarray | None = None,
+    pooled: np.ndarray,
 ) -> dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Gradients of sum_i upstream_grad[i] . h[i] w.r.t. the encoder
-    parameters, where h, pooled = encode_batch_pooled(model, batch);
-    `pooled` is recomputed when not given.
+    parameters, where h, pooled = encode_batch_pooled(model, batch).
 
     "w1" and "b1" are dense. "embedding" is (rows, grads): the batch's
     distinct token ids, sorted, and their (len(rows), d_tok) gradient
     rows; every other row's gradient is zero. Rows see the 1/length factor
     of mean pooling, and repeated tokens accumulate.
     """
-    if pooled is None:
-        pooled = _pool(model, batch)
     dpre = upstream_grad * (1.0 - h * h)
     dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
     # Token-by-sample occurrence counts over the batch's distinct tokens:
@@ -282,8 +268,8 @@ def encode_backward(
     """encode_batch_backward for one sample, with the embedding gradient
     as a dense table shaped like model.embedding."""
     batch = TokenBatch.pack([tokens])
-    h = encode_batch(model, batch)
-    grads = encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :])
+    h, pooled = encode_batch_pooled(model, batch)
+    grads = encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :], pooled)
     rows, row_grads = grads["embedding"]
     grads["embedding"] = np.zeros_like(model.embedding)
     grads["embedding"][rows] = row_grads

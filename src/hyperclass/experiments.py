@@ -96,7 +96,12 @@ def surviving_sibling_pairs(expert: LabelTree, candidate: LabelTree) -> int:
     return int(np.triu(siblings, 1).sum())
 
 
-def scrambled_tree(tree: LabelTree, max_surviving_pairs: int = 1) -> tuple[LabelTree, int]:
+# Sibling pairs a scrambled tree may keep: with six leaves in two triples
+# at least one pair always survives a shuffle, by pigeonhole.
+MAX_SURVIVING_PAIRS = 1
+
+
+def scrambled_tree(tree: LabelTree) -> tuple[LabelTree, int]:
     """Shuffled-hierarchy fixture for the ablation harness.
 
     Draws uniform child-slot shuffles from the seeds 0, 1, 2, ...
@@ -104,16 +109,15 @@ def scrambled_tree(tree: LabelTree, max_surviving_pairs: int = 1) -> tuple[Label
     A uniform shuffle occasionally reproduces the original grouping under
     new parent names (swapping both family subtrees wholesale); that draw
     is the real hierarchy in disguise, not a scrambled one, so the search
-    skips it. With six leaves in two triples at least one sibling pair
-    always survives by pigeonhole, so the default threshold accepts only
-    maximally scrambled draws. Returns the tree and the shuffle seed that
-    produced it.
+    skips it. MAX_SURVIVING_PAIRS is the fewest pairs that can survive,
+    so the search accepts only maximally scrambled draws. Returns the
+    tree and the shuffle seed that produced it.
     """
     for shuffle_seed in range(1000):
         candidate = build_tree(
             tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(shuffle_seed)
         )
-        if surviving_sibling_pairs(tree, candidate) <= max_surviving_pairs:
+        if surviving_sibling_pairs(tree, candidate) <= MAX_SURVIVING_PAIRS:
             return candidate, shuffle_seed
     raise RuntimeError("no sufficiently scrambled shuffle found")
 
@@ -127,11 +131,9 @@ def uniform_ball_labels(nodes: list[str], dim: int, rng: np.random.Generator) ->
     places its anchors, so this arm differs from the trained ones only by
     carrying no structure; in the dims used here a handful of random
     directions is close to evenly spread."""
-    vectors = np.empty((len(nodes), dim))
-    for i in range(len(nodes)):
-        direction = rng.standard_normal(dim)
-        vectors[i] = STRUCTURELESS_RADIUS * direction / np.linalg.norm(direction)
-    return LabelEmbeddings(nodes=list(nodes), vectors=vectors)
+    directions = rng.standard_normal((len(nodes), dim))
+    norms = np.sqrt(np.vecdot(directions, directions))[:, None]
+    return LabelEmbeddings(nodes=list(nodes), vectors=STRUCTURELESS_RADIUS * directions / norms)
 
 
 def mean_over_seeds(records: list[dict], key: str) -> float:

@@ -7,8 +7,11 @@ Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
 as in gensim's PoincareModel. Each epoch draws every pair's negatives in
 one call into one matrix of rows; each minibatch is a slice of it that
 label_loss takes as it is: one gather of its points, one batched loss and
-one step over the distinct rows it touches. The embeddings are then
-scored by how well nearest-neighbour ranking reconstructs the edges.
+one step over the distinct rows it touches. Points start within
+INIT_RADIUS of the origin, and the first BURN_IN_EPOCHS epochs step at
+lr * BURN_IN_FACTOR; these three, like PAIRS_PER_STEP, are constants of
+the method rather than settings. The embeddings are then scored by how
+well nearest-neighbour ranking reconstructs the edges.
 
 Embeddings and projections are written as TSV from (names, vectors)
 chunks, one formatting operation per row, so a caller can stream rows
@@ -38,6 +41,15 @@ MODES = ("expert", "none", "random")
 # PoincareModel. Larger batches take fewer steps per epoch and narrowed the
 # expert-vs-shuffled MAP gap on the Parrott taxonomy (at 32).
 PAIRS_PER_STEP = 10
+# The burn-in of Nickel & Kiela (2017): the first BURN_IN_EPOCHS epochs run
+# at lr * BURN_IN_FACTOR, so the points find their angular layout near the
+# origin before full steps push them toward the boundary.
+BURN_IN_EPOCHS = 10
+BURN_IN_FACTOR = 0.1
+# Every point starts within INIT_RADIUS of the origin, as in Nickel & Kiela
+# (2017): there the metric is nearly Euclidean and no point starts near the
+# boundary.
+INIT_RADIUS = 1e-3
 
 
 @dataclass
@@ -323,9 +335,7 @@ def train_label_embeddings(
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    vectors = np.stack(
-        [random_ball_point(rng, config.dim, config.init_radius) for _ in tree.nodes]
-    )
+    vectors = np.stack([random_ball_point(rng, config.dim, INIT_RADIUS) for _ in tree.nodes])
     emb = LabelEmbeddings(nodes=list(tree.nodes), vectors=vectors)
     if not tree.edges:
         return emb, None
@@ -333,10 +343,10 @@ def train_label_embeddings(
     children = np.array([tree.index[v] for _, v in tree.edges], dtype=np.intp)
     parents = tree.parent[children]
     table = negative_table(tree)
-    opt = RiemannianAdam(vectors, lr=config.lr)
+    opt = RiemannianAdam(vectors)
     final_loss = None
     for epoch in range(config.epochs):
-        lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
+        lr = config.lr * BURN_IN_FACTOR if epoch < BURN_IN_EPOCHS else config.lr
         order = rng.permutation(len(tree.edges))
         u = parents[order]
         negatives = negative_samples(table, u, config.negatives, rng)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .ball import exp_map_origin, exp_origin_distance_and_grad
 from .config import WEIGHT_NORMS
+from .encoder import INIT_SCALE
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
 
@@ -40,18 +41,13 @@ class ClassifierHead:
 
     @classmethod
     def init(
-        cls,
-        d_e: int,
-        num_classes: int,
-        hyper_dim: int,
-        rng: np.random.Generator,
-        scale: float = 0.05,
+        cls, d_e: int, num_classes: int, hyper_dim: int, rng: np.random.Generator
     ) -> "ClassifierHead":
         return cls(
-            w_c=rng.uniform(-scale, scale, size=(d_e, num_classes)),
-            b_c=rng.uniform(-scale, scale, size=num_classes),
-            w_p=rng.uniform(-scale, scale, size=(d_e, hyper_dim)),
-            b_p=rng.uniform(-scale, scale, size=hyper_dim),
+            w_c=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d_e, num_classes)),
+            b_c=rng.uniform(-INIT_SCALE, INIT_SCALE, size=num_classes),
+            w_p=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d_e, hyper_dim)),
+            b_p=rng.uniform(-INIT_SCALE, INIT_SCALE, size=hyper_dim),
         )
 
     def params(self) -> dict[str, np.ndarray]:
@@ -126,7 +122,7 @@ def weighted_ce_batch(
     hs: np.ndarray,
     ys: np.ndarray,
     label_matrix: np.ndarray,
-    weight_norm: str = "none",
+    weight_norm: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """total = (1/N) sum_i w_i * ce_i, with gradients through both factors.
 

@@ -5,7 +5,9 @@ in one batched step: gradients are rescaled by the inverse metric, the
 Adam direction goes through the exponential map, and moments are (n, d)
 coordinate matrices without parallel transport between steps. A step
 gathers and scatters both moments at once, so it costs a fixed few dozen
-array operations whatever the number of rows.
+array operations whatever the number of rows. It keeps no learning
+rate: each step takes its own, as stage one lowers it during burn-in.
+Both optimizers use the Adam constants BETA1, BETA2 and EPS.
 
 `_distinct_rows` finds the sorted distinct rows of a row step, and where
 each given id falls among them, for both stages: the tree-node rows of a
@@ -34,6 +36,13 @@ import numpy as np
 from .ball import exp_map, riemannian_grad
 
 
+# The Adam constants of Kingma & Ba (2015), which Becigneul & Ganea (2019)
+# keep for Riemannian Adam; both optimizers use them.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(ids, return_inverse=True) for ids in [0, n), without the
     sort: a mark per id gives the sorted distinct ids, and their running
@@ -57,30 +66,18 @@ class RiemannianAdam:
     one scatter.
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, points: np.ndarray):
         self.points = points
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._mv = np.zeros((len(points), 2, points.shape[1]))
         self.m, self.v = self._mv[:, 0], self._mv[:, 1]
         self.t = np.zeros(len(points), dtype=np.int64)
-        # beta1 and beta2, and 1 - each, as columns against a row's (2, d) moments.
-        self._decay = np.array([[beta1], [beta2]])
+        # BETA1 and BETA2, and 1 - each, as columns against a row's (2, d) moments.
+        self._decay = np.array([[BETA1], [BETA2]])
         self._gain = 1.0 - self._decay
 
-    def step(self, rows: np.ndarray, euclid_grad: np.ndarray, lr: float | None = None) -> None:
-        """One step on the distinct `rows`, with (len(rows), d) Euclidean
-        gradients. `lr` overrides self.lr for this step only (the burn-in
-        phase of stage one)."""
+    def step(self, rows: np.ndarray, euclid_grad: np.ndarray, lr: float) -> None:
+        """One step of learning rate `lr` on the distinct `rows`, with
+        (len(rows), d) Euclidean gradients."""
         theta = self.points.take(rows, axis=0)
         g = riemannian_grad(theta, euclid_grad)
         t = self.t[rows] + 1
@@ -93,8 +90,7 @@ class RiemannianAdam:
         self._mv[rows] = mv
         # m_hat and v_hat: each moment over its bias correction 1 - beta**t.
         mv /= (1.0 - self._decay**t).T[:, :, None]
-        step_lr = self.lr if lr is None else lr
-        direction = -step_lr * mv[:, 0] / (np.sqrt(mv[:, 1]) + self.eps)
+        direction = -lr * mv[:, 0] / (np.sqrt(mv[:, 1]) + EPS)
         self.points[rows] = exp_map(theta, direction)
 
 
@@ -133,19 +129,9 @@ class Adam:
     laid out like `params.flat`; `m` and `v` map each key to its view.
     """
 
-    def __init__(
-        self,
-        params: FlatParams,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: FlatParams, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._flat = np.zeros((4, len(params.flat)))
         self.m, self.v, _, self._g = (_views(row, params) for row in self._flat)
@@ -190,25 +176,25 @@ class Adam:
             else:
                 np.copyto(g, grads[key])
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         m, v, a, b = self._flat
-        m *= self.beta1
-        v *= self.beta2
+        m *= BETA1
+        v *= BETA2
         for g, s, m_span, v_span in self._dense_spans(frozenset(rows)):
             # m = beta1 * m + (1 - beta1) * g
-            np.multiply(g, 1.0 - self.beta1, out=s)
+            np.multiply(g, 1.0 - BETA1, out=s)
             m_span += s
             # v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(g, 1.0 - self.beta2, out=s)
+            np.multiply(g, 1.0 - BETA2, out=s)
             s *= g
             v_span += s
         for key, g in row_grads.items():
             # m[r] = beta1 * m[r] + (1 - beta1) * g, and likewise v, on the
             # given rows only: the other rows would add exact zeros.
             r = rows[key]
-            self.m[key][r] += g * (1.0 - self.beta1)
-            gg = g * (1.0 - self.beta2)
+            self.m[key][r] += g * (1.0 - BETA1)
+            gg = g * (1.0 - BETA2)
             gg *= g
             self.v[key][r] += gg
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps). Once beta1**t <= 2**-54
@@ -220,6 +206,6 @@ class Adam:
             a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += EPS
         a /= b
         self.params.flat -= a

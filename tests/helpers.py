@@ -117,7 +117,10 @@ def per_node_label_training(tree, config):
     """Frozen reference for stage one: the per-node loop that batched
     training replaced, one Riemannian Adam step per node per pair, with
     1-D Mobius addition and exponential map and a dict of per-node
-    moment states. Returns (vectors, final mean pair loss)."""
+    moment states. Returns (vectors, final mean pair loss). The burn-in
+    and init radius are read from hyperclass.hierarchy at call time, so a
+    test's monkeypatch of them reaches this reference too."""
+    from hyperclass import hierarchy
     from hyperclass.ball import distance, project_to_ball, random_ball_point
 
     def mobius_add(x, y):
@@ -143,12 +146,13 @@ def per_node_label_training(tree, config):
         return project_to_ball(exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps)))
 
     rng = np.random.default_rng(config.seed)
-    vectors = np.stack([random_ball_point(rng, config.dim, config.init_radius) for _ in tree.nodes])
+    radius = hierarchy.INIT_RADIUS
+    vectors = np.stack([random_ball_point(rng, config.dim, radius) for _ in tree.nodes])
     index = {name: i for i, name in enumerate(tree.nodes)}
     states = {name: {"t": 0, "m": np.zeros(config.dim), "v": np.zeros(config.dim)} for name in tree.nodes}
     final_loss = None
     for epoch in range(config.epochs):
-        lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
+        lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
         epoch_loss = 0.0
         for edge_idx in rng.permutation(len(tree.edges)):
             u, v = tree.edges[edge_idx]
@@ -219,6 +223,19 @@ def nested_loop_sibling_pairs(expert, candidate):
     return count
 
 
+def per_node_uniform_ball_labels(nodes, dim, rng):
+    """Frozen reference for experiments.uniform_ball_labels: one direction
+    draw and one np.linalg.norm per node. Returns the (len(nodes), dim)
+    vectors."""
+    from hyperclass.experiments import STRUCTURELESS_RADIUS
+
+    vectors = np.empty((len(nodes), dim))
+    for i in range(len(nodes)):
+        direction = rng.standard_normal(dim)
+        vectors[i] = STRUCTURELESS_RADIUS * direction / np.linalg.norm(direction)
+    return vectors
+
+
 def node_depths(tree):
     """Frozen reference for LabelTree.depth: {name: depth}, found by
     recursion up a child -> parent dict; roots (no parent) at 0."""
@@ -241,7 +258,10 @@ def batched_label_training(tree, config, pairs_per_step=10):
     and the other rows separately, finds its distinct rows with np.unique,
     and steps a Riemannian Adam with separate m and v matrices whose
     gradient rescaling, conformal factor and Mobius sum each recompute
-    ||theta||^2. Returns (vectors, final mean pair loss)."""
+    ||theta||^2. Returns (vectors, final mean pair loss). Like
+    per_node_label_training, it reads the burn-in and init radius from
+    hyperclass.hierarchy at call time."""
+    from hyperclass import hierarchy
     from hyperclass.ball import distance_and_grad, project_to_ball, random_ball_point
     from hyperclass.hierarchy import negative_samples
 
@@ -277,7 +297,8 @@ def batched_label_training(tree, config, pairs_per_step=10):
 
     b1, b2, eps = 0.9, 0.999, 1e-8
     rng = np.random.default_rng(config.seed)
-    vectors = np.stack([random_ball_point(rng, config.dim, config.init_radius) for _ in tree.nodes])
+    radius = hierarchy.INIT_RADIUS
+    vectors = np.stack([random_ball_point(rng, config.dim, radius) for _ in tree.nodes])
     index = {name: i for i, name in enumerate(tree.nodes)}
     parents = np.array([index[u] for u, _ in tree.edges], dtype=np.intp)
     children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
@@ -286,7 +307,7 @@ def batched_label_training(tree, config, pairs_per_step=10):
     steps = np.zeros(len(vectors), dtype=np.int64)
     final_loss = None
     for epoch in range(config.epochs):
-        lr = config.lr * config.burn_in_factor if epoch < config.burn_in_epochs else config.lr
+        lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
         order = rng.permutation(len(tree.edges))
         epoch_loss = 0.0
         for start in range(0, len(order), pairs_per_step):

@@ -333,6 +333,22 @@ class TestTrainClassifier:
         loaded = ckpt.load_checkpoint(out_path, expect_stage=ckpt.STAGE_CLASSIFIER)
         assert loaded.class_names == sorted(loaded.class_names)
 
+    def test_labels_ckpt_with_the_old_stage_one_keys_still_trains(self, ws, tmp_path):
+        # Labels checkpoints once stored the burn-in and init radius in their
+        # config; such a file still loads, and wce trains the same classifier.
+        ck = ckpt.load_checkpoint(ws["labels_ckpt"], expect_stage=ckpt.STAGE_LABELS)
+        old_keys = {"burn_in_epochs": 10, "burn_in_factor": 0.1, "init_radius": 0.001}
+        old = tmp_path / "old-labels.ckpt"
+        ckpt.save_labels_checkpoint(old, ck.emb, ck.class_map, {**ck.config, **old_keys}, ck.seed)
+        assert ckpt.load_checkpoint(old).config == {**ck.config, **old_keys}
+        code, _, err = run_cli(
+            ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",
+             ws["data"] / "dev.tsv", "--loss", "wce", "--labels-ckpt", old,
+             "--out", tmp_path / "clf.ckpt"] + SMALL_CLF
+        )
+        assert (code, err) == (0, "")
+        assert (tmp_path / "clf.ckpt").read_bytes() == ws["clf_ckpt"].read_bytes()
+
     def test_classifier_ckpt_rejected_as_labels_input(self, ws, tmp_path):
         code, _, err = run_cli(
             ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from hyperclass import checkpoint as ckpt
+from hyperclass import hierarchy
 from hyperclass.ball import random_ball_point
 from hyperclass.cli import main
-from hyperclass.config import LabelEmbedConfig
 
 VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "abc"]
 NUMERIC_FLAGS = {
@@ -43,6 +43,12 @@ CASES = [
     for flag in flags
     for value in VALUES
 ]
+# synth-data's tree-shape counts below 1: the one error line must name the flag.
+NAMED_IN_ERROR = {
+    ("synth-data", flag, value)
+    for flag in ("--families", "--leaves-per-family")
+    for value in ("0", "-1")
+}
 
 
 def run(argv):
@@ -91,7 +97,7 @@ def assert_valid_outputs(out, names):
         # Stage one must move every point from its seeded initialization.
         ck = ckpt.load_checkpoint(out / "l.ckpt", expect_stage=ckpt.STAGE_LABELS)
         rng = np.random.default_rng(ck.seed)
-        radius = LabelEmbedConfig.init_radius
+        radius = hierarchy.INIT_RADIUS
         init = np.stack([random_ball_point(rng, ck.emb.dim, radius) for _ in ck.emb.nodes])
         assert np.all(np.any(ck.emb.vectors != init, axis=1))
     if "c.ckpt" in names:
@@ -122,6 +128,8 @@ def test_numeric_flag(inputs, tmp_path, monkeypatch, command, flag, value):
     # The last occurrence of a flag wins, so the swept value overrides the base run's.
     code, stdout, err = run(argv + [flag, value])
     assert_one_of_three_ends(code, stdout, err, out, names)
+    if (command, flag, value) in NAMED_IN_ERROR:
+        assert code == 1 and flag in err
 
 
 @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])

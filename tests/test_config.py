@@ -30,23 +30,6 @@ class TestLabelEmbedConfig:
         with pytest.raises(ConfigError, match="positive and finite"):
             LabelEmbedConfig(lr=lr).validate()
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, INF, NAN])
-    def test_bad_burn_in_factor_rejected(self, factor):
-        with pytest.raises(ConfigError, match="burn_in_factor must be positive and finite"):
-            LabelEmbedConfig(burn_in_factor=factor).validate()
-
-    def test_negative_burn_in_epochs_rejected(self):
-        with pytest.raises(ConfigError, match="burn_in_epochs must be >= 0"):
-            LabelEmbedConfig(burn_in_epochs=-1).validate()
-
-    @pytest.mark.parametrize("radius", [0.0, -0.1, 1.0, 1.5, INF, NAN])
-    def test_init_radius_outside_open_unit_interval_rejected(self, radius):
-        with pytest.raises(ConfigError, match=r"init_radius must be in \(0, 1\)"):
-            LabelEmbedConfig(init_radius=radius).validate()
-
-    def test_burn_in_and_radius_edges_accepted(self):
-        LabelEmbedConfig(burn_in_epochs=0, burn_in_factor=5.0, init_radius=0.999).validate()
-
     def test_to_dict_round_trip(self):
         cfg = LabelEmbedConfig(dim=7, seed=3)
         assert LabelEmbedConfig(**cfg.to_dict()) == cfg

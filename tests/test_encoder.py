@@ -58,14 +58,17 @@ class TestVocabulary:
         assert a.token_to_index == b.token_to_index
 
     def test_lookup_oov_is_unk(self):
-        assert small_vocab().lookup("zebra") == UNK
+        vocab = small_vocab()
+        assert "zebra" not in vocab.token_to_index
+        assert tokenize(vocab, "zebra") == [UNK]
 
 
 class TestTokenize:
     def test_lowercase_and_edge_punctuation(self):
         vocab = Vocabulary.build(["i am furious", "i am furious"], min_freq=2)
         ids = tokenize(vocab, "I am FURIOUS!")
-        assert ids == [vocab.lookup("i"), vocab.lookup("am"), vocab.lookup("furious")]
+        index = vocab.token_to_index
+        assert ids == [index["i"], index["am"], index["furious"]]
         assert UNK not in ids
 
     def test_empty_text_yields_pad(self):
@@ -76,18 +79,18 @@ class TestTokenize:
         # "!!!" strips to nothing; the rest survive
         vocab = small_vocab()
         assert tokenize(vocab, "!!! ... --") == [PAD]
-        assert tokenize(vocab, "cat !!!") == [vocab.lookup("cat")]
+        assert tokenize(vocab, "cat !!!") == [vocab.token_to_index["cat"]]
 
     def test_interior_punctuation_kept(self):
         vocab = Vocabulary.build(["don't don't"], min_freq=2)
-        assert tokenize(vocab, "Don't") == [vocab.lookup("don't")]
+        assert tokenize(vocab, "Don't") == [vocab.token_to_index["don't"]]
 
     def test_oov_maps_to_unk(self):
         vocab = small_vocab()
         assert tokenize(vocab, "the unicorn sat") == [
-            vocab.lookup("the"),
+            vocab.token_to_index["the"],
             UNK,
-            vocab.lookup("sat"),
+            vocab.token_to_index["sat"],
         ]
 
 
@@ -169,7 +172,6 @@ class TestEncoderModel:
         assert model.embedding.shape == (len(vocab), 8)
         assert model.w1.shape == (8, 5)
         assert model.b1.shape == (5,)
-        assert model.d_e == 5
         for arr in model.params().values():
             assert np.all(np.abs(arr) <= 0.05)
 
@@ -286,15 +288,16 @@ class TestBatchedEncoder:
     def test_encode_batch_matches_per_sample(self):
         model = self.model()
         hs = encode_batch(model, TokenBatch.pack(SAMPLES))
-        assert hs.shape == (len(SAMPLES), model.d_e)
+        assert hs.shape == (len(SAMPLES), model.w1.shape[1])
         for tokens, h in zip(SAMPLES, hs):
             np.testing.assert_allclose(h, encode(model, tokens), rtol=0, atol=1e-12)
 
     def test_backward_matches_sum_of_per_sample(self):
         model = self.model()
         batch = TokenBatch.pack(SAMPLES)
-        upstream = np.random.default_rng(12).standard_normal((len(SAMPLES), model.d_e))
-        grads = densified(model, encode_batch_backward(model, batch, encode_batch(model, batch), upstream))
+        upstream = np.random.default_rng(12).standard_normal((len(SAMPLES), model.w1.shape[1]))
+        h, pooled = encode_batch_pooled(model, batch)
+        grads = densified(model, encode_batch_backward(model, batch, h, upstream, pooled))
         expected = {k: np.zeros_like(v) for k, v in model.params().items()}
         for tokens, g in zip(SAMPLES, upstream):
             for key, arr in encode_backward(model, tokens, g).items():
@@ -305,8 +308,9 @@ class TestBatchedEncoder:
     def test_backward_matches_finite_differences(self):
         model = self.model(seed=13)
         batch = TokenBatch.pack(SAMPLES)
-        upstream = np.random.default_rng(14).standard_normal((len(SAMPLES), model.d_e))
-        grads = densified(model, encode_batch_backward(model, batch, encode_batch(model, batch), upstream))
+        upstream = np.random.default_rng(14).standard_normal((len(SAMPLES), model.w1.shape[1]))
+        h, pooled = encode_batch_pooled(model, batch)
+        grads = densified(model, encode_batch_backward(model, batch, h, upstream, pooled))
         for key, arr in model.params().items():
             num = numeric_grad(lambda: float(np.sum(upstream * encode_batch(model, batch))), arr)
             assert rel_err(grads[key], num) < 1e-4, key
@@ -323,17 +327,20 @@ class TestBatchedEncoder:
     def test_backward_rows_are_the_distinct_tokens_and_pooled_is_reused(self):
         model = self.model(seed=15)
         batch = TokenBatch.pack(SAMPLES)
-        upstream = np.random.default_rng(16).standard_normal((len(SAMPLES), model.d_e))
+        upstream = np.random.default_rng(16).standard_normal((len(SAMPLES), model.w1.shape[1]))
         h, pooled = encode_batch_pooled(model, batch)
         np.testing.assert_array_equal(h, encode_batch(model, batch))
         given = encode_batch_backward(model, batch, h, upstream, pooled)
-        recomputed = encode_batch_backward(model, batch, h, upstream)
         rows, row_grads = given["embedding"]
         assert rows.tolist() == sorted({t for tokens in SAMPLES for t in tokens})
         assert row_grads.shape == (len(rows), model.embedding.shape[1])
-        for key in ("w1", "b1"):
-            np.testing.assert_array_equal(given[key], recomputed[key])
-        np.testing.assert_array_equal(row_grads, recomputed["embedding"][1])
+        # Only w1's gradient reads pooled: the given rows against the
+        # pre-tanh gradient.
+        dpre = upstream * (1.0 - h * h)
+        np.testing.assert_array_equal(given["w1"], pooled.T @ dpre)
+        unread = encode_batch_backward(model, batch, h, upstream, np.zeros_like(pooled))
+        np.testing.assert_array_equal(given["b1"], unread["b1"])
+        np.testing.assert_array_equal(row_grads, unread["embedding"][1])
 
 
 @given(n=st.integers(1, 40), data=st.data())

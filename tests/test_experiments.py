@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import nested_loop_sibling_pairs
+from helpers import nested_loop_sibling_pairs, per_node_uniform_ball_labels
+from hyperclass import experiments
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, make_family_tree
 from hyperclass.errors import ConfigError, DatasetError
@@ -61,10 +62,11 @@ class TestScrambledTree:
         assert sorted(p for p, _ in fixture.edges) == sorted(p for p, _ in tree.edges)
         assert sorted(c for _, c in fixture.edges) == sorted(c for _, c in tree.edges)
 
-    def test_impossible_threshold_raises(self):
+    def test_impossible_threshold_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_SURVIVING_PAIRS", -1)
         tree, _ = default_synthetic_tree()
         with pytest.raises(RuntimeError, match="no sufficiently scrambled"):
-            scrambled_tree(tree, max_surviving_pairs=-1)
+            scrambled_tree(tree)
 
 
 class TestUniformBallLabels:
@@ -84,6 +86,16 @@ class TestUniformBallLabels:
         dots = a.vectors @ a.vectors.T / STRUCTURELESS_RADIUS**2
         off_diag = dots[~np.eye(6, dtype=bool)]
         assert np.all(off_diag < 0.999)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (4, 5), (6, 10), (36, 10), (133, 3), (20, 100)])
+    def test_matches_per_node_loop_bitwise(self, shape):
+        # (36, 10) at seed 0 is a shape where np.linalg.norm(axis=1) is one
+        # ulp off the loop's per-row norms.
+        nodes = [f"n{i}" for i in range(shape[0])]
+        for seed in range(5):
+            emb = uniform_ball_labels(nodes, shape[1], np.random.default_rng(seed))
+            ref = per_node_uniform_ball_labels(nodes, shape[1], np.random.default_rng(seed))
+            np.testing.assert_array_equal(emb.vectors, ref)
 
 
 SMALL_RUN = dict(

@@ -16,6 +16,7 @@ from helpers import (
     per_parent_negative_table,
     rel_err,
 )
+from hyperclass import hierarchy
 from hyperclass.ball import MAX_NORM, random_ball_point
 from hyperclass.config import LabelEmbedConfig
 from hyperclass.data import default_synthetic_tree, make_family_tree
@@ -315,7 +316,7 @@ class TestLabelLoss:
         np.testing.assert_allclose(grads, expected[rows], rtol=0, atol=1e-12)
 
 
-PARROTT_FEW_EPOCHS = LabelEmbedConfig(dim=10, epochs=12, negatives=10, burn_in_epochs=4, seed=2)
+PARROTT_FEW_EPOCHS = LabelEmbedConfig(dim=10, epochs=12, negatives=10, seed=2)
 
 
 class TestTrainLabelEmbeddings:
@@ -324,7 +325,7 @@ class TestTrainLabelEmbeddings:
         cfg = LabelEmbedConfig(dim=4, epochs=50, seed=3)
         emb, final_loss = train_label_embeddings(tree, cfg)
         assert final_loss is None
-        assert np.all(np.linalg.norm(emb.vectors, axis=1) <= cfg.init_radius)
+        assert np.all(np.linalg.norm(emb.vectors, axis=1) <= hierarchy.INIT_RADIUS)
 
     def test_bitwise_deterministic(self):
         cfg = LabelEmbedConfig(dim=4, epochs=5, negatives=3, seed=11)
@@ -334,8 +335,6 @@ class TestTrainLabelEmbeddings:
         assert la == lb and la is not None and la > 0.0
 
     def test_batches_of_ten_bitwise_deterministic(self, monkeypatch):
-        import hyperclass.hierarchy as hierarchy
-
         assert hierarchy.PAIRS_PER_STEP == 10
         sizes = []
 
@@ -344,8 +343,9 @@ class TestTrainLabelEmbeddings:
             return label_loss(vectors, idx)
 
         monkeypatch.setattr(hierarchy, "label_loss", counted)
+        monkeypatch.setattr(hierarchy, "BURN_IN_EPOCHS", 1)
         tree = build_tree(parse_taxonomy(bundled_taxonomy_path()), [])
-        cfg = LabelEmbedConfig(dim=5, epochs=3, burn_in_epochs=1, seed=4)
+        cfg = LabelEmbedConfig(dim=5, epochs=3, seed=4)
         a, la = train_label_embeddings(tree, cfg)
         b, lb = train_label_embeddings(tree, cfg)
         np.testing.assert_array_equal(a.vectors, b.vectors)
@@ -356,8 +356,9 @@ class TestTrainLabelEmbeddings:
         one, _ = train_label_embeddings(tree, cfg)
         assert not np.array_equal(a.vectors, one.vectors)
 
-    def test_stays_in_ball_with_aggressive_lr(self):
-        cfg = LabelEmbedConfig(dim=3, epochs=20, negatives=5, lr=0.5, burn_in_epochs=0, seed=0)
+    def test_stays_in_ball_with_aggressive_lr(self, monkeypatch):
+        monkeypatch.setattr(hierarchy, "BURN_IN_EPOCHS", 0)
+        cfg = LabelEmbedConfig(dim=3, epochs=20, negatives=5, lr=0.5, seed=0)
         emb, _ = train_label_embeddings(balanced_tree(), cfg)
         assert np.all(np.linalg.norm(emb.vectors, axis=1) <= MAX_NORM * (1.0 + 1e-15))
 
@@ -372,19 +373,18 @@ class TestTrainLabelEmbeddings:
         assert leaf_mean > root_mean
 
     @pytest.mark.parametrize(
-        "tree, cfg",
+        "tree, cfg, burn_in_epochs",
         [
-            (balanced_tree(), LabelEmbedConfig(dim=5, epochs=60, negatives=4, seed=3)),
-            (build_tree(parse_taxonomy(bundled_taxonomy_path()), []), PARROTT_FEW_EPOCHS),
+            (balanced_tree(), LabelEmbedConfig(dim=5, epochs=60, negatives=4, seed=3), 10),
+            (build_tree(parse_taxonomy(bundled_taxonomy_path()), []), PARROTT_FEW_EPOCHS, 4),
         ],
         ids=["balanced", "parrott"],
     )
-    def test_matches_per_node_reference(self, tree, cfg, monkeypatch):
+    def test_matches_per_node_reference(self, tree, cfg, burn_in_epochs, monkeypatch):
         # With one pair per batch, the batched step moves the same points
         # as one step per node.
-        import hyperclass.hierarchy as hierarchy
-
         monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", 1)
+        monkeypatch.setattr(hierarchy, "BURN_IN_EPOCHS", burn_in_epochs)
         ref_vectors, ref_loss = per_node_label_training(tree, cfg)
         emb, loss = train_label_embeddings(tree, cfg)
         np.testing.assert_allclose(emb.vectors, ref_vectors, rtol=0, atol=1e-9)
@@ -409,8 +409,6 @@ class TestTrainLabelEmbeddings:
         # One negative draw per epoch, one gather per batch, the mark-array
         # row finder and the fused step move the same points as the trainer
         # that drew, gathered and stepped each part on its own.
-        import hyperclass.hierarchy as hierarchy
-
         monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", pairs_per_step)
         ref_vectors, ref_loss = batched_label_training(tree, cfg, pairs_per_step)
         emb, loss = train_label_embeddings(tree, cfg)
@@ -418,8 +416,6 @@ class TestTrainLabelEmbeddings:
         assert loss == ref_loss
 
     def test_nan_gradient_raises_numerical_error(self, monkeypatch):
-        import hyperclass.hierarchy as hierarchy
-
         calls = []
 
         def poisoned(vectors, idx):

@@ -176,7 +176,7 @@ class TestWeightedCeBatch:
         head = make_head()
         hs, ys = batch_inputs()
         mat = self.label_matrix()
-        total, _ = weighted_ce_batch(head, hs, ys, mat)
+        total, _ = weighted_ce_batch(head, hs, ys, mat, "none")
         ces = [cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))]
         ws = [hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))]
         assert abs(total - np.mean(np.multiply(ces, ws))) < 1e-12
@@ -221,7 +221,7 @@ class TestWeightedCeBatch:
         head = make_head(m=2)
         h = np.zeros((1, 4))
         mat = np.stack([exp_map_origin(head.b_p), np.array([0.5, 0.0])])
-        total, grads = weighted_ce_batch(head, h, np.array([0]), mat)
+        total, grads = weighted_ce_batch(head, h, np.array([0]), mat, "none")
         assert hyper_weight(head, h[0], mat[0]) == 0.0
         assert total == 0.0
         np.testing.assert_array_equal(grads["w_c"], 0.0)
@@ -243,7 +243,7 @@ class TestWeightedCeBatch:
         r = np.tanh(0.5)  # d(0, (r,0)) = 2 artanh(r) = 1.0
         mat = np.stack([[r, 0.0], [0.0, r], [-r, 0.0]])
         hs, ys = batch_inputs()
-        w_total, w_grads = weighted_ce_batch(head, hs, ys, mat)
+        w_total, w_grads = weighted_ce_batch(head, hs, ys, mat, "none")
         c_total, c_grads = ce_batch(head, hs, ys)
         assert abs(w_total - c_total) < 1e-12
         np.testing.assert_allclose(w_grads["w_c"], c_grads["w_c"], atol=1e-12)
@@ -316,7 +316,7 @@ class TestBatchedAgainstLoop:
         head = make_head()
         hs, ys = batch_inputs(n=1)
         mat = TestWeightedCeBatch.label_matrix()
-        total, _ = weighted_ce_batch(head, hs, ys, mat)
+        total, _ = weighted_ce_batch(head, hs, ys, mat, "none")
         expected = hyper_weight(head, hs[0], mat[ys[0]]) * cross_entropy(logits(head, hs[0]), int(ys[0]))
         assert abs(total - expected) < 1e-12
 

@@ -19,9 +19,9 @@ def riemannian_sgd(theta, euclid_grad, lr):
     return exp_map(theta, -lr * riemannian_grad(theta, euclid_grad))
 
 
-def radam_point(theta, lr=0.01):
+def radam_point(theta):
     """A RiemannianAdam over one point, and that point's row of its matrix."""
-    opt = RiemannianAdam(np.array([theta], dtype=float), lr=lr)
+    opt = RiemannianAdam(np.array([theta], dtype=float))
     return opt, opt.points[0]
 
 
@@ -77,19 +77,19 @@ ROW0 = np.array([0])
 
 class TestRadam:
     def test_zero_gradient_never_moves(self):
-        opt, theta = radam_point([0.1, 0.4], lr=0.05)
+        opt, theta = radam_point([0.1, 0.4])
         start = theta.copy()
         for _ in range(20):
-            opt.step(ROW0, np.zeros((1, 2)))
+            opt.step(ROW0, np.zeros((1, 2)), lr=0.05)
             np.testing.assert_array_equal(opt.points[0], start)
         assert opt.t[0] == 20
 
     def test_first_step_magnitude(self):
         # At t=1 bias correction makes m_hat the rescaled grad and v_hat its
         # square, so the tangent step is -lr * sign(g) up to eps.
-        opt, _ = radam_point(np.zeros(2), lr=0.01)
+        opt, _ = radam_point(np.zeros(2))
         g = np.array([3.0, -0.5])
-        opt.step(ROW0, g[None, :])
+        opt.step(ROW0, g[None, :], lr=0.01)
         expected_dir = -0.01 * np.sign(g) / (1.0 + 0.0)
         # exp map at origin: tanh(||step||) * unit(step)
         r = np.linalg.norm(expected_dir)
@@ -100,49 +100,56 @@ class TestRadam:
         rng = np.random.default_rng(2)
         for trial in range(10):
             dim = int(rng.integers(2, 8))
-            opt, _ = radam_point(random_ball_point(rng, dim, 0.8), lr=0.01)
+            opt, _ = radam_point(random_ball_point(rng, dim, 0.8))
             target = random_ball_point(rng, dim, 0.8)
             for _ in range(500):
                 _, g = dist_sq_grad(opt.points[0], target)
-                opt.step(ROW0, g[None, :])
+                opt.step(ROW0, g[None, :], lr=0.01)
             assert distance(opt.points[0], target) < 1e-3
 
     def test_deterministic(self):
         g = np.array([0.3, 0.7, -0.2])
         outs = []
         for _ in range(2):
-            opt, _ = radam_point([0.1, -0.2, 0.05], lr=0.02)
+            opt, _ = radam_point([0.1, -0.2, 0.05])
             for _ in range(10):
-                opt.step(ROW0, (g * opt.t[0])[None, :])
+                opt.step(ROW0, (g * opt.t[0])[None, :], lr=0.02)
             outs.append(opt.points[0].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_lr_override_used_for_single_step(self):
-        opt_a, _ = radam_point([0.2, 0.1], lr=0.01)
-        opt_b, _ = radam_point([0.2, 0.1], lr=1e9)  # ignored when lr= is passed
+        # The optimizer keeps no learning rate: each step takes its own, and
+        # at equal moments a step of twice the lr moves twice as far.
+        start = np.array([0.2, 0.1])
+        opt_a, _ = radam_point(start)
+        opt_b, _ = radam_point(start)
         g = np.array([[1.0, -1.0]])
-        opt_a.step(ROW0, g)
-        opt_b.step(ROW0, g, lr=0.01)
-        np.testing.assert_array_equal(opt_a.points, opt_b.points)
-        assert opt_b.lr == 1e9
+        opt_a.step(ROW0, g, lr=0.01)
+        opt_b.step(ROW0, g, lr=0.02)
+        np.testing.assert_array_equal(opt_a.m, opt_b.m)
+        moved_a, moved_b = distance(start, opt_a.points[0]), distance(start, opt_b.points[0])
+        assert moved_b == pytest.approx(2 * moved_a, rel=1e-9)
+        assert not hasattr(opt_b, "lr")
+        with pytest.raises(TypeError, match="lr"):
+            opt_b.step(ROW0, g)
 
     def test_stays_in_ball_under_huge_gradients(self):
         rng = np.random.default_rng(3)
-        opt, _ = radam_point(np.zeros(4), lr=0.5)
+        opt, _ = radam_point(np.zeros(4))
         for _ in range(100):
-            opt.step(ROW0, rng.standard_normal((1, 4)) * 1e3)
+            opt.step(ROW0, rng.standard_normal((1, 4)) * 1e3, lr=0.5)
             assert np.linalg.norm(opt.points[0]) <= MAX_NORM * (1.0 + 1e-15)
 
     def test_moment_shapes_and_step_count(self):
-        opt = RiemannianAdam(np.zeros((5, 7)), lr=0.01)
-        opt.step(np.array([1, 3]), np.ones((2, 7)))
+        opt = RiemannianAdam(np.zeros((5, 7)))
+        opt.step(np.array([1, 3]), np.ones((2, 7)), lr=0.01)
         assert opt.m.shape == (5, 7) and opt.v.shape == (5, 7)
         assert opt.t.tolist() == [0, 1, 0, 1, 0]
 
     def test_updates_points_in_place(self):
         points = np.zeros((3, 2))
-        opt = RiemannianAdam(points, lr=0.1)
-        opt.step(np.array([2]), np.ones((1, 2)))
+        opt = RiemannianAdam(points)
+        opt.step(np.array([2]), np.ones((1, 2)), lr=0.1)
         assert opt.points is points and points[2].any() and not points[:2].any()
 
     def test_rows_match_textbook_per_point_adam(self):
@@ -151,7 +158,7 @@ class TestRadam:
         rng = np.random.default_rng(4)
         n, dim, lr, b1, b2, eps = 9, 4, 0.05, 0.9, 0.999, 1e-8
         start = np.stack([random_ball_point(rng, dim, 0.9) for _ in range(n)])
-        opt = RiemannianAdam(start.copy(), lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = RiemannianAdam(start.copy())
         ref = [
             {"theta": start[i].copy(), "m": np.zeros(dim), "v": np.zeros(dim), "t": 0}
             for i in range(n)
@@ -159,7 +166,7 @@ class TestRadam:
         for step in range(80):
             rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             grads = rng.standard_normal((len(rows), dim)) * 10.0 ** rng.uniform(-3, 2)
-            step_lr = lr * 0.1 if step < 10 else None
+            step_lr = lr * 0.1 if step < 10 else lr
             opt.step(rows, grads, lr=step_lr)
             for row, grad in zip(rows, grads):
                 s = ref[row]
@@ -169,7 +176,7 @@ class TestRadam:
                 s["v"] = b2 * s["v"] + (1.0 - b2) * g * g
                 m_hat = s["m"] / (1.0 - b1 ** s["t"])
                 v_hat = s["v"] / (1.0 - b2 ** s["t"])
-                direction = -(step_lr or lr) * m_hat / (np.sqrt(v_hat) + eps)
+                direction = -step_lr * m_hat / (np.sqrt(v_hat) + eps)
                 s["theta"] = exp_map(s["theta"], direction)
         assert len(set(opt.t.tolist())) > 1
         assert opt.t.tolist() == [s["t"] for s in ref]
@@ -216,7 +223,7 @@ class TestEuclideanAdam:
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params, lr=lr)
         for t in range(1, 60):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
             grads["emb"][rng.random(40) < 0.7] = 0.0  # mostly untouched rows
@@ -244,7 +251,7 @@ class TestEuclideanAdam:
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params, lr=lr)
         for t in range(1, 401):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
             rows = np.flatnonzero(rng.random(30) < 0.3)

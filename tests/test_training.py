@@ -6,7 +6,15 @@ import pytest
 from helpers import dense_table_train_classifier
 from hyperclass.config import ClassifierConfig, SynthSpec
 from hyperclass.data import LabeledDataset, default_synthetic_tree, generate_synthetic
-from hyperclass.encoder import CHUNK_ROWS, EncoderModel, Vocabulary, encode, tokenize, tokenize_batch
+from hyperclass.encoder import (
+    CHUNK_ROWS,
+    INIT_SCALE,
+    EncoderModel,
+    Vocabulary,
+    encode,
+    tokenize,
+    tokenize_batch,
+)
 from hyperclass.errors import ConfigError, DatasetError, NumericalError
 from hyperclass.hierarchy import LabelEmbeddings
 from hyperclass.loss import ClassifierHead, predict
@@ -223,8 +231,11 @@ class TestEvaluateModel:
         assert len(test) > CHUNK_ROWS
         vocab = Vocabulary.build([text for text, _ in test.samples])
         rng = np.random.default_rng(5)
-        model = EncoderModel.init(vocab, 8, 16, rng, scale=1.0)
-        head = ClassifierHead.init(16, len(test.label_names), 2, rng, scale=1.0)
+        model = EncoderModel.init(vocab, 8, 16, rng)
+        head = ClassifierHead.init(16, len(test.label_names), 2, rng)
+        # Parameters scaled to [-1, 1), so the predictions spread over classes.
+        for arr in [*model.params().values(), *head.params().values()]:
+            arr /= INIT_SCALE
         ev, preds = evaluate_model(model, head, test)
         expected = [predict(head, encode(model, tokenize(vocab, text))) for text, _ in test.samples]
         assert preds == expected
