@@ -20,10 +20,11 @@ def main() -> None:
     ap.add_argument("--weight-norm", choices=WEIGHT_NORMS, default=ClassifierConfig.weight_norm)
     args = ap.parse_args()
 
+    clf_cfg = ClassifierConfig(weight_norm=args.weight_norm)
     records = {"wce": [], "ce": []}
     for loss in records:
         for seed in range(args.seeds):
-            rec = run_synthetic_pipeline(seed, loss=loss, weight_norm=args.weight_norm)
+            rec = run_synthetic_pipeline(seed, loss=loss, clf_cfg=clf_cfg)
             records[loss].append(rec)
             print(json.dumps(rec), flush=True)
     means = {loss: mean_over_seeds(recs, "test_wf1") for loss, recs in records.items()}

@@ -13,6 +13,11 @@ returns a float for 1-D inputs.
 
 The ball carries the conformal metric g_x = lambda_x^2 * I with
 lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
+
+Representations enter the ball through exp_map_origin and leave it for
+the tangent export through log_map_origin; exp_map at a general point is
+the step of Riemannian Adam. A norm that overflows float64 raises
+NumericalError rather than returning a point that did not move.
 """
 
 from __future__ import annotations
@@ -42,8 +47,15 @@ def _scale_rows(scale: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _row_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, nonzero): norms over the last axis, with rows shorter than
-    EPS_DIV flagged and their r set to 1 so divisions by r stay finite."""
+    EPS_DIV flagged and their r set to 1 so divisions by r stay finite.
+
+    A row whose norm is inf (an inf component, or a squared norm past
+    float64's range, from a norm of about 1.3e154) raises NumericalError:
+    tanh(r) / r would be 0 there, which turns the row into a silent zero.
+    """
     r = np.sqrt(_sqnorm(v))
+    if np.isinf(r).any():
+        raise NumericalError("vector has a non-finite norm")
     nonzero = r >= EPS_DIV
     return np.where(nonzero, r, 1.0), nonzero
 
@@ -52,22 +64,19 @@ def project_to_ball(p: np.ndarray) -> np.ndarray:
     """Retract finite (..., d) points onto the closed ball of radius 1 - EPS_BALL.
 
     Rows already inside are returned unchanged; anything else is rescaled
-    radially. Non-finite input raises NumericalError.
+    radially. A row whose norm is not finite (a non-finite component, or a
+    squared norm past float64's range) raises NumericalError, where
+    rescaling would return the origin.
     """
     p = np.asarray(p, dtype=np.float64)
     norm = np.sqrt(_sqnorm(p))
     # A non-finite row has a nan or inf norm, so it never passes this test.
     if (norm <= MAX_NORM).all():
         return p
-    if not np.isfinite(p).all():
-        raise NumericalError("point has non-finite components")
+    if not np.isfinite(norm).all():
+        raise NumericalError("point has a non-finite norm")
     # Inside rows are scaled by exactly 1.0, outside rows by MAX_NORM / norm.
     return _scale_rows(MAX_NORM / np.maximum(norm, MAX_NORM), p)
-
-
-def _conformal(x2: np.ndarray) -> np.ndarray:
-    """lambda_x from x2 = ||x||^2."""
-    return 2.0 / (1.0 - x2)
 
 
 def riemannian_grad(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
@@ -96,27 +105,13 @@ def mobius_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exponential map at x: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||, row by row.
 
-    A zero row of v returns the matching point of x.
+    A zero row of v returns the matching point of x. lambda_x = 2 / (1 - ||x||^2).
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     r, nonzero = _row_norms(v)
-    t = np.tanh(0.5 * _conformal(_sqnorm(x)) * r)
+    t = np.tanh(0.5 * (2.0 / (1.0 - _sqnorm(x))) * r)
     return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v))
-
-
-def log_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Logarithmic map at x, inverse of exp_map: tangent vectors at x, row by row.
-
-    log_x(y) = (2 / lambda_x) * artanh(||-x (+) y||) * (-x (+) y) / ||-x (+) y||
-    with the y = x limit defined as the zero vector.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = mobius_add(-x, y)
-    r, nonzero = _row_norms(w)
-    # artanh argument stays below 1 because mobius_add clamps into the ball.
-    artanh = np.arctanh(np.minimum(r, MAX_NORM))
-    return _scale_rows(np.where(nonzero, (2.0 / _conformal(_sqnorm(x))) * artanh / r, 0.0), w)
 
 
 def _distance(x: np.ndarray, y: np.ndarray, partials: int = 0):
@@ -171,6 +166,16 @@ def exp_map_origin(v: np.ndarray) -> np.ndarray:
     """exp_0(v) = tanh(||v||) * v / ||v|| for (..., d) tangent vectors at the
     origin; a zero row maps to the origin."""
     return _exp_map_origin(np.asarray(v, dtype=np.float64))[0]
+
+
+def log_map_origin(y: np.ndarray) -> np.ndarray:
+    """log_0(y) = artanh(||y||) * y / ||y|| for (..., d) points, inverse of
+    exp_map_origin; rows outside the ball are first clamped onto it, and a
+    zero row maps to the zero vector."""
+    y = project_to_ball(y)
+    r, nonzero = _row_norms(y)
+    # artanh argument stays below 1 because project_to_ball clamps into the ball.
+    return _scale_rows(np.where(nonzero, np.arctanh(np.minimum(r, MAX_NORM)) / r, 0.0), y)
 
 
 def _exp_map_origin(v: np.ndarray):

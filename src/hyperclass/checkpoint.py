@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import is_tsv_field
 from .encoder import EncoderModel, Vocabulary
 from .errors import CheckpointError, StageError
 from .hierarchy import LabelEmbeddings
@@ -174,24 +175,12 @@ _CLASSIFIER_AXES = {
 }
 
 
-def _is_tsv_field(value) -> bool:
-    """Whether value can be written as one field of a UTF-8 TSV line: a
-    string with no tab, CR or LF that encodes as UTF-8 (no lone surrogate)."""
-    if not isinstance(value, str) or any(c in value for c in "\t\r\n"):
-        return False
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def load_checkpoint(path, expect_stage: str | None = None):
     """Read and validate a checkpoint of either stage.
 
     Every unreadable, corrupt or internally inconsistent file raises
     CheckpointError (StageError for a valid file of the wrong stage). Node,
-    class-map and class names must be TSV fields (see `_is_tsv_field`),
+    class-map and class names must be TSV fields (see `data.is_tsv_field`),
     because exports and class maps write them as such, and no node, class
     map label or node, or class name may repeat. Arrays must be finite, and label points inside the
     unit ball."""
@@ -246,7 +235,7 @@ def load_checkpoint(path, expect_stage: str | None = None):
 
     def check_names(key: str, names: list) -> None:
         for name in names:
-            if not _is_tsv_field(name):
+            if not is_tsv_field(name):
                 raise CheckpointError(
                     f"{path}: {key} must be strings with no tab or line break that encode "
                     f"as UTF-8, got {name!r}"

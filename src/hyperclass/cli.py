@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import log_map
+from .ball import log_map_origin
 from .checkpoint import (
     STAGE_CLASSIFIER,
     STAGE_LABELS,
@@ -85,7 +85,7 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
     write_atomic(
         {
             args.out: lambda p: save_labels_checkpoint(p, emb, class_rows, cfg.to_dict(), cfg.seed),
-            f"{args.out}.tsv": lambda p: write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)]),
+            f"{args.out}.tsv": lambda p: write_embeddings_tsv(p, cfg.dim, [(emb.nodes, emb.vectors)]),
         }
     )
     print(json.dumps({"final_loss": final_loss, "map": map_score}))
@@ -161,7 +161,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
     ck = load_checkpoint(args.model)
     if isinstance(ck, LabelsCheckpoint):
-        rows, dim = len(ck.emb.nodes), ck.emb.dim
+        rows, dim = ck.emb.vectors.shape
         chunks = [(ck.emb.nodes, ck.emb.vectors)]
     elif args.data is None:
         raise ConfigError("exporting classifier projections requires --data")
@@ -170,8 +170,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
         rows, dim = len(ds), ck.head.w_p.shape[1]
         chunks = _projection_chunks(ck, ds)
     if args.space == "tangent":
-        origin = np.zeros(dim)
-        chunks = ((names, log_map(origin, vectors)) for names, vectors in chunks)
+        chunks = ((names, log_map_origin(vectors)) for names, vectors in chunks)
     write_atomic({args.out: lambda p: write_embeddings_tsv(p, dim, chunks)})
     print(json.dumps({"rows": rows, "dim": dim, "space": args.space}))
     return 0

@@ -117,6 +117,3 @@ class SynthSpec:
         if not 0 < self.train_fraction + self.dev_fraction < 1:
             raise ConfigError("train/dev fractions must leave room for a test split")
         _check_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)

@@ -1,8 +1,9 @@
 """Dataset ingestion (TSV), synthetic hierarchical dataset generation,
 and the default two-family benchmark tree.
 
-Dataset files are UTF-8 TSV `text<TAB>label`, no header; tabs and
-newlines inside text are rejected, not escaped. The synthetic generator
+Dataset files are UTF-8 TSV `text<TAB>label`, no header; a text or
+label name that is not one TSV field (a tab, CR or LF, or no UTF-8
+encoding) is rejected, not escaped. The synthetic generator
 holds each class's family, leaf and noise pools as one numpy word array
 and draws a sample's tokens from it in one bounded-integer call.
 """
@@ -71,12 +72,31 @@ def _rows(path):
             raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def is_tsv_field(value) -> bool:
+    """Whether value can be written as one field of a UTF-8 TSV line: a
+    string with no tab, CR or LF that encodes as UTF-8 (no lone surrogate)."""
+    if not isinstance(value, str) or "\t" in value or "\r" in value or "\n" in value:
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def save_dataset(ds: LabeledDataset, path) -> None:
-    lines = []
-    for text, y in ds.samples:
-        if "\t" in text or "\n" in text:
-            raise DatasetError("text must not contain tabs or newlines")
-        lines.append(f"{text}\t{ds.label_names[y]}")
+    """Write ds as `text<TAB>label` lines that load_dataset reads back as
+    the same samples: a text or label name that is not a TSV field (see
+    is_tsv_field), or an empty label name, raises DatasetError."""
+    for name in ds.label_names:
+        if not (name and is_tsv_field(name)):
+            raise DatasetError(
+                f"label names must be non-empty UTF-8 with no tabs or newlines, got {name!r}"
+            )
+    for text, _ in ds.samples:
+        if not is_tsv_field(text):
+            raise DatasetError(f"texts must be UTF-8 with no tabs or newlines, got {text!r}")
+    lines = [f"{text}\t{ds.label_names[y]}" for text, y in ds.samples]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

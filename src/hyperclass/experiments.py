@@ -26,7 +26,6 @@ def run_synthetic_pipeline(
     seed: int,
     loss: str = "wce",
     mode: str = "expert",
-    weight_norm: str = "none",
     spec: SynthSpec | None = None,
     label_cfg: LabelEmbedConfig | None = None,
     clf_cfg: ClassifierConfig | None = None,
@@ -42,12 +41,7 @@ def run_synthetic_pipeline(
     tree, class_map = default_synthetic_tree()
     spec = replace(spec if spec is not None else SynthSpec(), seed=seed)
     label_cfg = replace(label_cfg if label_cfg is not None else default_label_config(), seed=seed)
-    clf_cfg = replace(
-        clf_cfg if clf_cfg is not None else ClassifierConfig(),
-        seed=seed,
-        loss=loss,
-        weight_norm=weight_norm,
-    )
+    clf_cfg = replace(clf_cfg if clf_cfg is not None else ClassifierConfig(), seed=seed, loss=loss)
     train_ds, dev_ds, test_ds = generate_synthetic(tree, spec)
 
     labels = None

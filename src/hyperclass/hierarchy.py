@@ -229,23 +229,12 @@ def bundled_taxonomy_path(name: str = "parrott") -> Path:
 
 @dataclass
 class LabelEmbeddings:
-    """One ball point per tree node, as rows of a (n_nodes, dim) matrix."""
+    """One ball point per tree node: row i of the (n_nodes, dim) matrix
+    `vectors` is the point of `nodes[i]`. A caller that looks points up by
+    node name builds its own name-to-row index."""
 
     nodes: list[str]
     vectors: np.ndarray
-
-    def __post_init__(self):
-        self._index = {name: i for i, name in enumerate(self.nodes)}
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._index
-
-    def vector(self, node: str) -> np.ndarray:
-        return self.vectors[self._index[node]]
 
 
 def negative_table(tree: LabelTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,9 @@ every term and vector-Jacobian product on (n, .) arrays and return
 (total, grads): the float batch loss and its gradients. The weight and
 its gradient come from one ball kernel, `exp_origin_distance_and_grad`,
 which computes the row terms that the exponential map and its backward
-pass share once, and no gradient for the frozen label points.
+pass share once, and no gradient for the frozen label points. Those
+points reach the batch losses as one (m, h_d) matrix, row y for class y,
+which `class_embedding_matrix` gathers once per run.
 """
 
 from __future__ import annotations
@@ -92,12 +94,14 @@ def hyper_weight_backward(
 
 
 def class_embedding_matrix(labels: LabelEmbeddings, class_leaves: list[str]) -> np.ndarray:
-    """Stack frozen label vectors in class-index order; copy, so later
-    mutation of the matrix cannot touch the source embeddings."""
-    missing = [node for node in class_leaves if node not in labels]
+    """The frozen label vectors of class_leaves, in class-index order, as
+    one gather of their rows; a copy, so later mutation of the matrix
+    cannot touch the source embeddings."""
+    row = {node: i for i, node in enumerate(labels.nodes)}
+    missing = [node for node in class_leaves if node not in row]
     if missing:
         raise ConfigError(f"no label embedding for class leaves: {', '.join(missing)}")
-    return np.stack([labels.vector(node) for node in class_leaves]).astype(float)
+    return np.asarray(labels.vectors, dtype=float)[[row[node] for node in class_leaves]]
 
 
 def ce_batch(

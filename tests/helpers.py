@@ -60,6 +60,26 @@ def conformal_factor(x):
     return 2.0 / (1.0 - np.sum(x * x, axis=-1))
 
 
+def log_map(x, y):
+    """Logarithmic map at x, inverse of ball.exp_map, row by row: the
+    general form that src/ replaced with log_map_origin.
+
+    log_x(y) = (2 / lambda_x) * artanh(||-x (+) y||) * (-x (+) y) / ||-x (+) y||
+    with the y = x limit defined as the zero vector.
+    """
+    from hyperclass.ball import EPS_DIV, MAX_NORM, mobius_add
+
+    x = np.asarray(x, dtype=np.float64)
+    w = mobius_add(-x, y)
+    r = np.sqrt(np.vecdot(w, w))
+    nonzero = r >= EPS_DIV
+    r = np.where(nonzero, r, 1.0)
+    # artanh argument stays below 1 because mobius_add clamps into the ball.
+    artanh = np.arctanh(np.minimum(r, MAX_NORM))
+    conformal = 2.0 / (1.0 - np.vecdot(x, x))
+    return np.where(nonzero, (2.0 / conformal) * artanh / r, 0.0)[..., None] * w
+
+
 def distance_grad(x, y):
     """Euclidean partial derivatives (dd/dx, dd/dy) of ball.distance, both
     shaped like the broadcast of x and y; the zero subgradient where x == y

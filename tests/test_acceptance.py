@@ -16,13 +16,13 @@ from helpers import (
     distance_from_origin,
     distance_grad,
     hyper_weight,
+    log_map,
     numeric_grad,
     rel_err,
 )
 from hyperclass.ball import (
     distance,
     exp_map,
-    log_map,
     mobius_add,
     random_ball_point,
 )

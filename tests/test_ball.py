@@ -12,6 +12,7 @@ from helpers import (
     distance_from_origin,
     distance_grad,
     exp_map_origin_vjp,
+    log_map,
     numeric_grad,
     rel_err,
 )
@@ -23,12 +24,13 @@ from hyperclass.ball import (
     exp_map,
     exp_map_origin,
     exp_origin_distance_and_grad,
-    log_map,
+    log_map_origin,
     mobius_add,
     project_to_ball,
     random_ball_point,
     riemannian_grad,
 )
+from hyperclass.errors import NumericalError
 
 DIMS = (2, 3, 5, 10)
 
@@ -369,6 +371,12 @@ class TestProject:
         with pytest.raises(ValueError):
             project_to_ball(np.array([np.inf, 1.0]))
 
+    def test_rejects_a_norm_that_overflows(self):
+        # Finite components whose squared norm overflows: rescaling by
+        # MAX_NORM / inf would return the origin.
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite norm"):
+            project_to_ball(np.array([[1e200, 1e200]]))
+
 
 def test_conformal_factor():
     assert conformal_factor(np.zeros(2)) == 2.0
@@ -450,9 +458,9 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_log_origin_matches_log_map_at_zero(self, dim):
-        # The tangent export's call: one origin against a batch of points.
+        # The tangent export's call: the origin's log map of a batch of points.
         batch = mixed_rows(dim, seed=100 + dim)
-        out = log_map(np.zeros(dim), batch)
+        out = log_map_origin(batch)
         for row, got in zip(batch, out):
             expected = log_map(np.zeros(dim), row)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -460,7 +468,32 @@ class TestBatchedKernels:
     def test_log_origin_inverts_exp_origin(self):
         rng = np.random.default_rng(110)
         v = rng.standard_normal((50, 3)) * rng.uniform(0, 3, size=(50, 1))
-        np.testing.assert_allclose(log_map(np.zeros(3), exp_map_origin(v)), v, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(log_map_origin(exp_map_origin(v)), v, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_log_origin_is_bitwise_log_map_at_zero(self, dim):
+        # Interior, zero, -0.0, near-boundary, outside and tiny rows.
+        batch = np.concatenate([mixed_rows(dim, seed=120 + dim), np.full((1, dim), -0.0)])
+        expected = log_map(np.zeros(dim), batch)
+        assert log_map_origin(batch).tobytes() == expected.tobytes()
+        for row, want in zip(batch, expected):
+            assert log_map_origin(row).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda v: exp_map(np.array([[1e-3, 0.0, 0.0]]), v),
+            exp_map_origin,
+            lambda v: exp_origin_distance_and_grad(v, np.zeros(3)),
+            log_map_origin,
+        ],
+        ids=["exp_map", "exp_map_origin", "exp_origin_distance_and_grad", "log_map_origin"],
+    )
+    def test_overflowing_norm_raises(self, kernel):
+        # A tangent norm of 1.4e160 squares past float64's range: tanh(r) / r
+        # would be 0, and exp_map would return its start point unmoved.
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite norm"):
+            kernel(np.array([[1e160, 1e160, 0.0]]))
 
 
 def row_pairs(dim, seed):

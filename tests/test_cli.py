@@ -10,10 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import per_coordinate_tsv
+from helpers import log_map, per_coordinate_tsv
 from hyperclass import checkpoint as ckpt
 from hyperclass import cli
-from hyperclass.ball import log_map
+from hyperclass.ball import log_map_origin
 from hyperclass.cli import main
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import generate_synthetic, load_dataset
@@ -501,15 +501,15 @@ class TestStreamedExport:
         out = tmp_path / "out.tsv"
         calls = []
 
-        def failing_log_map(x, y):
+        def failing_log_map_origin(y):
             calls.append(len(y))
             if len(calls) == 2:
                 # The stream is inside write_atomic: its temp file is open.
                 assert (tmp_path / "out.tsv.tmp").exists()
                 raise NumericalError("injected failure in the second chunk")
-            return log_map(x, y)
+            return log_map_origin(y)
 
-        monkeypatch.setattr(cli, "log_map", failing_log_map)
+        monkeypatch.setattr(cli, "log_map_origin", failing_log_map_origin)
         code, _, err = run_cli(
             ["export-embeddings", "--model", ws["clf_ckpt"], "--data", data,
              "--space", "tangent", "--out", out]

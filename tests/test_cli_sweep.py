@@ -1,4 +1,5 @@
-"""One table-driven sweep of the CLI's numeric flags and HYPERCLASS_SEED.
+"""One table-driven sweep of the CLI's numeric flags, HYPERCLASS_SEED and
+dataset files.
 
 Every case ends one of three ways, never with a traceback: exit 0 with
 valid outputs, exit 1 with exactly one `error:` line and no output or temp
@@ -30,19 +31,30 @@ NUMERIC_FLAGS = {
         "--leaf-pool", "--seed",
     ],
 }
-# Stage one steps through exp_map, which turns a step whose tangent norm
-# overflows into no step at all, so every point stays where it started.
-SILENT_NO_OP = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 7: an overflowing exp_map step is a silent no-op"
-)
 CASES = [
-    pytest.param(command, flag, value, marks=SILENT_NO_OP)
-    if (command, flag, value) == ("train-labels", "--lr", "1e308")
-    else (command, flag, value)
+    (command, flag, value)
     for command, flags in NUMERIC_FLAGS.items()
     for flag in flags
     for value in VALUES
 ]
+# Every dataset file a command reads, and the ways each one is broken. A
+# broken row follows a valid one, so the loader fails part way through.
+DATASET_FLAGS = [
+    ("train-classifier", "--train"),
+    ("train-classifier", "--dev"),
+    ("evaluate", "--data"),
+    ("export-embeddings", "--data"),
+]
+VALID_ROW = b"valid text\tfam0_leaf0\n"
+BAD_DATASETS = {
+    "missing": None,
+    "empty": b"",
+    "directory": None,
+    "not-utf8": VALID_ROW + b"caf\xe9\tfam0_leaf0\n",
+    "three-fields": VALID_ROW + b"a\tb\tfam0_leaf0\n",
+    "empty-label": VALID_ROW + b"some text\t\n",
+    "unknown-label": VALID_ROW + b"some text\tno_such_leaf\n",
+}
 # synth-data's tree-shape counts below 1: the one error line must name the flag.
 NAMED_IN_ERROR = {
     ("synth-data", flag, value)
@@ -72,11 +84,23 @@ def inputs(tmp_path_factory):
                       root / "class-map.tsv", "--dim", "3", "--epochs", "5",
                       "--out", root / "labels.ckpt"])
     assert code == 0
+    code, _, _ = run(["train-classifier", "--train", root / "train.tsv", "--dev", root / "dev.tsv",
+                      "--labels-ckpt", root / "labels.ckpt", "--epochs", "1", "--d-tok", "4",
+                      "--d-e", "4", "--out", root / "clf.ckpt"])
+    assert code == 0
     return root
 
 
 def argv_and_outputs(command, inputs, out):
     """A small run of `command` writing under `out`, and the files it writes."""
+    if command == "evaluate":
+        argv = ["evaluate", "--model", inputs / "clf.ckpt", "--data", inputs / "test.tsv",
+                "--out-json", out / "e.json"]
+        return argv, ["e.json"]
+    if command == "export-embeddings":
+        argv = ["export-embeddings", "--model", inputs / "clf.ckpt", "--data",
+                inputs / "test.tsv", "--out", out / "x.tsv"]
+        return argv, ["x.tsv"]
     if command == "train-labels":
         argv = ["train-labels", "--hierarchy", inputs / "hierarchy.tsv", "--class-map",
                 inputs / "class-map.tsv", "--dim", "3", "--epochs", "5", "--out", out / "l.ckpt"]
@@ -98,7 +122,8 @@ def assert_valid_outputs(out, names):
         ck = ckpt.load_checkpoint(out / "l.ckpt", expect_stage=ckpt.STAGE_LABELS)
         rng = np.random.default_rng(ck.seed)
         radius = hierarchy.INIT_RADIUS
-        init = np.stack([random_ball_point(rng, ck.emb.dim, radius) for _ in ck.emb.nodes])
+        dim = ck.emb.vectors.shape[1]
+        init = np.stack([random_ball_point(rng, dim, radius) for _ in ck.emb.nodes])
         assert np.all(np.any(ck.emb.vectors != init, axis=1))
     if "c.ckpt" in names:
         ckpt.load_checkpoint(out / "c.ckpt", expect_stage=ckpt.STAGE_CLASSIFIER)
@@ -141,3 +166,23 @@ def test_env_seed(inputs, tmp_path, monkeypatch, command, value):
     argv, names = argv_and_outputs(command, inputs, out)
     code, stdout, err = run(argv)
     assert_one_of_three_ends(code, stdout, err, out, names)
+
+
+@pytest.mark.parametrize("mutation", list(BAD_DATASETS))
+@pytest.mark.parametrize("command, flag", DATASET_FLAGS)
+def test_bad_dataset_file(inputs, tmp_path, monkeypatch, command, flag, mutation):
+    monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / "bad.tsv"
+    if mutation == "directory":
+        bad.mkdir()
+    elif BAD_DATASETS[mutation] is not None:
+        bad.write_bytes(BAD_DATASETS[mutation])
+    argv, _ = argv_and_outputs(command, inputs, out)
+    code, stdout, err = run(argv + [flag, bad])
+    assert "Traceback" not in stdout + err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert [p for p in out.rglob("*") if p.is_file()] == []

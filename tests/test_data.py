@@ -1,7 +1,12 @@
 """Dataset TSV ingestion and the synthetic two-family benchmark generator."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import class_counts, list_pool_synthetic
 from hyperclass.config import SynthSpec
@@ -57,6 +62,40 @@ class TestDatasetIo:
         ds = LabeledDataset([("has\ttab", 0)], ["alpha"])
         with pytest.raises(DatasetError, match="tabs or newlines"):
             save_dataset(ds, tmp_path / "data.tsv")
+
+    @pytest.mark.parametrize(
+        "samples, label_names",
+        [
+            ([("carriage\rreturn", 0)], ["alpha"]),
+            ([("line\nfeed", 0)], ["alpha"]),
+            ([("lone \ud800 surrogate", 0)], ["alpha"]),
+            ([("text", 0)], ["al\tpha"]),
+            ([("text", 0)], ["al\rpha"]),
+            ([("text", 0)], [""]),
+        ],
+        ids=["text-cr", "text-lf", "text-surrogate", "label-tab", "label-cr", "label-empty"],
+    )
+    def test_what_load_cannot_read_back_is_not_saved(self, tmp_path, samples, label_names):
+        p = tmp_path / "data.tsv"
+        with pytest.raises(DatasetError, match="tabs or newlines"):
+            save_dataset(LabeledDataset(samples, label_names), p)
+        assert not p.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.text(max_size=8), st.integers(0, 1)), min_size=1, max_size=4),
+        st.lists(st.text(max_size=4), min_size=2, max_size=2, unique=True),
+    )
+    def test_what_save_writes_loads_back(self, samples, label_names):
+        ds = LabeledDataset(samples, label_names)
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "data.tsv"
+            try:
+                save_dataset(ds, p)
+            except DatasetError:
+                assert not p.exists()
+                return
+            assert load_dataset(p, label_names).samples == samples
 
     def test_infer_label_names_sorted_unique(self, tmp_path):
         p = tmp_path / "data.tsv"

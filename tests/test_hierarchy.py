@@ -543,7 +543,7 @@ class TestEmbeddingTsv:
             vectors=rng.uniform(-0.99, 0.99, size=(3, 5)),
         )
         p = tmp_path / "emb.tsv"
-        write_embeddings_tsv(p, emb.dim, [(emb.nodes, emb.vectors)])
+        write_embeddings_tsv(p, emb.vectors.shape[1], [(emb.nodes, emb.vectors)])
         back = load_embeddings_tsv(p)
         assert back.nodes == emb.nodes
         np.testing.assert_array_equal(back.vectors, emb.vectors)

@@ -120,7 +120,7 @@ class TestClassEmbeddingMatrix:
         mat = class_embedding_matrix(emb, ["c", "a"])
         np.testing.assert_array_equal(mat, [[0.3, 0.0], [0.1, 0.0]])
         mat[0, 0] = 99.0
-        assert emb.vector("c")[0] == 0.3
+        assert emb.vectors[2, 0] == 0.3
 
     def test_missing_leaves_listed(self):
         emb = LabelEmbeddings(nodes=["a"], vectors=np.zeros((1, 2)))
