@@ -35,7 +35,6 @@ STAGE_CLASSIFIER = "classifier"
 
 @dataclass
 class LabelsCheckpoint:
-    stage = STAGE_LABELS
     emb: LabelEmbeddings
     class_map: list[tuple[str, str]]
     config: dict
@@ -44,7 +43,6 @@ class LabelsCheckpoint:
 
 @dataclass
 class ClassifierCheckpoint:
-    stage = STAGE_CLASSIFIER
     model: EncoderModel
     head: ClassifierHead
     class_names: list[str]

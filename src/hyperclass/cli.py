@@ -39,7 +39,7 @@ from .checkpoint import (
 from .config import LOSSES, WEIGHT_NORMS, ClassifierConfig, LabelEmbedConfig, SynthSpec
 from .data import LabeledDataset, generate_synthetic, load_dataset, make_family_tree, save_dataset
 from .encoder import encode_chunks, tokenize_batch
-from .errors import ConfigError, HyperclassError
+from .errors import ConfigError, HyperclassError, NumericalError
 from .hierarchy import (
     MODES,
     build_tree,
@@ -168,7 +168,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     else:
         ds = load_dataset(args.data, ck.class_names, split="test")
         rows, dim = len(ds), ck.head.w_p.shape[1]
-        chunks = _projection_chunks(ck, ds)
+        chunks = _projection_chunks(args.model, ck, ds)
     if args.space == "tangent":
         chunks = ((names, log_map_origin(vectors)) for names, vectors in chunks)
     write_atomic({args.out: lambda p: write_embeddings_tsv(p, dim, chunks)})
@@ -177,17 +177,25 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
 
 
 def _projection_chunks(
-    ck: ClassifierCheckpoint, ds: LabeledDataset
+    model_path, ck: ClassifierCheckpoint, ds: LabeledDataset
 ) -> Iterator[tuple[list[str], np.ndarray]]:
     """(names, ball projections) of ds, one encoder chunk at a time;
-    sample i of class y is named s{i}_{y's label}."""
+    sample i of class y is named s{i}_{y's label}. A chunk that cannot be
+    projected raises NumericalError naming the checkpoint and its samples."""
     tokens = tokenize_batch(ck.model.vocab, [text for text, _ in ds.samples])
     start = 0
     for h in encode_chunks(ck.model, tokens):
-        samples = enumerate(ds.samples[start : start + len(h)], start)
+        stop = start + len(h)
+        samples = enumerate(ds.samples[start:stop], start)
         names = [f"s{i}_{ds.label_names[y]}" for i, (_, y) in samples]
-        start += len(h)
-        yield names, project_representation(ck.head, h)
+        try:
+            points = project_representation(ck.head, h)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"{model_path}: ball projection of samples {start}-{stop - 1}: {exc}"
+            ) from None
+        start = stop
+        yield names, points
 
 
 def build_parser() -> argparse.ArgumentParser:

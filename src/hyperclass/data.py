@@ -86,8 +86,10 @@ def is_tsv_field(value) -> bool:
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Write ds as `text<TAB>label` lines that load_dataset reads back as
-    the same samples: a text or label name that is not a TSV field (see
-    is_tsv_field), or an empty label name, raises DatasetError."""
+    the same samples: no samples, a text or label name that is not a TSV
+    field (see is_tsv_field), or an empty label name, raises DatasetError."""
+    if not ds.samples:
+        raise DatasetError(f"the {ds.split} split has no samples to save")
     for name in ds.label_names:
         if not (name and is_tsv_field(name)):
             raise DatasetError(

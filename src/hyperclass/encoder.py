@@ -228,14 +228,15 @@ def encode_batch_backward(
     h: np.ndarray,
     upstream_grad: np.ndarray,
     pooled: np.ndarray,
-) -> dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]:
-    """Gradients of sum_i upstream_grad[i] . h[i] w.r.t. the encoder
-    parameters, where h, pooled = encode_batch_pooled(model, batch).
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(rows, grads): gradients of sum_i upstream_grad[i] . h[i] w.r.t. the
+    encoder parameters, where h, pooled = encode_batch_pooled(model, batch).
 
-    "w1" and "b1" are dense. "embedding" is (rows, grads): the batch's
-    distinct token ids, sorted, and their (len(rows), d_tok) gradient
-    rows; every other row's gradient is zero. Rows see the 1/length factor
-    of mean pooling, and repeated tokens accumulate.
+    `rows` holds the batch's distinct token ids, sorted, and
+    grads["embedding"] their (len(rows), d_tok) gradient rows; every other
+    row's gradient is zero. This is the row-step form of
+    `hierarchy.label_loss`. "w1" and "b1" are dense. Rows see the 1/length
+    factor of mean pooling, and repeated tokens accumulate.
     """
     dpre = upstream_grad * (1.0 - h * h)
     dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
@@ -244,10 +245,10 @@ def encode_batch_backward(
     rows, inverse = _distinct_rows(batch.ids, len(model.embedding))
     samples = np.repeat(np.arange(len(batch)), batch.lengths)
     counts = np.bincount(inverse * len(batch) + samples, minlength=len(rows) * len(batch))
-    return {
+    return rows, {
         "w1": pooled.T @ dpre,
         "b1": dpre.sum(axis=0),
-        "embedding": (rows, counts.reshape(len(rows), len(batch)).astype(float) @ dpooled),
+        "embedding": counts.reshape(len(rows), len(batch)).astype(float) @ dpooled,
     }
 
 
@@ -269,8 +270,7 @@ def encode_backward(
     as a dense table shaped like model.embedding."""
     batch = TokenBatch.pack([tokens])
     h, pooled = encode_batch_pooled(model, batch)
-    grads = encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :], pooled)
-    rows, row_grads = grads["embedding"]
-    grads["embedding"] = np.zeros_like(model.embedding)
-    grads["embedding"][rows] = row_grads
-    return grads
+    rows, grads = encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :], pooled)
+    table = np.zeros_like(model.embedding)
+    table[rows] = grads["embedding"]
+    return grads | {"embedding": table}

@@ -191,8 +191,11 @@ def _read_pairs(path, columns: str, first_node: int) -> list[tuple[int, tuple[st
 
 
 def parse_taxonomy(path) -> list[tuple[str, str]]:
-    """Read `parent<TAB>child` edges."""
-    return [row for _, row in _read_pairs(path, "parent<TAB>child", first_node=0)]
+    """Read `parent<TAB>child` edges; a file with none names no tree node, so it is an error."""
+    rows = _read_pairs(path, "parent<TAB>child", first_node=0)
+    if not rows:
+        raise TaxonomyError(f"{path}: taxonomy is empty")
+    return [row for _, row in rows]
 
 
 def parse_class_map(path) -> list[tuple[str, str]]:
@@ -219,12 +222,9 @@ def save_pairs(rows: list[tuple[str, str]], path) -> None:
             fh.write(f"{first}\t{second}\n")
 
 
-def bundled_taxonomy_path(name: str = "parrott") -> Path:
-    """Path to a taxonomy TSV shipped with the package (currently: parrott)."""
-    path = Path(str(resources.files("hyperclass").joinpath("assets", f"{name}.tsv")))
-    if not path.is_file():
-        raise TaxonomyError(f"no bundled taxonomy named {name!r}")
-    return path
+def bundled_taxonomy_path() -> Path:
+    """Path to the Parrott emotion taxonomy TSV shipped with the package."""
+    return Path(str(resources.files("hyperclass").joinpath("assets", "parrott.tsv")))
 
 
 @dataclass

@@ -160,7 +160,8 @@ class Adam:
         """One step; `grads` needs every key of params. `rows` maps the key
         of a parameter whose gradient comes as rows to their distinct
         indices along its first axis; grads[key] then holds only those rows,
-        and every other row's gradient is zero.
+        and every other row's gradient is zero: stage two passes the
+        `(rows, grads)` of `encode_batch_backward` as rows={"embedding": rows}.
 
         Every gradient is read before any state changes, so a missing one
         raises KeyError and leaves t, m, v and the parameters as they were.

@@ -6,26 +6,28 @@ Every run starts from fresh parameters drawn from the config seed: the
 vocabulary keeps the training tokens seen at least twice, and the
 head's ball projection has the label embedding dim.
 
-Every parameter lives in one flat buffer (`optim.FlatParams`), so the
+Every parameter lives in one flat buffer (`optim.FlatParams`) under its
+field name (`embedding`, `w1`, `b1`, `w_c`, `b_c`, `w_p`, `b_p`; the
+`enc.`/`head.` section names are the checkpoint's alone), so the
 per-epoch finiteness check, the best-parameter copy and its restore are
-one call each. The training and dev sets are tokenized and packed once
-per run; each epoch gathers its permuted training samples once, and each
-minibatch is a contiguous span of them: one encoder forward pass, one
-batched loss with its backward pass, one encoder backward pass (the
-embedding gradient as the batch's token rows) and one Adam step, which
-updates the dense parameters as two spans of the flat buffer and the
-embedding by its touched rows. Runs
-are bitwise reproducible for a fixed seed. A batch whose loss is not
-finite (the only per-batch check) raises NumericalError naming the epoch
-and the batch; after each epoch's last batch, a parameter that is not
-finite raises NumericalError naming the epoch and the first such
-parameter in sorted key order, before dev evaluation and the
-best-parameter copy.
+one call each. The batch loss is picked once per run. The training and
+dev sets are tokenized and packed once per run; each epoch gathers its
+permuted training samples once, and each minibatch is a contiguous span
+of them: one encoder forward pass, one batched loss with its backward
+pass, one encoder backward pass (the embedding gradient as the batch's
+token rows) and one Adam step, which updates the dense parameters as two
+spans of the flat buffer and the embedding by its touched rows. Runs are
+bitwise reproducible for a fixed seed. A batch whose loss is not finite
+(the only per-batch check) raises NumericalError naming the epoch and
+the batch; after each epoch's last batch, a parameter that is not finite
+raises NumericalError naming the epoch and the first such parameter in
+sorted key order, before dev evaluation and the best-parameter copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -97,6 +99,7 @@ def train_classifier(
     for role, ds in (("training", train_ds), ("dev", dev_ds)):
         if not ds.samples:
             raise DatasetError(f"the {role} split is empty")
+    batch_loss = ce_batch
     label_matrix = None
     if config.loss == "wce":
         if labels is None or class_map is None:
@@ -108,6 +111,9 @@ def train_classifier(
                 f"{train_ds.label_names} vs {map_labels}"
             )
         label_matrix = class_embedding_matrix(labels, [node for _, node in class_map])
+        batch_loss = partial(
+            weighted_ce_batch, label_matrix=label_matrix, weight_norm=config.weight_norm
+        )
 
     rng = np.random.default_rng(config.seed)
     vocab = Vocabulary.build(_texts(train_ds))
@@ -117,12 +123,9 @@ def train_classifier(
     hyper_dim = 2 if label_matrix is None else label_matrix.shape[1]
     head = ClassifierHead.init(config.d_e, len(train_ds.label_names), hyper_dim, rng)
 
-    params = FlatParams(
-        {f"enc.{k}": v for k, v in model.params().items()}
-        | {f"head.{k}": v for k, v in head.params().items()}
-    )
-    model = replace(model, **{k: params[f"enc.{k}"] for k in model.params()})
-    head = replace(head, **{k: params[f"head.{k}"] for k in head.params()})
+    params = FlatParams(model.params() | head.params())
+    model = replace(model, **{k: params[k] for k in model.params()})
+    head = replace(head, **{k: params[k] for k in head.params()})
     opt = Adam(params, lr=config.lr)
 
     train_tokens = tokenize_batch(vocab, _texts(train_ds))
@@ -131,9 +134,9 @@ def train_classifier(
     n = len(train_tokens)
 
     history: list[dict] = []
+    # Epoch 0's weighted F1 is at least 0, so it always sets best_flat.
     best_epoch = -1
     best_wf1 = -1.0
-    best_flat = None
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_tokens = train_tokens.take(order)
@@ -144,27 +147,14 @@ def train_classifier(
             ys = epoch_ys[start : start + config.batch_size]
             hs, pooled = encode_batch_pooled(model, tokens)
             try:
-                if config.loss == "wce":
-                    total, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
-                else:
-                    total, grads = ce_batch(head, hs, ys)
+                total, grads = batch_loss(head, hs, ys)
                 if not np.isfinite(total):
                     raise NumericalError("non-finite loss")
             except NumericalError as exc:
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
             epoch_loss += total * len(ys)
-            enc_grads = encode_batch_backward(model, tokens, hs, grads["h"], pooled)
-            rows, emb_grads = enc_grads["embedding"]
-            step_grads = {
-                "enc.embedding": emb_grads,
-                "enc.w1": enc_grads["w1"],
-                "enc.b1": enc_grads["b1"],
-                "head.w_c": grads["w_c"],
-                "head.b_c": grads["b_c"],
-                "head.w_p": grads["w_p"],
-                "head.b_p": grads["b_p"],
-            }
-            opt.step(step_grads, rows={"enc.embedding": rows})
+            rows, enc_grads = encode_batch_backward(model, tokens, hs, grads.pop("h"), pooled)
+            opt.step(enc_grads | grads, rows={"embedding": rows})
         # A batch's loss only shows a bad step at the next batch, so check
         # the parameters the epoch's last step wrote before they are scored
         # or kept.
@@ -185,6 +175,5 @@ def train_classifier(
             best_wf1 = dev_result.weighted_f1
             best_epoch = epoch
             best_flat = params.flat.copy()
-    if best_flat is not None:
-        np.copyto(params.flat, best_flat)
+    np.copyto(params.flat, best_flat)
     return TrainResult(model, head, history, best_epoch, best_wf1)

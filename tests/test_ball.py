@@ -1,9 +1,11 @@
 """Poincare ball geometry: algebraic identities, exp/log round trips,
 metric axioms, closed forms, and analytic gradients vs finite differences."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -554,3 +556,101 @@ class TestBatchedStageOneKernels:
             np.testing.assert_allclose(rg[i], riemannian_grad(x[i], g[i]), rtol=0, atol=1e-12)
             # g^-1 = 1 / lambda^2 of the conformal metric.
             np.testing.assert_allclose(rg[i], g[i] / lam[i] ** 2, rtol=1e-9, atol=0)
+
+
+# Finite entries of magnitude up to 1e300; hypothesis spreads them over
+# the float exponents, down to subnormals, so a row's norm can underflow
+# or pass float64's squared range (about 1.3e154).
+ENTRIES = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def raw_rows(draw, n, dim):
+    """(n, dim) tangent vectors of ENTRIES."""
+    return np.array(draw(st.lists(ENTRIES, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+
+
+@st.composite
+def ball_rows(draw, n, dim):
+    """(n, dim) projected ball points: raw rows scaled to a peak entry of
+    at most 10, then clamped into the ball as every caller does."""
+    rows = draw(raw_rows(n, dim))
+    peak = np.abs(rows).max(axis=1, keepdims=True)
+    scale = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))[:, None]
+    return project_to_ball(np.divide(rows, peak, out=np.zeros_like(rows), where=peak > 0) * scale)
+
+
+def shape(data):
+    return data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 2, 5]))
+
+
+def norms(rows):
+    """Row norms without overflow: math.hypot scales before squaring."""
+    return np.array([math.hypot(*row) for row in rows])
+
+
+def finite_or_raises(kernel, *args):
+    """kernel(*args), or None where it raises NumericalError."""
+    with np.errstate(all="ignore"):
+        try:
+            return kernel(*args)
+        except NumericalError:
+            return None
+
+
+def assert_in_ball(points):
+    assert np.isfinite(points).all()
+    assert (norms(points) < 1.0).all()
+
+
+# A tangent norm at least this far past float64's squared range (about
+# 1.3e154) must move a step's start point or raise.
+HUGE_STEP = 1e160
+
+
+class TestExtremeMagnitudes:
+    """Each kernel, at magnitudes up to 1e300 and d of 1, 2 and 5, returns
+    finite values (points inside the ball) or raises NumericalError. Raw
+    tangent vectors go to the kernels that take them; the others get
+    projected ball points, the only input their callers pass."""
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_tangent_vector_kernels(self, data):
+        n, dim = shape(data)
+        x, y = data.draw(ball_rows(n, dim)), data.draw(ball_rows(n, dim))
+        v = data.draw(raw_rows(n, dim))
+        huge = norms(v) >= HUGE_STEP
+        out = finite_or_raises(exp_map, x, v)
+        if out is not None:
+            assert_in_ball(out)
+            assert not np.all(out[huge] == x[huge], axis=1).any(), "exp_map"
+        out = finite_or_raises(exp_map_origin, v)
+        if out is not None:
+            assert_in_ball(out)
+            assert np.any(out[huge] != 0.0, axis=1).all(), "exp_map_origin"
+        out = finite_or_raises(exp_origin_distance_and_grad, v, y)
+        if out is not None:
+            assert all(np.isfinite(part).all() for part in out), "exp_origin_distance_and_grad"
+        out = finite_or_raises(log_map_origin, v)
+        if out is not None:
+            assert np.isfinite(out).all(), "log_map_origin"
+        out = finite_or_raises(project_to_ball, v)
+        if out is not None:
+            assert_in_ball(out)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_ball_point_kernels(self, data):
+        n, dim = shape(data)
+        x, y = data.draw(ball_rows(n, dim)), data.draw(ball_rows(n, dim))
+        g = data.draw(raw_rows(n, dim))
+        out = finite_or_raises(mobius_add, x, y)
+        if out is not None:
+            assert_in_ball(out)
+        out = finite_or_raises(distance_and_grad, x, y)
+        if out is not None:
+            assert all(np.isfinite(part).all() for part in out), "distance_and_grad"
+        out = finite_or_raises(riemannian_grad, x, g)
+        if out is not None:
+            assert np.isfinite(out).all(), "riemannian_grad"

@@ -487,11 +487,13 @@ def contents(ck):
     if isinstance(ck, ckpt.LabelsCheckpoint):
         arrays = {"labels.vectors": ck.emb.vectors}
         fields = {"nodes": ck.emb.nodes, "class_map": [list(row) for row in ck.class_map]}
+        fields["stage"] = ckpt.STAGE_LABELS
     else:
         arrays = {f"enc.{k}": v for k, v in ck.model.params().items()}
         arrays.update({f"head.{k}": v for k, v in ck.head.params().items()})
         fields = {"vocab": ck.model.vocab.token_to_index, "class_names": ck.class_names}
-    fields.update(stage=ck.stage, config=ck.config, seed=ck.seed)
+        fields["stage"] = ckpt.STAGE_CLASSIFIER
+    fields.update(config=ck.config, seed=ck.seed)
     return arrays, fields
 
 

@@ -461,6 +461,26 @@ class TestExportEmbeddings:
         assert all(name.startswith("s") and "_fam" in name for name in emb.nodes)
         assert np.all(np.linalg.norm(emb.vectors, axis=1) < 1.0)
 
+    @pytest.mark.parametrize("space", ["ball", "tangent"])
+    def test_projection_overflow_names_checkpoint_and_samples(self, ws, tmp_path, space):
+        # w_p is finite, so the checkpoint loads, but every projection's
+        # tangent vector overflows its norm.
+        ck = ckpt.load_checkpoint(ws["clf_ckpt"])
+        head = replace(ck.head, w_p=ck.head.w_p * 1e200)
+        model = tmp_path / "big.ckpt"
+        ckpt.save_classifier_checkpoint(model, ck.model, head, ck.class_names, ck.config, ck.seed)
+        out = tmp_path / "proj.tsv"
+        code, stdout, err = run_cli(
+            ["export-embeddings", "--model", model, "--data", ws["data"] / "test.tsv",
+             "--space", space, "--out", out]
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == (
+            f"error: {model}: ball projection of samples 0-17: vector has a non-finite norm\n"
+        )
+        assert list(tmp_path.glob("proj.tsv*")) == []
+
 
 def head_rows(src, dst, n):
     """Copy the first n rows of a dataset TSV."""

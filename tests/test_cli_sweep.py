@@ -1,5 +1,5 @@
 """One table-driven sweep of the CLI's numeric flags, HYPERCLASS_SEED and
-dataset files.
+input files: datasets, taxonomies, class maps and checkpoints.
 
 Every case ends one of three ways, never with a traceback: exit 0 with
 valid outputs, exit 1 with exactly one `error:` line and no output or temp
@@ -45,16 +45,70 @@ DATASET_FLAGS = [
     ("evaluate", "--data"),
     ("export-embeddings", "--data"),
 ]
+# The breaks of any input file: `place` puts bytes, no file or a directory.
+DIRECTORY = "directory"
+ANY_FILE = {"missing": None, "empty": b"", "directory": DIRECTORY}
 VALID_ROW = b"valid text\tfam0_leaf0\n"
-BAD_DATASETS = {
-    "missing": None,
-    "empty": b"",
-    "directory": None,
+BAD_DATASETS = ANY_FILE | {
     "not-utf8": VALID_ROW + b"caf\xe9\tfam0_leaf0\n",
     "three-fields": VALID_ROW + b"a\tb\tfam0_leaf0\n",
     "empty-label": VALID_ROW + b"some text\t\n",
     "unknown-label": VALID_ROW + b"some text\tno_such_leaf\n",
 }
+# Every taxonomy, class-map and checkpoint file a command reads. Each is
+# broken the ways any file can be and the ways its kind can be, given the
+# valid file's bytes and the inputs directory. A labels checkpoint is a valid
+# export-embeddings --model, so that flag has no wrong-stage case.
+FILE_FLAGS = {
+    ("train-labels", "--hierarchy"): "hierarchy.tsv",
+    ("train-labels", "--class-map"): "class-map.tsv",
+    ("train-classifier", "--labels-ckpt"): "labels.ckpt",
+    ("evaluate", "--model"): "clf.ckpt",
+    ("export-embeddings", "--model"): "clf.ckpt",
+}
+
+
+def _bad_meta(blob):
+    """The checkpoint `blob` with a meta section that is not UTF-8."""
+    sections = ckpt._unpack_sections(blob, "blob")
+    sections["meta"] = b"\xff" + sections["meta"]
+    return ckpt._pack_sections(list(sections.items()))
+
+
+def _other(name):
+    """A break that replaces the file with the valid input `name`."""
+    return lambda valid, root: (root / name).read_bytes()
+
+
+TSV_NOT_UTF8 = lambda valid, root: valid + b"caf\xe9\tfam0\n"  # noqa: E731
+CKPT_BREAKS = {
+    "not-utf8": lambda valid, root: _bad_meta(valid),
+    "truncated": lambda valid, root: valid[: len(valid) // 2],
+    "garbage": lambda valid, root: b"not a checkpoint\n",
+}
+BAD_FILES = {
+    "hierarchy.tsv": {
+        "not-utf8": TSV_NOT_UTF8,
+        "duplicate-edge": lambda valid, root: valid + valid.splitlines(keepends=True)[0],
+        "cycle": lambda valid, root: valid + b"fam0_leaf0\troot\n",
+    },
+    "class-map.tsv": {
+        "not-utf8": TSV_NOT_UTF8,
+        "unknown-node": lambda valid, root: valid + b"extra\tno_such_node\n",
+        "duplicate-label": lambda valid, root: valid + valid.splitlines(keepends=True)[0],
+    },
+    "labels.ckpt": CKPT_BREAKS | {"wrong-stage": _other("clf.ckpt")},
+    "clf.ckpt": CKPT_BREAKS | {"wrong-stage": _other("labels.ckpt")},
+}
+FILE_CASES = [
+    (command, flag, mutation)
+    for (command, flag), name in FILE_FLAGS.items()
+    for mutation in [*ANY_FILE, *BAD_FILES[name]]
+    if (command, mutation) != ("export-embeddings", "wrong-stage")
+]
+# Tree checks that run after the files are parsed name the node at fault,
+# not the file.
+NAMES_NODE_NOT_FILE = {"duplicate-edge", "cycle", "unknown-node"}
 # synth-data's tree-shape counts below 1: the one error line must name the flag.
 NAMED_IN_ERROR = {
     ("synth-data", flag, value)
@@ -168,6 +222,22 @@ def test_env_seed(inputs, tmp_path, monkeypatch, command, value):
     assert_one_of_three_ends(code, stdout, err, out, names)
 
 
+def assert_one_error_line(code, stdout, err, out):
+    assert "Traceback" not in stdout + err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def place(bad, content):
+    """Put `content` at `bad`: bytes, None for no file, or DIRECTORY."""
+    if content is DIRECTORY:
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+
+
 @pytest.mark.parametrize("mutation", list(BAD_DATASETS))
 @pytest.mark.parametrize("command, flag", DATASET_FLAGS)
 def test_bad_dataset_file(inputs, tmp_path, monkeypatch, command, flag, mutation):
@@ -175,14 +245,25 @@ def test_bad_dataset_file(inputs, tmp_path, monkeypatch, command, flag, mutation
     out = tmp_path / "out"
     out.mkdir()
     bad = tmp_path / "bad.tsv"
-    if mutation == "directory":
-        bad.mkdir()
-    elif BAD_DATASETS[mutation] is not None:
-        bad.write_bytes(BAD_DATASETS[mutation])
+    place(bad, BAD_DATASETS[mutation])
     argv, _ = argv_and_outputs(command, inputs, out)
     code, stdout, err = run(argv + [flag, bad])
-    assert "Traceback" not in stdout + err
-    assert code == 1
-    assert err.startswith("error: ")
-    assert len(err.splitlines()) == 1
-    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert_one_error_line(code, stdout, err, out)
+
+
+@pytest.mark.parametrize("command, flag, mutation", FILE_CASES)
+def test_bad_input_file(inputs, tmp_path, monkeypatch, command, flag, mutation):
+    monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    name = FILE_FLAGS[command, flag]
+    bad = tmp_path / f"bad-{name}"
+    if mutation in ANY_FILE:
+        place(bad, ANY_FILE[mutation])
+    else:
+        place(bad, BAD_FILES[name][mutation]((inputs / name).read_bytes(), inputs))
+    argv, _ = argv_and_outputs(command, inputs, out)
+    code, stdout, err = run(argv + [flag, bad])
+    assert_one_error_line(code, stdout, err, out)
+    if mutation not in NAMES_NODE_NOT_FILE:
+        assert str(bad) in err

@@ -64,26 +64,31 @@ class TestDatasetIo:
             save_dataset(ds, tmp_path / "data.tsv")
 
     @pytest.mark.parametrize(
-        "samples, label_names",
+        "samples, label_names, match",
         [
-            ([("carriage\rreturn", 0)], ["alpha"]),
-            ([("line\nfeed", 0)], ["alpha"]),
-            ([("lone \ud800 surrogate", 0)], ["alpha"]),
-            ([("text", 0)], ["al\tpha"]),
-            ([("text", 0)], ["al\rpha"]),
-            ([("text", 0)], [""]),
+            ([("carriage\rreturn", 0)], ["alpha"], "tabs or newlines"),
+            ([("line\nfeed", 0)], ["alpha"], "tabs or newlines"),
+            ([("lone \ud800 surrogate", 0)], ["alpha"], "tabs or newlines"),
+            ([("text", 0)], ["al\tpha"], "tabs or newlines"),
+            ([("text", 0)], ["al\rpha"], "tabs or newlines"),
+            ([("text", 0)], [""], "tabs or newlines"),
+            # Written, this would be one newline, which load_dataset rejects as empty.
+            ([], ["alpha"], "^the train split has no samples to save$"),
         ],
-        ids=["text-cr", "text-lf", "text-surrogate", "label-tab", "label-cr", "label-empty"],
+        ids=[
+            "text-cr", "text-lf", "text-surrogate", "label-tab", "label-cr", "label-empty",
+            "no-samples",
+        ],
     )
-    def test_what_load_cannot_read_back_is_not_saved(self, tmp_path, samples, label_names):
+    def test_what_load_cannot_read_back_is_not_saved(self, tmp_path, samples, label_names, match):
         p = tmp_path / "data.tsv"
-        with pytest.raises(DatasetError, match="tabs or newlines"):
+        with pytest.raises(DatasetError, match=match):
             save_dataset(LabeledDataset(samples, label_names), p)
         assert not p.exists()
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.text(max_size=8), st.integers(0, 1)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.text(max_size=8), st.integers(0, 1)), max_size=4),
         st.lists(st.text(max_size=4), min_size=2, max_size=2, unique=True),
     )
     def test_what_save_writes_loads_back(self, samples, label_names):

@@ -25,11 +25,12 @@ from hyperclass.encoder import (
 )
 
 
-def densified(model, grads):
-    """grads with its (rows, grads) embedding gradient as a dense table."""
-    rows, row_grads = grads["embedding"]
+def densified(model, backward):
+    """The grads of a (rows, grads) backward result, with the embedding
+    gradient rows as a dense table."""
+    rows, grads = backward
     table = np.zeros_like(model.embedding)
-    table[rows] = row_grads
+    table[rows] = grads["embedding"]
     return {**grads, "embedding": table}
 
 
@@ -330,17 +331,19 @@ class TestBatchedEncoder:
         upstream = np.random.default_rng(16).standard_normal((len(SAMPLES), model.w1.shape[1]))
         h, pooled = encode_batch_pooled(model, batch)
         np.testing.assert_array_equal(h, encode_batch(model, batch))
-        given = encode_batch_backward(model, batch, h, upstream, pooled)
-        rows, row_grads = given["embedding"]
+        rows, given = encode_batch_backward(model, batch, h, upstream, pooled)
+        row_grads = given["embedding"]
         assert rows.tolist() == sorted({t for tokens in SAMPLES for t in tokens})
         assert row_grads.shape == (len(rows), model.embedding.shape[1])
         # Only w1's gradient reads pooled: the given rows against the
         # pre-tanh gradient.
         dpre = upstream * (1.0 - h * h)
         np.testing.assert_array_equal(given["w1"], pooled.T @ dpre)
-        unread = encode_batch_backward(model, batch, h, upstream, np.zeros_like(pooled))
+        no_pooled = np.zeros_like(pooled)
+        unread_rows, unread = encode_batch_backward(model, batch, h, upstream, no_pooled)
+        np.testing.assert_array_equal(unread_rows, rows)
         np.testing.assert_array_equal(given["b1"], unread["b1"])
-        np.testing.assert_array_equal(row_grads, unread["embedding"][1])
+        np.testing.assert_array_equal(row_grads, unread["embedding"])
 
 
 @given(n=st.integers(1, 40), data=st.data())

@@ -602,10 +602,6 @@ class TestBundledEmotionTaxonomy:
         leaves = [n for n in tree.nodes if n not in with_children]
         assert len(leaves) == 107
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(TaxonomyError, match="no bundled taxonomy"):
-            bundled_taxonomy_path("missing")
-
 
 @pytest.mark.slow
 def test_expert_tree_embeds_better_than_shuffled():
