@@ -39,7 +39,7 @@ from .checkpoint import (
 from .config import LOSSES, WEIGHT_NORMS, ClassifierConfig, LabelEmbedConfig, SynthSpec
 from .data import LabeledDataset, generate_synthetic, load_dataset, make_family_tree, save_dataset
 from .encoder import encode_chunks, tokenize_batch
-from .errors import ConfigError, HyperclassError, NumericalError
+from .errors import ConfigError, HyperclassError, NumericalError, TaxonomyError
 from .hierarchy import (
     MODES,
     build_tree,
@@ -74,6 +74,11 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
     cfg.validate()
     edges = parse_taxonomy(args.hierarchy)
     class_rows = parse_class_map(args.class_map)
+    # The file's own edges, in every mode: one parent per node and no cycle.
+    try:
+        build_tree(edges, [])
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{args.hierarchy}: {exc}") from None
     tree = build_tree(
         edges,
         [node for _, node in class_rows],
@@ -276,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except (HyperclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # A size that passes every rule but no allocator can grant.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

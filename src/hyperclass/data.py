@@ -51,7 +51,11 @@ def load_dataset(path, label_names: list[str] | None = None, split: str = "train
 
 
 def _rows(path):
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read dataset: {exc.strerror}") from None
+    with fh:
         lineno = 0
         try:
             for line in fh:

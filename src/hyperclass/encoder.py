@@ -206,7 +206,8 @@ class EncoderModel:
         )
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"embedding": self.embedding, "w1": self.w1, "b1": self.b1}
+        # The embedding last: Adam steps it by rows, as the tail of the layout.
+        return {"b1": self.b1, "w1": self.w1, "embedding": self.embedding}
 
 
 def encode_batch(model: EncoderModel, batch: TokenBatch) -> np.ndarray:

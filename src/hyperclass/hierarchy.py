@@ -191,11 +191,19 @@ def _read_pairs(path, columns: str, first_node: int) -> list[tuple[int, tuple[st
 
 
 def parse_taxonomy(path) -> list[tuple[str, str]]:
-    """Read `parent<TAB>child` edges; a file with none names no tree node, so it is an error."""
+    """Read `parent<TAB>child` edges; a file with none names no tree node,
+    so it is an error, and so is an edge on two lines."""
     rows = _read_pairs(path, "parent<TAB>child", first_node=0)
     if not rows:
         raise TaxonomyError(f"{path}: taxonomy is empty")
-    return [row for _, row in rows]
+    edges = [row for _, row in rows]
+    if len(set(edges)) < len(edges):
+        first_line: dict[tuple[str, str], int] = {}
+        for lineno, (parent, child) in rows:
+            first = first_line.setdefault((parent, child), lineno)
+            if first != lineno:
+                raise TaxonomyError(f"{path}:{lineno}: edge {parent!r} -> {child!r} already on line {first}")
+    return edges
 
 
 def parse_class_map(path) -> list[tuple[str, str]]:

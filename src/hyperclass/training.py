@@ -7,17 +7,19 @@ vocabulary keeps the training tokens seen at least twice, and the
 head's ball projection has the label embedding dim.
 
 Every parameter lives in one flat buffer (`optim.FlatParams`) under its
-field name (`embedding`, `w1`, `b1`, `w_c`, `b_c`, `w_p`, `b_p`; the
-`enc.`/`head.` section names are the checkpoint's alone), so the
-per-epoch finiteness check, the best-parameter copy and its restore are
-one call each. The batch loss is picked once per run. The training and
-dev sets are tokenized and packed once per run; each epoch gathers its
-permuted training samples once, and each minibatch is a contiguous span
-of them: one encoder forward pass, one batched loss with its backward
-pass, one encoder backward pass (the embedding gradient as the batch's
-token rows) and one Adam step, which updates the dense parameters as two
-spans of the flat buffer and the embedding by its touched rows. Runs are
-bitwise reproducible for a fixed seed. A batch whose loss is not finite
+field name (`w_c`, `b_c`, `w_p`, `b_p`, `b1`, `w1`, then `embedding`
+last; the `enc.`/`head.` section names are the checkpoint's alone), so
+the per-epoch finiteness check, the best-parameter copy and its restore
+are one call each. The batch loss is picked once per run. The training
+and dev sets are tokenized and packed once per run; each epoch gathers
+its permuted training samples once, and each minibatch is a contiguous
+span of them: one encoder forward pass, one batched loss with its
+backward pass, one encoder backward pass (the embedding gradient as the
+batch's token rows) and one Adam step, which updates the dense
+parameters as one span of the flat buffer and the embedding, the
+buffer's tail, through scaled moments added on its touched rows. Runs
+are bitwise reproducible for a fixed seed; against textbook dense Adam,
+only the embedding's rounding differs. A batch whose loss is not finite
 (the only per-batch check) raises NumericalError naming the epoch and
 the batch; after each epoch's last batch, a parameter that is not finite
 raises NumericalError naming the epoch and the first such parameter in
@@ -123,7 +125,7 @@ def train_classifier(
     hyper_dim = 2 if label_matrix is None else label_matrix.shape[1]
     head = ClassifierHead.init(config.d_e, len(train_ds.label_names), hyper_dim, rng)
 
-    params = FlatParams(model.params() | head.params())
+    params = FlatParams(head.params() | model.params())
     model = replace(model, **{k: params[k] for k in model.params()})
     head = replace(head, **{k: params[k] for k in head.params()})
     opt = Adam(params, lr=config.lr)

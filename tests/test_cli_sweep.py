@@ -3,14 +3,13 @@ input files: datasets, taxonomies, class maps and checkpoints.
 
 Every case ends one of three ways, never with a traceback: exit 0 with
 valid outputs, exit 1 with exactly one `error:` line and no output or temp
-file, or exit 2 with usage. Untested on purpose: a huge count that passes
-every rule and then sizes an array (`--dim`, `--d-tok`, `--d-e`,
-`--samples-per-class`, `--noise-vocab`, `--tokens-per-sample`,
-`--family-pool`, `--leaf-pool`, `--families` or `--leaves-per-family` at
-1e11, say) fails in numpy's allocator, not in a rule.
+file, or exit 2 with usage. A count that passes every rule and then sizes
+an array fails in numpy's allocator, not in a rule; it is tested only at a
+size no allocator can grant, so the test allocates nothing.
 """
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -106,9 +105,14 @@ FILE_CASES = [
     for mutation in [*ANY_FILE, *BAD_FILES[name]]
     if (command, mutation) != ("export-embeddings", "wrong-stage")
 ]
-# Tree checks that run after the files are parsed name the node at fault,
-# not the file.
-NAMES_NODE_NOT_FILE = {"duplicate-edge", "cycle", "unknown-node"}
+# A class-map node missing from the tree is named, not the file.
+NAMES_NODE_NOT_FILE = {"unknown-node"}
+# What the one error line says after the file name, where the file alone
+# shows the fault: a repeated edge names the line it repeats.
+FILE_MESSAGES = {
+    "duplicate-edge": r":\d+: edge 'root' -> 'fam0' already on line 1$",
+    "cycle": r": cycle detected through node ",
+}
 # synth-data's tree-shape counts below 1: the one error line must name the flag.
 NAMED_IN_ERROR = {
     ("synth-data", flag, value)
@@ -249,6 +253,8 @@ def test_bad_dataset_file(inputs, tmp_path, monkeypatch, command, flag, mutation
     argv, _ = argv_and_outputs(command, inputs, out)
     code, stdout, err = run(argv + [flag, bad])
     assert_one_error_line(code, stdout, err, out)
+    # A named DatasetError: the file, then the line where one is at fault.
+    assert re.match(rf"error: {re.escape(str(bad))}:(\d+:)? ", err)
 
 
 @pytest.mark.parametrize("command, flag, mutation", FILE_CASES)
@@ -267,3 +273,17 @@ def test_bad_input_file(inputs, tmp_path, monkeypatch, command, flag, mutation):
     assert_one_error_line(code, stdout, err, out)
     if mutation not in NAMES_NODE_NOT_FILE:
         assert str(bad) in err
+    if mutation in FILE_MESSAGES:
+        assert re.search(re.escape(str(bad)) + FILE_MESSAGES[mutation], err)
+
+
+def test_impossible_size_is_one_error_line(inputs, tmp_path, monkeypatch):
+    # 1e15 token dims give a table of exbibytes, which numpy refuses before
+    # it allocates anything.
+    monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, _ = argv_and_outputs("train-classifier", inputs, out)
+    code, stdout, err = run(argv + ["--d-tok", "1000000000000000"])
+    assert_one_error_line(code, stdout, err, out)
+    assert err.startswith("error: out of memory: ")

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import distance_grad, rel_err
+from helpers import PARAM_ATOL, distance_grad, rel_err
 from hyperclass.ball import MAX_NORM, distance, exp_map, random_ball_point, riemannian_grad
-from hyperclass.optim import Adam, FlatParams, RiemannianAdam
+from hyperclass.optim import BETA1, BETA2, RESCALE_STEPS, Adam, FlatParams, RiemannianAdam
 
 
 def dist_sq_grad(theta, target):
@@ -241,10 +243,10 @@ class TestEuclideanAdam:
 
     def test_past_unit_bias_correction_is_bitwise_textbook_adam(self):
         # 400 steps: from step 356 on, 1 - 0.9**t is exactly 1.0 and the
-        # step skips m / bc1. "emb" takes row gradients, and it splits the
-        # dense keys into two spans of the flat buffer: "a", then "w", "z".
+        # step skips m / bc1. "emb" takes row gradients as the tail of the
+        # flat buffer; the dense keys "a", "w", "z" before it stay bitwise.
         rng = np.random.default_rng(6)
-        shapes = {"a": (4,), "emb": (30, 5), "w": (5, 3), "z": (3,)}
+        shapes = {"a": (4,), "w": (5, 3), "z": (3,), "emb": (30, 5)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
         params = FlatParams(start)
         ref = {k: x.copy() for k, x in start.items()}
@@ -264,17 +266,21 @@ class TestEuclideanAdam:
                 v_hat = v[k] / (1.0 - b2**t)
                 ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
         assert 1.0 - b1**355 < 1.0 == 1.0 - b1**356
-        for k in shapes:
+        for k in ("a", "w", "z"):
             np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
             np.testing.assert_array_equal(opt.m[k], m[k], err_msg=k)
             np.testing.assert_array_equal(opt.v[k], v[k], err_msg=k)
+        np.testing.assert_allclose(params["emb"], ref["emb"], rtol=0, atol=PARAM_ATOL)
+        np.testing.assert_allclose(opt.m["emb"] * BETA1**opt.s, m["emb"], rtol=1e-12)
+        np.testing.assert_allclose(opt.v["emb"] * BETA2**opt.s, v["emb"], rtol=1e-12)
 
     def test_row_gradients_are_bitwise_the_zero_filled_dense_step(self):
         # One optimizer takes the embedding gradient as rows, the other the
         # same gradient as a zero-filled table. Row 0 is touched twice, 450
         # steps apart; rows 40-49 never; some steps touch no row at all.
+        # The dense keys are bitwise; the embedding within the bound.
         rng = np.random.default_rng(5)
-        shapes = {"emb": (50, 6), "w": (6, 3), "b": (3,)}
+        shapes = {"w": (6, 3), "b": (3,), "emb": (50, 6)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
         sparse = FlatParams(start)
         dense = FlatParams(start)
@@ -293,10 +299,13 @@ class TestEuclideanAdam:
             table[rows] = row_grads
             opt_sparse.step({**grads, "emb": row_grads}, rows={"emb": rows})
             opt_dense.step({**grads, "emb": table})
-        for k in shapes:
+        for k in ("w", "b"):
             np.testing.assert_array_equal(sparse[k], dense[k])
             np.testing.assert_array_equal(opt_sparse.m[k], opt_dense.m[k])
             np.testing.assert_array_equal(opt_sparse.v[k], opt_dense.v[k])
+        np.testing.assert_allclose(sparse["emb"], dense["emb"], rtol=0, atol=PARAM_ATOL)
+        np.testing.assert_allclose(opt_sparse.m["emb"] * BETA1**opt_sparse.s, opt_dense.m["emb"], rtol=1e-12)
+        np.testing.assert_allclose(opt_sparse.v["emb"] * BETA2**opt_sparse.s, opt_dense.v["emb"], rtol=1e-12)
         assert not opt_sparse.m["emb"][40:].any() and (sparse["emb"][40:] == start["emb"][40:]).all()
         assert (sparse["emb"][0] != start["emb"][0]).all()
 
@@ -304,8 +313,11 @@ class TestEuclideanAdam:
         # A parameter without a gradient is an error, not a parameter left
         # out of the step, and the failed step leaves the optimizer as it
         # was: the moments of keys read before the missing one included.
+        # The row key, if any, is the last key of the layout.
         for row_key in (None, "b", "w"):
-            params = FlatParams({"w": np.ones((2, 1)), "b": np.ones(1)})
+            shapes = {"w": (2, 1), "b": (1,)}
+            order = ("b", "w") if row_key == "w" else ("w", "b")
+            params = FlatParams({k: np.ones(shapes[k]) for k in order})
             opt = Adam(params, lr=0.1)
             rows = None if row_key is None else {row_key: np.array([0])}
             opt.step({"w": np.ones((1 if row_key == "w" else 2, 1)), "b": np.ones(1)}, rows=rows)
@@ -315,14 +327,74 @@ class TestEuclideanAdam:
             assert opt.t == 1
             for got, want in zip([params.flat, *opt.m.values(), *opt.v.values()], before):
                 np.testing.assert_array_equal(got, want)
-            assert opt.m["b"].tolist() == [1.0 - 0.9] and opt.v["b"].tolist() == [1.0 - 0.999]
+            scale = (BETA1**opt.s, BETA2**opt.s) if row_key == "b" else (1.0, 1.0)
+            assert opt.m["b"] * scale[0] == pytest.approx([1.0 - 0.9], rel=1e-15)
+            assert opt.v["b"] * scale[1] == pytest.approx([1.0 - 0.999], rel=1e-15)
+
+    def test_row_keys_must_be_the_fixed_tail(self):
+        # The row keys are the last keys of the layout, and the first step
+        # fixes them; a step that breaks either rule raises ValueError
+        # before it changes any state.
+        def fresh():
+            params = FlatParams({"w": np.ones((2, 1)), "emb": np.ones((3, 2))})
+            return params, Adam(params, lr=0.1)
+
+        grads = {"w": np.ones((2, 1)), "emb": np.ones((3, 2))}
+        rows = {"emb": np.array([1])}
+        row_grads = {"w": grads["w"], "emb": np.ones((1, 2))}
+        params, opt = fresh()
+        with pytest.raises(ValueError, match="not the last keys"):
+            opt.step({"w": np.ones((1, 1)), "emb": grads["emb"]}, rows={"w": np.array([0])})
+        assert opt.t == 0 and not opt.m["w"].any() and (params.flat == 1.0).all()
+        for first, then in (((grads, None), (row_grads, rows)), ((row_grads, rows), (grads, None))):
+            params, opt = fresh()
+            opt.step(*first)
+            before = [params.flat.copy(), *(x.copy() for x in [*opt.m.values(), *opt.v.values()])]
+            with pytest.raises(ValueError, match="changed"):
+                opt.step(*then)
+            assert (opt.t, opt.s) == (1, 0 if first[1] is None else 1)
+            for got, want in zip([params.flat, *opt.m.values(), *opt.v.values()], before):
+                np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 60),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    )
+    @example(seed=1, steps=RESCALE_STEPS + 40, density=0.05)
+    def test_row_steps_match_textbook_adam_on_the_zero_filled_table(self, seed, steps, density):
+        # Reference: a dense-only Adam, bitwise textbook Adam (see above),
+        # given the row gradients as a zero-filled table. The draws cover
+        # random row subsets, steps that touch no row, and (the example) a
+        # run past the rescale of the scaled moments.
+        rng = np.random.default_rng(seed)
+        n_rows, dim = 12, 3
+        shapes = {"w": (3, 2), "emb": (n_rows, dim)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        rowed, dense = FlatParams(start), FlatParams(start)
+        opt_rows, opt_dense = Adam(rowed, lr=0.02), Adam(dense, lr=0.02)
+        never = rng.random(n_rows) < 0.25
+        for _ in range(steps):
+            rows = np.flatnonzero((rng.random(n_rows) < density) & ~never)
+            scale = 10.0 ** rng.uniform(-5, 2, size=(len(rows), 1))
+            row_grads = rng.standard_normal((len(rows), dim)) * scale
+            table = np.zeros((n_rows, dim))
+            table[rows] = row_grads
+            g_w = rng.standard_normal(shapes["w"])
+            opt_rows.step({"w": g_w, "emb": row_grads}, rows={"emb": rows})
+            opt_dense.step({"w": g_w, "emb": table})
+        assert opt_rows.s == (steps - 1) % RESCALE_STEPS + 1
+        np.testing.assert_array_equal(rowed["w"], dense["w"])
+        np.testing.assert_allclose(rowed["emb"], dense["emb"], rtol=0, atol=PARAM_ATOL)
+        np.testing.assert_array_equal(rowed["emb"][never], start["emb"][never])
 
     def test_flat_params_are_views_of_one_buffer(self):
         arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}
         params = FlatParams(arrays)
-        assert params.flat.tolist() == [7.0, 8.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0]
         assert all(np.shares_memory(params[k], params.flat) for k in arrays)
         assert params["w"].shape == (2, 3) and not np.shares_memory(params["w"], arrays["w"])
         opt = Adam(params, lr=0.1)
         opt.step({"w": np.ones((2, 3)), "b": -np.ones(2)})
-        assert params.flat[:2].tolist() == params["b"].tolist() and (params["b"] > [7.0, 8.0]).all()
+        assert params.flat[6:].tolist() == params["b"].tolist() and (params["b"] > [7.0, 8.0]).all()
