@@ -2,8 +2,9 @@
 
 Layout: magic `HYPC`, version u32 LE, then named sections, each
 [name_len u16][name utf-8][payload_len u64][payload][crc32 u32], all
-little-endian. Arrays are raw little-endian float64 with shapes carried
-in the `meta` JSON section, so round trips are bitwise exact.
+little-endian, each name at most once. Arrays are raw little-endian
+float64 with shapes carried in the `meta` JSON section, so round trips
+are bitwise exact.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def _unpack_sections(blob: bytes, path) -> dict[str, bytes]:
             raise CheckpointError(f"{path}: truncated checkpoint") from exc
         if zlib.crc32(payload) != crc:
             raise CheckpointError(f"{path}: checksum mismatch in section {name!r}")
+        if name in sections:
+            raise CheckpointError(f"{path}: section {name!r} appears twice")
         sections[name] = payload
     return sections
 

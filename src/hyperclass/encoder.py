@@ -206,7 +206,7 @@ class EncoderModel:
         )
 
     def params(self) -> dict[str, np.ndarray]:
-        # The embedding last: Adam steps it by rows, as the tail of the layout.
+        # The embedding last: Adam takes row gradients only for the last key.
         return {"b1": self.b1, "w1": self.w1, "embedding": self.embedding}
 
 

@@ -16,12 +16,11 @@ stage-one batch and the token ids of a stage-two batch.
 Adam (Euclidean, for the encoder and classifier head, without weight
 decay) lives here too so both training stages share one home. It steps a
 `FlatParams`, and its moments and scratch are one flat buffer laid out
-the same way. The parameters that take their gradient as rows (the
-embedding rows a text batch touched) are the tail of the layout: the
-dense span before them follows the textbook expressions bitwise, and the
-tail keeps scaled moments with a cached square root, touched on the given
-rows only (see `Adam`). A step reads every gradient before it changes any
-state.
+the same way. Every parameter keeps scaled moments with a cached square
+root, updated on the rows a step touches (see `Adam`); the last
+parameter of the layout (the embedding, whose batch touches few rows)
+may take its gradient as rows. A step reads every gradient before it
+changes any state.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-# Steps between two rescales of Adam's scaled row moments: BETA1**s is then
+# Steps between two rescales of Adam's scaled moments: BETA1**s is then
 # about 2**-400, far above underflow, and m / BETA1**s stays finite for any
 # gradient below about 1e188.
 RESCALE_STEPS = 2630
@@ -102,8 +101,8 @@ class FlatParams(dict):
     An operation over every parameter (a finiteness check, a copy, a
     restore, Adam's update) is one call on `flat`. Update the views in
     place; a key rebound to another array leaves the buffer. Adam takes
-    row gradients only for the last keys, so stage two puts the embedding
-    last and its dense parameters are the one span before it.
+    row gradients only for the last key, so stage two puts the embedding
+    last.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -123,23 +122,23 @@ def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndar
 
 
 class Adam:
-    """Plain Euclidean Adam over a FlatParams.
+    """Euclidean Adam over a FlatParams, with one update rule for every
+    parameter.
 
-    m, v and two scratch rows a, b are one (4, len(params.flat)) buffer
-    laid out like `params.flat`; `m` and `v` map each key to its view.
-    The keys that take row gradients (see `step`) are the tail of the
-    layout, after the dense span [:n].
+    Each parameter keeps scaled moments M = m / BETA1**s and
+    V = v / BETA2**s, s (`self.s`) counting the steps since the last
+    rescale, and their root R = sqrt(V). A step adds its gradient into M
+    and V and recomputes R on the rows it touches, and no pass decays the
+    others; the update lr * (m / bc1) / (sqrt(v / bc2) + eps) is then
+    k * M / (R + eps / q), with scalars q = sqrt(BETA2**s / bc2) and
+    k = lr * BETA1**s / (bc1 * q), in four passes over the buffer. Every RESCALE_STEPS steps M and V are
+    multiplied back by BETA1**s and BETA2**s. This is textbook Adam up to
+    rounding. A row no step touches keeps its start value bitwise, and a
+    row step is bitwise the step on the same gradient as a zero-filled
+    table.
 
-    The dense span runs the textbook expressions in place, operation for
-    operation, so it is bitwise the out-of-place form. The tail stores
-    scaled moments M = m / BETA1**s and V = v / BETA2**s, s (`self.s`)
-    counting the steps since the last rescale, and their root R = sqrt(V)
-    in b: a step adds to M, V and R on the touched rows only, and the
-    update lr * (m / bc1) / (sqrt(v / bc2) + eps) is k * M / (R + eps / q)
-    with scalars q = sqrt(BETA2**s / bc2) and k = lr * BETA1**s / (bc1 * q).
-    Every RESCALE_STEPS steps M and V are multiplied back by BETA1**s and
-    BETA2**s. The tail is textbook Adam up to rounding, and a row no step
-    touches keeps its start value bitwise.
+    M, V, R and a scratch row are one (4, len(params.flat)) buffer laid
+    out like `params.flat`; `m` and `v` map each key to its view of M and V.
     """
 
     def __init__(self, params: FlatParams, lr: float):
@@ -148,92 +147,60 @@ class Adam:
         self.t = 0
         self.s = 0
         self._flat = np.zeros((4, len(params.flat)))
-        self.m, self.v, _, self._b = (_views(row, params) for row in self._flat)
-        # Fixed by the first step (see _fix_row_keys).
-        self._row_keys: frozenset | None = None
+        self.m, self.v, self._r, self._a = (_views(row, params) for row in self._flat)
 
-    def _fix_row_keys(self, row_keys: frozenset) -> None:
-        keys = list(self.params)
-        dense = keys[: len(keys) - len(row_keys)]
-        if set(keys[len(dense) :]) != row_keys:
-            raise ValueError(f"row-gradient keys {sorted(row_keys)} are not the last keys of {keys}")
-        self._row_keys = row_keys
-        n = sum(self.params[k].size for k in dense)
-        # The dense gradients are copied into b[:n], laid out like the
-        # parameters, so each moment update is one pass over the span.
-        self._dense_grads = [(key, self._b[key]) for key in dense]
-        self._dense = tuple(row[:n] for row in self._flat)
-        self._tail = tuple(row[n:] for row in self._flat)
+    def step(self, grads: dict[str, np.ndarray], rows: np.ndarray | None = None) -> None:
+        """One step; `grads` needs every key of params. With `rows`, the
+        distinct indices along the first axis of the last parameter of the
+        layout, that parameter's gradient holds only those rows and every
+        other row's gradient is zero: stage two passes the `(rows, grads)`
+        of `encode_batch_backward` for the embedding.
 
-    def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None) -> None:
-        """One step; `grads` needs every key of params. `rows` maps the key
-        of a parameter whose gradient comes as rows to their distinct
-        indices along its first axis; grads[key] then holds only those rows,
-        and every other row's gradient is zero: stage two passes the
-        `(rows, grads)` of `encode_batch_backward` as rows={"embedding": rows}.
-        The row keys must be the last keys of params, and the same at every
-        step (none at all for a dense-only optimizer).
-
-        Every check runs and every gradient is read before any state
-        changes, so a ValueError for the row keys or a KeyError for a
-        missing gradient leaves t, s, m, v and the parameters as they were.
+        Every gradient is read before any state changes, so a KeyError for
+        a missing one leaves t, s, m, v and the parameters as they were.
         """
-        rows = rows or {}
-        row_keys = frozenset(rows)
-        if self._row_keys is None:
-            self._fix_row_keys(row_keys)
-        elif row_keys != self._row_keys:
-            raise ValueError(f"row-gradient keys changed from {sorted(self._row_keys)} to {sorted(row_keys)}")
-        row_steps = [(rows[k], grads[k], self.m[k], self.v[k], self._b[k]) for k in rows]
-        for key, g in self._dense_grads:
-            np.copyto(g, grads[key])
+        keys = list(self.params)
+        n = len(self.params.flat)
+        if rows is not None:
+            row_key = keys.pop()
+            row_grads = grads[row_key]
+            n -= self.params[row_key].size
+        # The dense gradients are copied into a[:n], laid out like the
+        # parameters, so each moment update is one pass over the span.
+        for key in keys:
+            np.copyto(self._a[key], grads[key])
         self.t += 1
-        bc1 = 1.0 - BETA1**self.t
-        bc2 = 1.0 - BETA2**self.t
-        m, v, a, b = self._dense
-        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
-        m *= BETA1
-        np.multiply(b, 1.0 - BETA1, out=a)
-        m += a
-        v *= BETA2
-        np.multiply(b, 1.0 - BETA2, out=a)
-        a *= b
-        v += a
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps). Once beta1**t <= 2**-54
-        # (from step 356 for beta1 = 0.9), bc1 is exactly 1.0 and m / bc1 is m.
-        if bc1 == 1.0:
-            np.multiply(m, self.lr, out=a)
-        else:
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += EPS
-        a /= b
-        if row_steps:
-            self._row_step(row_steps, bc1, bc2)
-        self.params.flat -= self._flat[2]
-
-    def _row_step(self, row_steps: list[tuple[np.ndarray, ...]], bc1: float, bc2: float) -> None:
-        """Add the row gradients into M, V and R, and write k * M / (R + eps / q) to the tail of a."""
-        m, v, a, b = self._tail
+        m, v, r, a = self._flat
         if self.s == RESCALE_STEPS:
             m *= BETA1**self.s
             v *= BETA2**self.s
-            np.sqrt(v, out=b)
+            np.sqrt(v, out=r)
             self.s = 0
         self.s += 1
         scale1, scale2 = BETA1**self.s, BETA2**self.s
-        for r, g, m_key, v_key, root in row_steps:
-            # M[r] += (1 - beta1) / beta1**s * g and V[r] += (1 - beta2) / beta2**s * g * g
-            m_key[r] += g * ((1.0 - BETA1) / scale1)
-            gg = g * ((1.0 - BETA2) / scale2)
-            gg *= g
-            vr = v_key.take(r, axis=0)
+        gain1, gain2 = (1.0 - BETA1) / scale1, (1.0 - BETA2) / scale2
+        # M += gain1 * g, V += gain2 * g * g and R = sqrt(V) over the dense
+        # span, its R the scratch until the root overwrites it.
+        dm, dv, dr, g = self._flat[:, :n]
+        np.multiply(g, gain1, out=dr)
+        dm += dr
+        np.multiply(g, gain2, out=dr)
+        dr *= g
+        dv += dr
+        np.sqrt(dv, out=dr)
+        if rows is not None:
+            # The same expressions on the touched rows of the last parameter.
+            self.m[row_key][rows] += row_grads * gain1
+            gg = row_grads * gain2
+            gg *= row_grads
+            v_key = self.v[row_key]
+            vr = v_key.take(rows, axis=0)
             vr += gg
-            v_key[r] = vr
-            root[r] = np.sqrt(vr)
-        q = (scale2 / bc2) ** 0.5
-        np.add(b, EPS / q, out=a)
+            v_key[rows] = vr
+            self._r[row_key][rows] = np.sqrt(vr)
+        bc1 = 1.0 - BETA1**self.t
+        q = (scale2 / (1.0 - BETA2**self.t)) ** 0.5
+        np.add(r, EPS / q, out=a)
         np.divide(m, a, out=a)
         a *= self.lr * scale1 / (bc1 * q)
+        self.params.flat -= a

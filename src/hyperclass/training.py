@@ -15,15 +15,15 @@ and dev sets are tokenized and packed once per run; each epoch gathers
 its permuted training samples once, and each minibatch is a contiguous
 span of them: one encoder forward pass, one batched loss with its
 backward pass, one encoder backward pass (the embedding gradient as the
-batch's token rows) and one Adam step, which updates the dense
-parameters as one span of the flat buffer and the embedding, the
-buffer's tail, through scaled moments added on its touched rows. Runs
-are bitwise reproducible for a fixed seed; against textbook dense Adam,
-only the embedding's rounding differs. A batch whose loss is not finite
-(the only per-batch check) raises NumericalError naming the epoch and
-the batch; after each epoch's last batch, a parameter that is not finite
-raises NumericalError naming the epoch and the first such parameter in
-sorted key order, before dev evaluation and the best-parameter copy.
+batch's token rows) and one Adam step, which adds into every
+parameter's scaled moments (the embedding's on its touched rows only)
+and updates the whole flat buffer. Runs are bitwise reproducible for a
+fixed seed; against textbook dense Adam, every parameter's rounding
+differs. A batch whose loss is not finite (the only per-batch check)
+raises NumericalError naming the epoch and the batch; after each
+epoch's last batch, a parameter that is not finite raises
+NumericalError naming the epoch and the first such parameter in sorted
+key order, before dev evaluation and the best-parameter copy.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def train_classifier(
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
             epoch_loss += total * len(ys)
             rows, enc_grads = encode_batch_backward(model, tokens, hs, grads.pop("h"), pooled)
-            opt.step(enc_grads | grads, rows={"embedding": rows})
+            opt.step(enc_grads | grads, rows)
         # A batch's loss only shows a bad step at the next batch, so check
         # the parameters the epoch's last step wrote before they are scored
         # or kept.

@@ -151,6 +151,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="not UTF-8"):
             ckpt.load_checkpoint(saved)
 
+    def test_repeated_section(self, saved):
+        # A second copy of a section is an error, not a silent override:
+        # here its vectors differ from the first copy's.
+        sections = list(ckpt._unpack_sections(saved.read_bytes(), saved).items())
+        name, payload = next(item for item in sections if item[0] == "labels.vectors")
+        saved.write_bytes(ckpt._pack_sections([*sections, (name, bytes(len(payload)))]))
+        with pytest.raises(CheckpointError, match=r"section 'labels.vectors' appears twice$"):
+            ckpt.load_checkpoint(saved)
+
     def test_stage_mismatch_is_named_error(self, saved):
         with pytest.raises(StageError, match="expected 'classifier'"):
             ckpt.load_checkpoint(saved, expect_stage=ckpt.STAGE_CLASSIFIER)

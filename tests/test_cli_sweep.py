@@ -74,6 +74,12 @@ def _bad_meta(blob):
     return ckpt._pack_sections(list(sections.items()))
 
 
+def _repeat_last_section(blob):
+    """The checkpoint `blob` with its last section written twice."""
+    sections = list(ckpt._unpack_sections(blob, "blob").items())
+    return ckpt._pack_sections(sections + sections[-1:])
+
+
 def _other(name):
     """A break that replaces the file with the valid input `name`."""
     return lambda valid, root: (root / name).read_bytes()
@@ -84,6 +90,7 @@ CKPT_BREAKS = {
     "not-utf8": lambda valid, root: _bad_meta(valid),
     "truncated": lambda valid, root: valid[: len(valid) // 2],
     "garbage": lambda valid, root: b"not a checkpoint\n",
+    "repeated-section": lambda valid, root: _repeat_last_section(valid),
 }
 BAD_FILES = {
     "hierarchy.tsv": {
@@ -112,6 +119,7 @@ NAMES_NODE_NOT_FILE = {"unknown-node"}
 FILE_MESSAGES = {
     "duplicate-edge": r":\d+: edge 'root' -> 'fam0' already on line 1$",
     "cycle": r": cycle detected through node ",
+    "repeated-section": r": section '[^']+' appears twice$",
 }
 # synth-data's tree-shape counts below 1: the one error line must name the flag.
 NAMED_IN_ERROR = {

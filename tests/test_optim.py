@@ -215,8 +215,18 @@ class TestEuclideanAdam:
         opt.step({"x": np.ones(2)})
         assert view is params["x"] and view[0] != 0.0
 
-    def test_in_place_update_is_bitwise_textbook_adam(self):
-        # Reference: the out-of-place expressions, one temporary per term.
+    def assert_textbook(self, params, opt, ref, m, v):
+        # The parameters within the bound, and M and V multiplied back by
+        # BETA1**s and BETA2**s against the textbook moments.
+        for k in ref:
+            np.testing.assert_allclose(params[k], ref[k], rtol=0, atol=PARAM_ATOL, err_msg=k)
+            np.testing.assert_allclose(opt.m[k] * BETA1**opt.s, m[k], rtol=1e-12, err_msg=k)
+            np.testing.assert_allclose(opt.v[k] * BETA2**opt.s, v[k], rtol=1e-12, err_msg=k)
+
+    def test_in_place_update_matches_textbook_adam(self):
+        # Reference: the out-of-place expressions, one temporary per term,
+        # past step 356 (from which 1 - 0.9**t is exactly 1.0) and past a
+        # rescale of the scaled moments.
         rng = np.random.default_rng(4)
         shapes = {"emb": (40, 6), "w": (6, 3), "b": (3,)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
@@ -226,7 +236,7 @@ class TestEuclideanAdam:
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
         opt = Adam(params, lr=lr)
-        for t in range(1, 60):
+        for t in range(1, RESCALE_STEPS + 60):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
             grads["emb"][rng.random(40) < 0.7] = 0.0  # mostly untouched rows
             opt.step(grads)
@@ -236,15 +246,12 @@ class TestEuclideanAdam:
                 m_hat = m[k] / (1.0 - b1**t)
                 v_hat = v[k] / (1.0 - b2**t)
                 ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        for k in shapes:
-            np.testing.assert_array_equal(params[k], ref[k])
-            np.testing.assert_array_equal(opt.m[k], m[k])
-            np.testing.assert_array_equal(opt.v[k], v[k])
+        assert 1.0 - b1**355 < 1.0 == 1.0 - b1**356
+        assert opt.s == 59
+        self.assert_textbook(params, opt, ref, m, v)
 
-    def test_past_unit_bias_correction_is_bitwise_textbook_adam(self):
-        # 400 steps: from step 356 on, 1 - 0.9**t is exactly 1.0 and the
-        # step skips m / bc1. "emb" takes row gradients as the tail of the
-        # flat buffer; the dense keys "a", "w", "z" before it stay bitwise.
+    def test_past_unit_bias_correction_and_rescale_match_textbook_adam(self):
+        # As above, with "emb", the last key, taking its gradient as rows.
         rng = np.random.default_rng(6)
         shapes = {"a": (4,), "w": (5, 3), "z": (3,), "emb": (30, 5)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
@@ -254,31 +261,31 @@ class TestEuclideanAdam:
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         opt = Adam(params, lr=lr)
-        for t in range(1, 401):
+        for t in range(1, RESCALE_STEPS + 101):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items()}
             rows = np.flatnonzero(rng.random(30) < 0.3)
             grads["emb"][np.setdiff1d(np.arange(30), rows)] = 0.0
-            opt.step({**grads, "emb": grads["emb"][rows]}, rows={"emb": rows})
+            opt.step({**grads, "emb": grads["emb"][rows]}, rows)
             for k, g in grads.items():
                 m[k] = b1 * m[k] + (1.0 - b1) * g
                 v[k] = b2 * v[k] + (1.0 - b2) * g * g
                 m_hat = m[k] / (1.0 - b1**t)
                 v_hat = v[k] / (1.0 - b2**t)
                 ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        assert 1.0 - b1**355 < 1.0 == 1.0 - b1**356
-        for k in ("a", "w", "z"):
-            np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
-            np.testing.assert_array_equal(opt.m[k], m[k], err_msg=k)
-            np.testing.assert_array_equal(opt.v[k], v[k], err_msg=k)
-        np.testing.assert_allclose(params["emb"], ref["emb"], rtol=0, atol=PARAM_ATOL)
-        np.testing.assert_allclose(opt.m["emb"] * BETA1**opt.s, m["emb"], rtol=1e-12)
-        np.testing.assert_allclose(opt.v["emb"] * BETA2**opt.s, v["emb"], rtol=1e-12)
+        assert opt.s == 100
+        self.assert_textbook(params, opt, ref, m, v)
+
+    @staticmethod
+    def assert_same_bits(params_a, opt_a, params_b, opt_b):
+        for k in params_a:
+            np.testing.assert_array_equal(params_a[k], params_b[k], err_msg=k)
+            np.testing.assert_array_equal(opt_a.m[k], opt_b.m[k], err_msg=k)
+            np.testing.assert_array_equal(opt_a.v[k], opt_b.v[k], err_msg=k)
 
     def test_row_gradients_are_bitwise_the_zero_filled_dense_step(self):
         # One optimizer takes the embedding gradient as rows, the other the
         # same gradient as a zero-filled table. Row 0 is touched twice, 450
         # steps apart; rows 40-49 never; some steps touch no row at all.
-        # The dense keys are bitwise; the embedding within the bound.
         rng = np.random.default_rng(5)
         shapes = {"w": (6, 3), "b": (3,), "emb": (50, 6)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
@@ -297,15 +304,9 @@ class TestEuclideanAdam:
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-5, 2) for k, s in shapes.items() if k != "emb"}
             table = np.zeros(shapes["emb"])
             table[rows] = row_grads
-            opt_sparse.step({**grads, "emb": row_grads}, rows={"emb": rows})
+            opt_sparse.step({**grads, "emb": row_grads}, rows)
             opt_dense.step({**grads, "emb": table})
-        for k in ("w", "b"):
-            np.testing.assert_array_equal(sparse[k], dense[k])
-            np.testing.assert_array_equal(opt_sparse.m[k], opt_dense.m[k])
-            np.testing.assert_array_equal(opt_sparse.v[k], opt_dense.v[k])
-        np.testing.assert_allclose(sparse["emb"], dense["emb"], rtol=0, atol=PARAM_ATOL)
-        np.testing.assert_allclose(opt_sparse.m["emb"] * BETA1**opt_sparse.s, opt_dense.m["emb"], rtol=1e-12)
-        np.testing.assert_allclose(opt_sparse.v["emb"] * BETA2**opt_sparse.s, opt_dense.v["emb"], rtol=1e-12)
+        self.assert_same_bits(sparse, opt_sparse, dense, opt_dense)
         assert not opt_sparse.m["emb"][40:].any() and (sparse["emb"][40:] == start["emb"][40:]).all()
         assert (sparse["emb"][0] != start["emb"][0]).all()
 
@@ -319,42 +320,16 @@ class TestEuclideanAdam:
             order = ("b", "w") if row_key == "w" else ("w", "b")
             params = FlatParams({k: np.ones(shapes[k]) for k in order})
             opt = Adam(params, lr=0.1)
-            rows = None if row_key is None else {row_key: np.array([0])}
-            opt.step({"w": np.ones((1 if row_key == "w" else 2, 1)), "b": np.ones(1)}, rows=rows)
+            rows = None if row_key is None else np.array([0])
+            opt.step({"w": np.ones((1 if row_key == "w" else 2, 1)), "b": np.ones(1)}, rows)
             before = [params.flat.copy(), *(x.copy() for x in [*opt.m.values(), *opt.v.values()])]
             with pytest.raises(KeyError, match="w"):
-                opt.step({"b": np.ones(1)}, rows=rows)
+                opt.step({"b": np.ones(1)}, rows)
             assert opt.t == 1
             for got, want in zip([params.flat, *opt.m.values(), *opt.v.values()], before):
                 np.testing.assert_array_equal(got, want)
-            scale = (BETA1**opt.s, BETA2**opt.s) if row_key == "b" else (1.0, 1.0)
-            assert opt.m["b"] * scale[0] == pytest.approx([1.0 - 0.9], rel=1e-15)
-            assert opt.v["b"] * scale[1] == pytest.approx([1.0 - 0.999], rel=1e-15)
-
-    def test_row_keys_must_be_the_fixed_tail(self):
-        # The row keys are the last keys of the layout, and the first step
-        # fixes them; a step that breaks either rule raises ValueError
-        # before it changes any state.
-        def fresh():
-            params = FlatParams({"w": np.ones((2, 1)), "emb": np.ones((3, 2))})
-            return params, Adam(params, lr=0.1)
-
-        grads = {"w": np.ones((2, 1)), "emb": np.ones((3, 2))}
-        rows = {"emb": np.array([1])}
-        row_grads = {"w": grads["w"], "emb": np.ones((1, 2))}
-        params, opt = fresh()
-        with pytest.raises(ValueError, match="not the last keys"):
-            opt.step({"w": np.ones((1, 1)), "emb": grads["emb"]}, rows={"w": np.array([0])})
-        assert opt.t == 0 and not opt.m["w"].any() and (params.flat == 1.0).all()
-        for first, then in (((grads, None), (row_grads, rows)), ((row_grads, rows), (grads, None))):
-            params, opt = fresh()
-            opt.step(*first)
-            before = [params.flat.copy(), *(x.copy() for x in [*opt.m.values(), *opt.v.values()])]
-            with pytest.raises(ValueError, match="changed"):
-                opt.step(*then)
-            assert (opt.t, opt.s) == (1, 0 if first[1] is None else 1)
-            for got, want in zip([params.flat, *opt.m.values(), *opt.v.values()], before):
-                np.testing.assert_array_equal(got, want)
+            assert opt.m["b"] * BETA1**opt.s == pytest.approx([1.0 - 0.9], rel=1e-15)
+            assert opt.v["b"] * BETA2**opt.s == pytest.approx([1.0 - 0.999], rel=1e-15)
 
     @settings(max_examples=40)
     @given(
@@ -364,16 +339,17 @@ class TestEuclideanAdam:
     )
     @example(seed=1, steps=RESCALE_STEPS + 40, density=0.05)
     def test_row_steps_match_textbook_adam_on_the_zero_filled_table(self, seed, steps, density):
-        # Reference: a dense-only Adam, bitwise textbook Adam (see above),
-        # given the row gradients as a zero-filled table. The draws cover
-        # random row subsets, steps that touch no row, and (the example) a
-        # run past the rescale of the scaled moments.
+        # Reference: an Adam given every embedding gradient as a zero-filled
+        # table; the other takes a random mix of row steps and zero-filled
+        # steps. The draws cover random row subsets, steps that touch no
+        # row, and (the example) a run past the rescale of the scaled
+        # moments. The textbook tests above bound the reference.
         rng = np.random.default_rng(seed)
         n_rows, dim = 12, 3
         shapes = {"w": (3, 2), "emb": (n_rows, dim)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        rowed, dense = FlatParams(start), FlatParams(start)
-        opt_rows, opt_dense = Adam(rowed, lr=0.02), Adam(dense, lr=0.02)
+        mixed, dense = FlatParams(start), FlatParams(start)
+        opt_mixed, opt_dense = Adam(mixed, lr=0.02), Adam(dense, lr=0.02)
         never = rng.random(n_rows) < 0.25
         for _ in range(steps):
             rows = np.flatnonzero((rng.random(n_rows) < density) & ~never)
@@ -382,12 +358,14 @@ class TestEuclideanAdam:
             table = np.zeros((n_rows, dim))
             table[rows] = row_grads
             g_w = rng.standard_normal(shapes["w"])
-            opt_rows.step({"w": g_w, "emb": row_grads}, rows={"emb": rows})
+            if rng.random() < 0.5:
+                opt_mixed.step({"w": g_w, "emb": row_grads}, rows)
+            else:
+                opt_mixed.step({"w": g_w, "emb": table})
             opt_dense.step({"w": g_w, "emb": table})
-        assert opt_rows.s == (steps - 1) % RESCALE_STEPS + 1
-        np.testing.assert_array_equal(rowed["w"], dense["w"])
-        np.testing.assert_allclose(rowed["emb"], dense["emb"], rtol=0, atol=PARAM_ATOL)
-        np.testing.assert_array_equal(rowed["emb"][never], start["emb"][never])
+        assert opt_mixed.s == (steps - 1) % RESCALE_STEPS + 1
+        self.assert_same_bits(mixed, opt_mixed, dense, opt_dense)
+        np.testing.assert_array_equal(mixed["emb"][never], start["emb"][never])
 
     def test_flat_params_are_views_of_one_buffer(self):
         arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}

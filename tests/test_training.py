@@ -177,7 +177,7 @@ class TestDeterminismAndThreads:
 def assert_matches_reference(result, history, best_epoch, best_wf1, params):
     """Every dev score, the best epoch and its score are bitwise the dense
     reference's; each epoch's train_loss and every parameter are within the
-    rounding bounds of row-step Adam."""
+    rounding bounds of scaled-moment Adam."""
     exact = ("epoch", "dev_acc", "dev_wf1")
     assert len(result.history) == len(history)
     for got, want in zip(result.history, history):
@@ -194,7 +194,7 @@ def assert_matches_reference(result, history, best_epoch, best_wf1, params):
 
 class TestFrozenReference:
     # "bitwise": the dev scores and the best epoch; the loss and the
-    # parameters are held to the row-step Adam bounds.
+    # parameters are held to the scaled-moment Adam bounds.
     @pytest.mark.parametrize("loss,norm", [("ce", "none"), ("wce", "none"), ("wce", "batch-mean")])
     def test_matches_dense_table_training_bitwise(self, tiny_data, tiny_labels, loss, norm):
         _, class_map, train, dev = tiny_data
