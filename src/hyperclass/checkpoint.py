@@ -180,7 +180,8 @@ def load_checkpoint(path, expect_stage: str | None = None):
     """Read and validate a checkpoint of either stage.
 
     Every unreadable, corrupt or internally inconsistent file raises
-    CheckpointError (StageError for a valid file of the wrong stage). Node,
+    CheckpointError (StageError for a valid file of the wrong stage), and so
+    does a section or recorded shape of an array its stage does not read. Node,
     class-map and class names must be TSV fields (see `data.is_tsv_field`),
     because exports and class maps write them as such, and no node, class
     map label or node, or class name may repeat. Arrays must be finite, and label points inside the
@@ -188,7 +189,7 @@ def load_checkpoint(path, expect_stage: str | None = None):
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
     sections = _unpack_sections(blob, path)
     if "meta" not in sections:
         raise CheckpointError(f"{path}: missing meta section")
@@ -213,6 +214,10 @@ def load_checkpoint(path, expect_stage: str | None = None):
     shapes = field("shapes", dict)
     config = field("config", dict)
     seed = field("seed", int)
+    stage_arrays = {"labels.vectors"} if stage == STAGE_LABELS else _CLASSIFIER_AXES.keys()
+    for name in [*(name for name in sections if name != "meta"), *shapes]:
+        if name not in stage_arrays:
+            raise CheckpointError(f"{path}: unexpected section {name!r}")
 
     def grab(name: str, ndim: int) -> np.ndarray:
         if name not in sections:

@@ -1,5 +1,5 @@
 """End-to-end synthetic pipeline helpers shared by the experiment
-scripts and the behavioral test suite.
+script (scripts/run_arms.py) and the behavioral test suite.
 
 One call = one fully seeded run: generate the two-family dataset, train
 label embeddings under the requested hierarchy mode (wce only), train

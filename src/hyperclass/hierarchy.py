@@ -162,15 +162,24 @@ def build_tree(
     return LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
 
 
-def _read_pairs(path, columns: str, first_node: int) -> list[tuple[int, tuple[str, str]]]:
-    """(line number, row) of each row of a two-column TSV; '#' starts a
-    comment, blank lines skipped.
+def _open_text(path, kind: str):
+    """`path` opened as UTF-8 text; a file that cannot be opened raises
+    TaxonomyError naming the path and the `kind` of file it should be."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise TaxonomyError(f"{path}: cannot read {kind}: {exc.strerror}") from None
+
+
+def _read_pairs(path, kind: str, columns: str, first_node: int) -> list[tuple[int, tuple[str, str]]]:
+    """(line number, row) of each row of a two-column TSV of `kind`; '#'
+    starts a comment, blank lines skipped.
 
     `columns` names the two columns in the error message; the columns from
     `first_node` on must be valid node names.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path, kind) as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
@@ -193,7 +202,7 @@ def _read_pairs(path, columns: str, first_node: int) -> list[tuple[int, tuple[st
 def parse_taxonomy(path) -> list[tuple[str, str]]:
     """Read `parent<TAB>child` edges; a file with none names no tree node,
     so it is an error, and so is an edge on two lines."""
-    rows = _read_pairs(path, "parent<TAB>child", first_node=0)
+    rows = _read_pairs(path, "taxonomy", "parent<TAB>child", first_node=0)
     if not rows:
         raise TaxonomyError(f"{path}: taxonomy is empty")
     edges = [row for _, row in rows]
@@ -209,7 +218,7 @@ def parse_taxonomy(path) -> list[tuple[str, str]]:
 def parse_class_map(path) -> list[tuple[str, str]]:
     """Read `dataset_label<TAB>tree_node` rows; row order defines class
     indices, so each label may appear on one row only."""
-    rows = _read_pairs(path, "label<TAB>node", first_node=1)
+    rows = _read_pairs(path, "class map", "label<TAB>node", first_node=1)
     if not rows:
         raise TaxonomyError(f"{path}: class map is empty")
     first_line: dict[str, int] = {}
@@ -398,9 +407,9 @@ def write_embeddings_tsv(path, dim: int, chunks: Iterable[tuple[list[str], np.nd
 
 
 def load_embeddings_tsv(path) -> LabelEmbeddings:
-    """Inverse of write_embeddings_tsv."""
+    """Inverse of write_embeddings_tsv, a file of no rows included."""
     nodes, rows = [], []
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path, "embedding TSV") as fh:
         try:
             header = fh.readline().rstrip("\n").split("\t")
             if header[0] != "node":
@@ -417,4 +426,4 @@ def load_embeddings_tsv(path) -> LabelEmbeddings:
                 nodes.append(parts[0])
         except UnicodeDecodeError as exc:
             raise TaxonomyError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return LabelEmbeddings(nodes=nodes, vectors=np.array(rows, dtype=np.float64))
+    return LabelEmbeddings(nodes=nodes, vectors=np.array(rows, dtype=np.float64).reshape(len(rows), dim))

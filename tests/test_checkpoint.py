@@ -160,6 +160,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match=r"section 'labels.vectors' appears twice$"):
             ckpt.load_checkpoint(saved)
 
+    @pytest.mark.parametrize("name", ["labels.stray", "enc.w1"])
+    def test_section_its_stage_does_not_read(self, saved, name):
+        # A labels checkpoint holds meta and labels.vectors only: another
+        # section, even a classifier array, is refused rather than ignored.
+        sections = list(ckpt._unpack_sections(saved.read_bytes(), saved).items())
+        saved.write_bytes(ckpt._pack_sections([*sections, (name, b"hello")]))
+        with pytest.raises(CheckpointError, match=rf"labels\.ckpt: unexpected section '{name}'$"):
+            ckpt.load_checkpoint(saved)
+
     def test_stage_mismatch_is_named_error(self, saved):
         with pytest.raises(StageError, match="expected 'classifier'"):
             ckpt.load_checkpoint(saved, expect_stage=ckpt.STAGE_CLASSIFIER)
@@ -184,7 +193,8 @@ class TestCorruption:
             ckpt.load_checkpoint(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CheckpointError, match="cannot read"):
+        # The path once, then the reason, as for every other input file.
+        with pytest.raises(CheckpointError, match=r"absent\.ckpt: cannot read checkpoint: [^/]+$"):
             ckpt.load_checkpoint(tmp_path / "absent.ckpt")
 
 
@@ -266,6 +276,17 @@ class TestInconsistentMeta:
         rewrite_meta(labels_path, lambda m: m.pop("shapes"))
         with pytest.raises(CheckpointError, match="'shapes'"):
             ckpt.load_checkpoint(labels_path)
+
+    def test_shape_of_an_array_its_stage_does_not_read(self, labels_path):
+        rewrite_meta(labels_path, lambda m: m["shapes"].update({"ghost": [1]}))
+        with pytest.raises(CheckpointError, match=r"labels\.ckpt: unexpected section 'ghost'$"):
+            ckpt.load_checkpoint(labels_path)
+
+    def test_classifier_with_a_labels_section(self, classifier_path):
+        sections = list(ckpt._unpack_sections(classifier_path.read_bytes(), classifier_path).items())
+        classifier_path.write_bytes(ckpt._pack_sections([*sections, ("labels.vectors", b"")]))
+        with pytest.raises(CheckpointError, match=r"clf\.ckpt: unexpected section 'labels\.vectors'$"):
+            ckpt.load_checkpoint(classifier_path)
 
     def test_fewer_nodes_than_rows(self, labels_path):
         rewrite_meta(labels_path, lambda m: m["nodes"].pop())

@@ -80,6 +80,12 @@ def _repeat_last_section(blob):
     return ckpt._pack_sections(sections + sections[-1:])
 
 
+def _add_stray_section(blob):
+    """The checkpoint `blob` with one more section, which no stage reads."""
+    sections = list(ckpt._unpack_sections(blob, "blob").items())
+    return ckpt._pack_sections(sections + [("stray", b"")])
+
+
 def _other(name):
     """A break that replaces the file with the valid input `name`."""
     return lambda valid, root: (root / name).read_bytes()
@@ -91,6 +97,7 @@ CKPT_BREAKS = {
     "truncated": lambda valid, root: valid[: len(valid) // 2],
     "garbage": lambda valid, root: b"not a checkpoint\n",
     "repeated-section": lambda valid, root: _repeat_last_section(valid),
+    "stray-section": lambda valid, root: _add_stray_section(valid),
 }
 BAD_FILES = {
     "hierarchy.tsv": {
@@ -115,11 +122,15 @@ FILE_CASES = [
 # A class-map node missing from the tree is named, not the file.
 NAMES_NODE_NOT_FILE = {"unknown-node"}
 # What the one error line says after the file name, where the file alone
-# shows the fault: a repeated edge names the line it repeats.
+# shows the fault: a repeated edge names the line it repeats, and a file
+# that cannot be opened names the kind of file it should be.
 FILE_MESSAGES = {
+    "missing": r": cannot read [a-z A-Z]+: ",
+    "directory": r": cannot read [a-z A-Z]+: ",
     "duplicate-edge": r":\d+: edge 'root' -> 'fam0' already on line 1$",
     "cycle": r": cycle detected through node ",
     "repeated-section": r": section '[^']+' appears twice$",
+    "stray-section": r": unexpected section 'stray'$",
 }
 # synth-data's tree-shape counts below 1: the one error line must name the flag.
 NAMED_IN_ERROR = {

@@ -1,6 +1,8 @@
 """Taxonomy parsing, tree modes and index, label-embedding training, and MAP."""
 
+import errno
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -565,6 +567,13 @@ class TestEmbeddingTsv:
         per_coordinate_tsv(names, vectors, tmp_path / "old.tsv")
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
 
+    def test_zero_rows_round_trip(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        write_embeddings_tsv(p, 2, [([], np.zeros((0, 2)))])
+        back = load_embeddings_tsv(p)
+        assert back.nodes == []
+        assert back.vectors.shape == (0, 2)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("wrong\tdim0\na\t0.5\n")
@@ -588,6 +597,22 @@ class TestEmbeddingTsv:
         p.write_text("node\tdim0\tdim1\na\t0.5\t0.25\nb\t0.5\tx\n")
         with pytest.raises(TaxonomyError, match=r"emb\.tsv:3: could not convert string to float: 'x'"):
             load_embeddings_tsv(p)
+
+
+@pytest.mark.parametrize(
+    "reader, kind",
+    [(parse_taxonomy, "taxonomy"), (parse_class_map, "class map"), (load_embeddings_tsv, "embedding TSV")],
+)
+@pytest.mark.parametrize(
+    "where, code", [("missing.tsv", errno.ENOENT), ("", errno.EISDIR)], ids=["missing", "directory"]
+)
+def test_unreadable_path_is_named(tmp_path, reader, kind, where, code):
+    # A missing path or a directory is a TaxonomyError naming the path and
+    # the kind of file, not a bare OSError.
+    path = tmp_path / where
+    with pytest.raises(TaxonomyError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: cannot read {kind}: {os.strerror(code)}"
 
 
 class TestBundledEmotionTaxonomy:
