@@ -14,7 +14,6 @@ import math
 import os
 import struct
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -24,7 +23,7 @@ import numpy as np
 from .data import is_tsv_field
 from .encoder import EncoderModel, Vocabulary
 from .errors import CheckpointError, StageError
-from .hierarchy import LabelEmbeddings
+from .hierarchy import LabelEmbeddings, _first_repeat
 from .loss import ClassifierHead
 
 MAGIC = b"HYPC"
@@ -248,9 +247,8 @@ def load_checkpoint(path, expect_stage: str | None = None):
                 )
 
     def check_unique(key: str, names: list[str]) -> None:
-        repeated = [name for name, n in Counter(names).items() if n > 1]
-        if repeated:
-            raise CheckpointError(f"{path}: {repeated[0]!r} appears twice in {key}")
+        if repeat := _first_repeat(names):
+            raise CheckpointError(f"{path}: {names[repeat[1]]!r} appears twice in {key}")
 
     if stage == STAGE_LABELS:
         vectors = grab("labels.vectors", 2)

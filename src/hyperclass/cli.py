@@ -168,6 +168,9 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     if isinstance(ck, LabelsCheckpoint):
         rows, dim = ck.emb.vectors.shape
         chunks = [(ck.emb.nodes, ck.emb.vectors)]
+    elif ck.config.get("loss") == "ce":
+        # ce_batch gives w_p and b_p no gradient: they keep their initial values.
+        raise ConfigError(f"{args.model}: a --loss ce classifier has no trained ball projection")
     elif args.data is None:
         raise ConfigError("exporting classifier projections requires --data")
     else:

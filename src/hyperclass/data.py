@@ -1,9 +1,11 @@
 """Dataset ingestion (TSV), synthetic hierarchical dataset generation,
 and the default two-family benchmark tree.
 
-Dataset files are UTF-8 TSV `text<TAB>label`, no header; a text or
-label name that is not one TSV field (a tab, CR or LF, or no UTF-8
-encoding) is rejected, not escaped. The synthetic generator
+Dataset files are UTF-8 TSV `text<TAB>label`, no header, read by the
+package's one text reader (`hierarchy._read_lines`), so a leading byte
+order mark is dropped and CRLF reads as LF; a text or label name that is
+not one TSV field (a tab, CR or LF, or no UTF-8 encoding) is rejected,
+not escaped. The synthetic generator
 holds each class's family, leaf and noise pools as one numpy word array
 and draws a sample's tokens from it in one bounded-integer call.
 """
@@ -17,7 +19,7 @@ import numpy as np
 
 from .config import SynthSpec
 from .errors import DatasetError
-from .hierarchy import LabelTree, build_tree
+from .hierarchy import LabelTree, _read_lines, build_tree
 
 
 @dataclass
@@ -51,29 +53,17 @@ def load_dataset(path, label_names: list[str] | None = None, split: str = "train
 
 
 def _rows(path):
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DatasetError(f"{path}: cannot read dataset: {exc.strerror}") from None
-    with fh:
-        lineno = 0
-        try:
-            for line in fh:
-                lineno += 1
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DatasetError(
-                        f"{path}:{lineno}: expected text<TAB>label, got {len(parts)} fields"
-                    )
-                text, label = parts
-                if not label:
-                    raise DatasetError(f"{path}:{lineno}: empty label")
-                yield lineno, label, text
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in _read_lines(path, "dataset", DatasetError):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DatasetError(f"{path}:{lineno}: expected text<TAB>label, got {len(parts)} fields")
+        text, label = parts
+        if not label:
+            raise DatasetError(f"{path}:{lineno}: empty label")
+        yield lineno, label, text
 
 
 def is_tsv_field(value) -> bool:

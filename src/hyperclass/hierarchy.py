@@ -13,6 +13,9 @@ lr * BURN_IN_FACTOR; these three, like PAIRS_PER_STEP, are constants of
 the method rather than settings. The embeddings are then scored by how
 well nearest-neighbour ranking reconstructs the edges.
 
+Every text input, datasets included, is read by `_read_lines` (UTF-8,
+a leading BOM dropped, CRLF read as LF); `_first_repeat` finds the first
+repeated edge, class-map label, class leaf or checkpoint name.
 Embeddings and projections are written as TSV from (names, vectors)
 chunks, one formatting operation per row, so a caller can stream rows
 without holding them all.
@@ -21,7 +24,7 @@ without holding them all.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -30,7 +33,7 @@ import numpy as np
 
 from .ball import distance, distance_and_grad, random_ball_point
 from .config import LabelEmbedConfig
-from .errors import NumericalError, TaxonomyError
+from .errors import HyperclassError, NumericalError, TaxonomyError
 from .optim import RiemannianAdam, _distinct_rows
 
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -103,13 +106,11 @@ class LabelTree:
             up = np.where(below, self.parent[up], -1)
         else:
             raise TaxonomyError(f"cycle detected through node {self.nodes[up[up >= 0][0]]!r}")
-        seen = set()
         for leaf in self.class_leaves:
             if leaf not in self.index:
                 raise TaxonomyError(f"class leaf {leaf!r} is not a tree node")
-            if leaf in seen:
-                raise TaxonomyError(f"duplicate class leaf {leaf!r}")
-            seen.add(leaf)
+        if repeat := _first_repeat(self.class_leaves):
+            raise TaxonomyError(f"duplicate class leaf {self.class_leaves[repeat[1]]!r}")
 
     @property
     def num_classes(self) -> int:
@@ -162,29 +163,44 @@ def build_tree(
     return LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
 
 
-def _open_text(path, kind: str):
-    """`path` opened as UTF-8 text; a file that cannot be opened raises
-    TaxonomyError naming the path and the `kind` of file it should be."""
+def _read_lines(path, kind: str, error: type[HyperclassError]) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of the UTF-8 text file at `path`,
+    read as text: CRLF and CR end a line as LF does, and a leading BOM is
+    dropped. Each line keeps its LF (the last may have none), so reading
+    costs no call per line. A file that cannot be read raises `error`
+    naming the path and the `kind` of file it should be, and so does one
+    that is not UTF-8, naming the path and the decoder's reason."""
     try:
-        return open(path, encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from enumerate(fh, start=1)
     except OSError as exc:
-        raise TaxonomyError(f"{path}: cannot read {kind}: {exc.strerror}") from None
+        raise error(f"{path}: cannot read {kind}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_pairs(path, kind: str, columns: str, first_node: int) -> list[tuple[int, tuple[str, str]]]:
-    """(line number, row) of each row of a two-column TSV of `kind`; '#'
-    starts a comment, blank lines skipped.
+def _first_repeat(items: list) -> tuple[int, int] | None:
+    """(i, j): the first item j that equals an earlier one, first seen at
+    i; None when no item repeats."""
+    if len(set(items)) < len(items):
+        first: dict = {}
+        for j, item in enumerate(items):
+            if first.setdefault(item, j) != j:
+                return first[item], j
+    return None
 
-    `columns` names the two columns in the error message; the columns from
-    `first_node` on must be valid node names.
+
+def _read_pairs(
+    path, kind: str, columns: str, first_node: int, unique: int, repeated: str
+) -> list[tuple[str, str]]:
+    """The rows of a two-column TSV of `kind`, at least one; '#' starts
+    a comment, blank lines skipped. `columns` names the two columns
+    in the error message, the columns from `first_node` on must be valid
+    node names, and a row whose first `unique` columns repeat an earlier
+    row's raises `repeated`, formatted with the `row` and the first `line`.
     """
-    rows = []
-    with _open_text(path, kind) as fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise TaxonomyError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
+    rows, linenos = [], []
+    for lineno, raw in _read_lines(path, kind, TaxonomyError):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -195,40 +211,32 @@ def _read_pairs(path, kind: str, columns: str, first_node: int) -> list[tuple[in
         for name in row[first_node:]:
             if not NODE_NAME_RE.match(name):
                 raise TaxonomyError(f"{path}:{lineno}: invalid node name {name!r}")
-        rows.append((lineno, row))
+        rows.append(row)
+        linenos.append(lineno)
+    if not rows:
+        raise TaxonomyError(f"{path}: {kind} is empty")
+    if repeat := _first_repeat([row[:unique] for row in rows]):
+        i, j = repeat
+        raise TaxonomyError(f"{path}:{linenos[j]}: " + repeated.format(row=rows[j], line=linenos[i]))
     return rows
 
 
 def parse_taxonomy(path) -> list[tuple[str, str]]:
     """Read `parent<TAB>child` edges; a file with none names no tree node,
     so it is an error, and so is an edge on two lines."""
-    rows = _read_pairs(path, "taxonomy", "parent<TAB>child", first_node=0)
-    if not rows:
-        raise TaxonomyError(f"{path}: taxonomy is empty")
-    edges = [row for _, row in rows]
-    if len(set(edges)) < len(edges):
-        first_line: dict[tuple[str, str], int] = {}
-        for lineno, (parent, child) in rows:
-            first = first_line.setdefault((parent, child), lineno)
-            if first != lineno:
-                raise TaxonomyError(f"{path}:{lineno}: edge {parent!r} -> {child!r} already on line {first}")
-    return edges
+    return _read_pairs(
+        path, "taxonomy", "parent<TAB>child", first_node=0, unique=2,
+        repeated="edge {row[0]!r} -> {row[1]!r} already on line {line}",
+    )
 
 
 def parse_class_map(path) -> list[tuple[str, str]]:
     """Read `dataset_label<TAB>tree_node` rows; row order defines class
     indices, so each label may appear on one row only."""
-    rows = _read_pairs(path, "class map", "label<TAB>node", first_node=1)
-    if not rows:
-        raise TaxonomyError(f"{path}: class map is empty")
-    first_line: dict[str, int] = {}
-    for lineno, (label, _) in rows:
-        if label in first_line:
-            raise TaxonomyError(
-                f"{path}:{lineno}: label {label!r} is already mapped on line {first_line[label]}"
-            )
-        first_line[label] = lineno
-    return [row for _, row in rows]
+    return _read_pairs(
+        path, "class map", "label<TAB>node", first_node=1, unique=1,
+        repeated="label {row[0]!r} is already mapped on line {line}",
+    )
 
 
 def save_pairs(rows: list[tuple[str, str]], path) -> None:
@@ -408,22 +416,19 @@ def write_embeddings_tsv(path, dim: int, chunks: Iterable[tuple[list[str], np.nd
 
 def load_embeddings_tsv(path) -> LabelEmbeddings:
     """Inverse of write_embeddings_tsv, a file of no rows included."""
+    lines = _read_lines(path, "embedding TSV", TaxonomyError)
+    header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
+    if header[0] != "node":
+        raise TaxonomyError(f"{path}: not an embedding TSV (bad header)")
+    dim = len(header) - 1
     nodes, rows = [], []
-    with _open_text(path, "embedding TSV") as fh:
+    for lineno, raw in lines:
+        parts = raw.rstrip("\n").split("\t")
+        if len(parts) != dim + 1:
+            raise TaxonomyError(f"{path}:{lineno}: expected {dim + 1} columns")
         try:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[0] != "node":
-                raise TaxonomyError(f"{path}: not an embedding TSV (bad header)")
-            dim = len(header) - 1
-            for lineno, raw in enumerate(fh, start=2):
-                parts = raw.rstrip("\n").split("\t")
-                if len(parts) != dim + 1:
-                    raise TaxonomyError(f"{path}:{lineno}: expected {dim + 1} columns")
-                try:
-                    rows.append([float(x) for x in parts[1:]])
-                except ValueError as exc:
-                    raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
-                nodes.append(parts[0])
-        except UnicodeDecodeError as exc:
-            raise TaxonomyError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
+        nodes.append(parts[0])
     return LabelEmbeddings(nodes=nodes, vectors=np.array(rows, dtype=np.float64).reshape(len(rows), dim))

@@ -461,6 +461,23 @@ class TestExportEmbeddings:
         assert all(name.startswith("s") and "_fam" in name for name in emb.nodes)
         assert np.all(np.linalg.norm(emb.vectors, axis=1) < 1.0)
 
+    def test_ce_classifier_projection_is_refused(self, ws, tmp_path):
+        # Plain CE gives the projection layer no gradient, so its
+        # projections would be those of the initial weights.
+        model = tmp_path / "ce.ckpt"
+        code, _, _ = run_cli(
+            ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",
+             ws["data"] / "dev.tsv", "--loss", "ce", "--out", model] + SMALL_CLF
+        )
+        assert code == 0
+        out = tmp_path / "proj.tsv"
+        code, stdout, err = run_cli(
+            ["export-embeddings", "--model", model, "--data", ws["data"] / "test.tsv", "--out", out]
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {model}: a --loss ce classifier has no trained ball projection\n"
+        assert list(tmp_path.glob("proj.tsv*")) == []
+
     @pytest.mark.parametrize("space", ["ball", "tangent"])
     def test_projection_overflow_names_checkpoint_and_samples(self, ws, tmp_path, space):
         # w_p is finite, so the checkpoint loads, but every projection's

@@ -21,9 +21,9 @@ from helpers import (
 from hyperclass import hierarchy
 from hyperclass.ball import MAX_NORM, random_ball_point
 from hyperclass.config import LabelEmbedConfig
-from hyperclass.data import default_synthetic_tree, make_family_tree
+from hyperclass.data import default_synthetic_tree, load_dataset, make_family_tree
 from hyperclass.encoder import CHUNK_ROWS
-from hyperclass.errors import ConfigError, NumericalError, TaxonomyError
+from hyperclass.errors import ConfigError, DatasetError, NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
     MODES,
     LabelEmbeddings,
@@ -613,6 +613,51 @@ def test_unreadable_path_is_named(tmp_path, reader, kind, where, code):
     with pytest.raises(TaxonomyError) as info:
         reader(path)
     assert str(info.value) == f"{path}: cannot read {kind}: {os.strerror(code)}"
+
+
+def _dataset(path):
+    ds = load_dataset(path)
+    return ds.samples, ds.label_names
+
+
+def _embeddings(path):
+    emb = load_embeddings_tsv(path)
+    return emb.nodes, emb.vectors.tolist()
+
+
+# Each reader of a text input file, with a small valid file of its kind.
+TEXT_READERS = {
+    "dataset": (_dataset, "hello world\tjoy\nbye now\tsad\n"),
+    "taxonomy": (parse_taxonomy, "root\tjoy\nroot\tsad  # inline\n"),
+    "class map": (parse_class_map, "joy label\tjoy\nsad\tsad\n"),
+    "embedding TSV": (_embeddings, "node\tdim0\tdim1\njoy\t0.5\t-0.25\nsad\t0\t1e-300\n"),
+}
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("kind", list(TEXT_READERS))
+def test_utf8_bom_is_dropped(tmp_path, kind):
+    # A file saved with a byte order mark reads as the file without it, and
+    # one that is not UTF-8 after the mark still names the reason.
+    reader, text = TEXT_READERS[kind]
+    plain, saved, broken = tmp_path / "plain.tsv", tmp_path / "saved.tsv", tmp_path / "broken.tsv"
+    plain.write_bytes(text.encode())
+    saved.write_bytes(BOM + text.encode())
+    assert reader(saved) == reader(plain)
+    broken.write_bytes(BOM + b"\xff" + text.encode())
+    with pytest.raises((TaxonomyError, DatasetError)) as info:
+        reader(broken)
+    assert str(info.value) == f"{broken}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("kind", list(TEXT_READERS))
+def test_windows_line_ends_read_as_plain(tmp_path, kind, bom):
+    reader, text = TEXT_READERS[kind]
+    plain, saved = tmp_path / "plain.tsv", tmp_path / "saved.tsv"
+    plain.write_bytes(text.encode())
+    saved.write_bytes(bom + text.encode().replace(b"\n", b"\r\n"))
+    assert reader(saved) == reader(plain)
 
 
 class TestBundledEmotionTaxonomy:
