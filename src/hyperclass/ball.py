@@ -16,7 +16,7 @@ lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
 
 Representations enter the ball through exp_map_origin and leave it for
 the tangent export through log_map_origin; exp_map at a general point is
-the step of Riemannian Adam. A norm that overflows float64 raises
+the retraction through which stage one's Adam steps (Riemannian Adam). A norm that overflows float64 raises
 NumericalError rather than returning a point that did not move.
 """
 

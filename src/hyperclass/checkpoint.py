@@ -23,7 +23,7 @@ import numpy as np
 from .data import is_tsv_field
 from .encoder import EncoderModel, Vocabulary
 from .errors import CheckpointError, StageError
-from .hierarchy import LabelEmbeddings, _first_repeat
+from .hierarchy import LabelEmbeddings, first_repeat
 from .loss import ClassifierHead
 
 MAGIC = b"HYPC"
@@ -247,7 +247,7 @@ def load_checkpoint(path, expect_stage: str | None = None):
                 )
 
     def check_unique(key: str, names: list[str]) -> None:
-        if repeat := _first_repeat(names):
+        if repeat := first_repeat(names):
             raise CheckpointError(f"{path}: {names[repeat[1]]!r} appears twice in {key}")
 
     if stage == STAGE_LABELS:

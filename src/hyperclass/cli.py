@@ -107,6 +107,9 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
         ck = load_checkpoint(args.labels_ckpt, expect_stage=STAGE_LABELS)
         labels, class_map = ck.emb, ck.class_map
         label_names = [label for label, _ in class_map]
+    elif cfg.weight_norm != "none":
+        # Only the distance weights of wce are normalised.
+        raise ConfigError(f"--weight-norm {cfg.weight_norm} requires --loss wce")
     # ce ignores label-embedding inputs; class order comes from the training data.
     train_ds = load_dataset(args.train, label_names, split="train")
     dev_ds = load_dataset(args.dev, train_ds.label_names, split="dev")

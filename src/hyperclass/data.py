@@ -2,7 +2,7 @@
 and the default two-family benchmark tree.
 
 Dataset files are UTF-8 TSV `text<TAB>label`, no header, read by the
-package's one text reader (`hierarchy._read_lines`), so a leading byte
+package's one text reader (`hierarchy.read_lines`), so a leading byte
 order mark is dropped and CRLF reads as LF; a text or label name that is
 not one TSV field (a tab, CR or LF, or no UTF-8 encoding) is rejected,
 not escaped. The synthetic generator
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import SynthSpec
 from .errors import DatasetError
-from .hierarchy import LabelTree, _read_lines, build_tree
+from .hierarchy import LabelTree, build_tree, read_lines
 
 
 @dataclass
@@ -53,7 +53,7 @@ def load_dataset(path, label_names: list[str] | None = None, split: str = "train
 
 
 def _rows(path):
-    for lineno, line in _read_lines(path, "dataset", DatasetError):
+    for lineno, line in read_lines(path, "dataset", DatasetError):
         line = line.rstrip("\n")
         if not line:
             continue

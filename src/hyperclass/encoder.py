@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .optim import _distinct_rows
+from .optim import distinct_rows
 
 UNK = 0
 PAD = 1
@@ -243,7 +243,7 @@ def encode_batch_backward(
     dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
     # Token-by-sample occurrence counts over the batch's distinct tokens:
     # row t of the embedding gradient is sum_i counts[t, i] * dpooled[i].
-    rows, inverse = _distinct_rows(batch.ids, len(model.embedding))
+    rows, inverse = distinct_rows(batch.ids, len(model.embedding))
     samples = np.repeat(np.arange(len(batch)), batch.lengths)
     counts = np.bincount(inverse * len(batch) + samples, minlength=len(rows) * len(batch))
     return rows, {

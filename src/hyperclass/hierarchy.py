@@ -4,18 +4,21 @@ A LabelTree is a forest of (parent, child) edges plus an ordered list of
 class leaves (one tree node per classifier class). Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
 Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
-as in gensim's PoincareModel. Each epoch draws every pair's negatives in
+as in gensim's PoincareModel. Riemannian Adam is `optim.Adam` given the
+rescaled gradients and the exponential map as its retraction; it counts
+steps for the whole table, so a row that a batch does not touch moves on
+its momentum. Each epoch draws every pair's negatives in
 one call into one matrix of rows; each minibatch is a slice of it that
 label_loss takes as it is: one gather of its points, one batched loss and
-one step over the distinct rows it touches. Points start within
+one step with gradients on the distinct rows it touches. Points start within
 INIT_RADIUS of the origin, and the first BURN_IN_EPOCHS epochs step at
 lr * BURN_IN_FACTOR; these three, like PAIRS_PER_STEP, are constants of
 the method rather than settings. The embeddings are then scored by how
 well nearest-neighbour ranking reconstructs the edges.
 
-Every text input, datasets included, is read by `_read_lines` (UTF-8,
-a leading BOM dropped, CRLF read as LF); `_first_repeat` finds the first
-repeated edge, class-map label, class leaf or checkpoint name.
+Every text input, datasets included, is read by `read_lines` (UTF-8,
+a leading BOM dropped, CRLF read as LF); `first_repeat` finds the first
+repeated edge, class-map label or node, class leaf or checkpoint name.
 Embeddings and projections are written as TSV from (names, vectors)
 chunks, one formatting operation per row, so a caller can stream rows
 without holding them all.
@@ -31,10 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import distance, distance_and_grad, random_ball_point
+from .ball import distance, distance_and_grad, exp_map, random_ball_point, riemannian_grad
 from .config import LabelEmbedConfig
 from .errors import HyperclassError, NumericalError, TaxonomyError
-from .optim import RiemannianAdam, _distinct_rows
+from .optim import Adam, FlatParams, distinct_rows
 
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
@@ -109,7 +112,7 @@ class LabelTree:
         for leaf in self.class_leaves:
             if leaf not in self.index:
                 raise TaxonomyError(f"class leaf {leaf!r} is not a tree node")
-        if repeat := _first_repeat(self.class_leaves):
+        if repeat := first_repeat(self.class_leaves):
             raise TaxonomyError(f"duplicate class leaf {self.class_leaves[repeat[1]]!r}")
 
     @property
@@ -163,7 +166,7 @@ def build_tree(
     return LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
 
 
-def _read_lines(path, kind: str, error: type[HyperclassError]) -> Iterator[tuple[int, str]]:
+def read_lines(path, kind: str, error: type[HyperclassError]) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line of the UTF-8 text file at `path`,
     read as text: CRLF and CR end a line as LF does, and a leading BOM is
     dropped. Each line keeps its LF (the last may have none), so reading
@@ -179,7 +182,7 @@ def _read_lines(path, kind: str, error: type[HyperclassError]) -> Iterator[tuple
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _first_repeat(items: list) -> tuple[int, int] | None:
+def first_repeat(items: list) -> tuple[int, int] | None:
     """(i, j): the first item j that equals an earlier one, first seen at
     i; None when no item repeats."""
     if len(set(items)) < len(items):
@@ -191,16 +194,17 @@ def _first_repeat(items: list) -> tuple[int, int] | None:
 
 
 def _read_pairs(
-    path, kind: str, columns: str, first_node: int, unique: int, repeated: str
+    path, kind: str, columns: str, first_node: int, unique: list[tuple[slice, str]]
 ) -> list[tuple[str, str]]:
     """The rows of a two-column TSV of `kind`, at least one; '#' starts
     a comment, blank lines skipped. `columns` names the two columns
-    in the error message, the columns from `first_node` on must be valid
-    node names, and a row whose first `unique` columns repeat an earlier
-    row's raises `repeated`, formatted with the `row` and the first `line`.
+    in the error message, and the columns from `first_node` on must be
+    valid node names. For each (key, message) of `unique`, in order, a row
+    whose columns `key` repeat an earlier row's raises the message,
+    formatted with the `row` and the first `line`.
     """
     rows, linenos = [], []
-    for lineno, raw in _read_lines(path, kind, TaxonomyError):
+    for lineno, raw in read_lines(path, kind, TaxonomyError):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -215,9 +219,10 @@ def _read_pairs(
         linenos.append(lineno)
     if not rows:
         raise TaxonomyError(f"{path}: {kind} is empty")
-    if repeat := _first_repeat([row[:unique] for row in rows]):
-        i, j = repeat
-        raise TaxonomyError(f"{path}:{linenos[j]}: " + repeated.format(row=rows[j], line=linenos[i]))
+    for key, message in unique:
+        if repeat := first_repeat([row[key] for row in rows]):
+            i, j = repeat
+            raise TaxonomyError(f"{path}:{linenos[j]}: " + message.format(row=rows[j], line=linenos[i]))
     return rows
 
 
@@ -225,17 +230,21 @@ def parse_taxonomy(path) -> list[tuple[str, str]]:
     """Read `parent<TAB>child` edges; a file with none names no tree node,
     so it is an error, and so is an edge on two lines."""
     return _read_pairs(
-        path, "taxonomy", "parent<TAB>child", first_node=0, unique=2,
-        repeated="edge {row[0]!r} -> {row[1]!r} already on line {line}",
+        path, "taxonomy", "parent<TAB>child", first_node=0,
+        unique=[(slice(2), "edge {row[0]!r} -> {row[1]!r} already on line {line}")],
     )
 
 
 def parse_class_map(path) -> list[tuple[str, str]]:
     """Read `dataset_label<TAB>tree_node` rows; row order defines class
-    indices, so each label may appear on one row only."""
+    indices, so each label may appear on one row only, and each node too,
+    as a node is the class leaf of one class."""
     return _read_pairs(
-        path, "class map", "label<TAB>node", first_node=1, unique=1,
-        repeated="label {row[0]!r} is already mapped on line {line}",
+        path, "class map", "label<TAB>node", first_node=1,
+        unique=[
+            (slice(1), "label {row[0]!r} is already mapped on line {line}"),
+            (slice(1, 2), "node {row[1]!r} is already mapped on line {line}"),
+        ],
     )
 
 
@@ -318,7 +327,7 @@ def label_loss(vectors: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray,
     coeff[:, 0] += 1.0
     # Terms laid out like idx: the parent's, then one per other row.
     terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
-    rows, inverse = _distinct_rows(idx, len(vectors))
+    rows, inverse = distinct_rows(idx, len(vectors))
     d = vectors.shape[1]
     slots = (inverse[..., None] * d + np.arange(d)).ravel()
     grads = np.bincount(slots, weights=terms.ravel(), minlength=len(rows) * d)
@@ -336,9 +345,12 @@ def train_label_embeddings(
     negatives for the epoch (the RNG stream is read as by one draw per
     batch), laid out as one (pairs, 2+k) matrix of rows [parent | child |
     negatives]; a batch is a slice of it. A batch takes one label_loss
-    over all its pairs and one step over the distinct rows they touch
-    (parents, children and negatives), sorted, each with the sum of its
-    gradients over the batch. The last batch of an epoch may be smaller.
+    over all its pairs and one Adam step whose gradient rows are the
+    distinct rows they touch (parents, children and negatives), sorted,
+    each with the sum of its gradients over the batch, rescaled by the
+    inverse metric. The step moves every row that any batch has touched
+    through the exponential map, and its bias correction counts the
+    steps of the whole run. The last batch of an epoch may be smaller.
     Deterministic given config.seed; with PAIRS_PER_STEP 1 the trajectory
     is that of one step per pair. Returns the embeddings and the mean pair
     loss over the final epoch (None when the tree has no edges).
@@ -349,18 +361,25 @@ def train_label_embeddings(
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    vectors = np.stack([random_ball_point(rng, config.dim, INIT_RADIUS) for _ in tree.nodes])
+    # FlatParams copies its input; the trained points are its view.
+    params = FlatParams(
+        {"vectors": np.stack([random_ball_point(rng, config.dim, INIT_RADIUS) for _ in tree.nodes])}
+    )
+    vectors = params["vectors"]
     emb = LabelEmbeddings(nodes=list(tree.nodes), vectors=vectors)
     if not tree.edges:
         return emb, None
 
+    def exp_step(flat: np.ndarray, a: np.ndarray) -> None:
+        vectors[...] = exp_map(vectors, -a.reshape(vectors.shape))
+
     children = np.array([tree.index[v] for _, v in tree.edges], dtype=np.intp)
     parents = tree.parent[children]
     table = negative_table(tree)
-    opt = RiemannianAdam(vectors)
+    opt = Adam(params, config.lr, retract=exp_step)
     final_loss = None
     for epoch in range(config.epochs):
-        lr = config.lr * BURN_IN_FACTOR if epoch < BURN_IN_EPOCHS else config.lr
+        opt.lr = config.lr * BURN_IN_FACTOR if epoch < BURN_IN_EPOCHS else config.lr
         order = rng.permutation(len(tree.edges))
         u = parents[order]
         negatives = negative_samples(table, u, config.negatives, rng)
@@ -369,7 +388,7 @@ def train_label_embeddings(
         for batch_idx, start in enumerate(range(0, len(order), PAIRS_PER_STEP)):
             loss, rows, grads = label_loss(vectors, pairs[start : start + PAIRS_PER_STEP])
             try:
-                opt.step(rows, grads, lr=lr)
+                opt.step({"vectors": riemannian_grad(vectors[rows], grads)}, rows)
             except NumericalError as exc:
                 edges = order[start : start + PAIRS_PER_STEP]
                 names = ", ".join("(%s, %s)" % tree.edges[i] for i in edges)
@@ -416,7 +435,7 @@ def write_embeddings_tsv(path, dim: int, chunks: Iterable[tuple[list[str], np.nd
 
 def load_embeddings_tsv(path) -> LabelEmbeddings:
     """Inverse of write_embeddings_tsv, a file of no rows included."""
-    lines = _read_lines(path, "embedding TSV", TaxonomyError)
+    lines = read_lines(path, "embedding TSV", TaxonomyError)
     header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
     if header[0] != "node":
         raise TaxonomyError(f"{path}: not an embedding TSV (bad header)")

@@ -1,37 +1,34 @@
-"""First-order optimizers.
+"""Adam (Kingma & Ba 2015), the one optimizer of both training stages.
 
-RiemannianAdam updates rows of a (n, d) matrix of Poincare-ball points
-in one batched step: gradients are rescaled by the inverse metric, the
-Adam direction goes through the exponential map, and moments are (n, d)
-coordinate matrices without parallel transport between steps. A step
-gathers and scatters both moments at once, so it costs a fixed few dozen
-array operations whatever the number of rows. It keeps no learning
-rate: each step takes its own, as stage one lowers it during burn-in.
-Both optimizers use the Adam constants BETA1, BETA2 and EPS.
+Adam steps a `FlatParams`, and its moments and scratch are one flat
+buffer laid out the same way. Every parameter keeps scaled moments with
+a cached square root, updated on the rows a step touches (see `Adam`);
+the last parameter of the layout may take its gradient as rows. A step
+reads every gradient before it changes any state, and ends with a
+retraction that moves the parameters by the Adam step: `x -= a` unless
+the caller gives another.
 
-`_distinct_rows` finds the sorted distinct rows of a row step, and where
+Stage two (the encoder and classifier head, without weight decay) keeps
+`x -= a`, with the embedding, whose batch touches few rows, as the row
+parameter. Stage one is Riemannian Adam (Becigneul & Ganea 2019) over
+the rows of a (n, d) matrix of Poincare-ball points: it passes gradients
+rescaled by the inverse metric (`ball.riemannian_grad`) and the
+exponential map as the retraction, and its moments are coordinate
+matrices without parallel transport between steps.
+
+`distinct_rows` finds the sorted distinct rows of a row step, and where
 each given id falls among them, for both stages: the tree-node rows of a
 stage-one batch and the token ids of a stage-two batch.
-
-Adam (Euclidean, for the encoder and classifier head, without weight
-decay) lives here too so both training stages share one home. It steps a
-`FlatParams`, and its moments and scratch are one flat buffer laid out
-the same way. Every parameter keeps scaled moments with a cached square
-root, updated on the rows a step touches (see `Adam`); the last
-parameter of the layout (the embedding, whose batch touches few rows)
-may take its gradient as rows. A step reads every gradient before it
-changes any state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
-from .ball import exp_map, riemannian_grad
-
-
 # The Adam constants of Kingma & Ba (2015), which Becigneul & Ganea (2019)
-# keep for Riemannian Adam; both optimizers use them.
+# keep for Riemannian Adam.
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -42,7 +39,7 @@ EPS = 1e-8
 RESCALE_STEPS = 2630
 
 
-def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(ids, return_inverse=True) for ids in [0, n), without the
     sort: a mark per id gives the sorted distinct ids, and their running
     count gives each id's index among them."""
@@ -52,45 +49,6 @@ def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.empty(n, dtype=np.intp)
     index[rows] = np.arange(len(rows))
     return rows, index[ids]
-
-
-class RiemannianAdam:
-    """Riemannian Adam (Becigneul & Ganea 2019) over the rows of `points`,
-    a (n, d) matrix of ball points updated in place.
-
-    Each row keeps its own step count, so a row's bias correction counts
-    only the steps that touched it, exactly as if every row had its own
-    optimizer. The moments are the two (n, d) views `m` and `v` of one
-    (n, 2, d) buffer, so a step reads and writes both in one gather and
-    one scatter.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self._mv = np.zeros((len(points), 2, points.shape[1]))
-        self.m, self.v = self._mv[:, 0], self._mv[:, 1]
-        self.t = np.zeros(len(points), dtype=np.int64)
-        # BETA1 and BETA2, and 1 - each, as columns against a row's (2, d) moments.
-        self._decay = np.array([[BETA1], [BETA2]])
-        self._gain = 1.0 - self._decay
-
-    def step(self, rows: np.ndarray, euclid_grad: np.ndarray, lr: float) -> None:
-        """One step of learning rate `lr` on the distinct `rows`, with
-        (len(rows), d) Euclidean gradients."""
-        theta = self.points.take(rows, axis=0)
-        g = riemannian_grad(theta, euclid_grad)
-        t = self.t[rows] + 1
-        self.t[rows] = t
-        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
-        mv = self._decay * self._mv.take(rows, axis=0)
-        gain = self._gain * g[:, None, :]
-        gain[:, 1] *= g
-        mv += gain
-        self._mv[rows] = mv
-        # m_hat and v_hat: each moment over its bias correction 1 - beta**t.
-        mv /= (1.0 - self._decay**t).T[:, :, None]
-        direction = -lr * mv[:, 0] / (np.sqrt(mv[:, 1]) + EPS)
-        self.points[rows] = exp_map(theta, direction)
 
 
 class FlatParams(dict):
@@ -121,9 +79,13 @@ def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndar
     return views
 
 
+def _subtract(x: np.ndarray, a: np.ndarray) -> None:
+    """The Euclidean retraction: x -= a in place."""
+    x -= a
+
+
 class Adam:
-    """Euclidean Adam over a FlatParams, with one update rule for every
-    parameter.
+    """Adam over a FlatParams, with one update rule for every parameter.
 
     Each parameter keeps scaled moments M = m / BETA1**s and
     V = v / BETA2**s, s (`self.s`) counting the steps since the last
@@ -133,17 +95,27 @@ class Adam:
     k * M / (R + eps / q), with scalars q = sqrt(BETA2**s / bc2) and
     k = lr * BETA1**s / (bc1 * q), in four passes over the buffer. Every RESCALE_STEPS steps M and V are
     multiplied back by BETA1**s and BETA2**s. This is textbook Adam up to
-    rounding. A row no step touches keeps its start value bitwise, and a
+    rounding. A row no step touches keeps its start value bitwise (its
+    step is zero, which the exponential map also leaves in place), and a
     row step is bitwise the step on the same gradient as a zero-filled
     table.
 
     M, V, R and a scratch row are one (4, len(params.flat)) buffer laid
     out like `params.flat`; `m` and `v` map each key to its view of M and V.
+
+    `retract(x, a)` moves `params.flat` (x) by the step a, in place; the
+    default subtracts. The learning rate `lr` may be set between steps.
     """
 
-    def __init__(self, params: FlatParams, lr: float):
+    def __init__(
+        self,
+        params: FlatParams,
+        lr: float,
+        retract: Callable[[np.ndarray, np.ndarray], None] = _subtract,
+    ):
         self.params = params
         self.lr = lr
+        self.retract = retract
         self.t = 0
         self.s = 0
         self._flat = np.zeros((4, len(params.flat)))
@@ -154,7 +126,8 @@ class Adam:
         distinct indices along the first axis of the last parameter of the
         layout, that parameter's gradient holds only those rows and every
         other row's gradient is zero: stage two passes the `(rows, grads)`
-        of `encode_batch_backward` for the embedding.
+        of `encode_batch_backward` for the embedding, stage one the rows of
+        `label_loss`.
 
         Every gradient is read before any state changes, so a KeyError for
         a missing one leaves t, s, m, v and the parameters as they were.
@@ -203,4 +176,4 @@ class Adam:
         np.add(r, EPS / q, out=a)
         np.divide(m, a, out=a)
         a *= self.lr * scale1 / (bc1 * q)
-        self.params.flat -= a
+        self.retract(self.params.flat, a)

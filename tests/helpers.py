@@ -10,7 +10,8 @@ import numpy as np
 # trained run differs from textbook dense Adam by rounding only. Measured
 # over TestFrozenReference on 2 vCPUs with numpy 2.4.6: at most 9.7e-13 on
 # an epoch's train_loss and 4.4e-12 on a parameter. Each bound is about
-# ten times that.
+# ten times that. Stage one against batched_label_training, on the same
+# host, measured at most 3.6e-15 on a loss and 2.1e-13 on a point.
 LOSS_ATOL = 1e-11
 PARAM_ATOL = 5e-11
 
@@ -142,12 +143,14 @@ def composed_origin_distance_and_grad(v, y):
 
 
 def per_node_label_training(tree, config):
-    """Frozen reference for stage one: the per-node loop that batched
-    training replaced, one Riemannian Adam step per node per pair, with
-    1-D Mobius addition and exponential map and a dict of per-node
-    moment states. Returns (vectors, final mean pair loss). The burn-in
-    and init radius are read from hyperclass.hierarchy at call time, so a
-    test's monkeypatch of them reaches this reference too."""
+    """Frozen reference for stage one with one pair per step: a loop over
+    pairs whose textbook Riemannian Adam step visits every node, with 1-D
+    Mobius addition and exponential map and a dict of per-node moment
+    states; the step count is global, so bias correction counts every
+    step and a node the pair does not touch moves on its moments. Returns
+    (vectors, final mean pair loss). The burn-in and init radius are read
+    from hyperclass.hierarchy at call time, so a test's monkeypatch of
+    them reaches this reference too."""
     from hyperclass import hierarchy
     from hyperclass.ball import distance, project_to_ball, random_ball_point
 
@@ -163,21 +166,20 @@ def per_node_label_training(tree, config):
         t = np.tanh(0.5 * (2.0 / (1.0 - float(np.dot(x, x)))) * norm_v)
         return mobius_add(x, (t / norm_v) * v)
 
-    def adam_step(state, theta, euclid_grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def adam_step(state, t, theta, euclid_grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         g = euclid_grad * (1.0 - float(np.dot(theta, theta))) ** 2 / 4.0
-        state["t"] += 1
-        t = state["t"]
         state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
         state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
         m_hat = state["m"] / (1.0 - beta1**t)
         v_hat = state["v"] / (1.0 - beta2**t)
-        return project_to_ball(exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps)))
+        return exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps))
 
     rng = np.random.default_rng(config.seed)
     radius = hierarchy.INIT_RADIUS
     vectors = np.stack([random_ball_point(rng, config.dim, radius) for _ in tree.nodes])
     index = {name: i for i, name in enumerate(tree.nodes)}
-    states = {name: {"t": 0, "m": np.zeros(config.dim), "v": np.zeros(config.dim)} for name in tree.nodes}
+    states = {name: {"m": np.zeros(config.dim), "v": np.zeros(config.dim)} for name in tree.nodes}
+    zero, t = np.zeros(config.dim), 0
     final_loss = None
     for epoch in range(config.epochs):
         lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
@@ -198,9 +200,9 @@ def per_node_label_training(tree, config):
             grads = {u: coeff @ gu}
             for name, row in zip(names, gn * coeff[:, None]):
                 grads[name] = grads[name] + row if name in grads else row
-            for name, grad in grads.items():
-                row = index[name]
-                vectors[row] = adam_step(states[name], vectors[row], grad, lr)
+            t += 1
+            for name, row in index.items():
+                vectors[row] = adam_step(states[name], t, vectors[row], grads.get(name, zero), lr)
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss
 
@@ -283,10 +285,12 @@ def node_depths(tree):
 def batched_label_training(tree, config, pairs_per_step=10):
     """Frozen reference for stage one in minibatches of pairs, as first
     batched: every minibatch draws its own negatives, gathers the parents
-    and the other rows separately, finds its distinct rows with np.unique,
-    and steps a Riemannian Adam with separate m and v matrices whose
-    gradient rescaling, conformal factor and Mobius sum each recompute
-    ||theta||^2. Returns (vectors, final mean pair loss). Like
+    and the other rows separately and finds its distinct rows with
+    np.unique. It steps a textbook dense Riemannian Adam: a zero-filled
+    (n, d) gradient table, separate m and v matrices, one global step
+    count, and every row through an exponential map whose gradient
+    rescaling, conformal factor and Mobius sum each recompute ||theta||^2.
+    Returns (vectors, final mean pair loss). Like
     per_node_label_training, it reads the burn-in and init radius from
     hyperclass.hierarchy at call time."""
     from hyperclass import hierarchy
@@ -332,7 +336,7 @@ def batched_label_training(tree, config, pairs_per_step=10):
     children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
     table = per_parent_negative_table(tree, (u for u, _ in tree.edges))
     m, v = np.zeros_like(vectors), np.zeros_like(vectors)
-    steps = np.zeros(len(vectors), dtype=np.int64)
+    t = 0
     final_loss = None
     for epoch in range(config.epochs):
         lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
@@ -343,15 +347,14 @@ def batched_label_training(tree, config, pairs_per_step=10):
             u = parents[batch]
             negs = negative_samples(table, u, config.negatives, rng)
             loss, rows, grads = label_loss(vectors, u, children[batch], negs)
-            theta = vectors[rows]
-            g = ((1.0 - sqnorm(theta)) ** 2 / 4.0)[:, None] * grads
-            t = steps[rows] + 1
-            steps[rows] = t
-            m[rows] = b1 * m[rows] + (1.0 - b1) * g
-            v[rows] = b2 * v[rows] + (1.0 - b2) * g * g
-            m_hat = m[rows] / (1.0 - b1**t)[:, None]
-            v_hat = v[rows] / (1.0 - b2**t)[:, None]
-            vectors[rows] = exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps))
+            g = np.zeros_like(vectors)
+            g[rows] = ((1.0 - sqnorm(vectors[rows])) ** 2 / 4.0)[:, None] * grads
+            t += 1
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            vectors = exp_map(vectors, -lr * m_hat / (np.sqrt(v_hat) + eps))
             epoch_loss += loss
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss

@@ -182,6 +182,22 @@ class TestTrainLabels:
         assert err == f"error: {bad}:2: label 'fam0_leaf0' is already mapped on line 1\n"
         assert list(tmp_path.glob("x.ckpt*")) == []
 
+    def test_repeated_class_map_node_is_one_line_error(self, ws, tmp_path):
+        # Two labels on one node would make two classes of one class leaf.
+        bad = tmp_path / "map.tsv"
+        rows = (ws["data"] / "class-map.tsv").read_text().splitlines()
+        assert rows[:3] == ["fam0_leaf0\tfam0_leaf0", "fam0_leaf1\tfam0_leaf1", "fam0_leaf2\tfam0_leaf2"]
+        rows[2] = "fam0_leaf2\tfam0_leaf0"
+        bad.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            ["train-labels", "--hierarchy", ws["data"] / "hierarchy.tsv", "--class-map", bad,
+             "--out", tmp_path / "x.ckpt"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad}:3: node 'fam0_leaf0' is already mapped on line 1\n"
+        assert list(tmp_path.glob("x.ckpt*")) == []
+
     def test_class_map_node_outside_taxonomy_is_one_line_error(self, ws, tmp_path):
         # A typo in a class-map node names no taxonomy node; it must not
         # become an isolated root that trains and saves.
@@ -256,18 +272,25 @@ def test_training_flag_defaults_are_the_config_defaults(ws, tmp_path, monkeypatc
     assert clf.config == ClassifierConfig().to_dict()
 
 
-# Per command, each config flag with its field and a non-default value.
+# Per case, the command, and each config flag with its field and a
+# non-default value. --loss ce refuses --weight-norm batch-mean, so
+# train-classifier takes two cases, one for each of the two flags.
+CLASSIFIER_SIZES = {
+    "--epochs": ("epochs", 2), "--batch": ("batch_size", 32), "--lr": ("lr", 0.002),
+    "--d-tok": ("d_tok", 8), "--d-e": ("d_e", 12), "--seed": ("seed", 6),
+}
 CONFIG_FLAGS = {
-    "train-labels": (LabelEmbedConfig, {
+    "train-labels": ("train-labels", LabelEmbedConfig, {
         "--dim": ("dim", 5), "--epochs": ("epochs", 7), "--neg": ("negatives", 3),
         "--lr": ("lr", 0.05), "--seed": ("seed", 4),
     }),
-    "train-classifier": (ClassifierConfig, {
-        "--loss": ("loss", "ce"), "--weight-norm": ("weight_norm", "batch-mean"),
-        "--epochs": ("epochs", 2), "--batch": ("batch_size", 32), "--lr": ("lr", 0.002),
-        "--d-tok": ("d_tok", 8), "--d-e": ("d_e", 12), "--seed": ("seed", 6),
+    "train-classifier": ("train-classifier", ClassifierConfig, {
+        "--loss": ("loss", "ce"), **CLASSIFIER_SIZES,
     }),
-    "synth-data": (SynthSpec, {
+    "train-classifier-wce": ("train-classifier", ClassifierConfig, {
+        "--weight-norm": ("weight_norm", "batch-mean"), **CLASSIFIER_SIZES,
+    }),
+    "synth-data": ("synth-data", SynthSpec, {
         "--tokens-per-sample": ("tokens_per_sample", 10), "--family-fraction": ("family_fraction", 0.3),
         "--leaf-fraction": ("leaf_fraction", 0.3), "--noise-vocab": ("noise_vocab", 30),
         "--samples-per-class": ("samples_per_class", 20), "--family-pool": ("family_pool_size", 5),
@@ -276,10 +299,10 @@ CONFIG_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command", list(CONFIG_FLAGS))
-def test_every_config_flag_reaches_its_field(ws, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("case", list(CONFIG_FLAGS))
+def test_every_config_flag_reaches_its_field(ws, tmp_path, monkeypatch, case):
     monkeypatch.delenv("HYPERCLASS_SEED", raising=False)
-    cls, flags = CONFIG_FLAGS[command]
+    command, cls, flags = CONFIG_FLAGS[case]
     given = dict(flags.values())
     default = cls()
     assert all(getattr(default, name) != value for name, value in given.items())
@@ -289,6 +312,8 @@ def test_every_config_flag_reaches_its_field(ws, tmp_path, monkeypatch, command)
         argv += ["--hierarchy", data / "hierarchy.tsv", "--class-map", data / "class-map.tsv"]
     elif command == "train-classifier":
         argv += ["--train", data / "train.tsv", "--dev", data / "dev.tsv"]
+        if given.get("loss", "wce") == "wce":
+            argv += ["--labels-ckpt", ws["labels_ckpt"]]
     specs = []
 
     def capture(tree, spec):
@@ -322,6 +347,18 @@ class TestTrainClassifier:
         )
         assert code == 1
         assert "requires --labels-ckpt" in err
+
+    def test_ce_with_a_weight_norm_is_refused(self, ws, tmp_path):
+        # Plain CE has no distance weights, so the setting would do nothing.
+        code, out, err = run_cli(
+            ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",
+             ws["data"] / "dev.tsv", "--loss", "ce", "--weight-norm", "batch-mean",
+             "--out", tmp_path / "x.ckpt"] + SMALL_CLF
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --weight-norm batch-mean requires --loss wce\n"
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_ce_runs_without_labels_ckpt(self, ws, tmp_path):
         out_path = tmp_path / "ce.ckpt"

@@ -9,6 +9,8 @@ import pytest
 from scipy import stats
 
 from helpers import (
+    LOSS_ATOL,
+    PARAM_ATOL,
     batched_label_training,
     negative_candidates,
     node_depths,
@@ -384,7 +386,7 @@ class TestTrainLabelEmbeddings:
     )
     def test_matches_per_node_reference(self, tree, cfg, burn_in_epochs, monkeypatch):
         # With one pair per batch, the batched step moves the same points
-        # as one step per node.
+        # as a textbook step node by node.
         monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", 1)
         monkeypatch.setattr(hierarchy, "BURN_IN_EPOCHS", burn_in_epochs)
         ref_vectors, ref_loss = per_node_label_training(tree, cfg)
@@ -409,13 +411,14 @@ class TestTrainLabelEmbeddings:
     )
     def test_matches_frozen_batched_reference_bitwise(self, tree, cfg, pairs_per_step, monkeypatch):
         # One negative draw per epoch, one gather per batch, the mark-array
-        # row finder and the fused step move the same points as the trainer
-        # that drew, gathered and stepped each part on its own.
+        # row finder and Adam's scaled-moment row step move the same points
+        # as the trainer that drew, gathered and stepped each part on its
+        # own with textbook dense Riemannian Adam, up to rounding.
         monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", pairs_per_step)
         ref_vectors, ref_loss = batched_label_training(tree, cfg, pairs_per_step)
         emb, loss = train_label_embeddings(tree, cfg)
-        np.testing.assert_array_equal(emb.vectors, ref_vectors)
-        assert loss == ref_loss
+        np.testing.assert_allclose(emb.vectors, ref_vectors, rtol=0, atol=PARAM_ATOL)
+        assert abs(loss - ref_loss) <= LOSS_ATOL
 
     def test_nan_gradient_raises_numerical_error(self, monkeypatch):
         calls = []

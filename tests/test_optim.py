@@ -1,4 +1,5 @@
-"""Riemannian SGD/Adam on ball parameters and Euclidean Adam."""
+"""Riemannian SGD, and Adam on ball parameters (through the exponential
+map) and Euclidean ones."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import PARAM_ATOL, distance_grad, rel_err
 from hyperclass.ball import MAX_NORM, distance, exp_map, random_ball_point, riemannian_grad
-from hyperclass.optim import BETA1, BETA2, RESCALE_STEPS, Adam, FlatParams, RiemannianAdam
+from hyperclass import optim
+from hyperclass.optim import BETA1, BETA2, RESCALE_STEPS, Adam, FlatParams
 
 
 def dist_sq_grad(theta, target):
@@ -21,10 +23,45 @@ def riemannian_sgd(theta, euclid_grad, lr):
     return exp_map(theta, -lr * riemannian_grad(theta, euclid_grad))
 
 
-def radam_point(theta):
-    """A RiemannianAdam over one point, and that point's row of its matrix."""
-    opt = RiemannianAdam(np.array([theta], dtype=float))
-    return opt, opt.points[0]
+def ball_adam(points, lr):
+    """An Adam over the rows of a copy of the (n, d) `points` that retracts
+    through the exponential map, as stage one builds it, and the view of
+    its points."""
+    params = FlatParams({"x": np.array(points, dtype=float, ndmin=2)})
+    x = params["x"]
+
+    def exp_step(flat, a):
+        x[...] = exp_map(x, -a.reshape(x.shape))
+
+    return Adam(params, lr, retract=exp_step), x
+
+
+def radam_step(opt, rows, euclid_grad):
+    """One step of `opt` (from ball_adam) on the distinct `rows`, with their
+    Euclidean gradients rescaled by the inverse metric, as stage one does."""
+    x = opt.params["x"]
+    opt.step({"x": riemannian_grad(x[rows], euclid_grad)}, rows)
+
+
+def textbook_radam(start, steps):
+    """Reference: textbook dense Riemannian Adam over the rows of `start`,
+    from (rows, euclidean grads, lr) steps. Every row takes every step,
+    with a zero gradient where the step names no gradient, and bias
+    correction counts the steps of the whole run. Returns (points, m, v)."""
+    theta = np.array(start, dtype=float)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t, (rows, grads, lr) in enumerate(steps, start=1):
+        g = np.zeros_like(theta)
+        for row, grad in zip(rows, grads):
+            g[row] = grad * (1.0 - theta[row] @ theta[row]) ** 2 / 4.0
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        for row in range(len(theta)):
+            theta[row] = exp_map(theta[row], -lr * m_hat[row] / (np.sqrt(v_hat[row]) + eps))
+    return theta, m, v
 
 
 class TestRiemannianGrad:
@@ -78,114 +115,134 @@ ROW0 = np.array([0])
 
 
 class TestRadam:
+    """Adam through the exponential map on the rows of a matrix of ball
+    points: stage one's Riemannian Adam."""
+
     def test_zero_gradient_never_moves(self):
-        opt, theta = radam_point([0.1, 0.4])
-        start = theta.copy()
+        opt, x = ball_adam([[0.1, 0.4]], lr=0.05)
+        start = x.copy()
         for _ in range(20):
-            opt.step(ROW0, np.zeros((1, 2)), lr=0.05)
-            np.testing.assert_array_equal(opt.points[0], start)
-        assert opt.t[0] == 20
+            radam_step(opt, ROW0, np.zeros((1, 2)))
+            np.testing.assert_array_equal(x, start)
+        assert opt.t == 20
 
     def test_first_step_magnitude(self):
         # At t=1 bias correction makes m_hat the rescaled grad and v_hat its
         # square, so the tangent step is -lr * sign(g) up to eps.
-        opt, _ = radam_point(np.zeros(2))
+        opt, x = ball_adam(np.zeros((1, 2)), lr=0.01)
         g = np.array([3.0, -0.5])
-        opt.step(ROW0, g[None, :], lr=0.01)
+        radam_step(opt, ROW0, g[None, :])
         expected_dir = -0.01 * np.sign(g) / (1.0 + 0.0)
         # exp map at origin: tanh(||step||) * unit(step)
         r = np.linalg.norm(expected_dir)
-        np.testing.assert_allclose(opt.points[0], np.tanh(r) * expected_dir / r, rtol=1e-6)
+        np.testing.assert_allclose(x[0], np.tanh(r) * expected_dir / r, rtol=1e-6)
 
     def test_convergence_to_target(self):
         # 500 steps of lr=0.01 on d(theta, target)^2 reach d < 1e-3.
         rng = np.random.default_rng(2)
         for trial in range(10):
             dim = int(rng.integers(2, 8))
-            opt, _ = radam_point(random_ball_point(rng, dim, 0.8))
+            opt, x = ball_adam([random_ball_point(rng, dim, 0.8)], lr=0.01)
             target = random_ball_point(rng, dim, 0.8)
             for _ in range(500):
-                _, g = dist_sq_grad(opt.points[0], target)
-                opt.step(ROW0, g[None, :], lr=0.01)
-            assert distance(opt.points[0], target) < 1e-3
+                _, g = dist_sq_grad(x[0], target)
+                radam_step(opt, ROW0, g[None, :])
+            assert distance(x[0], target) < 1e-3
 
     def test_deterministic(self):
         g = np.array([0.3, 0.7, -0.2])
         outs = []
         for _ in range(2):
-            opt, _ = radam_point([0.1, -0.2, 0.05])
+            opt, x = ball_adam([[0.1, -0.2, 0.05]], lr=0.02)
             for _ in range(10):
-                opt.step(ROW0, (g * opt.t[0])[None, :], lr=0.02)
-            outs.append(opt.points[0].copy())
+                radam_step(opt, ROW0, (g * opt.t)[None, :])
+            outs.append(x[0].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_lr_override_used_for_single_step(self):
-        # The optimizer keeps no learning rate: each step takes its own, and
-        # at equal moments a step of twice the lr moves twice as far.
-        start = np.array([0.2, 0.1])
-        opt_a, _ = radam_point(start)
-        opt_b, _ = radam_point(start)
+        # The learning rate may be set between steps, as stage one's burn-in
+        # does: at equal moments a step of twice the lr moves twice as far.
+        start = [[0.2, 0.1]]
+        opt_a, x_a = ball_adam(start, lr=0.01)
+        opt_b, x_b = ball_adam(start, lr=0.01)
+        opt_b.lr = 0.02
         g = np.array([[1.0, -1.0]])
-        opt_a.step(ROW0, g, lr=0.01)
-        opt_b.step(ROW0, g, lr=0.02)
-        np.testing.assert_array_equal(opt_a.m, opt_b.m)
-        moved_a, moved_b = distance(start, opt_a.points[0]), distance(start, opt_b.points[0])
+        radam_step(opt_a, ROW0, g)
+        radam_step(opt_b, ROW0, g)
+        np.testing.assert_array_equal(opt_a.m["x"], opt_b.m["x"])
+        moved_a, moved_b = distance(start[0], x_a[0]), distance(start[0], x_b[0])
         assert moved_b == pytest.approx(2 * moved_a, rel=1e-9)
-        assert not hasattr(opt_b, "lr")
-        with pytest.raises(TypeError, match="lr"):
-            opt_b.step(ROW0, g)
 
     def test_stays_in_ball_under_huge_gradients(self):
         rng = np.random.default_rng(3)
-        opt, _ = radam_point(np.zeros(4))
+        opt, x = ball_adam(np.zeros((3, 4)), lr=0.5)
         for _ in range(100):
-            opt.step(ROW0, rng.standard_normal((1, 4)) * 1e3, lr=0.5)
-            assert np.linalg.norm(opt.points[0]) <= MAX_NORM * (1.0 + 1e-15)
+            rows = np.flatnonzero(rng.random(3) < 0.7)
+            radam_step(opt, rows, rng.standard_normal((len(rows), 4)) * 1e3)
+            assert np.linalg.norm(x, axis=1).max() <= MAX_NORM * (1.0 + 1e-15)
 
     def test_moment_shapes_and_step_count(self):
-        opt = RiemannianAdam(np.zeros((5, 7)))
-        opt.step(np.array([1, 3]), np.ones((2, 7)), lr=0.01)
-        assert opt.m.shape == (5, 7) and opt.v.shape == (5, 7)
-        assert opt.t.tolist() == [0, 1, 0, 1, 0]
+        # One step count for the whole table; a touched row keeps moving on
+        # its momentum at steps that do not touch it, and a row no step has
+        # touched stays where it started.
+        opt, x = ball_adam(np.zeros((5, 7)), lr=0.01)
+        radam_step(opt, np.array([1, 3]), np.ones((2, 7)))
+        assert opt.m["x"].shape == (5, 7) and opt.v["x"].shape == (5, 7)
+        assert opt.t == 1
+        after_one = x.copy()
+        radam_step(opt, np.array([1]), np.ones((1, 7)))
+        assert opt.t == 2
+        assert (x[3] != after_one[3]).all()
+        assert not x[[0, 2, 4]].any()
 
     def test_updates_points_in_place(self):
-        points = np.zeros((3, 2))
-        opt = RiemannianAdam(points)
-        opt.step(np.array([2]), np.ones((1, 2)), lr=0.1)
-        assert opt.points is points and points[2].any() and not points[:2].any()
+        opt, x = ball_adam(np.zeros((3, 2)), lr=0.1)
+        radam_step(opt, np.array([2]), np.ones((1, 2)))
+        assert x is opt.params["x"] and np.shares_memory(x, opt.params.flat)
+        assert x[2].any() and not x[:2].any()
+
+    @staticmethod
+    def assert_textbook(opt, x, steps, start):
+        ref, m, v = textbook_radam(start, steps)
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(opt.m["x"] * BETA1**opt.s, m, rtol=1e-12)
+        np.testing.assert_allclose(opt.v["x"] * BETA2**opt.s, v, rtol=1e-12)
 
     def test_rows_match_textbook_per_point_adam(self):
-        # Reference: the per-point expressions, each point with its own step
-        # count; random row subsets give rows different counts.
+        # Random row subsets, a learning rate lowered for the first steps as
+        # in the burn-in, and gradients over seven decades; row 0 is never
+        # touched and keeps its start value bitwise.
         rng = np.random.default_rng(4)
-        n, dim, lr, b1, b2, eps = 9, 4, 0.05, 0.9, 0.999, 1e-8
+        n, dim, lr = 9, 4, 0.05
         start = np.stack([random_ball_point(rng, dim, 0.9) for _ in range(n)])
-        opt = RiemannianAdam(start.copy())
-        ref = [
-            {"theta": start[i].copy(), "m": np.zeros(dim), "v": np.zeros(dim), "t": 0}
-            for i in range(n)
-        ]
+        opt, x = ball_adam(start, lr)
+        steps = []
         for step in range(80):
-            rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            grads = rng.standard_normal((len(rows), dim)) * 10.0 ** rng.uniform(-3, 2)
-            step_lr = lr * 0.1 if step < 10 else lr
-            opt.step(rows, grads, lr=step_lr)
-            for row, grad in zip(rows, grads):
-                s = ref[row]
-                g = grad * (1.0 - s["theta"] @ s["theta"]) ** 2 / 4.0
-                s["t"] += 1
-                s["m"] = b1 * s["m"] + (1.0 - b1) * g
-                s["v"] = b2 * s["v"] + (1.0 - b2) * g * g
-                m_hat = s["m"] / (1.0 - b1 ** s["t"])
-                v_hat = s["v"] / (1.0 - b2 ** s["t"])
-                direction = -step_lr * m_hat / (np.sqrt(v_hat) + eps)
-                s["theta"] = exp_map(s["theta"], direction)
-        assert len(set(opt.t.tolist())) > 1
-        assert opt.t.tolist() == [s["t"] for s in ref]
-        for row, s in enumerate(ref):
-            np.testing.assert_allclose(opt.points[row], s["theta"], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(opt.m[row], s["m"], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(opt.v[row], s["v"], rtol=1e-12, atol=1e-15)
+            rows = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False))
+            grads = rng.standard_normal((len(rows), dim)) * 10.0 ** rng.uniform(-5, 2)
+            opt.lr = lr * 0.1 if step < 10 else lr
+            radam_step(opt, rows, grads)
+            steps.append((rows, grads, opt.lr))
+        assert opt.t == 80
+        self.assert_textbook(opt, x, steps, start)
+        np.testing.assert_array_equal(x[0], start[0])
+
+    def test_rows_match_textbook_adam_across_rescales(self, monkeypatch):
+        # Every 7 steps the scaled moments are multiplied back; steps 22-24
+        # touch no row at all.
+        monkeypatch.setattr(optim, "RESCALE_STEPS", 7)
+        rng = np.random.default_rng(7)
+        n, dim = 6, 3
+        start = np.stack([random_ball_point(rng, dim, 0.5) for _ in range(n)])
+        opt, x = ball_adam(start, lr=0.03)
+        steps = []
+        for step in range(40):
+            rows = np.flatnonzero(rng.random(n) < (0.0 if 22 <= step < 25 else 0.5))
+            grads = rng.standard_normal((len(rows), dim))
+            radam_step(opt, rows, grads)
+            steps.append((rows, grads, opt.lr))
+        assert opt.s == 40 - 5 * 7
+        self.assert_textbook(opt, x, steps, start)
 
 
 class TestEuclideanAdam:
