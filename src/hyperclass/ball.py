@@ -15,12 +15,17 @@ The ball carries the conformal metric g_x = lambda_x^2 * I with
 lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
 
 Representations enter the ball through exp_map_origin and leave it for
-the tangent export through log_map_origin; exp_map at a general point is
-the retraction through which stage one's Adam steps (Riemannian Adam). A norm that overflows float64 raises
-NumericalError rather than returning a point that did not move.
+the tangent export through log_map_origin. Stage one has two kernels:
+distance_vjp, the distances of each parent to its pairs and their VJP,
+and exp_map at a general point, the retraction through which its Adam
+steps (Riemannian Adam), with the Mobius addition in closed form. A norm
+that overflows float64 raises NumericalError rather than returning a
+point that did not move.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -86,59 +91,62 @@ def riemannian_grad(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
     return _scale_rows((1.0 - x2) ** 2 / 4.0, euclid_grad)
 
 
-def mobius_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mobius addition x (+) y of (..., d) points, re-projected into the ball.
-
-    x (+) y = ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
-              / (1 + 2<x,y> + ||x||^2 ||y||^2)
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    x2 = _sqnorm(x)
-    # 1 + 2<x,y>, shared by the numerator and the denominator.
-    a = 1.0 + 2.0 * np.vecdot(x, y)
-    y2 = _sqnorm(y)
-    num = _scale_rows(a + y2, x) + _scale_rows(1.0 - x2, y)
-    return project_to_ball(num / (a + x2 * y2)[..., None])
-
-
 def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exponential map at x: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||, row by row.
+    """Exponential map at x: x (+) u with u = tanh(lambda_x ||v|| / 2) * v / ||v||,
+    row by row, where lambda_x = 2 / (1 - ||x||^2) and (+) is Mobius addition.
 
-    A zero row of v returns the matching point of x. lambda_x = 2 / (1 - ||x||^2).
+    Mobius addition x (+) u = ((1 + 2<x,u> + ||u||^2) x + (1 - ||x||^2) u)
+    / (1 + 2<x,u> + ||x||^2 ||u||^2) is taken in closed form from three
+    row scalars, ||x||^2, <x,v> and ||v||: with t = ||u|| and u = (t / ||v||) v,
+    the result is one weighted sum of x and v, projected into the ball. A
+    zero row of v returns the matching point of x.
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     r, nonzero = _row_norms(v)
-    t = np.tanh(0.5 * (2.0 / (1.0 - _sqnorm(x))) * r)
-    return mobius_add(x, _scale_rows(np.where(nonzero, t / r, 0.0), v))
+    x2 = _sqnorm(x)
+    b = 1.0 - x2
+    # t = ||u||, with lambda_x / 2 = 1 / (1 - ||x||^2); u = s v.
+    t = np.where(nonzero, np.tanh(r / b), 0.0)
+    s = t / r
+    t2 = t * t
+    # 1 + 2<x,u>, shared by the numerator and the denominator.
+    a = 1.0 + 2.0 * s * np.vecdot(x, v)
+    den = a + x2 * t2
+    return project_to_ball(_scale_rows((a + t2) / den, x) + _scale_rows(b * s / den, v))
 
 
-def _distance(x: np.ndarray, y: np.ndarray, partials: int = 0):
-    """(d, *partials): d and the first `partials` of (dd/dx, dd/dy), from
-    one set of shared terms (differences, three squared norms and the
-    arcosh argument). d is a float for two 1-D points."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _terms(x: np.ndarray, y: np.ndarray):
+    """The shared terms of d(x, y) over broadcast (..., d) rows: x - y,
+    a = ||x - y||^2, b = 1 - ||x||^2, c = 1 - ||y||^2, bc and the arcosh
+    argument 1 + 2 a / bc."""
     diff = x - y
     a = _sqnorm(diff)
     b = 1.0 - _sqnorm(x)
     c = 1.0 - _sqnorm(y)
     bc = b * c
-    arg = 1.0 + 2.0 * a / bc
+    return diff, a, b, c, bc, 1.0 + 2.0 * a / bc
+
+
+def _slope(arg: np.ndarray, bc: np.ndarray) -> np.ndarray:
+    """4 / (bc sqrt(arg^2 - 1)), the factor shared by both partials of the
+    distance (d/du arcosh(u) = 1 / sqrt(u^2 - 1)); 0 where the root is
+    below EPS_DIV, where x == y and the distance is not differentiable."""
+    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    return np.divide(4.0, bc * root, out=np.zeros_like(root), where=root >= EPS_DIV)
+
+
+def _distance(x: np.ndarray, y: np.ndarray, grad: bool = False):
+    """(d,) or (d, dd/dx), from one set of shared terms; d is a float for
+    two 1-D points."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    diff, a, b, c, bc, arg = _terms(x, y)
     d = np.arccosh(np.maximum(arg, 1.0))
     d = float(d) if d.ndim == 0 else d
-    if not partials:
+    if not grad:
         return (d,)
-    # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
-    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
-    smooth = root >= EPS_DIV
-    common = np.divide(4.0, bc * root, out=np.zeros_like(root), where=smooth)
-    gx = _scale_rows(common, diff + _scale_rows(a / b, x))
-    if partials == 1:
-        return d, gx
-    gy = _scale_rows(common, _scale_rows(a / c, y) - diff)
-    return d, gx, gy
+    return d, _scale_rows(_slope(arg, bc), diff + _scale_rows(a / b, x))
 
 
 def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -151,15 +159,30 @@ def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return _distance(x, y)[0]
 
 
-def distance_and_grad(
+def distance_vjp(
     x: np.ndarray, y: np.ndarray
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """(distance, dd/dx, dd/dy) from one pass over the shared terms; the
-    distance is bitwise that of `distance`. Both partials are shaped like
-    the broadcast of x and y. Where x == y (within EPS_DIV) the distance is
-    not differentiable, and the zero subgradient is returned for both
-    arguments of that row."""
-    return _distance(x, y, 2)
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
+    """(d, vjp): the (B, K) distances d[i, j] = distance(x[i], y[i, j]) of
+    (B, 1, d) points x against (B, K, d) points y, and vjp(g), which maps
+    a (B, K) cotangent g on d to (gx, gy): gx, shaped like x, is
+    sum_j g[i, j] dd[i, j]/dx[i], and gy, shaped like y, is g * dd/dy.
+
+    With a = ||x - y||^2, b = 1 - ||x||^2, c = 1 - ||y||^2 and
+    w = g * 4 / (b c sqrt(arg^2 - 1)) for the arcosh argument arg,
+    gx = sum_j w_j (x - y_j) + (sum_j w_j a_j / b) x is one matmul over
+    the pair axis plus a (B, d) term, so no (B, K, d) partial of x is
+    built, and gy = w ((a / c) y - (x - y)). A pair with x == y (within
+    EPS_DIV) contributes the zero subgradient, as in `distance`.
+    """
+    diff, a, b, c, bc, arg = _terms(x, y)
+    d = np.arccosh(np.maximum(arg, 1.0))
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = g * _slope(arg, bc)
+        gx = np.matmul(w[:, None, :], diff) + _scale_rows(np.vecdot(w, a / b)[:, None], x)
+        return gx, _scale_rows(w * (a / c), y) - _scale_rows(w, diff)
+
+    return d, vjp
 
 
 def exp_map_origin(v: np.ndarray) -> np.ndarray:
@@ -202,7 +225,7 @@ def exp_origin_distance_and_grad(
     """
     v = np.asarray(v, dtype=np.float64)
     z, (r, nonzero, t, s) = _exp_map_origin(v)
-    d, dz = _distance(z, y, 1)
+    d, dz = _distance(z, y, grad=True)
     s = np.where(nonzero, s, 1.0)
     # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
     ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)

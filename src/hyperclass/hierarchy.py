@@ -7,14 +7,16 @@ Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
 as in gensim's PoincareModel. Riemannian Adam is `optim.Adam` given the
 rescaled gradients and the exponential map as its retraction; it counts
 steps for the whole table, so a row that a batch does not touch moves on
-its momentum. Each epoch draws every pair's negatives in
-one call into one matrix of rows; each minibatch is a slice of it that
-label_loss takes as it is: one gather of its points, one batched loss and
-one step with gradients on the distinct rows it touches. Points start within
-INIT_RADIUS of the origin, and the first BURN_IN_EPOCHS epochs step at
-lr * BURN_IN_FACTOR; these three, like PAIRS_PER_STEP, are constants of
-the method rather than settings. The embeddings are then scored by how
-well nearest-neighbour ranking reconstructs the edges.
+its momentum. Each epoch draws every pair's negatives in one call into
+one matrix of rows and lays out the flat coordinate slots of those rows
+once; each minibatch is a slice of the slots that label_loss takes as it
+is: one gather of its points, one batched loss whose gradients are one
+bincount into a dense (n_nodes, d) table, and one step over the whole
+table. Points start within INIT_RADIUS of the origin, and the first
+BURN_IN_EPOCHS epochs step at lr * BURN_IN_FACTOR; these three, like
+PAIRS_PER_STEP, are constants of the method rather than settings. The
+embeddings are then scored by how well nearest-neighbour ranking
+reconstructs the edges.
 
 Every text input, datasets included, is read by `read_lines` (UTF-8,
 a leading BOM dropped, CRLF read as LF); `first_repeat` finds the first
@@ -34,10 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import distance, distance_and_grad, exp_map, random_ball_point, riemannian_grad
+from .ball import distance, distance_vjp, exp_map, random_ball_point, riemannian_grad
 from .config import LabelEmbedConfig
 from .errors import HyperclassError, NumericalError, TaxonomyError
-from .optim import Adam, FlatParams, distinct_rows
+from .optim import Adam, FlatParams
 
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
@@ -304,34 +306,36 @@ def negative_samples(
     return flat[start[parents][:, None] + picks]
 
 
-def label_loss(vectors: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def label_loss(vectors: np.ndarray, slots: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative-sampling softmax loss, summed over parent-child pairs of rows.
 
-    `idx` is a (B, 2+k) matrix of rows of `vectors`, one pair per row:
-    [u | v | negatives]. For each pair (u, v) with its negatives,
+    `slots` names B pairs of rows of the (n_nodes, d) `vectors`, each laid
+    out as [u | v | negatives], by the flat indices of the rows'
+    coordinates: a (B, 2+k, d) array whose [i, j] is r * d + arange(d) for
+    the j-th row r of pair i. One index serves both the gather of the
+    points and the scatter of their gradients. For each pair (u, v) with
+    its negatives,
     loss = -log( e^{-d(u,v)} / sum_{v' in {v} + negatives} e^{-d(u,v')} ),
     evaluated with a row-wise log-sum-exp over one (B, 1+k) call that
-    gives the distances and their gradients. The points are one gather of
-    idx. Returns the summed loss, the distinct rows involved, sorted, and
-    their (len(rows), d) Euclidean gradients of the summed loss: a row that
-    appears more than once (a repeated negative, a parent shared by two
-    pairs) gets the sum of its terms.
+    gives the distances and their VJP. Returns the summed loss and the
+    (n_nodes, d) table of its Euclidean gradients, from one bincount: a
+    row that appears more than once (a repeated negative, a parent shared
+    by two pairs) gets the sum of its terms, and a row no pair touches is
+    exactly 0.
     """
-    points = vectors.take(idx, axis=0)
-    dists, gu, gv = distance_and_grad(points[:, :1], points[:, 1:])
-    scores = -dists
-    m = scores.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True))
-    loss = (dists[:, 0] + lse[:, 0]).sum()
-    coeff = -np.exp(scores - lse)
+    points = vectors.take(slots)
+    dists, vjp = distance_vjp(points[:, :1], points[:, 1:])
+    # Points in the ball are clamped to MAX_NORM, so every distance is at
+    # most about 24.4 and exp(-d) >= 2.5e-11: the sum needs no max shift.
+    e = np.exp(-dists)
+    z = e.sum(axis=1)
+    loss = (dists[:, 0] + np.log(z)).sum()
+    coeff = e / -z[:, None]
     coeff[:, 0] += 1.0
-    # Terms laid out like idx: the parent's, then one per other row.
-    terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
-    rows, inverse = distinct_rows(idx, len(vectors))
-    d = vectors.shape[1]
-    slots = (inverse[..., None] * d + np.arange(d)).ravel()
-    grads = np.bincount(slots, weights=terms.ravel(), minlength=len(rows) * d)
-    return float(loss), rows, grads.reshape(len(rows), d)
+    # Terms laid out like slots: the parent's, then one per other row.
+    terms = np.concatenate(vjp(coeff), axis=1)
+    grads = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=vectors.size)
+    return float(loss), grads.reshape(vectors.shape)
 
 
 def train_label_embeddings(
@@ -344,13 +348,16 @@ def train_label_embeddings(
     a time. Right after the permutation, one draw gives every pair's
     negatives for the epoch (the RNG stream is read as by one draw per
     batch), laid out as one (pairs, 2+k) matrix of rows [parent | child |
-    negatives]; a batch is a slice of it. A batch takes one label_loss
-    over all its pairs and one Adam step whose gradient rows are the
-    distinct rows they touch (parents, children and negatives), sorted,
-    each with the sum of its gradients over the batch, rescaled by the
-    inverse metric. The step moves every row that any batch has touched
-    through the exponential map, and its bias correction counts the
-    steps of the whole run. The last batch of an epoch may be smaller.
+    negatives] and, once, as the (pairs, 2+k, d) coordinate slots of
+    those rows; a batch is a slice of the slots. A batch takes one
+    label_loss over all its pairs and one Adam step on the dense
+    (n_nodes, d) gradient table it returns, in which each row the batch
+    touches (parents, children and negatives) holds the sum of its
+    gradients over the batch and every other row is 0, rescaled by the
+    inverse metric. The step moves every row through the exponential map
+    (a row no batch has touched yet has a zero step and keeps its bits),
+    and its bias correction counts the steps of the whole run. The last
+    batch of an epoch may be smaller.
     Deterministic given config.seed; with PAIRS_PER_STEP 1 the trajectory
     is that of one step per pair. Returns the embeddings and the mean pair
     loss over the final epoch (None when the tree has no edges).
@@ -384,11 +391,12 @@ def train_label_embeddings(
         u = parents[order]
         negatives = negative_samples(table, u, config.negatives, rng)
         pairs = np.column_stack((u, children[order], negatives))
+        slots = pairs[..., None] * config.dim + np.arange(config.dim)
         epoch_loss = 0.0
         for batch_idx, start in enumerate(range(0, len(order), PAIRS_PER_STEP)):
-            loss, rows, grads = label_loss(vectors, pairs[start : start + PAIRS_PER_STEP])
+            loss, grads = label_loss(vectors, slots[start : start + PAIRS_PER_STEP])
             try:
-                opt.step({"vectors": riemannian_grad(vectors[rows], grads)}, rows)
+                opt.step({"vectors": riemannian_grad(vectors, grads)})
             except NumericalError as exc:
                 edges = order[start : start + PAIRS_PER_STEP]
                 names = ", ".join("(%s, %s)" % tree.edges[i] for i in edges)

@@ -11,14 +11,14 @@ the caller gives another.
 Stage two (the encoder and classifier head, without weight decay) keeps
 `x -= a`, with the embedding, whose batch touches few rows, as the row
 parameter. Stage one is Riemannian Adam (Becigneul & Ganea 2019) over
-the rows of a (n, d) matrix of Poincare-ball points: it passes gradients
-rescaled by the inverse metric (`ball.riemannian_grad`) and the
-exponential map as the retraction, and its moments are coordinate
-matrices without parallel transport between steps.
+the rows of a (n, d) matrix of Poincare-ball points: it passes its
+whole (n, d) gradient table, with no rows, rescaled by the inverse
+metric (`ball.riemannian_grad`), and the exponential map as the
+retraction, and its moments are coordinate matrices without parallel
+transport between steps.
 
-`distinct_rows` finds the sorted distinct rows of a row step, and where
-each given id falls among them, for both stages: the tree-node rows of a
-stage-one batch and the token ids of a stage-two batch.
+`distinct_rows` finds the sorted distinct rows of stage two's row step,
+the token ids of a batch, and where each given id falls among them.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class Adam:
         distinct indices along the first axis of the last parameter of the
         layout, that parameter's gradient holds only those rows and every
         other row's gradient is zero: stage two passes the `(rows, grads)`
-        of `encode_batch_backward` for the embedding, stage one the rows of
-        `label_loss`.
+        of `encode_batch_backward` for the embedding. Stage one passes its
+        whole gradient table, with no `rows`.
 
         Every gradient is read before any state changes, so a KeyError for
         a missing one leaves t, s, m, v and the parameters as they were.

@@ -11,7 +11,7 @@ import numpy as np
 # over TestFrozenReference on 2 vCPUs with numpy 2.4.6: at most 9.7e-13 on
 # an epoch's train_loss and 4.4e-12 on a parameter. Each bound is about
 # ten times that. Stage one against batched_label_training, on the same
-# host, measured at most 3.6e-15 on a loss and 2.1e-13 on a point.
+# host, measured at most 6.9e-15 on a loss and 4.7e-13 on a point.
 LOSS_ATOL = 1e-11
 PARAM_ATOL = 5e-11
 
@@ -69,6 +69,37 @@ def conformal_factor(x):
     return 2.0 / (1.0 - np.sum(x * x, axis=-1))
 
 
+def mobius_add(x, y):
+    """Mobius addition x (+) y of (..., d) points, re-projected into the ball:
+    the general form that ball.exp_map now takes in closed form.
+
+    x (+) y = ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
+              / (1 + 2<x,y> + ||x||^2 ||y||^2)
+    """
+    from hyperclass.ball import project_to_ball
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    x2 = np.vecdot(x, x)
+    # 1 + 2<x,y>, shared by the numerator and the denominator.
+    a = 1.0 + 2.0 * np.vecdot(x, y)
+    y2 = np.vecdot(y, y)
+    num = (a + y2)[..., None] * x + (1.0 - x2)[..., None] * y
+    return project_to_ball(num / (a + x2 * y2)[..., None])
+
+
+def composed_exp_map(x, v):
+    """Frozen reference for ball.exp_map: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||
+    through mobius_add, row by row; a zero row of v returns x."""
+    from hyperclass.ball import _row_norms
+
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    r, nonzero = _row_norms(v)
+    t = np.tanh(0.5 * (2.0 / (1.0 - np.vecdot(x, x))) * r)
+    return mobius_add(x, np.where(nonzero, t / r, 0.0)[..., None] * v)
+
+
 def log_map(x, y):
     """Logarithmic map at x, inverse of ball.exp_map, row by row: the
     general form that src/ replaced with log_map_origin.
@@ -76,7 +107,7 @@ def log_map(x, y):
     log_x(y) = (2 / lambda_x) * artanh(||-x (+) y||) * (-x (+) y) / ||-x (+) y||
     with the y = x limit defined as the zero vector.
     """
-    from hyperclass.ball import EPS_DIV, MAX_NORM, mobius_add
+    from hyperclass.ball import EPS_DIV, MAX_NORM
 
     x = np.asarray(x, dtype=np.float64)
     w = mobius_add(-x, y)
@@ -89,12 +120,35 @@ def log_map(x, y):
     return np.where(nonzero, (2.0 / conformal) * artanh / r, 0.0)[..., None] * w
 
 
+def distance_and_grad(x, y):
+    """(distance, dd/dx, dd/dy) of ball.distance from one pass over the
+    shared terms, both partials shaped like the broadcast of x and y: the
+    two-partial kernel that ball.distance_vjp replaced. Where x == y
+    (within EPS_DIV) the zero subgradient is returned for both arguments."""
+    from hyperclass.ball import EPS_DIV
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    diff = x - y
+    a = np.vecdot(diff, diff)
+    b = 1.0 - np.vecdot(x, x)
+    c = 1.0 - np.vecdot(y, y)
+    bc = b * c
+    arg = 1.0 + 2.0 * a / bc
+    d = np.arccosh(np.maximum(arg, 1.0))
+    d = float(d) if d.ndim == 0 else d
+    # d/du arcosh(u) = 1 / sqrt(u^2 - 1)
+    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    common = np.divide(4.0, bc * root, out=np.zeros_like(root), where=root >= EPS_DIV)
+    gx = common[..., None] * (diff + (a / b)[..., None] * x)
+    gy = common[..., None] * ((a / c)[..., None] * y - diff)
+    return d, gx, gy
+
+
 def distance_grad(x, y):
     """Euclidean partial derivatives (dd/dx, dd/dy) of ball.distance, both
     shaped like the broadcast of x and y; the zero subgradient where x == y
     (within EPS_DIV)."""
-    from hyperclass.ball import distance_and_grad
-
     return distance_and_grad(x, y)[1:]
 
 
@@ -136,7 +190,7 @@ def composed_origin_distance_and_grad(v, y):
     d = distance(exp_map_origin(v), y) from three separate kernels, each
     computing its own norms: exp_map_origin, distance_and_grad (both
     partials) and exp_map_origin_vjp."""
-    from hyperclass.ball import distance_and_grad, exp_map_origin
+    from hyperclass.ball import exp_map_origin
 
     d, dz, _ = distance_and_grad(exp_map_origin(v), y)
     return d, exp_map_origin_vjp(v, dz)
@@ -205,6 +259,30 @@ def per_node_label_training(tree, config):
                 vectors[row] = adam_step(states[name], t, vectors[row], grads.get(name, zero), lr)
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss
+
+
+def pair_slots(idx, d):
+    """The (B, 2+k, d) coordinate slots that hierarchy.label_loss takes for
+    a (B, 2+k) matrix of rows: row r at r * d + arange(d)."""
+    return np.asarray(idx)[..., None] * d + np.arange(d)
+
+
+def scattered_label_loss(vectors, idx):
+    """Frozen reference for hierarchy.label_loss on a (B, 2+k) matrix of
+    rows: the max-shifted log-sum-exp over distance_and_grad's full
+    (B, 1+k, d) partials, each pair's terms added into a zeroed
+    (n_nodes, d) table by np.add.at. Returns (loss, table)."""
+    points = vectors[idx]
+    dists, gu, gv = distance_and_grad(points[:, :1], points[:, 1:])
+    scores = -dists
+    m = scores.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True))
+    coeff = -np.exp(scores - lse)
+    coeff[:, 0] += 1.0
+    table = np.zeros_like(vectors)
+    for rows, c, u_grad, v_grad in zip(idx, coeff, gu, gv):
+        np.add.at(table, rows, np.vstack((c @ u_grad, v_grad * c[:, None])))
+    return float(np.sum(dists[:, 0] + lse[:, 0])), table
 
 
 def negative_candidates(tree, u):
@@ -294,7 +372,7 @@ def batched_label_training(tree, config, pairs_per_step=10):
     per_node_label_training, it reads the burn-in and init radius from
     hyperclass.hierarchy at call time."""
     from hyperclass import hierarchy
-    from hyperclass.ball import distance_and_grad, project_to_ball, random_ball_point
+    from hyperclass.ball import project_to_ball, random_ball_point
     from hyperclass.hierarchy import negative_samples
 
     def sqnorm(x):

@@ -17,13 +17,14 @@ from helpers import (
     distance_grad,
     hyper_weight,
     log_map,
+    mobius_add,
     numeric_grad,
+    pair_slots,
     rel_err,
 )
 from hyperclass.ball import (
     distance,
     exp_map,
-    mobius_add,
     random_ball_point,
 )
 from hyperclass.cli import main as cli_main
@@ -114,11 +115,11 @@ def test_gradient_suite():
     # label-embedding loss
     for trial in range(20):
         vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in range(4)])
-        idx = np.array([[0, 1, 2, 3]])  # rows: u=0, v=1, negatives a=2, b=3
-        _, rows, grads = label_loss(vectors, idx)
-        assert rows.tolist() == [0, 1, 2, 3]
-        for row, grad in zip(rows, grads):
-            num = numeric_grad(lambda: label_loss(vectors, idx)[0], vectors[row])
+        slots = pair_slots([[0, 1, 2, 3]], 3)  # rows: u=0, v=1, negatives a=2, b=3
+        _, grads = label_loss(vectors, slots)
+        assert grads.shape == vectors.shape
+        for row, grad in enumerate(grads):
+            num = numeric_grad(lambda: label_loss(vectors, slots)[0], vectors[row])
             assert rel_err(grad, num) < 1e-4
 
     # encoder

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    composed_exp_map,
     composed_origin_distance_and_grad,
     conformal_factor,
+    distance_and_grad,
     distance_from_origin,
     distance_grad,
     exp_map_origin_vjp,
     log_map,
+    mobius_add,
     numeric_grad,
     rel_err,
 )
@@ -22,12 +25,11 @@ from hyperclass.ball import (
     EPS_BALL,
     MAX_NORM,
     distance,
-    distance_and_grad,
+    distance_vjp,
     exp_map,
     exp_map_origin,
     exp_origin_distance_and_grad,
     log_map_origin,
-    mobius_add,
     project_to_ball,
     random_ball_point,
     riemannian_grad,
@@ -244,8 +246,9 @@ def separate_distance_and_grad(x, y):
 
 
 class TestDistanceAndGrad:
-    """The one-pass kernel is bitwise the separate distance and gradient
-    kernels, on the (B, 1+k, d) stage-one shape and on (n, d) rows."""
+    """The tests' one-pass oracle, distance_and_grad, is bitwise the
+    separate distance and gradient kernels, on the (B, 1+k, d) stage-one
+    shape and on (n, d) rows."""
 
     @pytest.mark.parametrize("dim", [2, 5, 10])
     def test_stage_one_batch_shape(self, dim):
@@ -274,6 +277,51 @@ class TestDistanceAndGrad:
         d, gx, gy = distance_and_grad(x[5], y[5])
         assert isinstance(d, float) and d == distance(x[5], y[5])
         np.testing.assert_array_equal(gx, got[1][5])
+
+
+class TestDistanceVjp:
+    """Stage one's pair kernel: its distances are bitwise `distance`, and
+    its VJP is the cotangent contracted against distance_and_grad's full
+    (B, K, d) partials, up to the summation order of the parent's sum."""
+
+    @staticmethod
+    def batch(dim, seed, edge=True):
+        """(x, y, g) for 10 pairs of 11: a zero point, with edge a point on
+        the clamp radius, and a negative equal to its parent."""
+        rng = np.random.default_rng(seed)
+        points = np.stack([random_ball_point(rng, dim, 0.9) for _ in range(30)])
+        points[7] = 0.0
+        if edge:
+            direction = rng.standard_normal(dim)
+            points[8] = direction * (MAX_NORM / np.linalg.norm(direction))
+        u = rng.integers(0, 30, size=10)
+        others = rng.integers(0, 30, size=(10, 11))
+        others[0, 3] = u[0]  # a negative equal to its parent: zero subgradient
+        others[1, :3] = 7, 8, 7
+        return points[u][:, None, :], points[others], rng.standard_normal((10, 11))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 10])
+    def test_matches_full_partials(self, dim):
+        x, y, g = self.batch(dim, seed=200 + dim)
+        d, vjp = distance_vjp(x, y)
+        gx, gy = vjp(g)
+        ref_d, ref_gx, ref_gy = distance_and_grad(x, y)
+        assert d.shape == g.shape and gx.shape == x.shape and gy.shape == y.shape
+        np.testing.assert_array_equal(d, ref_d)
+        np.testing.assert_array_equal(d, distance(x, y))
+        # Measured at most 8.5e-16 relative over 300 such batches.
+        assert rel_err(gx, np.matmul(g[:, None, :], ref_gx)) <= 1e-14
+        assert rel_err(gy, ref_gy * g[..., None]) <= 1e-14
+        assert not gy[0, 3].any()
+
+    def test_matches_finite_differences(self):
+        # Central differences of the coincident pair are 0 by symmetry,
+        # which is its subgradient.
+        x, y, g = self.batch(4, seed=210, edge=False)
+        gx, gy = distance_vjp(x, y)[1](g)
+        for arr, grad in ((x, gx), (y, gy)):
+            numeric = numeric_grad(lambda: float(np.sum(g * distance(x, y))), arr)
+            assert rel_err(grad, numeric) < 1e-4
 
 
 class TestExpOriginVjp:
@@ -558,6 +606,54 @@ class TestBatchedStageOneKernels:
             np.testing.assert_allclose(rg[i], g[i] / lam[i] ** 2, rtol=1e-9, atol=0)
 
 
+class TestClosedFormExpMap:
+    """exp_map's closed form from ||x||^2, <x,v> and ||v|| is the Mobius
+    composition x (+) tanh(lambda_x ||v|| / 2) v / ||v|| up to rounding."""
+
+    @staticmethod
+    def batch(dim, seed):
+        """(x, v): interior, zero, clamp-radius and past-the-clamp points,
+        with random, zero, tiny and huge tangents; the rows past the clamp
+        step outward, so the final projection clamps them again. (An
+        inward step from past the clamp whose tanh saturates at 1 divides
+        by about (1 - ||x||)^2 ~ 1e-12, where both forms are rounding noise.)"""
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([mixed_rows(dim, seed)[:-2], mixed_rows(dim, seed + 1)[:-2]])
+        edge = rng.standard_normal((2, dim))
+        x[-2:] = edge * ((MAX_NORM + 5e-6) / np.linalg.norm(edge, axis=1, keepdims=True))
+        v = rng.standard_normal(x.shape) * rng.uniform(0, 3, size=(len(x), 1))
+        v[1] = 0.0
+        v[6] = 0.0  # the zero point with a zero tangent
+        v[2] = 1e-14
+        v[3] *= 1e3
+        v[4] *= 1e100
+        v[9] *= 1e150 / np.linalg.norm(v[9])
+        v[10] = -30.0 * x[10]
+        v[-2:] = x[-2:] * rng.uniform(0.01, 3.0, size=(2, 1))
+        return x, v
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 10])
+    def test_matches_mobius_composition(self, dim):
+        for seed in range(220 + dim, 260 + dim):
+            x, v = self.batch(dim, seed)
+            out = exp_map(x, v)
+            # Measured at most 2.1e-14 over these batches.
+            np.testing.assert_allclose(out, composed_exp_map(x, v), rtol=0, atol=1e-12)
+            assert (norms(out) <= MAX_NORM * (1.0 + 1e-15)).all()
+            # A zero row of v returns the point itself, bit for bit.
+            np.testing.assert_array_equal(out[[1, 6]], x[[1, 6]])
+
+    def test_point_at_the_clamp_stepping_inward(self):
+        # The stage-one case with the least room: a clamped point, whose
+        # lambda_x saturates tanh at 1, stepped toward the origin.
+        for dim in (1, 2, 10):
+            x = np.full((1, dim), MAX_NORM / np.sqrt(dim))
+            for scale in (1e-3, 1e-2, 1.0):
+                np.testing.assert_allclose(
+                    exp_map(x, -scale * x), composed_exp_map(x, -scale * x), rtol=0, atol=1e-12
+                )
+
+
 # Finite entries of magnitude up to 1e300; hypothesis spreads them over
 # the float exponents, down to subnormals, so a row's norm can underflow
 # or pass float64's squared range (about 1.3e154).
@@ -596,6 +692,13 @@ def finite_or_raises(kernel, *args):
             return kernel(*args)
         except NumericalError:
             return None
+
+
+def distance_vjp_of_ones(x, y):
+    """distance_vjp of (n, d) rows as n pairs of one point each, and its
+    VJP of a cotangent of ones."""
+    d, vjp = distance_vjp(x[:, None], y[:, None])
+    return d, *vjp(np.ones_like(d))
 
 
 def assert_in_ball(points):
@@ -651,6 +754,9 @@ class TestExtremeMagnitudes:
         out = finite_or_raises(distance_and_grad, x, y)
         if out is not None:
             assert all(np.isfinite(part).all() for part in out), "distance_and_grad"
+        out = finite_or_raises(distance_vjp_of_ones, x, y)
+        if out is not None:
+            assert all(np.isfinite(part).all() for part in out), "distance_vjp"
         out = finite_or_raises(riemannian_grad, x, g)
         if out is not None:
             assert np.isfinite(out).all(), "riemannian_grad"

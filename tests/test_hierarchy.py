@@ -15,13 +15,15 @@ from helpers import (
     negative_candidates,
     node_depths,
     numeric_grad,
+    pair_slots,
     per_coordinate_tsv,
     per_node_label_training,
     per_parent_negative_table,
     rel_err,
+    scattered_label_loss,
 )
 from hyperclass import hierarchy
-from hyperclass.ball import MAX_NORM, random_ball_point
+from hyperclass.ball import MAX_NORM, distance, random_ball_point
 from hyperclass.config import LabelEmbedConfig
 from hyperclass.data import default_synthetic_tree, load_dataset, make_family_tree
 from hyperclass.encoder import CHUNK_ROWS
@@ -269,20 +271,21 @@ class TestLabelLoss:
         """label_loss on named 2-D points: u, v, then the named negatives."""
         names = list(points)
         vectors = np.array([points[n] for n in names], dtype=np.float64)
-        return label_loss(vectors, np.array([[names.index(n) for n in ["u", "v", *negatives]]]))
+        idx = np.array([[names.index(n) for n in ["u", "v", *negatives]]])
+        return label_loss(vectors, pair_slots(idx, vectors.shape[1]))
 
     def test_symmetric_pair_gives_ln2(self):
-        loss, _, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.3, 0.0], "n": [-0.3, 0.0]}, ["n"])
+        loss, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.3, 0.0], "n": [-0.3, 0.0]}, ["n"])
         assert abs(loss - np.log(2.0)) < 1e-12
 
     def test_coincident_pair_distant_negative(self):
         r = np.tanh(5.0)  # d(0, (r,0)) = 2*artanh(r) = 10
-        loss, _, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.0, 0.0], "n": [r, 0.0]}, ["n"])
+        loss, _ = self.loss_of({"u": [0.0, 0.0], "v": [0.0, 0.0], "n": [r, 0.0]}, ["n"])
         assert abs(loss - np.log1p(np.exp(-10.0))) < 1e-9
 
     def test_positive_and_finite(self):
         rng = np.random.default_rng(0)
-        loss, _, grads = self.loss_of(
+        loss, grads = self.loss_of(
             {name: random_ball_point(rng, 3, 0.95) for name in "uvabc"}, ["a", "b", "c"]
         )
         assert 0.0 < loss < np.inf
@@ -294,30 +297,49 @@ class TestLabelLoss:
         names = ["u", "v", "a", "b", "c"]
         vectors = np.stack([random_ball_point(rng, 3, 0.7) for _ in names])
         idx = np.array([[names.index(n) for n in ["u", "v", *negatives]]])
-        _, rows, grads = label_loss(vectors, idx)
-        # Distinct rows, sorted, duplicates summed.
-        assert rows.tolist() == sorted(set(idx.ravel().tolist()))
-        for row, grad in zip(rows, grads):
-            num = numeric_grad(lambda: label_loss(vectors, idx)[0], vectors[row])
-            assert rel_err(grad, num) < 1e-4
+        slots = pair_slots(idx, 3)
+        _, grads = label_loss(vectors, slots)
+        # One row per node, duplicates summed; a row no pair touches is 0.
+        assert grads.shape == vectors.shape
+        for row, grad in enumerate(grads):
+            if row in idx:
+                num = numeric_grad(lambda: label_loss(vectors, slots)[0], vectors[row])
+                assert rel_err(grad, num) < 1e-4
+            else:
+                assert not grad.any()
 
     def test_batch_is_the_sum_of_its_pairs(self):
         # Pairs 0 and 2 share a parent, pair 1's parent is pair 0's child,
-        # and negatives repeat within and across pairs.
+        # and negatives repeat within and across pairs; rows 9 and 10 are
+        # in no pair.
         rng = np.random.default_rng(3)
-        vectors = np.stack([random_ball_point(rng, 4, 0.8) for _ in range(9)])
+        vectors = np.stack([random_ball_point(rng, 4, 0.8) for _ in range(11)])
         u = np.array([0, 1, 0, 5])
         v = np.array([1, 2, 3, 6])
         negatives = np.array([[4, 4, 5, 8], [0, 4, 7, 7], [2, 8, 8, 8], [0, 1, 4, 2]])
         idx = np.column_stack((u, v, negatives))
-        loss, rows, grads = label_loss(vectors, idx)
-        per_pair = [label_loss(vectors, pair[None]) for pair in idx]
+        loss, grads = label_loss(vectors, pair_slots(idx, 4))
+        per_pair = [label_loss(vectors, pair_slots(pair[None], 4)) for pair in idx]
         assert abs(loss - sum(p[0] for p in per_pair)) <= 1e-12
-        assert rows.tolist() == sorted({*u.tolist(), *v.tolist(), *negatives.ravel().tolist()})
-        expected = np.zeros((vectors.shape[0], vectors.shape[1]))
-        for _, pair_rows, pair_grads in per_pair:
-            np.add.at(expected, pair_rows, pair_grads)
-        np.testing.assert_allclose(grads, expected[rows], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(grads[9:], 0.0)
+        np.testing.assert_allclose(grads, sum(p[1] for p in per_pair), rtol=0, atol=1e-12)
+        ref_loss, ref_grads = scattered_label_loss(vectors, idx)
+        assert abs(loss - ref_loss) <= 1e-12
+        np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-12)
+
+    def test_antipodal_points_at_the_clamp_radius(self):
+        # The log-sum-exp takes no max shift: at the clamp radius the
+        # distances reach their largest, about 24.4 between antipodes, and
+        # the loss and gradients stay those of the shifted formula.
+        axes = np.eye(3) * MAX_NORM
+        vectors = np.concatenate((axes, -axes))
+        idx = np.array([[0, 3, 1, 4, 2, 5], [3, 0, 3, 3, 3, 3], [1, 0, 4, 4, 3, 3]])
+        loss, grads = label_loss(vectors, pair_slots(idx, 3))
+        assert distance(vectors[0], vectors[3]) > 24.4
+        assert np.isfinite(loss) and np.isfinite(grads).all()
+        ref_loss, ref_grads = scattered_label_loss(vectors, idx)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert rel_err(grads, ref_grads) <= 1e-12
 
 
 PARROTT_FEW_EPOCHS = LabelEmbedConfig(dim=10, epochs=12, negatives=10, seed=2)
@@ -342,9 +364,9 @@ class TestTrainLabelEmbeddings:
         assert hierarchy.PAIRS_PER_STEP == 10
         sizes = []
 
-        def counted(vectors, idx):
-            sizes.append(len(idx))
-            return label_loss(vectors, idx)
+        def counted(vectors, slots):
+            sizes.append(len(slots))
+            return label_loss(vectors, slots)
 
         monkeypatch.setattr(hierarchy, "label_loss", counted)
         monkeypatch.setattr(hierarchy, "BURN_IN_EPOCHS", 1)
@@ -423,12 +445,12 @@ class TestTrainLabelEmbeddings:
     def test_nan_gradient_raises_numerical_error(self, monkeypatch):
         calls = []
 
-        def poisoned(vectors, idx):
-            loss, rows, grads = label_loss(vectors, idx)
+        def poisoned(vectors, slots):
+            loss, grads = label_loss(vectors, slots)
             calls.append(1)
             if len(calls) == 2:
                 grads[0, 0] = np.nan
-            return loss, rows, grads
+            return loss, grads
 
         monkeypatch.setattr(hierarchy, "label_loss", poisoned)
         cfg = LabelEmbedConfig(dim=4, epochs=3, negatives=3, seed=1)
