@@ -20,14 +20,7 @@ import json
 
 from hyperclass.config import WEIGHT_NORMS, ClassifierConfig
 from hyperclass.data import default_synthetic_tree
-from hyperclass.experiments import mean_over_seeds, run_synthetic_pipeline, scrambled_tree
-
-ARMS = {
-    "wce": dict(loss="wce", mode="expert"),
-    "ce": dict(loss="ce"),
-    "uniform": dict(loss="wce", mode="uniform"),
-    "random": dict(loss="wce", mode="random"),
-}
+from hyperclass.experiments import ARMS, mean_over_seeds, run_synthetic_pipeline, scrambled_tree
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -18,9 +18,10 @@ Representations enter the ball through exp_map_origin and leave it for
 the tangent export through log_map_origin. Stage one has two kernels:
 distance_vjp, the distances of each parent to its pairs and their VJP,
 and exp_map at a general point, the retraction through which its Adam
-steps (Riemannian Adam), with the Mobius addition in closed form. A norm
-that overflows float64 raises NumericalError rather than returning a
-point that did not move.
+steps (Riemannian Adam), with the Mobius addition in closed form. Stage
+two's distance weight, exp_origin_distance_vjp, is distance_vjp chained
+through exp_0. A norm that overflows float64 raises NumericalError
+rather than returning a point that did not move.
 """
 
 from __future__ import annotations
@@ -136,19 +137,6 @@ def _slope(arg: np.ndarray, bc: np.ndarray) -> np.ndarray:
     return np.divide(4.0, bc * root, out=np.zeros_like(root), where=root >= EPS_DIV)
 
 
-def _distance(x: np.ndarray, y: np.ndarray, grad: bool = False):
-    """(d,) or (d, dd/dx), from one set of shared terms; d is a float for
-    two 1-D points."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    diff, a, b, c, bc, arg = _terms(x, y)
-    d = np.arccosh(np.maximum(arg, 1.0))
-    d = float(d) if d.ndim == 0 else d
-    if not grad:
-        return (d,)
-    return d, _scale_rows(_slope(arg, bc), diff + _scale_rows(a / b, x))
-
-
 def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Geodesic distance: arcosh(1 + 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2))).
 
@@ -156,7 +144,9 @@ def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     give a float. The arcosh argument is clamped to >= 1 so cancellation
     near x == y yields 0 instead of NaN.
     """
-    return _distance(x, y)[0]
+    arg = _terms(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))[-1]
+    d = np.arccosh(np.maximum(arg, 1.0))
+    return float(d) if d.ndim == 0 else d
 
 
 def distance_vjp(
@@ -202,34 +192,39 @@ def log_map_origin(y: np.ndarray) -> np.ndarray:
 
 
 def _exp_map_origin(v: np.ndarray):
-    """(exp_0(v), and the row terms (r, nonzero, tanh(r), tanh(r) / r) of v
-    that the VJP reuses)."""
+    """(exp_0(v), and the row terms (r, nonzero, tanh(r)) its VJP reuses)."""
     r, nonzero = _row_norms(v)
     t = np.tanh(r)
-    s = t / r
-    return project_to_ball(_scale_rows(np.where(nonzero, s, 0.0), v)), (r, nonzero, t, s)
+    return project_to_ball(_scale_rows(np.where(nonzero, t / r, 0.0), v)), (r, nonzero, t)
 
 
-def exp_origin_distance_and_grad(
+def exp_origin_distance_vjp(
     v: np.ndarray, y: np.ndarray
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """(d, dd/dv) for d = distance(exp_map_origin(v), y), with y frozen,
-    row by row over (..., d) tangent vectors v at the origin.
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(d, vjp): the (B,) distances d[i] = distance(exp_map_origin(v[i]), y[i])
+    of (B, d) tangent vectors v against frozen (B, d) points y, and vjp(g),
+    which maps a (B,) cotangent g to the (B, d) gradient g * dd/dv.
 
-    The row norms and tanh of v are computed once and serve both the map
-    and its VJP. With s(r) = tanh(r)/r the Jacobian of exp_0 is
-    s(r) I + (s'(r)/r) v v^T, and its r -> 0 limit is the identity. The
-    radial clamp only activates for tanh(r) > 1 - EPS_BALL (r > ~6), where
-    the smooth part of the Jacobian is already ~1e-10; the clamp is
-    treated as identity.
+    d and dd/dz are `distance_vjp` with one pair per row, whose gradient of
+    y is computed and dropped; the row norms and tanh of v serve both exp_0
+    and its Jacobian s(r) I + (s'(r)/r) v v^T, s(r) = tanh(r)/r, which is
+    the identity as r -> 0. Past the radial clamp (tanh(r) > MAX_NORM,
+    r > ~6.1) exp_0 is MAX_NORM v / r: tanh is MAX_NORM there, slope 0.
     """
     v = np.asarray(v, dtype=np.float64)
-    z, (r, nonzero, t, s) = _exp_map_origin(v)
-    d, dz = _distance(z, y, grad=True)
-    s = np.where(nonzero, s, 1.0)
-    # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
-    ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)
-    return d, _scale_rows(s, dz) + _scale_rows(ds_over_r * np.vecdot(v, dz), v)
+    z, (r, nonzero, t) = _exp_map_origin(v)
+    d, pair_vjp = distance_vjp(z[:, None], y[:, None])
+    dt = np.where(t > MAX_NORM, 0.0, 1.0 - t * t)
+    t = np.minimum(t, MAX_NORM)
+    s = np.where(nonzero, t / r, 1.0)
+    # s'(r) / r = (tanh'(r) * r - tanh(r)) / r^3
+    ds_over_r = np.where(nonzero, (dt * r - t) / (r * r * r), 0.0)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        dz = pair_vjp(g[:, None])[0][:, 0]
+        return _scale_rows(s, dz) + _scale_rows(ds_over_r * np.vecdot(v, dz), v)
+
+    return d[:, 0], vjp
 
 
 def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> np.ndarray:

@@ -169,6 +169,8 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
     ck = load_checkpoint(args.model)
     if isinstance(ck, LabelsCheckpoint):
+        if args.data is not None:
+            raise ConfigError(f"--data requires a classifier checkpoint; {args.model} holds labels")
         rows, dim = ck.emb.vectors.shape
         chunks = [(ck.emb.nodes, ck.emb.vectors)]
     elif ck.config.get("loss") == "ce":

@@ -20,6 +20,9 @@ once, so the per-token work is a dict lookup in C. Only when a piece
 strips to nothing or a text is empty does one mask drop those pieces,
 recount the lengths and put PAD into each empty text. `tokenize` is
 `tokenize_batch` of one text.
+
+`distinct_rows` finds the sorted distinct rows of the embedding's row
+step, the token ids of a batch, and where each given id falls among them.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-
-from .optim import distinct_rows
 
 UNK = 0
 PAD = 1
@@ -221,6 +222,18 @@ def encode_batch_pooled(model: EncoderModel, batch: TokenBatch) -> tuple[np.ndar
     sums = np.add.reduceat(model.embedding.take(batch.ids, axis=0), batch.offsets, axis=0)
     pooled = sums / batch.lengths[:, None]
     return np.tanh(pooled @ model.w1 + model.b1), pooled
+
+
+def distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for ids in [0, n), without the
+    sort: a mark per id gives the sorted distinct ids, and their running
+    count gives each id's index among them."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    rows = mark.nonzero()[0]
+    index = np.empty(n, dtype=np.intp)
+    index[rows] = np.arange(len(rows))
+    return rows, index[ids]
 
 
 def encode_batch_backward(

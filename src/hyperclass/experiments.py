@@ -18,6 +18,15 @@ from .hierarchy import LabelEmbeddings, LabelTree, build_tree, train_label_embed
 from .training import evaluate_model, train_classifier
 
 
+# The paper's four arms: each one's loss and hierarchy mode (defined below).
+ARMS = {
+    "wce": dict(loss="wce", mode="expert"),
+    "ce": dict(loss="ce"),
+    "uniform": dict(loss="wce", mode="uniform"),
+    "random": dict(loss="wce", mode="random"),
+}
+
+
 def default_label_config() -> LabelEmbedConfig:
     return LabelEmbedConfig(dim=10)
 

@@ -8,15 +8,15 @@ The per-sample weight w_i is the ball distance between that projected
 point and the frozen embedding of the true label; the batch loss is
 mean(w_i * ce_i) with gradients through both factors.
 
-`logits`, `predict`, `project_representation` and `hyper_weight_backward`
-take h as one (d_e,) row or an (n, d_e) batch; the batch losses compute
-every term and vector-Jacobian product on (n, .) arrays and return
-(total, grads): the float batch loss and its gradients. The weight and
-its gradient come from one ball kernel, `exp_origin_distance_and_grad`,
-which computes the row terms that the exponential map and its backward
-pass share once, and no gradient for the frozen label points. Those
-points reach the batch losses as one (m, h_d) matrix, row y for class y,
-which `class_embedding_matrix` gathers once per run.
+`logits`, `predict` and `project_representation` take h as one (d_e,)
+row or an (n, d_e) batch; the batch losses compute every term and
+vector-Jacobian product on (n, .) arrays and return (total, grads): the
+float batch loss and its gradients. The weight comes from the ball
+kernel `exp_origin_distance_vjp`, the distance VJP of stage one with one
+pair per row chained through exp_0; the loss passes it d total / d w as
+the cotangent and takes the gradient of h as dv @ w_p^T. The frozen
+label points reach the batch losses as one (m, h_d) matrix, row y for
+class y, which `class_embedding_matrix` gathers once per run.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import exp_map_origin, exp_origin_distance_and_grad
+from .ball import exp_map_origin, exp_origin_distance_vjp
 from .config import WEIGHT_NORMS
 from .encoder import INIT_SCALE
 from .errors import ConfigError
@@ -84,15 +84,6 @@ def project_representation(head: ClassifierHead, h: np.ndarray) -> np.ndarray:
     return exp_map_origin(h @ head.w_p + head.b_p)
 
 
-def hyper_weight_backward(
-    head: ClassifierHead, h: np.ndarray, e_y: np.ndarray
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (w, dw/d(tangent vector), dw/dh) per row; the label point is frozen."""
-    v = h @ head.w_p + head.b_p
-    w, dv = exp_origin_distance_and_grad(v, e_y)
-    return w, dv, dv @ head.w_p.T
-
-
 def class_embedding_matrix(labels: LabelEmbeddings, class_leaves: list[str]) -> np.ndarray:
     """The frozen label vectors of class_leaves, in class-index order, as
     one gather of their rows; a copy, so later mutation of the matrix
@@ -138,7 +129,7 @@ def weighted_ce_batch(
         raise ConfigError(f"unknown weight norm {weight_norm!r}")
     n = hs.shape[0]
     ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
-    raw_w, dv, dh_w = hyper_weight_backward(head, hs, label_matrix[ys])
+    raw_w, vjp = exp_origin_distance_vjp(hs @ head.w_p + head.b_p, label_matrix[ys])
 
     if weight_norm == "batch-mean":
         mean_w = raw_w.mean()
@@ -152,12 +143,12 @@ def weighted_ce_batch(
         dtotal_dw = ces / n
 
     dlogits *= (eff_w / n)[:, None]
-    dv *= dtotal_dw[:, None]
+    dv = vjp(dtotal_dw)
     grads = {
         "w_c": hs.T @ dlogits,
         "b_c": dlogits.sum(axis=0),
         "w_p": hs.T @ dv,
         "b_p": dv.sum(axis=0),
-        "h": dlogits @ head.w_c.T + dtotal_dw[:, None] * dh_w,
+        "h": dlogits @ head.w_c.T + dv @ head.w_p.T,
     }
     return total, grads

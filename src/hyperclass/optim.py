@@ -16,9 +16,6 @@ whole (n, d) gradient table, with no rows, rescaled by the inverse
 metric (`ball.riemannian_grad`), and the exponential map as the
 retraction, and its moments are coordinate matrices without parallel
 transport between steps.
-
-`distinct_rows` finds the sorted distinct rows of stage two's row step,
-the token ids of a batch, and where each given id falls among them.
 """
 
 from __future__ import annotations
@@ -37,18 +34,6 @@ EPS = 1e-8
 # about 2**-400, far above underflow, and m / BETA1**s stays finite for any
 # gradient below about 1e188.
 RESCALE_STEPS = 2630
-
-
-def distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(ids, return_inverse=True) for ids in [0, n), without the
-    sort: a mark per id gives the sorted distinct ids, and their running
-    count gives each id's index among them."""
-    mark = np.zeros(n, dtype=bool)
-    mark[ids] = True
-    rows = mark.nonzero()[0]
-    index = np.empty(n, dtype=np.intp)
-    index[rows] = np.arange(len(rows))
-    return rows, index[ids]
 
 
 class FlatParams(dict):

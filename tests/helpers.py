@@ -186,14 +186,23 @@ def exp_map_origin_vjp(v, grad_out):
 
 
 def composed_origin_distance_and_grad(v, y):
-    """Frozen reference for ball.exp_origin_distance_and_grad: (d, dd/dv) of
+    """Frozen reference for ball.exp_origin_distance_vjp: (d, dd/dv) of
     d = distance(exp_map_origin(v), y) from three separate kernels, each
     computing its own norms: exp_map_origin, distance_and_grad (both
-    partials) and exp_map_origin_vjp."""
+    partials) and exp_map_origin_vjp, which treats the radial clamp as
+    identity, so rows past it differ from the kernel."""
     from hyperclass.ball import exp_map_origin
 
     d, dz, _ = distance_and_grad(exp_map_origin(v), y)
     return d, exp_map_origin_vjp(v, dz)
+
+
+def hyper_weight_and_grads(head, h, e_y):
+    """(w, dw/dv, dw/dh) of one row's distance weight, v = w_p^T h + b_p,
+    from composed_origin_distance_and_grad: the per-row weight backward
+    that the batch loss's cotangent VJP replaced."""
+    w, dv = composed_origin_distance_and_grad(h @ head.w_p + head.b_p, e_y)
+    return w, dv, dv @ head.w_p.T
 
 
 def per_node_label_training(tree, config):

@@ -25,13 +25,14 @@ from helpers import (
 from hyperclass.ball import (
     distance,
     exp_map,
+    exp_origin_distance_vjp,
     random_ball_point,
 )
 from hyperclass.cli import main as cli_main
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, generate_synthetic, save_dataset
 from hyperclass.encoder import EncoderModel, Vocabulary, encode, encode_backward, tokenize
-from hyperclass.experiments import mean_over_seeds, run_synthetic_pipeline
+from hyperclass.experiments import ARMS, mean_over_seeds, run_synthetic_pipeline
 from hyperclass.checkpoint import load_checkpoint, save_classifier_checkpoint
 from hyperclass.hierarchy import (
     build_tree,
@@ -141,12 +142,11 @@ def test_gradient_suite():
             assert rel_err(grads[key], num) < 1e-4
 
     # distance weight
-    from hyperclass.loss import hyper_weight_backward
-
     for trial in range(20):
         _, head, _, _, mat = small_text_setup(seed=trial)
         h = np.random.default_rng(trial + 100).standard_normal(3) * 0.5
-        _, _, dh = hyper_weight_backward(head, h, mat[0])
+        _, vjp = exp_origin_distance_vjp((h @ head.w_p + head.b_p)[None], mat[:1])
+        dh = vjp(np.ones(1))[0] @ head.w_p.T
         num = numeric_grad(lambda: hyper_weight(head, h, mat[0]), h)
         assert rel_err(dh, num) < 1e-4
 
@@ -200,19 +200,11 @@ def test_label_embedding_quality():
 # ------------------------------------------------------- behavioral runs
 
 
-ARM_SETTINGS = {
-    "wce": dict(loss="wce", mode="expert"),
-    "ce": dict(loss="ce"),
-    "uniform": dict(loss="wce", mode="uniform"),
-    "random": dict(loss="wce", mode="random"),
-}
-
-
 @pytest.fixture(scope="module")
 def arms():
     """4 arms x 5 seeds of the default synthetic pipeline, with wall time."""
     out = {}
-    for name, kwargs in ARM_SETTINGS.items():
+    for name, kwargs in ARMS.items():
         t0 = time.monotonic()
         out[name] = {
             "records": [run_synthetic_pipeline(seed, **kwargs) for seed in SEEDS],

@@ -28,7 +28,7 @@ from hyperclass.ball import (
     distance_vjp,
     exp_map,
     exp_map_origin,
-    exp_origin_distance_and_grad,
+    exp_origin_distance_vjp,
     log_map_origin,
     project_to_ball,
     random_ball_point,
@@ -341,8 +341,10 @@ class TestExpOriginVjp:
 
 
 class TestExpOriginDistance:
-    """The weight path's fused kernel, d(exp_0(v), y) and its gradient in
-    v, is bitwise the three separate kernels it replaced."""
+    """The weight path's kernel, d(exp_0(v), y) and its VJP in v, against
+    the separate kernels it replaced: the distances bitwise, the VJP within
+    rounding, since it scales by the cotangent before the sums that the
+    full partial takes first."""
 
     @staticmethod
     def tangents(dim, seed, clamp):
@@ -362,35 +364,88 @@ class TestExpOriginDistance:
         y[0] = exp_map_origin(v[0])  # coincident: the zero subgradient
         return v, y
 
+    @staticmethod
+    def cotangent(seed):
+        """A (12,) cotangent with negative and zero entries, as d total / d w
+        is under batch-mean, and nonzero on the zero row 3."""
+        g = np.random.default_rng(seed).standard_normal(12)
+        g[[6, 10]] = 0.0
+        g[3] = -abs(g[3]) - 0.5
+        return g
+
+    @staticmethod
+    def reference(v, y):
+        """composed_origin_distance_and_grad, whose exp_0 VJP treats the
+        clamp as identity, with each row past the clamp taken from the
+        clamp's own Jacobian: exp_0(v) = MAX_NORM u there, u = v / ||v||,
+        whose VJP is (MAX_NORM / ||v||) (dz - (u . dz) u)."""
+        d, dv = composed_origin_distance_and_grad(v, y)
+        r = np.linalg.norm(v, axis=-1)
+        for i in np.flatnonzero(np.tanh(r) > MAX_NORM):
+            dz = distance_grad(exp_map_origin(v[i]), y[i])[0]
+            u = v[i] / r[i]
+            dv[i] = (MAX_NORM / r[i]) * (dz - (u @ dz) * u)
+        return d, dv
+
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_batch_matches_composed_kernels_bitwise(self, dim, clamp):
         v, y = self.tangents(dim, seed=170 + dim, clamp=clamp)
-        d, dv = exp_origin_distance_and_grad(v, y)
-        ref_d, ref_dv = composed_origin_distance_and_grad(v, y)
+        g = self.cotangent(seed=175 + dim)
+        d, vjp = exp_origin_distance_vjp(v, y)
+        ref_d, ref_dv = self.reference(v, y)
         np.testing.assert_array_equal(d, ref_d)
-        np.testing.assert_array_equal(dv, ref_dv)
+        dv = vjp(g)
+        # Measured at most 8.8e-13, on the clamped row, and 6.8e-15 on the
+        # others, with numpy 2.4.6.
+        np.testing.assert_allclose(dv, g[:, None] * ref_dv, rtol=0, atol=1e-11)
         assert d[0] == 0.0 and not dv[0].any()
         assert (dv[3] != 0.0).any()  # a zero row still passes the gradient through
 
     @pytest.mark.parametrize("clamp", [False, True])
     def test_one_row_matches_composed_kernels_bitwise(self, clamp):
         v, y = self.tangents(4, seed=180, clamp=clamp)
+        g = self.cotangent(seed=185)
+        ref_d, ref_dv = self.reference(v, y)
         for row in (1, 3, 5, 8):
-            d, dv = exp_origin_distance_and_grad(v[row], y[row])
-            ref_d, ref_dv = composed_origin_distance_and_grad(v[row], y[row])
-            assert isinstance(d, float) and d == ref_d
-            np.testing.assert_array_equal(dv, ref_dv)
+            d, vjp = exp_origin_distance_vjp(v[[row]], y[[row]])
+            assert d.shape == (1,) and d[0] == ref_d[row]
+            # Measured at most 2.4e-12, on the clamped row, and 4.5e-16 on
+            # the others, with numpy 2.4.6.
+            np.testing.assert_allclose(vjp(g[[row]])[0], g[row] * ref_dv[row], rtol=0, atol=3e-11)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(190)
         for _ in range(100):
             dim = int(rng.integers(2, 6))
-            v = rng.standard_normal(dim) * rng.uniform(0.01, 2.0)
-            y = random_ball_point(rng, dim, 0.9)
-            analytic = exp_origin_distance_and_grad(v, y)[1]
-            numeric = numeric_grad(lambda: distance(exp_map_origin(v), y), v)
+            v = rng.standard_normal((1, dim)) * rng.uniform(0.01, 2.0)
+            y = random_ball_point(rng, dim, 0.9)[None]
+            analytic = exp_origin_distance_vjp(v, y)[1](np.ones(1))
+            numeric = numeric_grad(lambda: distance(exp_map_origin(v), y)[0], v)
             assert rel_err(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_cotangent_matches_finite_differences(self, dim):
+        # The VJP of g is the gradient of g . d, row by row, for a
+        # cotangent with zero and negative entries, over zero rows, tiny
+        # rows and rows on both sides of the clamp radius (r ~ 6.1).
+        rng = np.random.default_rng(200 + dim)
+        v = rng.standard_normal((10, dim))
+        radii = [0.0, 1e-14, 0.3, 1.0, 2.5, 6.0, 6.2, 7.0, 9.0, 15.0]
+        v *= np.array(radii)[:, None] / np.linalg.norm(v, axis=1, keepdims=True)
+        y = np.stack([random_ball_point(rng, dim, 0.95) for _ in radii])
+        g = rng.standard_normal(10)
+        g[[2, 7]] = 0.0
+        g[[0, 6]] = -np.abs(g[[0, 6]])
+        dv = exp_origin_distance_vjp(v, y)[1](g)
+        # eps 1e-5: rounding of a clamped norm moves d by ~5e-12, which the
+        # default 1e-6 step turns into up to 2e-4 of a clamped row's gradient.
+        numeric = numeric_grad(lambda: float(g @ distance(exp_map_origin(v), y)), v, eps=1e-5)
+        for row, (got, want) in enumerate(zip(dv, numeric)):
+            # The floor admits rounding where the gradient is 0, as on a
+            # clamped row of dimension 1 (measured 7.3e-12).
+            assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want) + 1e-9, row
+        assert not dv[[2, 7]].any()
 
 
 class TestProject:
@@ -534,10 +589,10 @@ class TestBatchedKernels:
         [
             lambda v: exp_map(np.array([[1e-3, 0.0, 0.0]]), v),
             exp_map_origin,
-            lambda v: exp_origin_distance_and_grad(v, np.zeros(3)),
+            lambda v: exp_origin_distance_vjp(v, np.zeros((1, 3))),
             log_map_origin,
         ],
-        ids=["exp_map", "exp_map_origin", "exp_origin_distance_and_grad", "log_map_origin"],
+        ids=["exp_map", "exp_map_origin", "exp_origin_distance_vjp", "log_map_origin"],
     )
     def test_overflowing_norm_raises(self, kernel):
         # A tangent norm of 1.4e160 squares past float64's range: tanh(r) / r
@@ -701,6 +756,13 @@ def distance_vjp_of_ones(x, y):
     return d, *vjp(np.ones_like(d))
 
 
+def exp_origin_distance_vjp_of_ones(v, y):
+    """exp_origin_distance_vjp of (n, d) rows and its VJP of a cotangent of
+    ones."""
+    d, vjp = exp_origin_distance_vjp(v, y)
+    return d, vjp(np.ones_like(d))
+
+
 def assert_in_ball(points):
     assert np.isfinite(points).all()
     assert (norms(points) < 1.0).all()
@@ -732,9 +794,9 @@ class TestExtremeMagnitudes:
         if out is not None:
             assert_in_ball(out)
             assert np.any(out[huge] != 0.0, axis=1).all(), "exp_map_origin"
-        out = finite_or_raises(exp_origin_distance_and_grad, v, y)
+        out = finite_or_raises(exp_origin_distance_vjp_of_ones, v, y)
         if out is not None:
-            assert all(np.isfinite(part).all() for part in out), "exp_origin_distance_and_grad"
+            assert all(np.isfinite(part).all() for part in out), "exp_origin_distance_vjp"
         out = finite_or_raises(log_map_origin, v)
         if out is not None:
             assert np.isfinite(out).all(), "log_map_origin"

@@ -486,6 +486,18 @@ class TestExportEmbeddings:
         assert code == 1
         assert "requires --data" in err
 
+    @pytest.mark.parametrize("data", ["test.tsv", "missing.tsv"])
+    def test_labels_with_data_is_refused(self, ws, tmp_path, data):
+        # --data names samples to project, and label points project none:
+        # the flag is refused, not ignored, whether or not its file exists.
+        model, out = ws["labels_ckpt"], tmp_path / "emb.tsv"
+        code, stdout, err = run_cli(
+            ["export-embeddings", "--model", model, "--data", ws["data"] / data, "--out", out]
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: --data requires a classifier checkpoint; {model} holds labels\n"
+        assert list(tmp_path.glob("emb.tsv*")) == []
+
     def test_classifier_projections(self, ws, tmp_path):
         out = tmp_path / "proj.tsv"
         code, stdout, _ = run_cli(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import numeric_grad, per_token_ids, per_token_vocabulary, rel_err
-from hyperclass import encoder, optim
+from hyperclass import encoder
 from hyperclass.encoder import (
     CHUNK_ROWS,
     PAD,
@@ -349,7 +349,7 @@ class TestBatchedEncoder:
 @given(n=st.integers(1, 40), data=st.data())
 def test_distinct_rows_is_unique_with_inverse(n, data):
     ids = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60)), dtype=np.intp)
-    rows, inverse = optim.distinct_rows(ids, n)
+    rows, inverse = encoder.distinct_rows(ids, n)
     expected_rows, expected_inverse = np.unique(ids, return_inverse=True)
     assert rows.tolist() == expected_rows.tolist()
     assert inverse.tolist() == expected_inverse.tolist()

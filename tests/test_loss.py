@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import cross_entropy, distance_from_origin, hyper_weight, numeric_grad, rel_err
+from helpers import (
+    cross_entropy,
+    distance_from_origin,
+    hyper_weight,
+    hyper_weight_and_grads,
+    numeric_grad,
+    rel_err,
+)
 from hyperclass.ball import exp_map_origin, random_ball_point
 from hyperclass.errors import ConfigError
 from hyperclass.hierarchy import LabelEmbeddings
@@ -11,7 +18,6 @@ from hyperclass.loss import (
     ClassifierHead,
     ce_batch,
     class_embedding_matrix,
-    hyper_weight_backward,
     logits,
     predict,
     project_representation,
@@ -103,7 +109,7 @@ class TestHyperWeight:
         head = make_head(seed=3)
         h = rng.standard_normal(4) * 0.5
         e_y = random_ball_point(rng, 2, 0.8)
-        w, dv, dh = hyper_weight_backward(head, h, e_y)
+        w, dv, dh = hyper_weight_and_grads(head, h, e_y)
         assert abs(w - hyper_weight(head, h, e_y)) < 1e-12
         num_h = numeric_grad(lambda: hyper_weight(head, h, e_y), h)
         assert rel_err(dh, num_h) < 1e-4
@@ -266,7 +272,7 @@ def loop_reference(head, hs, ys, label_matrix=None, weight_norm="none"):
             raw_w.append(1.0)
             chains.append((np.zeros(head.b_p.shape), np.zeros(h.shape)))
         else:
-            w, dv, dh = hyper_weight_backward(head, h, label_matrix[int(y)])
+            w, dv, dh = hyper_weight_and_grads(head, h, label_matrix[int(y)])
             raw_w.append(w)
             chains.append((dv, dh))
     ces, raw_w = np.array(ces), np.array(raw_w)
