@@ -3,23 +3,23 @@ and the default two-family benchmark tree.
 
 Dataset files are UTF-8 TSV `text<TAB>label`, no header, read by the
 package's one text reader (`hierarchy.read_lines`), so a leading byte
-order mark is dropped and CRLF reads as LF; a text or label name that is
-not one TSV field (a tab, CR or LF, or no UTF-8 encoding) is rejected,
-not escaped. The synthetic generator
-holds each class's family, leaf and noise pools as one numpy word array
-and draws a sample's tokens from it in one bounded-integer call.
+order mark is dropped and CRLF reads as LF, and written by its one pair
+writer (`hierarchy.save_pairs`); a text or label name that is not one
+TSV field (a tab, CR or LF, or no UTF-8 encoding) is rejected, not
+escaped. The synthetic generator holds each class's family, leaf and
+noise pools as one numpy word array and draws a sample's tokens from it
+in one bounded-integer call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import SynthSpec
 from .errors import DatasetError
-from .hierarchy import LabelTree, build_tree, read_lines
+from .hierarchy import LabelTree, build_tree, read_lines, save_pairs
 
 
 @dataclass
@@ -92,8 +92,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     for text, _ in ds.samples:
         if not is_tsv_field(text):
             raise DatasetError(f"texts must be UTF-8 with no tabs or newlines, got {text!r}")
-    lines = [f"{text}\t{ds.label_names[y]}" for text, y in ds.samples]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_pairs([(text, ds.label_names[y]) for text, y in ds.samples], path)
 
 
 def make_family_tree(

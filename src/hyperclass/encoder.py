@@ -5,10 +5,11 @@ The downstream loss only needs a differentiable text -> fixed-dim map;
 this is the minimal trainable one. A batch of samples is packed into one
 flat token array with per-sample offsets and lengths (`TokenBatch`), so
 the forward and backward passes are a few array operations per batch.
-The backward pass returns the embedding gradient as rows: the batch's
-distinct tokens and one gradient row each, never a (vocab, d_tok) table.
-`encode` and `encode_backward` are one-sample calls into the same
-kernels; `encode_backward` returns a dense table.
+`encode_batch_vjp` returns h with its VJP, as the ball kernels return a
+value with theirs; the VJP returns the embedding gradient as rows: the
+batch's distinct tokens and one gradient row each, never a (vocab,
+d_tok) table. `encode` and `encode_backward` are one-sample calls into
+the same kernel; `encode_backward` returns a dense table.
 
 Tokenizing has one rule and one implementation, `tokenize_batch`:
 lowercase the text, split it on whitespace and strip edge punctuation
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -213,15 +214,7 @@ class EncoderModel:
 
 def encode_batch(model: EncoderModel, batch: TokenBatch) -> np.ndarray:
     """h = tanh(meanpool(embedding[tokens]) @ w1 + b1), one row per sample."""
-    return encode_batch_pooled(model, batch)[0]
-
-
-def encode_batch_pooled(model: EncoderModel, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(h, pooled): encode_batch and the mean-pooled token embeddings it
-    was computed from, which encode_batch_backward reuses."""
-    sums = np.add.reduceat(model.embedding.take(batch.ids, axis=0), batch.offsets, axis=0)
-    pooled = sums / batch.lengths[:, None]
-    return np.tanh(pooled @ model.w1 + model.b1), pooled
+    return encode_batch_vjp(model, batch)[0]
 
 
 def distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,15 +229,13 @@ def distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, index[ids]
 
 
-def encode_batch_backward(
-    model: EncoderModel,
-    batch: TokenBatch,
-    h: np.ndarray,
-    upstream_grad: np.ndarray,
-    pooled: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(rows, grads): gradients of sum_i upstream_grad[i] . h[i] w.r.t. the
-    encoder parameters, where h, pooled = encode_batch_pooled(model, batch).
+def encode_batch_vjp(
+    model: EncoderModel, batch: TokenBatch
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, dict[str, np.ndarray]]]]:
+    """(h, vjp): h = encode_batch(model, batch), and vjp(dh) -> (rows,
+    grads), the gradients of sum_i dh[i] . h[i] w.r.t. the encoder
+    parameters. The VJP keeps the forward pass's h and pooled embeddings
+    and reads w1 when called, so it must run before the parameters change.
 
     `rows` holds the batch's distinct token ids, sorted, and
     grads["embedding"] their (len(rows), d_tok) gradient rows; every other
@@ -252,18 +243,25 @@ def encode_batch_backward(
     `hierarchy.label_loss`. "w1" and "b1" are dense. Rows see the 1/length
     factor of mean pooling, and repeated tokens accumulate.
     """
-    dpre = upstream_grad * (1.0 - h * h)
-    dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
-    # Token-by-sample occurrence counts over the batch's distinct tokens:
-    # row t of the embedding gradient is sum_i counts[t, i] * dpooled[i].
-    rows, inverse = distinct_rows(batch.ids, len(model.embedding))
-    samples = np.repeat(np.arange(len(batch)), batch.lengths)
-    counts = np.bincount(inverse * len(batch) + samples, minlength=len(rows) * len(batch))
-    return rows, {
-        "w1": pooled.T @ dpre,
-        "b1": dpre.sum(axis=0),
-        "embedding": counts.reshape(len(rows), len(batch)).astype(float) @ dpooled,
-    }
+    sums = np.add.reduceat(model.embedding.take(batch.ids, axis=0), batch.offsets, axis=0)
+    pooled = sums / batch.lengths[:, None]
+    h = np.tanh(pooled @ model.w1 + model.b1)
+
+    def vjp(dh: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        dpre = dh * (1.0 - h * h)
+        dpooled = (dpre @ model.w1.T) / batch.lengths[:, None]
+        # Token-by-sample occurrence counts over the batch's distinct tokens:
+        # row t of the embedding gradient is sum_i counts[t, i] * dpooled[i].
+        rows, inverse = distinct_rows(batch.ids, len(model.embedding))
+        samples = np.repeat(np.arange(len(batch)), batch.lengths)
+        counts = np.bincount(inverse * len(batch) + samples, minlength=len(rows) * len(batch))
+        return rows, {
+            "w1": pooled.T @ dpre,
+            "b1": dpre.sum(axis=0),
+            "embedding": counts.reshape(len(rows), len(batch)).astype(float) @ dpooled,
+        }
+
+    return h, vjp
 
 
 def encode_chunks(model: EncoderModel, batch: TokenBatch) -> Iterator[np.ndarray]:
@@ -280,11 +278,10 @@ def encode(model: EncoderModel, tokens: list[int]) -> np.ndarray:
 def encode_backward(
     model: EncoderModel, tokens: list[int], upstream_grad: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """encode_batch_backward for one sample, with the embedding gradient
-    as a dense table shaped like model.embedding."""
-    batch = TokenBatch.pack([tokens])
-    h, pooled = encode_batch_pooled(model, batch)
-    rows, grads = encode_batch_backward(model, batch, h, np.asarray(upstream_grad)[None, :], pooled)
+    """The encode_batch_vjp gradients for one sample, with the embedding
+    gradient as a dense table shaped like model.embedding."""
+    _, vjp = encode_batch_vjp(model, TokenBatch.pack([tokens]))
+    rows, grads = vjp(np.asarray(upstream_grad)[None, :])
     table = np.zeros_like(model.embedding)
     table[rows] = grads["embedding"]
     return grads | {"embedding": table}

@@ -251,8 +251,8 @@ def parse_class_map(path) -> list[tuple[str, str]]:
 
 
 def save_pairs(rows: list[tuple[str, str]], path) -> None:
-    """Inverse of parse_taxonomy and parse_class_map: one TAB-separated
-    pair per line, in order."""
+    """Inverse of parse_taxonomy, parse_class_map and load_dataset: one
+    TAB-separated pair per line, in order."""
     with open(path, "w", encoding="utf-8") as fh:
         for first, second in rows:
             fh.write(f"{first}\t{second}\n")

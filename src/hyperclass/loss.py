@@ -14,7 +14,9 @@ vector-Jacobian product on (n, .) arrays and return (total, grads): the
 float batch loss and its gradients. The weight comes from the ball
 kernel `exp_origin_distance_vjp`, the distance VJP of stage one with one
 pair per row chained through exp_0; the loss passes it d total / d w as
-the cotangent and takes the gradient of h as dv @ w_p^T. The frozen
+the cotangent. Both batch losses take the logit layer's gradients (w_c,
+b_c and its term of h) from one helper, and only the weighted loss adds
+the projection layer's (w_p, b_p and dv @ w_p^T into h). The frozen
 label points reach the batch losses as one (m, h_d) matrix, row y for
 class y, which `class_embedding_matrix` gathers once per run.
 """
@@ -95,6 +97,12 @@ def class_embedding_matrix(labels: LabelEmbeddings, class_leaves: list[str]) -> 
     return np.asarray(labels.vectors, dtype=float)[[row[node] for node in class_leaves]]
 
 
+def _logit_grads(head: ClassifierHead, hs: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """The logit layer's gradients, w_c and b_c, and its term of h's,
+    given the gradient of the batch loss w.r.t. the logits."""
+    return {"w_c": hs.T @ dlogits, "b_c": dlogits.sum(axis=0), "h": dlogits @ head.w_c.T}
+
+
 def ce_batch(
     head: ClassifierHead, hs: np.ndarray, ys: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -102,13 +110,9 @@ def ce_batch(
     n = hs.shape[0]
     ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
     dlogits /= n
-    grads = {
-        "w_c": hs.T @ dlogits,
-        "b_c": dlogits.sum(axis=0),
-        "w_p": np.zeros_like(head.w_p),
-        "b_p": np.zeros_like(head.b_p),
-        "h": dlogits @ head.w_c.T,
-    }
+    grads = _logit_grads(head, hs, dlogits)
+    grads["w_p"] = np.zeros_like(head.w_p)
+    grads["b_p"] = np.zeros_like(head.b_p)
     return float(ces.mean()), grads
 
 
@@ -144,11 +148,8 @@ def weighted_ce_batch(
 
     dlogits *= (eff_w / n)[:, None]
     dv = vjp(dtotal_dw)
-    grads = {
-        "w_c": hs.T @ dlogits,
-        "b_c": dlogits.sum(axis=0),
-        "w_p": hs.T @ dv,
-        "b_p": dv.sum(axis=0),
-        "h": dlogits @ head.w_c.T + dv @ head.w_p.T,
-    }
+    grads = _logit_grads(head, hs, dlogits)
+    grads["w_p"] = hs.T @ dv
+    grads["b_p"] = dv.sum(axis=0)
+    grads["h"] += dv @ head.w_p.T
     return total, grads

@@ -26,7 +26,9 @@ class EvalResult:
         }
 
 
-def evaluate(preds: list[int], golds: list[int], num_classes: int) -> EvalResult:
+def evaluate(
+    preds: list[int] | np.ndarray, golds: list[int] | np.ndarray, num_classes: int
+) -> EvalResult:
     """Weighted F1 = sum_c (n_c / N) * 2 P_c R_c / (P_c + R_c).
 
     Zero-denominator precision, recall, or F1 is defined as 0; classes
@@ -47,16 +49,14 @@ def evaluate(preds: list[int], golds: list[int], num_classes: int) -> EvalResult
     cells = np.bincount(g * num_classes + p, minlength=num_classes * num_classes)
     confusion = cells.reshape(num_classes, num_classes)
     n = len(golds)
-    per_class = []
-    weighted_f1 = 0.0
-    for c in range(num_classes):
-        tp = int(confusion[c, c])
-        n_c = int(confusion[c].sum())
-        pred_c = int(confusion[:, c].sum())
-        precision = tp / pred_c if pred_c > 0 else 0.0
-        recall = tp / n_c if n_c > 0 else 0.0
-        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        per_class.append((n_c, precision, recall, f1))
-        weighted_f1 += (n_c / n) * f1
+    tp = np.diag(confusion)
+    n_c = confusion.sum(axis=1)
+    pred_c = confusion.sum(axis=0)
+    precision = np.divide(tp, pred_c, out=np.zeros(num_classes), where=pred_c > 0)
+    recall = np.divide(tp, n_c, out=np.zeros(num_classes), where=n_c > 0)
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros(num_classes), where=both > 0)
+    per_class = list(zip(n_c.tolist(), precision.tolist(), recall.tolist(), f1.tolist()))
+    weighted_f1 = float(np.sum(n_c / n * f1))
     accuracy = float(np.trace(confusion)) / n
     return EvalResult(accuracy, weighted_f1, per_class, confusion)

@@ -111,8 +111,8 @@ class Adam:
         distinct indices along the first axis of the last parameter of the
         layout, that parameter's gradient holds only those rows and every
         other row's gradient is zero: stage two passes the `(rows, grads)`
-        of `encode_batch_backward` for the embedding. Stage one passes its
-        whole gradient table, with no `rows`.
+        that `encode_batch_vjp`'s VJP returns for the embedding. Stage one
+        passes its whole gradient table, with no `rows`.
 
         Every gradient is read before any state changes, so a KeyError for
         a missing one leaves t, s, m, v and the parameters as they were.

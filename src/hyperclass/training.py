@@ -13,11 +13,11 @@ the per-epoch finiteness check, the best-parameter copy and its restore
 are one call each. The batch loss is picked once per run. The training
 and dev sets are tokenized and packed once per run; each epoch gathers
 its permuted training samples once, and each minibatch is a contiguous
-span of them: one encoder forward pass, one batched loss with its
-backward pass, one encoder backward pass (the embedding gradient as the
-batch's token rows) and one Adam step, which adds into every
-parameter's scaled moments (the embedding's on its touched rows only)
-and updates the whole flat buffer. Runs are bitwise reproducible for a
+span of them: one encoder forward pass that also returns its VJP, one
+batched loss with its backward pass, that VJP of the loss's gradient of
+h (the embedding gradient as the batch's token rows) and one Adam step,
+which adds into every parameter's scaled moments (the embedding's on its
+touched rows only) and updates the whole flat buffer. Runs are bitwise reproducible for a
 fixed seed; against textbook dense Adam, every parameter's rounding
 differs. A batch whose loss is not finite (the only per-batch check)
 raises NumericalError naming the epoch and the batch; after each
@@ -40,8 +40,7 @@ from .encoder import (
     EncoderModel,
     TokenBatch,
     Vocabulary,
-    encode_batch_backward,
-    encode_batch_pooled,
+    encode_batch_vjp,
     encode_chunks,
     tokenize_batch,
 )
@@ -80,9 +79,9 @@ def evaluate_model(
     here when not given."""
     if tokens is None:
         tokens = tokenize_batch(model.vocab, _texts(ds))
-    preds = np.concatenate([predict(head, h) for h in encode_chunks(model, tokens)]).tolist()
-    golds = [y for _, y in ds.samples]
-    return evaluate(preds, golds, len(ds.label_names)), preds
+    preds = np.concatenate([predict(head, h) for h in encode_chunks(model, tokens)])
+    golds = np.fromiter((y for _, y in ds.samples), dtype=np.int64, count=len(ds.samples))
+    return evaluate(preds, golds, len(ds.label_names)), preds.tolist()
 
 
 def train_classifier(
@@ -147,7 +146,7 @@ def train_classifier(
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             tokens = epoch_tokens.span(start, start + config.batch_size)
             ys = epoch_ys[start : start + config.batch_size]
-            hs, pooled = encode_batch_pooled(model, tokens)
+            hs, encoder_vjp = encode_batch_vjp(model, tokens)
             try:
                 total, grads = batch_loss(head, hs, ys)
                 if not np.isfinite(total):
@@ -155,7 +154,7 @@ def train_classifier(
             except NumericalError as exc:
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None
             epoch_loss += total * len(ys)
-            rows, enc_grads = encode_batch_backward(model, tokens, hs, grads.pop("h"), pooled)
+            rows, enc_grads = encoder_vjp(grads.pop("h"))
             opt.step(enc_grads | grads, rows)
         # A batch's loss only shows a bad step at the next batch, so check
         # the parameters the epoch's last step wrote before they are scored

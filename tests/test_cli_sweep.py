@@ -86,6 +86,13 @@ def _add_stray_section(blob):
     return ckpt._pack_sections(sections + [("stray", b"")])
 
 
+def _drop_last_section(blob):
+    """The checkpoint `blob` without its last section, an array its meta
+    still lists."""
+    sections = list(ckpt._unpack_sections(blob, "blob").items())
+    return ckpt._pack_sections(sections[:-1])
+
+
 def _other(name):
     """A break that replaces the file with the valid input `name`."""
     return lambda valid, root: (root / name).read_bytes()
@@ -98,6 +105,8 @@ CKPT_BREAKS = {
     "garbage": lambda valid, root: b"not a checkpoint\n",
     "repeated-section": lambda valid, root: _repeat_last_section(valid),
     "stray-section": lambda valid, root: _add_stray_section(valid),
+    "missing-section": lambda valid, root: _drop_last_section(valid),
+    "meta-not-object": lambda valid, root: ckpt._pack_sections([("meta", b"[]")]),
 }
 BAD_FILES = {
     "hierarchy.tsv": {
@@ -131,6 +140,8 @@ FILE_MESSAGES = {
     "cycle": r": cycle detected through node ",
     "repeated-section": r": section '[^']+' appears twice$",
     "stray-section": r": unexpected section 'stray'$",
+    "missing-section": r": missing section '[^']+'$",
+    "meta-not-object": r": meta section is not a JSON object$",
 }
 # synth-data's tree-shape counts below 1: the one error line must name the flag.
 NAMED_IN_ERROR = {

@@ -17,18 +17,17 @@ from hyperclass.encoder import (
     encode,
     encode_backward,
     encode_batch,
-    encode_batch_backward,
-    encode_batch_pooled,
+    encode_batch_vjp,
     encode_chunks,
     tokenize,
     tokenize_batch,
 )
 
 
-def densified(model, backward):
-    """The grads of a (rows, grads) backward result, with the embedding
-    gradient rows as a dense table."""
-    rows, grads = backward
+def densified(model, batch, upstream):
+    """The grads of encode_batch_vjp's VJP at `upstream`, with the
+    embedding gradient rows as a dense table."""
+    rows, grads = encode_batch_vjp(model, batch)[1](upstream)
     table = np.zeros_like(model.embedding)
     table[rows] = grads["embedding"]
     return {**grads, "embedding": table}
@@ -297,8 +296,7 @@ class TestBatchedEncoder:
         model = self.model()
         batch = TokenBatch.pack(SAMPLES)
         upstream = np.random.default_rng(12).standard_normal((len(SAMPLES), model.w1.shape[1]))
-        h, pooled = encode_batch_pooled(model, batch)
-        grads = densified(model, encode_batch_backward(model, batch, h, upstream, pooled))
+        grads = densified(model, batch, upstream)
         expected = {k: np.zeros_like(v) for k, v in model.params().items()}
         for tokens, g in zip(SAMPLES, upstream):
             for key, arr in encode_backward(model, tokens, g).items():
@@ -310,8 +308,7 @@ class TestBatchedEncoder:
         model = self.model(seed=13)
         batch = TokenBatch.pack(SAMPLES)
         upstream = np.random.default_rng(14).standard_normal((len(SAMPLES), model.w1.shape[1]))
-        h, pooled = encode_batch_pooled(model, batch)
-        grads = densified(model, encode_batch_backward(model, batch, h, upstream, pooled))
+        grads = densified(model, batch, upstream)
         for key, arr in model.params().items():
             num = numeric_grad(lambda: float(np.sum(upstream * encode_batch(model, batch))), arr)
             assert rel_err(grads[key], num) < 1e-4, key
@@ -329,21 +326,24 @@ class TestBatchedEncoder:
         model = self.model(seed=15)
         batch = TokenBatch.pack(SAMPLES)
         upstream = np.random.default_rng(16).standard_normal((len(SAMPLES), model.w1.shape[1]))
-        h, pooled = encode_batch_pooled(model, batch)
+        h, vjp = encode_batch_vjp(model, batch)
         np.testing.assert_array_equal(h, encode_batch(model, batch))
-        rows, given = encode_batch_backward(model, batch, h, upstream, pooled)
+        rows, given = vjp(upstream)
         row_grads = given["embedding"]
         assert rows.tolist() == sorted({t for tokens in SAMPLES for t in tokens})
         assert row_grads.shape == (len(rows), model.embedding.shape[1])
-        # Only w1's gradient reads pooled: the given rows against the
-        # pre-tanh gradient.
-        dpre = upstream * (1.0 - h * h)
-        np.testing.assert_array_equal(given["w1"], pooled.T @ dpre)
-        no_pooled = np.zeros_like(pooled)
-        unread_rows, unread = encode_batch_backward(model, batch, h, upstream, no_pooled)
-        np.testing.assert_array_equal(unread_rows, rows)
-        np.testing.assert_array_equal(given["b1"], unread["b1"])
-        np.testing.assert_array_equal(row_grads, unread["embedding"])
+        # w1's gradient is the pooled embeddings against the pre-tanh
+        # gradient.
+        sums = np.add.reduceat(model.embedding[batch.ids], batch.offsets, axis=0)
+        pooled = sums / batch.lengths[:, None]
+        np.testing.assert_array_equal(given["w1"], pooled.T @ (upstream * (1.0 - h * h)))
+        # The VJP reuses the forward pass's pooled embeddings rather than
+        # pooling the table again: zeroing the table changes no gradient.
+        model.embedding[:] = 0.0
+        again_rows, again = vjp(upstream)
+        np.testing.assert_array_equal(again_rows, rows)
+        for key, grad in given.items():
+            np.testing.assert_array_equal(again[key], grad)
 
 
 @given(n=st.integers(1, 40), data=st.data())

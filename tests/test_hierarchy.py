@@ -173,6 +173,10 @@ class TestBuildTree:
         with pytest.raises(TaxonomyError, match="non-empty"):
             build_tree([], ["a"], mode="expert")
 
+    def test_random_requires_edges(self):
+        with pytest.raises(TaxonomyError, match="random mode requires a non-empty edge list"):
+            build_tree([], ["a"], mode="random", rng=np.random.default_rng(0))
+
     def test_random_requires_rng(self):
         with pytest.raises(TaxonomyError, match="RNG"):
             build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="random")
