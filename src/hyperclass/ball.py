@@ -19,9 +19,11 @@ the tangent export through log_map_origin. Stage one has two kernels:
 distance_vjp, the distances of each parent to its pairs and their VJP,
 and exp_map at a general point, the retraction through which its Adam
 steps (Riemannian Adam), with the Mobius addition in closed form. Stage
-two's distance weight, exp_origin_distance_vjp, is distance_vjp chained
-through exp_0. A norm that overflows float64 raises NumericalError
-rather than returning a point that did not move.
+two's distance weight, exp_origin_distance_vjp, takes the same `_terms`
+and `_slope` on (B, d) rows, one pair per row with the frozen label as
+the second point, and chains the gradient of the point through exp_0. A
+norm that overflows float64 raises NumericalError rather than returning
+a point that did not move.
 """
 
 from __future__ import annotations
@@ -132,9 +134,11 @@ def _terms(x: np.ndarray, y: np.ndarray):
 def _slope(arg: np.ndarray, bc: np.ndarray) -> np.ndarray:
     """4 / (bc sqrt(arg^2 - 1)), the factor shared by both partials of the
     distance (d/du arcosh(u) = 1 / sqrt(u^2 - 1)); 0 where the root is
-    below EPS_DIV, where x == y and the distance is not differentiable."""
+    below EPS_DIV, where x == y and the distance is not differentiable.
+    The mask multiplies the numerator and the root is floored at EPS_DIV,
+    so no masked divide is needed; a NaN arg gives NaN."""
     root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
-    return np.divide(4.0, bc * root, out=np.zeros_like(root), where=root >= EPS_DIV)
+    return (root >= EPS_DIV) * 4.0 / (bc * np.maximum(root, EPS_DIV))
 
 
 def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -205,15 +209,17 @@ def exp_origin_distance_vjp(
     of (B, d) tangent vectors v against frozen (B, d) points y, and vjp(g),
     which maps a (B,) cotangent g to the (B, d) gradient g * dd/dv.
 
-    d and dd/dz are `distance_vjp` with one pair per row, whose gradient of
-    y is computed and dropped; the row norms and tanh of v serve both exp_0
+    With z = exp_0(v), d and dd/dz come from `_terms` and `_slope` on the
+    (B, d) rows, the expressions of `distance_vjp` with one pair per row:
+    w = g * 4 / (b c sqrt(arg^2 - 1)) and dz = w (z - y) + w (a / b) z,
+    with no gradient of y. The row norms and tanh of v serve both exp_0
     and its Jacobian s(r) I + (s'(r)/r) v v^T, s(r) = tanh(r)/r, which is
     the identity as r -> 0. Past the radial clamp (tanh(r) > MAX_NORM,
     r > ~6.1) exp_0 is MAX_NORM v / r: tanh is MAX_NORM there, slope 0.
     """
     v = np.asarray(v, dtype=np.float64)
     z, (r, nonzero, t) = _exp_map_origin(v)
-    d, pair_vjp = distance_vjp(z[:, None], y[:, None])
+    diff, a, b, _, bc, arg = _terms(z, y)
     dt = np.where(t > MAX_NORM, 0.0, 1.0 - t * t)
     t = np.minimum(t, MAX_NORM)
     s = np.where(nonzero, t / r, 1.0)
@@ -221,10 +227,11 @@ def exp_origin_distance_vjp(
     ds_over_r = np.where(nonzero, (dt * r - t) / (r * r * r), 0.0)
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        dz = pair_vjp(g[:, None])[0][:, 0]
+        w = g * _slope(arg, bc)
+        dz = _scale_rows(w, diff) + _scale_rows(w * (a / b), z)
         return _scale_rows(s, dz) + _scale_rows(ds_over_r * np.vecdot(v, dz), v)
 
-    return d[:, 0], vjp
+    return np.arccosh(np.maximum(arg, 1.0)), vjp
 
 
 def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> np.ndarray:

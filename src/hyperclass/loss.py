@@ -11,14 +11,17 @@ mean(w_i * ce_i) with gradients through both factors.
 `logits`, `predict` and `project_representation` take h as one (d_e,)
 row or an (n, d_e) batch; the batch losses compute every term and
 vector-Jacobian product on (n, .) arrays and return (total, grads): the
-float batch loss and its gradients. The weight comes from the ball
-kernel `exp_origin_distance_vjp`, the distance VJP of stage one with one
-pair per row chained through exp_0; the loss passes it d total / d w as
-the cotangent. Both batch losses take the logit layer's gradients (w_c,
-b_c and its term of h) from one helper, and only the weighted loss adds
-the projection layer's (w_p, b_p and dv @ w_p^T into h). The frozen
-label points reach the batch losses as one (m, h_d) matrix, row y for
-class y, which `class_embedding_matrix` gathers once per run.
+float batch loss and its gradients. Both take their batch means as a
+sum over n, the bits of numpy's `mean` without its Python-level wrapper.
+The weight comes from the ball kernel `exp_origin_distance_vjp`, which
+takes stage one's distance terms on the (n, h_d) rows, one pair per
+row, and chains the gradient of the projected point through exp_0; the
+loss passes it d total / d w as the cotangent. Both batch losses take
+the logit layer's gradients (w_c, b_c and its term of h) from one
+helper, and only the weighted loss adds the projection layer's (w_p,
+b_p and dv @ w_p^T into h). The frozen label points reach the batch
+losses as one (m, h_d) matrix, row y for class y, which
+`class_embedding_matrix` gathers once per run.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def ce_batch(
     grads = _logit_grads(head, hs, dlogits)
     grads["w_p"] = np.zeros_like(head.w_p)
     grads["b_p"] = np.zeros_like(head.b_p)
-    return float(ces.mean()), grads
+    return float(ces.sum() / n), grads
 
 
 def weighted_ce_batch(
@@ -136,14 +139,14 @@ def weighted_ce_batch(
     raw_w, vjp = exp_origin_distance_vjp(hs @ head.w_p + head.b_p, label_matrix[ys])
 
     if weight_norm == "batch-mean":
-        mean_w = raw_w.mean()
+        mean_w = raw_w.sum() / n
         eff_w = raw_w / mean_w
-        total = float(np.mean(eff_w * ces))
+        total = float((eff_w * ces).sum() / n)
         # d total / d raw_w_k for total = (1/N) sum_i (w_i / mu) ce_i, mu = mean(w)
         dtotal_dw = (ces / mean_w - total / mean_w) / n
     else:
         eff_w = raw_w
-        total = float(np.mean(eff_w * ces))
+        total = float((eff_w * ces).sum() / n)
         dtotal_dw = ces / n
 
     dlogits *= (eff_w / n)[:, None]

@@ -99,6 +99,7 @@ class Adam:
         retract: Callable[[np.ndarray, np.ndarray], None] = _subtract,
     ):
         self.params = params
+        self._keys = list(params)
         self.lr = lr
         self.retract = retract
         self.t = 0
@@ -117,10 +118,9 @@ class Adam:
         Every gradient is read before any state changes, so a KeyError for
         a missing one leaves t, s, m, v and the parameters as they were.
         """
-        keys = list(self.params)
-        n = len(self.params.flat)
+        keys, n = self._keys, len(self.params.flat)
         if rows is not None:
-            row_key = keys.pop()
+            keys, row_key = keys[:-1], keys[-1]
             row_grads = grads[row_key]
             n -= self.params[row_key].size
         # The dense gradients are copied into a[:n], laid out like the

@@ -28,6 +28,7 @@ key order, before dev evaluation and the best-parameter copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -149,7 +150,7 @@ def train_classifier(
             hs, encoder_vjp = encode_batch_vjp(model, tokens)
             try:
                 total, grads = batch_loss(head, hs, ys)
-                if not np.isfinite(total):
+                if not math.isfinite(total):
                     raise NumericalError("non-finite loss")
             except NumericalError as exc:
                 raise NumericalError(f"stage two, epoch {epoch}, batch {batch_idx}: {exc}") from None

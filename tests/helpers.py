@@ -171,30 +171,57 @@ def exp_map_origin_vjp(v, grad_out):
     row by row, from its own row norms and tanh.
 
     With s(r) = tanh(r)/r the Jacobian is s(r) I + (s'(r)/r) v v^T. The
-    r -> 0 limit is the identity; the radial clamp is treated as identity.
+    r -> 0 limit is the identity. Past the radial clamp (tanh(r) >
+    MAX_NORM) exp_map_origin is MAX_NORM v / r, so tanh is taken as
+    MAX_NORM there, with slope 0.
     """
-    from hyperclass.ball import _row_norms, _scale_rows
+    from hyperclass.ball import EPS_DIV, MAX_NORM
 
     v = np.asarray(v, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    r, nonzero = _row_norms(v)
+    r = np.sqrt(np.vecdot(v, v))
+    nonzero = r >= EPS_DIV
+    r = np.where(nonzero, r, 1.0)
     t = np.tanh(r)
+    clamped = t > MAX_NORM
+    t = np.where(clamped, MAX_NORM, t)
     s = np.where(nonzero, t / r, 1.0)
-    # s'(r) / r = (sech^2(r) * r - tanh(r)) / r^3
-    ds_over_r = np.where(nonzero, ((1.0 - t * t) * r - t) / (r * r * r), 0.0)
-    return _scale_rows(s, grad_out) + _scale_rows(ds_over_r * np.vecdot(v, grad_out), v)
+    # s'(r) / r = (tanh'(r) * r - tanh(r)) / r^3, with tanh'(r) = 1 - tanh(r)^2
+    dt = np.where(clamped, 0.0, 1.0 - t * t)
+    ds_over_r = np.where(nonzero, (dt * r - t) / (r * r * r), 0.0)
+    return s[..., None] * grad_out + (ds_over_r * np.vecdot(v, grad_out))[..., None] * v
 
 
 def composed_origin_distance_and_grad(v, y):
-    """Frozen reference for ball.exp_origin_distance_vjp: (d, dd/dv) of
+    """Reference for ball.exp_origin_distance_vjp: (d, dd/dv) of
     d = distance(exp_map_origin(v), y) from three separate kernels, each
     computing its own norms: exp_map_origin, distance_and_grad (both
-    partials) and exp_map_origin_vjp, which treats the radial clamp as
-    identity, so rows past it differ from the kernel."""
+    partials) and exp_map_origin_vjp."""
     from hyperclass.ball import exp_map_origin
 
     d, dz, _ = distance_and_grad(exp_map_origin(v), y)
     return d, exp_map_origin_vjp(v, dz)
+
+
+def slotted_exp_origin_distance_vjp(v, y):
+    """The slotted form of ball.exp_origin_distance_vjp that the one-pass
+    kernel replaced, kept to pin its bits: (d, vjp) from stage one's
+    distance_vjp on (B, 1, d) slots, one pair per row, whose gradient of y
+    is dropped, chained through exp_map_origin_vjp."""
+    from hyperclass.ball import distance_vjp, exp_map_origin
+
+    v = np.asarray(v, dtype=np.float64)
+    d, pair_vjp = distance_vjp(exp_map_origin(v)[:, None], y[:, None])
+    return d[:, 0], lambda g: exp_map_origin_vjp(v, pair_vjp(g[:, None])[0][:, 0])
+
+
+def masked_slope(arg, bc):
+    """ball._slope as a masked divide: 4 / (bc sqrt(arg^2 - 1)) where the
+    root is at least EPS_DIV, and 0 elsewhere, NaN roots included."""
+    from hyperclass.ball import EPS_DIV
+
+    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    return np.divide(4.0, bc * root, out=np.zeros_like(root), where=root >= EPS_DIV)
 
 
 def hyper_weight_and_grads(head, h, e_y):

@@ -17,12 +17,16 @@ from helpers import (
     distance_grad,
     exp_map_origin_vjp,
     log_map,
+    masked_slope,
     mobius_add,
     numeric_grad,
     rel_err,
+    slotted_exp_origin_distance_vjp,
 )
+from hyperclass import ball
 from hyperclass.ball import (
     EPS_BALL,
+    EPS_DIV,
     MAX_NORM,
     distance,
     distance_vjp,
@@ -324,6 +328,35 @@ class TestDistanceVjp:
             assert rel_err(grad, numeric) < 1e-4
 
 
+class TestSlope:
+    """_slope, the arcosh factor of both distance VJPs, is bitwise the
+    masked divide it replaced wherever the arcosh argument is a number."""
+
+    @pytest.mark.parametrize("eps_div", [EPS_DIV, 1e-7])
+    def test_matches_masked_divide_bitwise(self, eps_div, monkeypatch):
+        # A float64 argument near 1 gives a root of 0 or at least ~1.5e-8,
+        # so the root falls strictly between 0 and the threshold only when
+        # the threshold is raised to 1e-7.
+        monkeypatch.setattr(ball, "EPS_DIV", eps_div)
+        rng = np.random.default_rng(270)
+        near_one = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 + 1e-15]
+        arg = np.concatenate([near_one, [0.5, 1e100], 1.0 + rng.exponential(2.0, 58)])
+        bc = rng.uniform(1e-5, 1.0, arg.size)
+        root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+        assert (root == 0.0).any() and (root >= eps_div).any()
+        if eps_div > EPS_DIV:
+            assert ((root > 0.0) & (root < eps_div)).any()
+        np.testing.assert_array_equal(ball._slope(arg, bc), masked_slope(arg, bc))
+
+    def test_nan_argument_gives_nan(self):
+        # The masked divide gave 0 here. No caller passes a NaN: a point
+        # with a NaN coordinate raises in project_to_ball first.
+        arg, bc = np.array([np.nan, 2.0]), np.array([0.5, 0.5])
+        assert masked_slope(arg, bc)[0] == 0.0
+        out = ball._slope(arg, bc)
+        assert np.isnan(out[0]) and out[1] == masked_slope(arg, bc)[1]
+
+
 class TestExpOriginVjp:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(40)
@@ -339,12 +372,27 @@ class TestExpOriginVjp:
         g = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(exp_map_origin_vjp(np.zeros(3), g), g)
 
+    @pytest.mark.parametrize("r", [6.2, 7.0, 9.0, 15.0])
+    def test_past_the_clamp(self, r):
+        # Past the clamp exp_0(v) = MAX_NORM u with u = v / ||v||, whose VJP
+        # is (MAX_NORM / ||v||) (g - (u . g) u).
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal(4)
+        v *= r / np.linalg.norm(v)
+        g = rng.standard_normal(4)
+        u = v / r
+        analytic = exp_map_origin_vjp(v, g)
+        np.testing.assert_allclose(analytic, (MAX_NORM / r) * (g - (u @ g) * u), rtol=1e-12, atol=0)
+        numeric = numeric_grad(lambda: float(g @ exp_map_origin(v)), v)
+        assert rel_err(analytic, numeric) < 1e-4
+
 
 class TestExpOriginDistance:
     """The weight path's kernel, d(exp_0(v), y) and its VJP in v, against
     the separate kernels it replaced: the distances bitwise, the VJP within
     rounding, since it scales by the cotangent before the sums that the
-    full partial takes first."""
+    full partial takes first. Against the slotted form it replaced in
+    turn, distance_vjp on (B, 1, d) slots, both are bitwise."""
 
     @staticmethod
     def tangents(dim, seed, clamp):
@@ -373,30 +421,16 @@ class TestExpOriginDistance:
         g[3] = -abs(g[3]) - 0.5
         return g
 
-    @staticmethod
-    def reference(v, y):
-        """composed_origin_distance_and_grad, whose exp_0 VJP treats the
-        clamp as identity, with each row past the clamp taken from the
-        clamp's own Jacobian: exp_0(v) = MAX_NORM u there, u = v / ||v||,
-        whose VJP is (MAX_NORM / ||v||) (dz - (u . dz) u)."""
-        d, dv = composed_origin_distance_and_grad(v, y)
-        r = np.linalg.norm(v, axis=-1)
-        for i in np.flatnonzero(np.tanh(r) > MAX_NORM):
-            dz = distance_grad(exp_map_origin(v[i]), y[i])[0]
-            u = v[i] / r[i]
-            dv[i] = (MAX_NORM / r[i]) * (dz - (u @ dz) * u)
-        return d, dv
-
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_batch_matches_composed_kernels_bitwise(self, dim, clamp):
         v, y = self.tangents(dim, seed=170 + dim, clamp=clamp)
         g = self.cotangent(seed=175 + dim)
         d, vjp = exp_origin_distance_vjp(v, y)
-        ref_d, ref_dv = self.reference(v, y)
+        ref_d, ref_dv = composed_origin_distance_and_grad(v, y)
         np.testing.assert_array_equal(d, ref_d)
         dv = vjp(g)
-        # Measured at most 8.8e-13, on the clamped row, and 6.8e-15 on the
+        # Measured at most 2.4e-12, on the clamped row, and 6.8e-15 on the
         # others, with numpy 2.4.6.
         np.testing.assert_allclose(dv, g[:, None] * ref_dv, rtol=0, atol=1e-11)
         assert d[0] == 0.0 and not dv[0].any()
@@ -406,13 +440,34 @@ class TestExpOriginDistance:
     def test_one_row_matches_composed_kernels_bitwise(self, clamp):
         v, y = self.tangents(4, seed=180, clamp=clamp)
         g = self.cotangent(seed=185)
-        ref_d, ref_dv = self.reference(v, y)
+        ref_d, ref_dv = composed_origin_distance_and_grad(v, y)
         for row in (1, 3, 5, 8):
             d, vjp = exp_origin_distance_vjp(v[[row]], y[[row]])
             assert d.shape == (1,) and d[0] == ref_d[row]
-            # Measured at most 2.4e-12, on the clamped row, and 4.5e-16 on
+            # Measured at most 4.7e-13, on the clamped row, and 4.5e-16 on
             # the others, with numpy 2.4.6.
             np.testing.assert_allclose(vjp(g[[row]])[0], g[row] * ref_dv[row], rtol=0, atol=3e-11)
+
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_matches_slotted_form_bitwise(self, dim):
+        # Seeded batches with a zero row, tiny rows, rows at and past the
+        # clamp radius (r ~ 6.1), coincident z == y rows (one of them past
+        # the clamp) and a cotangent with zero and negative entries.
+        rng = np.random.default_rng(260 + dim)
+        radii = np.array([0.0, 1e-14, 0.3, 1.0, 2.5, 6.0, 6.2, 9.0, 15.0, 0.7, 1.5, 15.0])
+        for _ in range(20):
+            v = rng.standard_normal((12, dim))
+            v *= radii[:, None] / np.linalg.norm(v, axis=1, keepdims=True)
+            y = np.stack([random_ball_point(rng, dim, 0.95) for _ in radii])
+            y[[0, 9, 11]] = exp_map_origin(v[[0, 9, 11]])
+            g = rng.standard_normal(12)
+            g[[1, 4]] = 0.0
+            g[[3, 7, 9]] = -np.abs(g[[3, 7, 9]])
+            d, vjp = exp_origin_distance_vjp(v, y)
+            ref_d, ref_vjp = slotted_exp_origin_distance_vjp(v, y)
+            np.testing.assert_array_equal(d, ref_d)
+            np.testing.assert_array_equal(vjp(g), ref_vjp(g))
+            assert not d[[0, 9, 11]].any()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(190)
