@@ -98,10 +98,16 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
+    where = f"{workload} seed {seed} in {checkout}"
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"error: {workload} seed {seed} in {checkout} exited {proc.returncode}")
-    detail = next(json.loads(line[len("detail "):]) for line in lines if line.startswith("detail "))
-    return json.loads(lines[-1]), detail
+        raise SystemExit(f"error: {where} exited {proc.returncode}")
+    details = [line[len("detail "):] for line in lines if line.startswith("detail ")]
+    if not details:
+        raise SystemExit(f"error: {where} printed no detail line")
+    try:
+        return json.loads(lines[-1]), json.loads(details[0])
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"error: {where} printed a line that is not JSON: {exc}") from None
 
 
 def git(*args: str) -> str:
@@ -161,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
     out = args.out.resolve()
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.seed or [1]

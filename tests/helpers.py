@@ -1,8 +1,11 @@
-"""Shared oracles: central finite differences, error norms, and frozen
-copies of replaced loop code that the batched code must match."""
+"""Shared oracles: central finite differences, error norms, closed
+forms, textbook loops, and the copies of replaced loop code whose tests
+still kill a mutant that no other test kills (see scripts/mutants.py)."""
 
 import json
 import string
+import struct
+import zlib
 
 import numpy as np
 
@@ -10,7 +13,7 @@ import numpy as np
 # trained run differs from textbook dense Adam by rounding only. Measured
 # over TestFrozenReference on 2 vCPUs with numpy 2.4.6: at most 9.7e-13 on
 # an epoch's train_loss and 4.4e-12 on a parameter. Each bound is about
-# ten times that. Stage one against batched_label_training, on the same
+# ten times that. Stage one against textbook_label_training, on the same
 # host, measured at most 6.9e-15 on a loss and 4.7e-13 on a point.
 LOSS_ATOL = 1e-11
 PARAM_ATOL = 5e-11
@@ -89,13 +92,16 @@ def mobius_add(x, y):
 
 
 def composed_exp_map(x, v):
-    """Frozen reference for ball.exp_map: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||
-    through mobius_add, row by row; a zero row of v returns x."""
-    from hyperclass.ball import _row_norms
+    """Reference for ball.exp_map: x (+) tanh(lambda_x ||v|| / 2) * v / ||v||
+    through mobius_add, row by row, from its own row norms; a row of v
+    shorter than EPS_DIV is a zero step and returns x."""
+    from hyperclass.ball import EPS_DIV
 
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    r, nonzero = _row_norms(v)
+    r = np.sqrt(np.vecdot(v, v))
+    nonzero = r >= EPS_DIV
+    r = np.where(nonzero, r, 1.0)
     t = np.tanh(0.5 * (2.0 / (1.0 - np.vecdot(x, x))) * r)
     return mobius_add(x, np.where(nonzero, t / r, 0.0)[..., None] * v)
 
@@ -215,88 +221,6 @@ def slotted_exp_origin_distance_vjp(v, y):
     return d[:, 0], lambda g: exp_map_origin_vjp(v, pair_vjp(g[:, None])[0][:, 0])
 
 
-def masked_slope(arg, bc):
-    """ball._slope as a masked divide: 4 / (bc sqrt(arg^2 - 1)) where the
-    root is at least EPS_DIV, and 0 elsewhere, NaN roots included."""
-    from hyperclass.ball import EPS_DIV
-
-    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
-    return np.divide(4.0, bc * root, out=np.zeros_like(root), where=root >= EPS_DIV)
-
-
-def hyper_weight_and_grads(head, h, e_y):
-    """(w, dw/dv, dw/dh) of one row's distance weight, v = w_p^T h + b_p,
-    from composed_origin_distance_and_grad: the per-row weight backward
-    that the batch loss's cotangent VJP replaced."""
-    w, dv = composed_origin_distance_and_grad(h @ head.w_p + head.b_p, e_y)
-    return w, dv, dv @ head.w_p.T
-
-
-def per_node_label_training(tree, config):
-    """Frozen reference for stage one with one pair per step: a loop over
-    pairs whose textbook Riemannian Adam step visits every node, with 1-D
-    Mobius addition and exponential map and a dict of per-node moment
-    states; the step count is global, so bias correction counts every
-    step and a node the pair does not touch moves on its moments. Returns
-    (vectors, final mean pair loss). The burn-in and init radius are read
-    from hyperclass.hierarchy at call time, so a test's monkeypatch of
-    them reaches this reference too."""
-    from hyperclass import hierarchy
-    from hyperclass.ball import distance, project_to_ball, random_ball_point
-
-    def mobius_add(x, y):
-        xy, x2, y2 = float(np.dot(x, y)), float(np.dot(x, x)), float(np.dot(y, y))
-        num = (1.0 + 2.0 * xy + y2) * x + (1.0 - x2) * y
-        return project_to_ball(num / (1.0 + 2.0 * xy + x2 * y2))
-
-    def exp_map(x, v):
-        norm_v = float(np.linalg.norm(v))
-        if norm_v < 1e-12:
-            return np.array(x, copy=True)
-        t = np.tanh(0.5 * (2.0 / (1.0 - float(np.dot(x, x)))) * norm_v)
-        return mobius_add(x, (t / norm_v) * v)
-
-    def adam_step(state, t, theta, euclid_grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        g = euclid_grad * (1.0 - float(np.dot(theta, theta))) ** 2 / 4.0
-        state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
-        state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
-        m_hat = state["m"] / (1.0 - beta1**t)
-        v_hat = state["v"] / (1.0 - beta2**t)
-        return exp_map(theta, -lr * m_hat / (np.sqrt(v_hat) + eps))
-
-    rng = np.random.default_rng(config.seed)
-    radius = hierarchy.INIT_RADIUS
-    vectors = np.stack([random_ball_point(rng, config.dim, radius) for _ in tree.nodes])
-    index = {name: i for i, name in enumerate(tree.nodes)}
-    states = {name: {"m": np.zeros(config.dim), "v": np.zeros(config.dim)} for name in tree.nodes}
-    zero, t = np.zeros(config.dim), 0
-    final_loss = None
-    for epoch in range(config.epochs):
-        lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
-        epoch_loss = 0.0
-        for edge_idx in rng.permutation(len(tree.edges)):
-            u, v = tree.edges[edge_idx]
-            excluded = {c for p, c in tree.edges if p == u} | {u}
-            candidates = [n for n in tree.nodes if n not in excluded]
-            names = [v] + [candidates[i] for i in rng.integers(0, len(candidates), size=config.negatives)]
-            eu, others = vectors[index[u]], vectors[[index[n] for n in names]]
-            scores = -distance(eu, others)
-            m = scores.max()
-            lse = m + np.log(np.sum(np.exp(scores - m)))
-            epoch_loss += float(-scores[0] + lse)
-            coeff = -np.exp(scores - lse)
-            coeff[0] += 1.0
-            gu, gn = distance_grad(eu, others)
-            grads = {u: coeff @ gu}
-            for name, row in zip(names, gn * coeff[:, None]):
-                grads[name] = grads[name] + row if name in grads else row
-            t += 1
-            for name, row in index.items():
-                vectors[row] = adam_step(states[name], t, vectors[row], grads.get(name, zero), lr)
-        final_loss = epoch_loss / len(tree.edges)
-    return vectors, final_loss
-
-
 def pair_slots(idx, d):
     """The (B, 2+k, d) coordinate slots that hierarchy.label_loss takes for
     a (B, 2+k) matrix of rows: row r at r * d + arange(d)."""
@@ -322,9 +246,9 @@ def scattered_label_loss(vectors, idx):
 
 
 def negative_candidates(tree, u):
-    """Frozen reference for the negatives of node u: the rows of
-    tree.nodes that are neither u nor one of u's children, from a scan of
-    every node name."""
+    """The negatives of node u by their definition: the rows of tree.nodes
+    that are neither u nor one of u's children, from a scan of every node
+    name."""
     from hyperclass.errors import TaxonomyError
 
     excluded = {u, *(c for p, c in tree.edges if p == u)}
@@ -332,18 +256,6 @@ def negative_candidates(tree, u):
     if not len(rows):
         raise TaxonomyError(f"no negative candidates for node {u!r}")
     return rows
-
-
-def per_parent_negative_table(tree, parents):
-    """Frozen reference for hierarchy.negative_table: (flat, start, count)
-    from one negative_candidates call per listed parent name, concatenated
-    in row order; count is 0 for nodes that are not listed."""
-    index = {name: i for i, name in enumerate(tree.nodes)}
-    rows = {index[u]: negative_candidates(tree, u) for u in parents}
-    count = np.zeros(len(tree.nodes), dtype=np.intp)
-    count[list(rows)] = [len(r) for r in rows.values()]
-    start = np.cumsum(count) - count
-    return np.concatenate([rows[i] for i in sorted(rows)]), start, count
 
 
 def nested_loop_sibling_pairs(expert, candidate):
@@ -380,96 +292,54 @@ def per_node_uniform_ball_labels(nodes, dim, rng):
     return vectors
 
 
-def node_depths(tree):
-    """Frozen reference for LabelTree.depth: {name: depth}, found by
-    recursion up a child -> parent dict; roots (no parent) at 0."""
-    parent_of = {child: parent for parent, child in tree.edges}
-    depths = {}
-
-    def depth(node):
-        if node not in depths:
-            depths[node] = 0 if node not in parent_of else depth(parent_of[node]) + 1
-        return depths[node]
-
-    for node in tree.nodes:
-        depth(node)
-    return depths
-
-
-def batched_label_training(tree, config, pairs_per_step=10):
-    """Frozen reference for stage one in minibatches of pairs, as first
-    batched: every minibatch draws its own negatives, gathers the parents
-    and the other rows separately and finds its distinct rows with
-    np.unique. It steps a textbook dense Riemannian Adam: a zero-filled
-    (n, d) gradient table, separate m and v matrices, one global step
-    count, and every row through an exponential map whose gradient
-    rescaling, conformal factor and Mobius sum each recompute ||theta||^2.
-    Returns (vectors, final mean pair loss). Like
-    per_node_label_training, it reads the burn-in and init radius from
-    hyperclass.hierarchy at call time."""
+def textbook_label_training(tree, config, pairs_per_step=10):
+    """Reference for stage one as a textbook loop over pairs. Each epoch
+    permutes the edges, then draws each pair's negatives in turn from its
+    negative_candidates. Each minibatch of pairs_per_step pairs adds its
+    pairs' gradients, from a max-shifted log-sum-exp over
+    distance_and_grad, into a zero-filled (n, d) table, rescales them by
+    the inverse metric and takes one dense Riemannian Adam step: separate
+    m and v matrices, one global step count, and every row through
+    composed_exp_map. Returns (vectors, final mean
+    pair loss). It reads the burn-in and init radius from
+    hyperclass.hierarchy at call time, so a test's monkeypatch of them
+    reaches it too."""
     from hyperclass import hierarchy
-    from hyperclass.ball import project_to_ball, random_ball_point
-    from hyperclass.hierarchy import negative_samples
-
-    def sqnorm(x):
-        return np.vecdot(x, x)
-
-    def mobius_add(x, y):
-        xy, x2, y2 = np.vecdot(x, y), sqnorm(x), sqnorm(y)
-        num = (1.0 + 2.0 * xy + y2)[:, None] * x + (1.0 - x2)[:, None] * y
-        return project_to_ball(num / (1.0 + 2.0 * xy + x2 * y2)[:, None])
-
-    def exp_map(x, v):
-        r = np.sqrt(sqnorm(v))
-        nonzero = r >= 1e-12
-        r = np.where(nonzero, r, 1.0)
-        t = np.tanh(0.5 * (2.0 / (1.0 - sqnorm(x))) * r)
-        return mobius_add(x, np.where(nonzero, t / r, 0.0)[:, None] * v)
-
-    def label_loss(vectors, u, v, negatives):
-        others = np.column_stack((v, negatives))
-        dists, gu, gv = distance_and_grad(vectors[u][:, None, :], vectors[others])
-        scores = -dists
-        m = scores.max(axis=1, keepdims=True)
-        lse = m + np.log(np.sum(np.exp(scores - m), axis=1, keepdims=True))
-        loss = np.sum(dists[:, 0] + lse[:, 0])
-        coeff = -np.exp(scores - lse)
-        coeff[:, 0] += 1.0
-        terms = np.concatenate((np.matmul(coeff[:, None, :], gu), gv * coeff[..., None]), axis=1)
-        rows, inverse = np.unique(np.column_stack((u, others)).ravel(), return_inverse=True)
-        grads = np.zeros((len(rows), vectors.shape[1]))
-        np.add.at(grads, inverse, terms.reshape(-1, vectors.shape[1]))
-        return float(loss), rows, grads
+    from hyperclass.ball import random_ball_point
 
     b1, b2, eps = 0.9, 0.999, 1e-8
     rng = np.random.default_rng(config.seed)
     radius = hierarchy.INIT_RADIUS
     vectors = np.stack([random_ball_point(rng, config.dim, radius) for _ in tree.nodes])
     index = {name: i for i, name in enumerate(tree.nodes)}
-    parents = np.array([index[u] for u, _ in tree.edges], dtype=np.intp)
-    children = np.array([index[v] for _, v in tree.edges], dtype=np.intp)
-    table = per_parent_negative_table(tree, (u for u, _ in tree.edges))
+    candidates = {u: negative_candidates(tree, u) for u, _ in tree.edges}
     m, v = np.zeros_like(vectors), np.zeros_like(vectors)
     t = 0
     final_loss = None
     for epoch in range(config.epochs):
         lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
-        order = rng.permutation(len(tree.edges))
+        pairs = []
+        for edge in rng.permutation(len(tree.edges)):
+            u, child = tree.edges[edge]
+            negatives = candidates[u][rng.integers(0, len(candidates[u]), size=config.negatives)]
+            pairs.append((index[u], np.concatenate(([index[child]], negatives))))
         epoch_loss = 0.0
-        for start in range(0, len(order), pairs_per_step):
-            batch = order[start : start + pairs_per_step]
-            u = parents[batch]
-            negs = negative_samples(table, u, config.negatives, rng)
-            loss, rows, grads = label_loss(vectors, u, children[batch], negs)
+        for start in range(0, len(pairs), pairs_per_step):
             g = np.zeros_like(vectors)
-            g[rows] = ((1.0 - sqnorm(vectors[rows])) ** 2 / 4.0)[:, None] * grads
+            for u, others in pairs[start : start + pairs_per_step]:
+                dists, gu, go = distance_and_grad(vectors[u], vectors[others])
+                scores = -dists
+                lse = scores.max() + np.log(np.sum(np.exp(scores - scores.max())))
+                epoch_loss += float(lse - scores[0])
+                coeff = -np.exp(scores - lse)
+                coeff[0] += 1.0
+                np.add.at(g, np.concatenate(([u], others)), np.vstack((coeff @ gu, go * coeff[:, None])))
+            g *= ((1.0 - np.vecdot(vectors, vectors)) ** 2 / 4.0)[:, None]
             t += 1
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            vectors = exp_map(vectors, -lr * m_hat / (np.sqrt(v_hat) + eps))
-            epoch_loss += loss
+            step = -lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            vectors = composed_exp_map(vectors, step)
         final_loss = epoch_loss / len(tree.edges)
     return vectors, final_loss
 
@@ -482,11 +352,21 @@ def _f8(arr):
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def per_stage_labels_bytes(emb, class_map, config, seed):
-    """Frozen reference for save_labels_checkpoint: the file bytes from
-    the stage's own meta dict and section list."""
-    from hyperclass.checkpoint import _pack_sections
+def _checkpoint_bytes(sections):
+    """The file layout of checkpoint.py's docstring, written here: magic
+    HYPC, version 1 as u32, then per section [u16 name length][name]
+    [u64 payload length][payload][crc32 u32], all little-endian."""
+    out = [b"HYPC", struct.pack("<I", 1)]
+    for name, payload in sections:
+        encoded = name.encode("utf-8")
+        out += [struct.pack("<H", len(encoded)), encoded, struct.pack("<Q", len(payload)), payload]
+        out.append(struct.pack("<I", zlib.crc32(payload)))
+    return b"".join(out)
 
+
+def per_stage_labels_bytes(emb, class_map, config, seed):
+    """Reference for save_labels_checkpoint: the file bytes from the
+    stage's own meta dict and section list."""
     meta = {
         "stage": "labels",
         "seed": seed,
@@ -495,14 +375,12 @@ def per_stage_labels_bytes(emb, class_map, config, seed):
         "class_map": [[label, node] for label, node in class_map],
         "shapes": {"labels.vectors": list(emb.vectors.shape)},
     }
-    return _pack_sections([("meta", _meta_json(meta)), ("labels.vectors", _f8(emb.vectors))])
+    return _checkpoint_bytes([("meta", _meta_json(meta)), ("labels.vectors", _f8(emb.vectors))])
 
 
 def per_stage_classifier_bytes(model, head, class_names, config, seed):
-    """Frozen reference for save_classifier_checkpoint: the file bytes
-    from the stage's own meta dict and section list."""
-    from hyperclass.checkpoint import _pack_sections
-
+    """Reference for save_classifier_checkpoint: the file bytes from the
+    stage's own meta dict and section list."""
     arrays = {f"enc.{k}": v for k, v in model.params().items()}
     arrays |= {f"head.{k}": v for k, v in head.params().items()}
     meta = {
@@ -515,7 +393,7 @@ def per_stage_classifier_bytes(model, head, class_names, config, seed):
     }
     sections = [("meta", _meta_json(meta))]
     sections += [(name, _f8(arr)) for name, arr in sorted(arrays.items())]
-    return _pack_sections(sections)
+    return _checkpoint_bytes(sections)
 
 
 def per_token_ids(token_to_index, text):

@@ -17,7 +17,6 @@ from helpers import (
     distance_grad,
     exp_map_origin_vjp,
     log_map,
-    masked_slope,
     mobius_add,
     numeric_grad,
     rel_err,
@@ -329,11 +328,12 @@ class TestDistanceVjp:
 
 
 class TestSlope:
-    """_slope, the arcosh factor of both distance VJPs, is bitwise the
-    masked divide it replaced wherever the arcosh argument is a number."""
+    """_slope, the arcosh factor of both distance VJPs: 4 / (bc sqrt(arg^2 - 1))
+    where that root is at least EPS_DIV, and exactly 0 where it is smaller
+    or arg is below 1, as `distance` clamps arg to 1 there."""
 
     @pytest.mark.parametrize("eps_div", [EPS_DIV, 1e-7])
-    def test_matches_masked_divide_bitwise(self, eps_div, monkeypatch):
+    def test_zero_below_the_threshold_and_the_arcosh_slope_above(self, eps_div, monkeypatch):
         # A float64 argument near 1 gives a root of 0 or at least ~1.5e-8,
         # so the root falls strictly between 0 and the threshold only when
         # the threshold is raised to 1e-7.
@@ -342,19 +342,22 @@ class TestSlope:
         near_one = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 + 1e-15]
         arg = np.concatenate([near_one, [0.5, 1e100], 1.0 + rng.exponential(2.0, 58)])
         bc = rng.uniform(1e-5, 1.0, arg.size)
-        root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
-        assert (root == 0.0).any() and (root >= eps_div).any()
+        # The root from (arg - 1)(arg + 1), which has no cancellation near 1.
+        root = np.sqrt(np.maximum((arg - 1.0) * (arg + 1.0), 0.0))
+        below = root < eps_div
+        assert below[:2].all() and below[4] and not below.all()
         if eps_div > EPS_DIV:
-            assert ((root > 0.0) & (root < eps_div)).any()
-        np.testing.assert_array_equal(ball._slope(arg, bc), masked_slope(arg, bc))
+            assert (below & (root > 0.0)).any()
+        out = ball._slope(arg, bc)
+        assert not out[below].any()
+        np.testing.assert_allclose(out[~below], 4.0 / (bc * root)[~below], rtol=1e-13, atol=0)
 
     def test_nan_argument_gives_nan(self):
-        # The masked divide gave 0 here. No caller passes a NaN: a point
-        # with a NaN coordinate raises in project_to_ball first.
+        # No caller passes a NaN: a point with a NaN coordinate raises in
+        # project_to_ball first.
         arg, bc = np.array([np.nan, 2.0]), np.array([0.5, 0.5])
-        assert masked_slope(arg, bc)[0] == 0.0
         out = ball._slope(arg, bc)
-        assert np.isnan(out[0]) and out[1] == masked_slope(arg, bc)[1]
+        assert np.isnan(out[0]) and out[1] == 4.0 / (0.5 * np.sqrt(3.0))
 
 
 class TestExpOriginVjp:

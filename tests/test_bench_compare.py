@@ -2,6 +2,7 @@
 no git and no benchmark run."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,42 @@ def test_bound_is_unresolved_when_the_base_spreads_wider():
     assert summarize(base, above, METRICS)["metrics"]["items_per_s"]["within_bound"] is True
     # run_s and quality have no spread, so they resolve as before.
     assert summarize(base, lower, METRICS)["metrics"]["run_s"]["within_bound"] is True
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_is_a_usage_error_before_git(pairs, tmp_path, monkeypatch, capsys):
+    module = load_script()
+
+    def no_git(*args, **kwargs):
+        raise AssertionError("git was called")
+
+    monkeypatch.setattr(module, "git", no_git)
+    monkeypatch.setattr(module, "worktree", no_git)
+    with pytest.raises(SystemExit) as info:
+        module.main(["--base", "HEAD", "--out", str(tmp_path / "out.json"), "--pairs", pairs])
+    assert info.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stdout, reason",
+    [
+        ('{"attempted": 1, "failed": 0, "metrics": {}}\n', "printed no detail line"),
+        ('detail {"env": {}}\nTraceback (most recent call last):\n', "printed a line that is not JSON"),
+        ('detail {"env": \n{"attempted": 1}\n', "printed a line that is not JSON"),
+    ],
+    ids=["no-detail", "last-line-not-json", "detail-not-json"],
+)
+def test_unreadable_run_output_is_one_error_line(stdout, reason, tmp_path, monkeypatch):
+    module = load_script()
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout)
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as info:
+        module.run_bench(tmp_path, "synth-wce", 7, 1.0)
+    message = str(info.value.code)
+    assert message.startswith(f"error: synth-wce seed 7 in {tmp_path} {reason}")
+    assert "\n" not in message

@@ -36,6 +36,13 @@ class TestSurvivingSiblingPairs:
         assert swapped.edges != tree.edges
         assert surviving_sibling_pairs(tree, swapped) == 6
 
+    def test_leaves_without_a_parent_are_not_siblings(self):
+        # A root's parent row is -1, which names no parent to share.
+        tree, _ = default_synthetic_tree()
+        flat = build_tree(tree.edges, tree.class_leaves, mode="none")
+        assert surviving_sibling_pairs(flat, flat) == 0
+        assert surviving_sibling_pairs(tree, flat) == 0
+
     @pytest.mark.parametrize("shape", [(2, 3), (6, 6)])
     def test_matches_nested_loop_oracle(self, shape):
         tree, _ = make_family_tree(*shape)

@@ -11,16 +11,13 @@ from scipy import stats
 from helpers import (
     LOSS_ATOL,
     PARAM_ATOL,
-    batched_label_training,
     negative_candidates,
-    node_depths,
     numeric_grad,
     pair_slots,
     per_coordinate_tsv,
-    per_node_label_training,
-    per_parent_negative_table,
     rel_err,
     scattered_label_loss,
+    textbook_label_training,
 )
 from hyperclass import hierarchy
 from hyperclass.ball import MAX_NORM, distance, random_ball_point
@@ -346,9 +343,6 @@ class TestLabelLoss:
         assert rel_err(grads, ref_grads) <= 1e-12
 
 
-PARROTT_FEW_EPOCHS = LabelEmbedConfig(dim=10, epochs=12, negatives=10, seed=2)
-
-
 class TestTrainLabelEmbeddings:
     def test_no_edges_returns_initialization(self):
         tree = build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="none")
@@ -403,26 +397,6 @@ class TestTrainLabelEmbeddings:
         assert leaf_mean > root_mean
 
     @pytest.mark.parametrize(
-        "tree, cfg, burn_in_epochs",
-        [
-            (balanced_tree(), LabelEmbedConfig(dim=5, epochs=60, negatives=4, seed=3), 10),
-            (build_tree(parse_taxonomy(bundled_taxonomy_path()), []), PARROTT_FEW_EPOCHS, 4),
-        ],
-        ids=["balanced", "parrott"],
-    )
-    def test_matches_per_node_reference(self, tree, cfg, burn_in_epochs, monkeypatch):
-        # With one pair per batch, the batched step moves the same points
-        # as a textbook step node by node.
-        monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", 1)
-        monkeypatch.setattr(hierarchy, "BURN_IN_EPOCHS", burn_in_epochs)
-        ref_vectors, ref_loss = per_node_label_training(tree, cfg)
-        emb, loss = train_label_embeddings(tree, cfg)
-        np.testing.assert_allclose(emb.vectors, ref_vectors, rtol=0, atol=1e-9)
-        assert abs(loss - ref_loss) <= 1e-9
-        ref = LabelEmbeddings(nodes=tree.nodes, vectors=ref_vectors)
-        assert reconstruction_map(emb, tree) == reconstruction_map(ref, tree)
-
-    @pytest.mark.parametrize(
         "tree, cfg, pairs_per_step",
         [
             *(
@@ -436,12 +410,12 @@ class TestTrainLabelEmbeddings:
         ids=["parrott-1", "parrott-2", "parrott-3", "family-300", "twenty-edges", "one-pair"],
     )
     def test_matches_frozen_batched_reference_bitwise(self, tree, cfg, pairs_per_step, monkeypatch):
-        # One negative draw per epoch, one gather per batch, the mark-array
-        # row finder and Adam's scaled-moment row step move the same points
-        # as the trainer that drew, gathered and stepped each part on its
-        # own with textbook dense Riemannian Adam, up to rounding.
+        # One negative draw per epoch, one gather and one gradient table per
+        # batch and Adam's scaled-moment step move the same points as the
+        # textbook loop over pairs with dense Riemannian Adam, up to
+        # rounding; the one-pair case is one step per pair.
         monkeypatch.setattr(hierarchy, "PAIRS_PER_STEP", pairs_per_step)
-        ref_vectors, ref_loss = batched_label_training(tree, cfg, pairs_per_step)
+        ref_vectors, ref_loss = textbook_label_training(tree, cfg, pairs_per_step)
         emb, loss = train_label_embeddings(tree, cfg)
         np.testing.assert_allclose(emb.vectors, ref_vectors, rtol=0, atol=PARAM_ATOL)
         assert abs(loss - ref_loss) <= LOSS_ATOL
@@ -541,8 +515,8 @@ ORACLE_TREES = EXPERT_TREES | {
 
 @pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
 class TestTreeIndex:
-    """The index a LabelTree builds once equals what the per-node code
-    that it replaced worked out from the names on every call."""
+    """The index a LabelTree builds once equals its definition, worked out
+    from the node names and edges."""
 
     def test_index_and_parent(self, tree):
         parent_of = {child: parent for parent, child in tree.edges}
@@ -551,7 +525,11 @@ class TestTreeIndex:
         assert tree.parent.tolist() == expected
 
     def test_depth(self, tree):
-        assert dict(zip(tree.nodes, tree.depth.tolist())) == node_depths(tree)
+        # A root is at depth 0 and a child one edge below its parent.
+        depth = dict(zip(tree.nodes, tree.depth.tolist()))
+        roots = [node for node in tree.nodes if node not in {child for _, child in tree.edges}]
+        assert [depth[node] for node in roots] == [0] * len(roots)
+        assert [depth[child] for _, child in tree.edges] == [depth[parent] + 1 for parent, _ in tree.edges]
 
     def test_parents(self, tree):
         expected = np.array(sorted({tree.index[u] for u, _ in tree.edges}), dtype=np.intp)
@@ -559,11 +537,15 @@ class TestTreeIndex:
         np.testing.assert_array_equal(tree.parents, expected)
 
     def test_negative_table(self, tree):
-        table = negative_table(tree)
-        expected = per_parent_negative_table(tree, (u for u, _ in tree.edges))
-        for got, want in zip(table, expected):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        # Each parent's candidates, in row order, back to back; no others.
+        flat, start, count = negative_table(tree)
+        rows = {tree.index[u]: negative_candidates(tree, u) for u, _ in tree.edges}
+        expected = [rows.get(i, np.empty(0, dtype=np.intp)) for i in range(len(tree.nodes))]
+        for array in (flat, start, count):
+            assert array.dtype == np.intp
+        np.testing.assert_array_equal(count, [len(r) for r in expected])
+        np.testing.assert_array_equal(start, np.cumsum(count) - count)
+        np.testing.assert_array_equal(flat, np.concatenate(expected))
 
 
 class TestEmbeddingTsv:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    composed_origin_distance_and_grad,
     cross_entropy,
     distance_from_origin,
     hyper_weight,
-    hyper_weight_and_grads,
     numeric_grad,
     rel_err,
 )
@@ -109,7 +109,8 @@ class TestHyperWeight:
         head = make_head(seed=3)
         h = rng.standard_normal(4) * 0.5
         e_y = random_ball_point(rng, 2, 0.8)
-        w, dv, dh = hyper_weight_and_grads(head, h, e_y)
+        w, dv = composed_origin_distance_and_grad(h @ head.w_p + head.b_p, e_y)
+        dh = dv @ head.w_p.T
         assert abs(w - hyper_weight(head, h, e_y)) < 1e-12
         num_h = numeric_grad(lambda: hyper_weight(head, h, e_y), h)
         assert rel_err(dh, num_h) < 1e-4
@@ -272,9 +273,9 @@ def loop_reference(head, hs, ys, label_matrix=None, weight_norm="none"):
             raw_w.append(1.0)
             chains.append((np.zeros(head.b_p.shape), np.zeros(h.shape)))
         else:
-            w, dv, dh = hyper_weight_and_grads(head, h, label_matrix[int(y)])
+            w, dv = composed_origin_distance_and_grad(h @ head.w_p + head.b_p, label_matrix[int(y)])
             raw_w.append(w)
-            chains.append((dv, dh))
+            chains.append((dv, dv @ head.w_p.T))
     ces, raw_w = np.array(ces), np.array(raw_w)
     if weight_norm == "batch-mean":
         eff_w = raw_w / raw_w.mean()
