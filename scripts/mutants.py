@@ -75,6 +75,12 @@ DATA = ("tests/test_data.py", "tests/test_cli.py", "tests/test_experiments.py")
 TSV = ("tests/test_hierarchy.py::TestEmbeddingTsv", "tests/test_cli.py", "tests/test_cli_sweep.py")
 EXPERIMENTS = ("tests/test_experiments.py",)
 TREE = HIERARCHY + ("tests/test_data.py", "tests/test_experiments.py")
+SHUFFLE = (
+    "tests/test_hierarchy.py::TestBuildTree",
+    "tests/test_hierarchy.py::TestTreeIndex",
+    "tests/test_experiments.py",
+)
+TRAIN_LABELS = ("tests/test_cli.py::TestTrainLabels",)
 
 # id -> (file, old, new, tests)
 MUTANTS = {
@@ -146,12 +152,6 @@ MUTANTS = {
         "dt = np.where(t > MAX_NORM, 0.0, 1.0 - t * t)",
         "dt = 1.0 - t * t",
         WEIGHT,
-    ),
-    "slope-no-root-clamp": (
-        "ball.py",
-        "root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))",
-        "root = np.sqrt(np.abs(arg * arg - 1.0))",
-        WEIGHT + STAGE_ONE,
     ),
     "slope-no-mask": (
         "ball.py",
@@ -416,6 +416,44 @@ MUTANTS = {
         "experiments.py",
         "norms = np.sqrt(np.vecdot(directions, directions))[:, None]",
         "norms = np.vecdot(directions, directions)[:, None]",
+        EXPERIMENTS,
+    ),
+    # the ablation trees: shuffle_tree and each mode's transform
+    "shuffle-parent-slots": (
+        "hierarchy.py",
+        "edges=[(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)]",
+        "edges=[(tree.edges[j][0], child) for child, j in zip(children, perm)]",
+        SHUFFLE,
+    ),
+    "shuffle-first-draw-unchecked": (
+        "hierarchy.py",
+        "            return replace(tree, edges=[(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)])\n",
+        "            tree.edges = [(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)]\n"
+        "            return tree\n",
+        SHUFFLE,
+    ),
+    "shuffle-nodes-from-shuffled-edges": (
+        "hierarchy.py",
+        "return replace(tree, edges=[(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)])",
+        "return build_tree([(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)], tree.class_leaves)",
+        SHUFFLE,
+    ),
+    "cli-mode-none-keeps-edges": (
+        "cli.py",
+        "        tree = replace(tree, edges=[])\n",
+        "        tree = replace(tree)\n",
+        TRAIN_LABELS,
+    ),
+    "cli-mode-random-ignores-seed": (
+        "cli.py",
+        "shuffle_tree(tree, np.random.default_rng(cfg.seed))",
+        "shuffle_tree(tree, np.random.default_rng(LabelEmbedConfig.seed))",
+        TRAIN_LABELS,
+    ),
+    "pipeline-mode-none-keeps-edges": (
+        "experiments.py",
+        "label_tree = replace(tree, edges=[])",
+        "label_tree = replace(tree)",
         EXPERIMENTS,
     ),
     # negative_table and LabelTree.depth

@@ -28,6 +28,8 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seeds", type=int, default=5, help="run seeds 0..N-1")
     ap.add_argument("--weight-norm", choices=WEIGHT_NORMS, default=ClassifierConfig.weight_norm)
     args = ap.parse_args(argv)
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
 
     fixture, shuffle_seed = scrambled_tree(default_synthetic_tree()[0])
     print(json.dumps({"shuffled_edges": fixture.edges, "shuffle_seed": shuffle_seed}), flush=True)

@@ -12,7 +12,10 @@ point against many, or row against row, is a single call. `distance`
 returns a float for 1-D inputs.
 
 The ball carries the conformal metric g_x = lambda_x^2 * I with
-lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1.
+lambda_x = 2 / (1 - ||x||^2), which fixes curvature -1. Between points
+inside the ball the distance's arcosh argument,
+1 + 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2)), is at least 1 in
+float64, so every distance kernel takes it unclamped.
 
 Representations enter the ball through exp_map_origin and leave it for
 the tangent export through log_map_origin. Stage one has two kernels:
@@ -136,8 +139,9 @@ def _slope(arg: np.ndarray, bc: np.ndarray) -> np.ndarray:
     distance (d/du arcosh(u) = 1 / sqrt(u^2 - 1)); 0 where the root is
     below EPS_DIV, where x == y and the distance is not differentiable.
     The mask multiplies the numerator and the root is floored at EPS_DIV,
-    so no masked divide is needed; a NaN arg gives NaN."""
-    root = np.sqrt(np.maximum(arg * arg - 1.0, 0.0))
+    so no masked divide is needed; a NaN arg gives NaN. Inside the ball
+    arg >= 1, so the root's argument is never negative."""
+    root = np.sqrt(arg * arg - 1.0)
     return (root >= EPS_DIV) * 4.0 / (bc * np.maximum(root, EPS_DIV))
 
 
@@ -145,11 +149,11 @@ def distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Geodesic distance: arcosh(1 + 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2))).
 
     Broadcasts over the leading axes of (..., d) inputs; two 1-D points
-    give a float. The arcosh argument is clamped to >= 1 so cancellation
-    near x == y yields 0 instead of NaN.
+    give a float. The arcosh argument is exactly 1 at x == y, which gives
+    exactly 0, and above 1 elsewhere inside the ball.
     """
     arg = _terms(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))[-1]
-    d = np.arccosh(np.maximum(arg, 1.0))
+    d = np.arccosh(arg)
     return float(d) if d.ndim == 0 else d
 
 
@@ -169,7 +173,7 @@ def distance_vjp(
     EPS_DIV) contributes the zero subgradient, as in `distance`.
     """
     diff, a, b, c, bc, arg = _terms(x, y)
-    d = np.arccosh(np.maximum(arg, 1.0))
+    d = np.arccosh(arg)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = g * _slope(arg, bc)
@@ -231,7 +235,7 @@ def exp_origin_distance_vjp(
         dz = _scale_rows(w, diff) + _scale_rows(w * (a / b), z)
         return _scale_rows(s, dz) + _scale_rows(ds_over_r * np.vecdot(v, dz), v)
 
-    return np.arccosh(np.maximum(arg, 1.0)), vjp
+    return np.arccosh(arg), vjp
 
 
 def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> np.ndarray:

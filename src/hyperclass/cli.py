@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +41,21 @@ from .data import LabeledDataset, generate_synthetic, load_dataset, make_family_
 from .encoder import encode_chunks, tokenize_batch
 from .errors import ConfigError, HyperclassError, NumericalError, TaxonomyError
 from .hierarchy import (
-    MODES,
     build_tree,
     parse_class_map,
     parse_taxonomy,
     reconstruction_map,
     save_pairs,
+    shuffle_tree,
     train_label_embeddings,
     write_embeddings_tsv,
 )
 from .loss import project_representation
 from .training import evaluate_model, train_classifier
+
+# train-labels' trees: the taxonomy, its nodes with no edges, or one
+# shuffle of its child slots.
+MODES = ("expert", "none", "random")
 
 
 def _env_seed() -> int:
@@ -76,15 +80,14 @@ def cmd_train_labels(args: argparse.Namespace) -> int:
     class_rows = parse_class_map(args.class_map)
     # The file's own edges, in every mode: one parent per node and no cycle.
     try:
-        build_tree(edges, [])
+        tree = build_tree(edges, [])
     except TaxonomyError as exc:
         raise TaxonomyError(f"{args.hierarchy}: {exc}") from None
-    tree = build_tree(
-        edges,
-        [node for _, node in class_rows],
-        mode=args.mode,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    tree = replace(tree, class_leaves=[node for _, node in class_rows])
+    if args.mode == "none":
+        tree = replace(tree, edges=[])
+    elif args.mode == "random":
+        tree = shuffle_tree(tree, np.random.default_rng(cfg.seed))
     emb, final_loss = train_label_embeddings(tree, cfg)
     map_score = reconstruction_map(emb, tree)
     write_atomic(

@@ -108,7 +108,7 @@ def make_family_tree(
             leaf = f"{fam}_leaf{i}"
             edges.append((fam, leaf))
             leaves.append(leaf)
-    tree = build_tree(edges, leaves, mode="expert")
+    tree = build_tree(edges, leaves)
     return tree, [(leaf, leaf) for leaf in leaves]
 
 

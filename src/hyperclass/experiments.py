@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from .data import default_synthetic_tree, generate_synthetic
-from .hierarchy import LabelEmbeddings, LabelTree, build_tree, train_label_embeddings
+from .errors import TaxonomyError
+from .hierarchy import LabelEmbeddings, LabelTree, shuffle_tree, train_label_embeddings
 from .training import evaluate_model, train_classifier
 
 
@@ -42,30 +43,36 @@ def run_synthetic_pipeline(
     """Run dataset generation + both training stages for one seed on the
     default two-family tree.
 
-    The seed drives the synthetic draw and both training stages. The
-    shuffled hierarchy (mode="random") is a fixture shared across seeds,
-    like comparing against one broken taxonomy rather than redrawing it
-    per run; see scrambled_tree.
+    The seed drives the synthetic draw and both training stages. With
+    loss="wce", stage one trains on the tree itself (mode="expert"), on
+    its nodes with no edges ("none") or on a shuffle of it ("random"),
+    and "uniform" places the anchors with uniform_ball_labels instead; any
+    other mode raises TaxonomyError before any data is drawn. The
+    shuffled hierarchy is a fixture shared across seeds, like comparing
+    against one broken taxonomy rather than redrawing it per run; see
+    scrambled_tree.
     """
     tree, class_map = default_synthetic_tree()
+    label_tree = None
+    if loss == "wce" and mode != "uniform":
+        if mode == "expert":
+            label_tree = tree
+        elif mode == "none":
+            label_tree = replace(tree, edges=[])
+        elif mode == "random":
+            label_tree, _ = scrambled_tree(tree)
+        else:
+            raise TaxonomyError(f"unknown hierarchy mode {mode!r}")
     spec = replace(spec if spec is not None else SynthSpec(), seed=seed)
     label_cfg = replace(label_cfg if label_cfg is not None else default_label_config(), seed=seed)
     clf_cfg = replace(clf_cfg if clf_cfg is not None else ClassifierConfig(), seed=seed, loss=loss)
     train_ds, dev_ds, test_ds = generate_synthetic(tree, spec)
 
-    labels = None
-    final_loss = None
-    if loss == "wce":
-        if mode == "uniform":
-            labels = uniform_ball_labels(
-                tree.class_leaves, label_cfg.dim, np.random.default_rng(seed)
-            )
-        else:
-            if mode == "random":
-                mode_tree, _ = scrambled_tree(tree)
-            else:
-                mode_tree = build_tree(tree.edges, tree.class_leaves, mode=mode)
-            labels, final_loss = train_label_embeddings(mode_tree, label_cfg)
+    labels = final_loss = None
+    if label_tree is not None:
+        labels, final_loss = train_label_embeddings(label_tree, label_cfg)
+    elif loss == "wce":
+        labels = uniform_ball_labels(tree.class_leaves, label_cfg.dim, np.random.default_rng(seed))
 
     result = train_classifier(
         train_ds,
@@ -117,12 +124,13 @@ def scrambled_tree(tree: LabelTree) -> tuple[LabelTree, int]:
     tree and the shuffle seed that produced it.
     """
     for shuffle_seed in range(1000):
-        candidate = build_tree(
-            tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(shuffle_seed)
-        )
+        candidate = shuffle_tree(tree, np.random.default_rng(shuffle_seed))
         if surviving_sibling_pairs(tree, candidate) <= MAX_SURVIVING_PAIRS:
             return candidate, shuffle_seed
-    raise RuntimeError("no sufficiently scrambled shuffle found")
+    raise TaxonomyError(
+        f"no sufficiently scrambled shuffle among seeds 0-999: each keeps more than "
+        f"{MAX_SURVIVING_PAIRS} of the tree's {surviving_sibling_pairs(tree, tree)} sibling pairs"
+    )
 
 
 STRUCTURELESS_RADIUS = 0.9998

@@ -1,7 +1,11 @@
 """Label taxonomy ingestion and hyperbolic label embedding training.
 
 A LabelTree is a forest of (parent, child) edges plus an ordered list of
-class leaves (one tree node per classifier class). Embeddings for every
+class leaves (one tree node per classifier class); build_tree makes one
+from edges. The ablation trees are transforms of a built tree that keep
+its nodes, in order, and its class leaves: shuffle_tree permutes its
+child slots, and dataclasses.replace(tree, edges=[]) drops every edge.
+Every transform reruns LabelTree's checks. Embeddings for every
 node are trained with a negative-sampling softmax over ball distances and
 Riemannian Adam on minibatches of PAIRS_PER_STEP = 10 parent-child pairs,
 as in gensim's PoincareModel. Riemannian Adam is `optim.Adam` given the
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -42,8 +46,6 @@ from .errors import HyperclassError, NumericalError, TaxonomyError
 from .optim import Adam, FlatParams
 
 NODE_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
-
-MODES = ("expert", "none", "random")
 
 # Parent-child pairs per stage-one Riemannian Adam step, as in gensim's
 # PoincareModel. Larger batches take fewer steps per epoch and narrowed the
@@ -122,50 +124,30 @@ class LabelTree:
         return len(self.class_leaves)
 
 
-def _shuffle_edges(edges: list[tuple[str, str]], rng: np.random.Generator) -> list[tuple[str, str]]:
-    """Permute the child slots of the expert edges, keeping the degree
-    sequence; resamples until the result is still a forest."""
-    children = [child for _, child in edges]
-    for _ in range(10_000):
-        perm = rng.permutation(len(children))
-        shuffled = [(edges[i][0], children[perm[i]]) for i in range(len(edges))]
-        try:
-            LabelTree(nodes=sorted({n for e in shuffled for n in e}), edges=shuffled, class_leaves=[])
-        except TaxonomyError:
-            continue
-        return shuffled
-    raise TaxonomyError("could not find an acyclic shuffle of the edge list")
-
-
-def build_tree(
-    edges: list[tuple[str, str]],
-    class_leaves: list[str],
-    mode: str = "expert",
-    rng: np.random.Generator | None = None,
-) -> LabelTree:
+def build_tree(edges: list[tuple[str, str]], class_leaves: list[str]) -> LabelTree:
     """Assemble a LabelTree from in-memory edges.
 
-    Nodes are the edge endpoints, in first-appearance order, in every mode,
-    so a class leaf that no edge names is not a tree node and fails
-    LabelTree's check. mode="none" keeps those nodes and drops all edges;
-    mode="random" shuffles the expert child slots using `rng`.
+    Nodes are the edge endpoints, in first-appearance order, so a class
+    leaf that no edge names is not a tree node and fails LabelTree's
+    check.
     """
-    if mode not in MODES:
-        raise TaxonomyError(f"unknown hierarchy mode {mode!r}")
     nodes = list(dict.fromkeys(name for edge in edges for name in edge))
-    if mode == "expert":
-        if not edges:
-            raise TaxonomyError("expert mode requires a non-empty edge list")
-        final_edges = list(edges)
-    elif mode == "none":
-        final_edges = []
-    else:
-        if not edges:
-            raise TaxonomyError("random mode requires a non-empty edge list to shuffle")
-        if rng is None:
-            raise TaxonomyError("random mode requires an RNG (seeded) for the shuffle")
-        final_edges = _shuffle_edges(list(edges), rng)
-    return LabelTree(nodes=nodes, edges=final_edges, class_leaves=list(class_leaves))
+    return LabelTree(nodes=nodes, edges=list(edges), class_leaves=list(class_leaves))
+
+
+def shuffle_tree(tree: LabelTree, rng: np.random.Generator) -> LabelTree:
+    """`tree` with the child slots of its edges permuted by one uniform
+    draw from `rng`, keeping its nodes, their order, its class leaves and
+    each parent's number of children. A draw that is not a forest is
+    redrawn, one rng.permutation per attempt, up to 10,000 attempts."""
+    children = [child for _, child in tree.edges]
+    for _ in range(10_000):
+        perm = rng.permutation(len(children))
+        try:
+            return replace(tree, edges=[(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)])
+        except TaxonomyError:
+            continue
+    raise TaxonomyError("could not find an acyclic shuffle of the edge list")
 
 
 def read_lines(path, kind: str, error: type[HyperclassError]) -> Iterator[tuple[int, str]]:

@@ -19,7 +19,14 @@ from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import generate_synthetic, load_dataset
 from hyperclass.encoder import CHUNK_ROWS, encode_chunks, tokenize_batch
 from hyperclass.errors import NumericalError
-from hyperclass.hierarchy import load_embeddings_tsv
+from hyperclass.hierarchy import (
+    build_tree,
+    load_embeddings_tsv,
+    parse_taxonomy,
+    reconstruction_map,
+    shuffle_tree,
+    train_label_embeddings,
+)
 from hyperclass.loss import project_representation
 
 
@@ -129,6 +136,22 @@ class TestTrainLabels:
         assert blob["map"] == 0.0
         emb = load_embeddings_tsv(str(out_path) + ".tsv")
         assert np.all(np.linalg.norm(emb.vectors, axis=1) <= 0.001)
+
+    def test_mode_random_trains_on_the_shuffle_drawn_from_seed(self, ws, tmp_path):
+        expert = build_tree(parse_taxonomy(ws["data"] / "hierarchy.tsv"), [])
+        for seed in (0, 3):
+            out_path = tmp_path / f"random-{seed}.ckpt"
+            code, out, _ = run_cli(
+                ["train-labels", "--hierarchy", ws["data"] / "hierarchy.tsv", "--class-map",
+                 ws["data"] / "class-map.tsv", "--mode", "random", "--dim", "4",
+                 "--epochs", "5", "--seed", seed, "--out", out_path]
+            )
+            assert code == 0
+            tree = shuffle_tree(expert, np.random.default_rng(seed))
+            emb, final_loss = train_label_embeddings(tree, LabelEmbedConfig(dim=4, epochs=5, seed=seed))
+            assert json.loads(out) == {"final_loss": final_loss, "map": reconstruction_map(emb, tree)}
+            loaded = ckpt.load_checkpoint(out_path, expect_stage=ckpt.STAGE_LABELS)
+            np.testing.assert_array_equal(loaded.emb.vectors, emb.vectors)
 
     def test_deterministic_checkpoints(self, ws, tmp_path):
         paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]

@@ -1,5 +1,7 @@
 """Ablation-harness helpers: scrambled fixture, uniform anchors, pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from helpers import nested_loop_sibling_pairs, per_node_uniform_ball_labels
 from hyperclass import experiments
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, make_family_tree
-from hyperclass.errors import ConfigError, DatasetError
+from hyperclass.errors import ConfigError, DatasetError, TaxonomyError
 from hyperclass.experiments import (
     STRUCTURELESS_RADIUS,
     mean_over_seeds,
@@ -16,7 +18,7 @@ from hyperclass.experiments import (
     surviving_sibling_pairs,
     uniform_ball_labels,
 )
-from hyperclass.hierarchy import build_tree
+from hyperclass.hierarchy import build_tree, shuffle_tree
 
 
 class TestSurvivingSiblingPairs:
@@ -30,16 +32,14 @@ class TestSurvivingSiblingPairs:
         # leaf grouping under renamed parents; this is why the fixture
         # search must reject it
         tree, _ = default_synthetic_tree()
-        swapped = build_tree(
-            tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(0)
-        )
+        swapped = shuffle_tree(tree, np.random.default_rng(0))
         assert swapped.edges != tree.edges
         assert surviving_sibling_pairs(tree, swapped) == 6
 
     def test_leaves_without_a_parent_are_not_siblings(self):
         # A root's parent row is -1, which names no parent to share.
         tree, _ = default_synthetic_tree()
-        flat = build_tree(tree.edges, tree.class_leaves, mode="none")
+        flat = replace(tree, edges=[])
         assert surviving_sibling_pairs(flat, flat) == 0
         assert surviving_sibling_pairs(tree, flat) == 0
 
@@ -48,9 +48,7 @@ class TestSurvivingSiblingPairs:
         tree, _ = make_family_tree(*shape)
         assert surviving_sibling_pairs(tree, tree) == nested_loop_sibling_pairs(tree, tree)
         for seed in range(30):
-            candidate = build_tree(
-                tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(seed)
-            )
+            candidate = shuffle_tree(tree, np.random.default_rng(seed))
             assert surviving_sibling_pairs(tree, candidate) == nested_loop_sibling_pairs(tree, candidate)
 
 
@@ -72,7 +70,17 @@ class TestScrambledTree:
     def test_impossible_threshold_raises(self, monkeypatch):
         monkeypatch.setattr(experiments, "MAX_SURVIVING_PAIRS", -1)
         tree, _ = default_synthetic_tree()
-        with pytest.raises(RuntimeError, match="no sufficiently scrambled"):
+        with pytest.raises(
+            TaxonomyError,
+            match=r"^no sufficiently scrambled shuffle among seeds 0-999: each keeps more than "
+            r"-1 of the tree's 6 sibling pairs$",
+        ):
+            scrambled_tree(tree)
+
+    def test_one_family_cannot_be_scrambled(self):
+        # One parent of three leaves: every shuffle keeps all 3 pairs.
+        tree = build_tree([("p", "a"), ("p", "b"), ("p", "c")], ["a", "b", "c"])
+        with pytest.raises(TaxonomyError, match=r"more than 1 of the tree's 3 sibling pairs$"):
             scrambled_tree(tree)
 
 
@@ -133,10 +141,23 @@ class TestRunSyntheticPipeline:
         assert rec["label_loss"] is None
         assert rec["mode"] == "uniform"
 
+    def test_none_mode_trains_no_pairs(self):
+        rec = run_synthetic_pipeline(0, loss="wce", mode="none", **SMALL_RUN)
+        assert rec["label_loss"] is None
+        assert rec["mode"] == "none"
+
     def test_deterministic(self):
         a = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
         b = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
         assert a == b
+
+    def test_unknown_mode_is_refused_before_any_data(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("data generated for an unknown mode")
+
+        monkeypatch.setattr(experiments, "generate_synthetic", generate)
+        with pytest.raises(TaxonomyError, match=r"^unknown hierarchy mode 'frobnicate'$"):
+            run_synthetic_pipeline(0, loss="wce", mode="frobnicate")
 
     @pytest.mark.parametrize(
         "fractions, empty",

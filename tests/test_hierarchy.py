@@ -1,8 +1,10 @@
-"""Taxonomy parsing, tree modes and index, label-embedding training, and MAP."""
+"""Taxonomy parsing, the tree and its ablation transforms, its index,
+label-embedding training, and MAP."""
 
 import errno
 import itertools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from hyperclass.data import default_synthetic_tree, load_dataset, make_family_tr
 from hyperclass.encoder import CHUNK_ROWS
 from hyperclass.errors import ConfigError, DatasetError, NumericalError, TaxonomyError
 from hyperclass.hierarchy import (
-    MODES,
     LabelEmbeddings,
     LabelTree,
     build_tree,
@@ -39,6 +40,7 @@ from hyperclass.hierarchy import (
     parse_taxonomy,
     reconstruction_map,
     save_pairs,
+    shuffle_tree,
     train_label_embeddings,
     write_embeddings_tsv,
 )
@@ -49,8 +51,8 @@ BALANCED_EDGES = [("root", f"c{i}") for i in range(3)] + [
 BALANCED_LEAVES = [f"c{i}_{j}" for i in range(3) for j in range(3)]
 
 
-def balanced_tree(mode="expert", rng=None):
-    return build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode=mode, rng=rng)
+def balanced_tree():
+    return build_tree(BALANCED_EDGES, BALANCED_LEAVES)
 
 
 def parrott_tree():
@@ -144,59 +146,96 @@ class TestTreeValidation:
             build_tree([("a", "b")], ["b", "b"])
 
 
+def is_forest(edges):
+    """Whether every node of `edges`, each child named once, reaches a
+    root by walking up one parent at a time."""
+    parent = {child: par for par, child in edges}
+    for node in parent:
+        for _ in range(len(parent) + 1):
+            if node not in parent:
+                break
+            node = parent[node]
+        else:
+            return False
+    return True
+
+
+# Each hierarchy mode's tree as a transform of the expert tree.
+TRANSFORMS = {
+    "expert": lambda tree: tree,
+    "none": lambda tree: replace(tree, edges=[]),
+    "random": lambda tree: shuffle_tree(tree, np.random.default_rng(0)),
+}
+
+
 class TestBuildTree:
     def test_node_order_is_first_appearance(self):
         tree = build_tree([("r", "b"), ("r", "a")], ["a"])
         assert tree.nodes == ["r", "b", "a"]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", TRANSFORMS)
     def test_class_leaf_outside_edges_rejected(self, mode):
-        # Nodes come from the edges only, in every mode: a class leaf that
-        # no edge names is not a tree node.
+        # Nodes come from the edges only, and every transform keeps them:
+        # a class leaf that no edge names is not a tree node.
         with pytest.raises(TaxonomyError, match=r"^class leaf 'z' is not a tree node$"):
-            build_tree(BALANCED_EDGES, BALANCED_LEAVES + ["z"], mode=mode, rng=np.random.default_rng(0))
+            build_tree(BALANCED_EDGES, BALANCED_LEAVES + ["z"])
+        tree = TRANSFORMS[mode](balanced_tree())
+        with pytest.raises(TaxonomyError, match=r"^class leaf 'z' is not a tree node$"):
+            replace(tree, class_leaves=BALANCED_LEAVES + ["z"])
 
     def test_none_mode_on_empty_taxonomy_rejected(self):
+        # An empty taxonomy names no node, so no tree of it holds a class leaf.
         with pytest.raises(TaxonomyError, match=r"^class leaf 'a' is not a tree node$"):
-            build_tree([], ["a"], mode="none")
+            build_tree([], ["a"])
 
     def test_none_mode_drops_edges_keeps_nodes(self):
-        tree = build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="none")
+        expert = balanced_tree()
+        tree = replace(expert, edges=[])
         assert tree.edges == []
-        assert len(tree.nodes) == 13
+        assert tree.nodes == expert.nodes and len(tree.nodes) == 13
         assert tree.class_leaves == BALANCED_LEAVES
-
-    def test_expert_requires_edges(self):
-        with pytest.raises(TaxonomyError, match="non-empty"):
-            build_tree([], ["a"], mode="expert")
-
-    def test_random_requires_edges(self):
-        with pytest.raises(TaxonomyError, match="random mode requires a non-empty edge list"):
-            build_tree([], ["a"], mode="random", rng=np.random.default_rng(0))
-
-    def test_random_requires_rng(self):
-        with pytest.raises(TaxonomyError, match="RNG"):
-            build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="random")
-
-    def test_unknown_mode(self):
-        with pytest.raises(TaxonomyError, match="unknown hierarchy mode"):
-            build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="frobnicate")
+        assert (tree.parent == -1).all() and not len(tree.parents)
 
     def test_random_preserves_degree_sequence(self):
-        tree = balanced_tree("random", rng=np.random.default_rng(0))
-        assert sorted(p for p, _ in tree.edges) == sorted(p for p, _ in BALANCED_EDGES)
-        assert sorted(c for _, c in tree.edges) == sorted(c for _, c in BALANCED_EDGES)
-        assert tree == LabelTree(tree.nodes, tree.edges, tree.class_leaves)
+        # The nodes keep their order and the input tree is left as it was.
+        for tree in (balanced_tree(), parrott_tree()):
+            before = (list(tree.nodes), list(tree.edges), list(tree.class_leaves))
+            for seed in range(5):
+                shuffled = shuffle_tree(tree, np.random.default_rng(seed))
+                assert sorted(p for p, _ in shuffled.edges) == sorted(p for p, _ in tree.edges)
+                assert sorted(c for _, c in shuffled.edges) == sorted(c for _, c in tree.edges)
+                assert shuffled.nodes == tree.nodes and shuffled.class_leaves == tree.class_leaves
+                assert shuffled == LabelTree(shuffled.nodes, shuffled.edges, shuffled.class_leaves)
+            assert (tree.nodes, tree.edges, tree.class_leaves) == before
+
+    @pytest.mark.parametrize(
+        "tree", [make_family_tree(2, 3)[0], parrott_tree()], ids=["family-2x3", "parrott"]
+    )
+    def test_random_is_the_first_forest_of_child_slot_permutations(self, tree):
+        # One rng.permutation of the child slots per attempt; the first
+        # draw that is a forest is the tree. At seeds 0-2 the first draw
+        # on both trees is not a forest.
+        children = [child for _, child in tree.edges]
+
+        def draws(rng):
+            while True:
+                perm = rng.permutation(len(children))
+                yield [(parent, children[j]) for (parent, _), j in zip(tree.edges, perm)]
+
+        for seed in range(3):
+            attempts = draws(np.random.default_rng(seed))
+            assert not is_forest(next(attempts))
+            expected = next(edges for edges in attempts if is_forest(edges))
+            assert shuffle_tree(tree, np.random.default_rng(seed)).edges == expected
 
     def test_random_is_deterministic_per_seed(self):
-        a = balanced_tree("random", rng=np.random.default_rng(5))
-        b = balanced_tree("random", rng=np.random.default_rng(5))
+        a = shuffle_tree(balanced_tree(), np.random.default_rng(5))
+        b = shuffle_tree(balanced_tree(), np.random.default_rng(5))
         assert a.edges == b.edges
 
     def test_random_actually_shuffles(self):
-        edges = parse_taxonomy(bundled_taxonomy_path())
-        tree = build_tree(edges, [], mode="random", rng=np.random.default_rng(0))
-        assert tree.edges != edges
+        tree = parrott_tree()
+        assert shuffle_tree(tree, np.random.default_rng(0)).edges != tree.edges
 
     def test_load_tree_from_files(self, tmp_path):
         tax = tmp_path / "tax.tsv"
@@ -224,12 +263,12 @@ class TestNegativeSamples:
 
     def test_draws_with_replacement(self):
         # a's only candidates are r and b: 50 draws repeat them.
-        tree = build_tree([("r", "a"), ("r", "b"), ("a", "x")], [], mode="expert")
+        tree = build_tree([("r", "a"), ("r", "b"), ("a", "x")], [])
         picks = draw_names(tree, "a", 50, np.random.default_rng(0))
         assert len(picks) == 50 and set(picks) == {"r", "b"}
         # r and its one child leave r no candidate at all.
         with pytest.raises(TaxonomyError, match="no negative candidates for node 'r'"):
-            negative_table(build_tree([("r", "a")], ["a"], mode="expert"))
+            negative_table(build_tree([("r", "a")], ["a"]))
 
     def test_uniform_over_candidates(self):
         tree = balanced_tree()
@@ -345,7 +384,7 @@ class TestLabelLoss:
 
 class TestTrainLabelEmbeddings:
     def test_no_edges_returns_initialization(self):
-        tree = build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="none")
+        tree = replace(balanced_tree(), edges=[])
         cfg = LabelEmbedConfig(dim=4, epochs=50, seed=3)
         emb, final_loss = train_label_embeddings(tree, cfg)
         assert final_loss is None
@@ -483,7 +522,7 @@ class TestReconstructionMap:
         assert np.mean(scores) < 0.75
 
     def test_no_parents_returns_zero(self):
-        tree = build_tree(BALANCED_EDGES, BALANCED_LEAVES, mode="none")
+        tree = replace(balanced_tree(), edges=[])
         emb = LabelEmbeddings(nodes=tree.nodes, vectors=np.zeros((13, 2)))
         assert reconstruction_map(emb, tree) == 0.0
 
@@ -495,7 +534,7 @@ class TestNodeDepths:
 
 
 def shuffled(tree, seed):
-    return build_tree(tree.edges, tree.class_leaves, mode="random", rng=np.random.default_rng(seed))
+    return shuffle_tree(tree, np.random.default_rng(seed))
 
 
 EXPERT_TREES = {
@@ -695,7 +734,7 @@ def test_expert_tree_embeds_better_than_shuffled():
         expert = build_tree(edges, [])
         emb, _ = train_label_embeddings(expert, cfg)
         expert_scores.append(reconstruction_map(emb, expert))
-        shuffled = build_tree(edges, [], mode="random", rng=np.random.default_rng(seed))
+        shuffled = shuffle_tree(expert, np.random.default_rng(seed))
         emb, _ = train_label_embeddings(shuffled, cfg)
         shuffled_scores.append(reconstruction_map(emb, shuffled))
     assert np.mean(expert_scores) > np.mean(shuffled_scores)

@@ -69,3 +69,15 @@ def test_each_arm_and_seed_runs_once_in_order(capsys, weight_norm, scores):
         "seeds": 2,
     }
     assert list(lines[-1]["mean_test_wf1"]) == [arm for arm, _ in ARM_KWARGS]
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_no_seed_is_a_usage_error(capsys, seeds):
+    module = load_script()
+    calls = []
+    module.run_synthetic_pipeline = lambda *args, **kwargs: calls.append(kwargs)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--seeds", seeds])
+    assert exc.value.code == 2 and calls == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: --seeds must be at least 1, got {seeds}\n")
