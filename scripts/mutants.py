@@ -81,6 +81,7 @@ SHUFFLE = (
     "tests/test_experiments.py",
 )
 TRAIN_LABELS = ("tests/test_cli.py::TestTrainLabels",)
+MAP = ("tests/test_hierarchy.py::TestReconstructionMap",)
 
 # id -> (file, old, new, tests)
 MUTANTS = {
@@ -456,18 +457,38 @@ MUTANTS = {
         "label_tree = replace(tree)",
         EXPERIMENTS,
     ),
-    # negative_table and LabelTree.depth
+    "pipeline-ce-mode-unchecked": (
+        "experiments.py",
+        'if mode not in ("expert", "none", "random", "uniform"):',
+        'if loss == "wce" and mode not in ("expert", "none", "random", "uniform"):',
+        EXPERIMENTS,
+    ),
+    # a parent's non-neighbours (stage one's negatives and the MAP's
+    # competitors), the MAP's tie rule, negative_table and LabelTree's
+    # refusals and depth
     "negatives-include-self": (
         "hierarchy.py",
-        "allowed = (np.arange(len(tree.nodes)) != parents[:, None]) & (tree.parent != parents[:, None])",
-        "allowed = tree.parent != parents[:, None]",
-        STAGE_ONE,
+        "return (np.arange(len(tree.nodes)) != u) & (tree.parent != u)",
+        "return tree.parent != u",
+        STAGE_ONE + MAP,
     ),
     "negatives-include-children": (
         "hierarchy.py",
-        "allowed = (np.arange(len(tree.nodes)) != parents[:, None]) & (tree.parent != parents[:, None])",
-        "allowed = np.arange(len(tree.nodes)) != parents[:, None]",
-        STAGE_ONE,
+        "return (np.arange(len(tree.nodes)) != u) & (tree.parent != u)",
+        "return np.arange(len(tree.nodes)) != u",
+        STAGE_ONE + MAP,
+    ),
+    "map-tie-counts-against-child": (
+        "hierarchy.py",
+        "row[allowed] < row[tree.parent == u, None]",
+        "row[allowed] <= row[tree.parent == u, None]",
+        MAP,
+    ),
+    "tree-no-nodes-accepted": (
+        "hierarchy.py",
+        '        if not self.nodes:\n            raise TaxonomyError("the tree has no nodes")\n',
+        "",
+        ("tests/test_hierarchy.py::TestTreeValidation",),
     ),
     "negatives-start-off-by-count": (
         "hierarchy.py",

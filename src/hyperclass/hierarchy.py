@@ -18,9 +18,10 @@ is: one gather of its points, one batched loss whose gradients are one
 bincount into a dense (n_nodes, d) table, and one step over the whole
 table. Points start within INIT_RADIUS of the origin, and the first
 BURN_IN_EPOCHS epochs step at lr * BURN_IN_FACTOR; these three, like
-PAIRS_PER_STEP, are constants of the method rather than settings. The
-embeddings are then scored by how well nearest-neighbour ranking
-reconstructs the edges.
+PAIRS_PER_STEP, are constants of the method rather than settings. A
+parent's non-neighbours (every node but it and its children) are defined
+once: stage one draws its negatives from them, and the reconstruction MAP
+ranks each child among them, a tie not counted against the child.
 
 Every text input, datasets included, is read by `read_lines` (UTF-8,
 a leading BOM dropped, CRLF read as LF); `first_repeat` finds the first
@@ -118,6 +119,8 @@ class LabelTree:
                 raise TaxonomyError(f"class leaf {leaf!r} is not a tree node")
         if repeat := first_repeat(self.class_leaves):
             raise TaxonomyError(f"duplicate class leaf {self.class_leaves[repeat[1]]!r}")
+        if not self.nodes:
+            raise TaxonomyError("the tree has no nodes")
 
     @property
     def num_classes(self) -> int:
@@ -255,14 +258,21 @@ class LabelEmbeddings:
     vectors: np.ndarray
 
 
+def _non_neighbours(tree: LabelTree) -> np.ndarray:
+    """(parents, nodes) mask of each row of tree.parents: True at the nodes
+    that are neither that parent nor one of its children, which stage one
+    draws its negatives from and the MAP ranks its children among."""
+    u = tree.parents[:, None]
+    return (np.arange(len(tree.nodes)) != u) & (tree.parent != u)
+
+
 def negative_table(tree: LabelTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat, start, count): the rows that may be drawn as negatives for
-    each node row u with children (every node except u and u's children,
-    in node order), concatenated, so those of u are
-    flat[start[u] : start[u] + count[u]]. count is 0 for nodes without
-    children."""
+    """(flat, start, count): each parent row u's non-neighbours in node
+    order, concatenated, so those of u are flat[start[u] : start[u] +
+    count[u]]; count is 0 for nodes without children. A parent with none
+    raises TaxonomyError, as stage one needs a negative to draw."""
     parents = tree.parents
-    allowed = (np.arange(len(tree.nodes)) != parents[:, None]) & (tree.parent != parents[:, None])
+    allowed = _non_neighbours(tree)
     count = np.zeros(len(tree.nodes), dtype=np.intp)
     count[parents] = allowed.sum(axis=1)
     if not count[parents].all():
@@ -391,22 +401,17 @@ def train_label_embeddings(
 
 
 def reconstruction_map(emb: LabelEmbeddings, tree: LabelTree) -> float:
-    """Mean average precision of ranking each parent's children nearest.
-
-    For every parent u, each child v is ranked by ascending distance among
-    the non-neighbours of u (nodes that are neither u nor children of u);
-    the per-parent average precision is averaged over all parents. One
-    call per parent gives its distances to all nodes in O(nodes * dim)
-    memory; a (parents, nodes) matrix would need O(parents * nodes * dim).
-    """
+    """Mean over parents of the average precision of ranking each parent's
+    children nearest. Child v of parent u ranks 1 + the number of u's
+    non-neighbours strictly closer to u than v: one at exactly v's distance
+    does not push v down. One distance call gives every parent's distances
+    to all nodes."""
     if not len(tree.parents):
         return 0.0
+    dists = distance(emb.vectors[tree.parents, None], emb.vectors)
     ap_scores = []
-    for u in tree.parents:
-        row = distance(emb.vectors[u], emb.vectors)
-        children = np.flatnonzero(tree.parent == u)
-        non_neighbours = np.delete(row, np.append(children, u))
-        ranks = np.sort(1 + np.sum(non_neighbours < row[children, None], axis=1))
+    for row, u, allowed in zip(dists, tree.parents, _non_neighbours(tree)):
+        ranks = np.sort(1 + np.sum(row[allowed] < row[tree.parent == u, None], axis=1))
         i = np.arange(len(ranks))
         ap_scores.append(np.mean((i + 1) / (ranks + i)))
     return float(np.mean(ap_scores))

@@ -258,6 +258,26 @@ def negative_candidates(tree, u):
     return rows
 
 
+def textbook_reconstruction_map(emb, tree):
+    """Reference for hierarchy.reconstruction_map from node names, with
+    no refusal: for each parent, in row order, a child's rank is 1 + the
+    number of the parent's non-neighbours (nodes that are neither the
+    parent nor one of its children) strictly closer to the parent than the
+    child, one distance per pair of names, and the parent's AP comes from
+    its sorted ranks. 0.0 for a tree with no edges."""
+    from hyperclass.ball import distance
+
+    point = dict(zip(emb.nodes, emb.vectors))
+    aps = []
+    for u in sorted({p for p, _ in tree.edges}, key=tree.nodes.index):
+        children = [c for p, c in tree.edges if p == u]
+        others = [n for n in tree.nodes if n != u and n not in children]
+        to_u = {n: distance(point[u], point[n]) for n in tree.nodes}
+        ranks = sorted(1 + sum(to_u[w] < to_u[v] for w in others) for v in children)
+        aps.append(np.mean([(i + 1) / (rank + i) for i, rank in enumerate(ranks)]))
+    return float(np.mean(aps)) if aps else 0.0
+
+
 def nested_loop_sibling_pairs(expert, candidate):
     """Frozen reference for experiments.surviving_sibling_pairs: the
     class-leaf pairs that are siblings in both trees, counted by a nested

@@ -133,8 +133,9 @@ class TestRunSyntheticPipeline:
         assert 0.0 <= rec["test_wf1"] <= 1.0
 
     def test_ce_skips_stage_one(self):
-        rec = run_synthetic_pipeline(0, loss="ce", **SMALL_RUN)
+        rec = run_synthetic_pipeline(0, loss="ce", mode="expert", **SMALL_RUN)
         assert rec["label_loss"] is None
+        assert rec["mode"] == "expert"
 
     def test_uniform_mode_skips_training(self):
         rec = run_synthetic_pipeline(0, loss="wce", mode="uniform", **SMALL_RUN)
@@ -156,8 +157,10 @@ class TestRunSyntheticPipeline:
             raise AssertionError("data generated for an unknown mode")
 
         monkeypatch.setattr(experiments, "generate_synthetic", generate)
-        with pytest.raises(TaxonomyError, match=r"^unknown hierarchy mode 'frobnicate'$"):
-            run_synthetic_pipeline(0, loss="wce", mode="frobnicate")
+        # ce reads no mode, but its record names one.
+        for loss in ("wce", "ce"):
+            with pytest.raises(TaxonomyError, match=r"^unknown hierarchy mode 'frobnicate'$"):
+                run_synthetic_pipeline(0, loss=loss, mode="frobnicate")
 
     @pytest.mark.parametrize(
         "fractions, empty",

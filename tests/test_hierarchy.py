@@ -20,6 +20,7 @@ from helpers import (
     rel_err,
     scattered_label_loss,
     textbook_label_training,
+    textbook_reconstruction_map,
 )
 from hyperclass import hierarchy
 from hyperclass.ball import MAX_NORM, distance, random_ball_point
@@ -144,6 +145,13 @@ class TestTreeValidation:
     def test_duplicate_class_leaf(self):
         with pytest.raises(TaxonomyError, match="duplicate class leaf"):
             build_tree([("a", "b")], ["b", "b"])
+
+    def test_no_nodes(self):
+        # Stage one would otherwise fail in np.stack over no points.
+        with pytest.raises(TaxonomyError, match=r"^the tree has no nodes$"):
+            build_tree([], [])
+        with pytest.raises(TaxonomyError, match=r"^the tree has no nodes$"):
+            replace(balanced_tree(), nodes=[], edges=[], class_leaves=[])
 
 
 def is_forest(edges):
@@ -483,6 +491,13 @@ class TestTrainLabelEmbeddings:
             train_label_embeddings(balanced_tree(), cfg)
 
 
+MAP_TREES = {
+    "parrott": parrott_tree(),
+    "family-2x3": make_family_tree(2, 3)[0],
+    "family-6x6": make_family_tree(6, 6)[0],
+}
+
+
 class TestReconstructionMap:
     def test_two_family_geometry_is_perfect(self):
         edges = [("root", "f0"), ("root", "f1")] + [
@@ -512,6 +527,31 @@ class TestReconstructionMap:
         )
         assert reconstruction_map(emb, tree) == 0.5
 
+    def test_tie_does_not_push_the_child_down(self):
+        # x is a non-neighbour exactly as far from r as its child c.
+        tree = LabelTree(nodes=["r", "c", "x"], edges=[("r", "c")], class_leaves=[])
+        emb = LabelEmbeddings(
+            nodes=tree.nodes,
+            vectors=np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]]),
+        )
+        assert distance(emb.vectors[0], emb.vectors[1]) == distance(emb.vectors[0], emb.vectors[2])
+        assert reconstruction_map(emb, tree) == 1.0
+
+    @pytest.mark.parametrize("tree", MAP_TREES.values(), ids=MAP_TREES.keys())
+    def test_matches_textbook_oracle(self, tree):
+        # Trained points, where most children rank near the top, and
+        # random ones, where ranks spread over the non-neighbours.
+        embeddings = [
+            train_label_embeddings(tree, LabelEmbedConfig(dim=10, epochs=40, seed=seed))[0]
+            for seed in (1, 2, 3)
+        ]
+        rng = np.random.default_rng(0)
+        for radius in (0.5, 0.9, 0.999):
+            vectors = np.stack([random_ball_point(rng, 10, radius) for _ in tree.nodes])
+            embeddings.append(LabelEmbeddings(nodes=tree.nodes, vectors=vectors))
+        for emb in embeddings:
+            assert reconstruction_map(emb, tree) == textbook_reconstruction_map(emb, tree)
+
     def test_random_embeddings_score_near_chance(self):
         tree = balanced_tree()
         rng = np.random.default_rng(0)
@@ -537,10 +577,7 @@ def shuffled(tree, seed):
     return shuffle_tree(tree, np.random.default_rng(seed))
 
 
-EXPERT_TREES = {
-    "parrott": parrott_tree(),
-    "family-2x3": make_family_tree(2, 3)[0],
-    "family-6x6": make_family_tree(6, 6)[0],
+EXPERT_TREES = MAP_TREES | {
     "balanced": balanced_tree(),
     # A 40-edge chain listed from the bottom up: each row's parent comes after it.
     "chain": build_tree([(f"n{i}", f"n{i + 1}") for i in reversed(range(40))], []),
