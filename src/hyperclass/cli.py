@@ -36,7 +36,7 @@ from .checkpoint import (
     save_labels_checkpoint,
     write_atomic,
 )
-from .config import LOSSES, WEIGHT_NORMS, ClassifierConfig, LabelEmbedConfig, SynthSpec
+from .config import LOSSES, ClassifierConfig, LabelEmbedConfig, SynthSpec
 from .data import LabeledDataset, generate_synthetic, load_dataset, make_family_tree, save_dataset
 from .encoder import encode_chunks, tokenize_batch
 from .errors import ConfigError, HyperclassError, NumericalError, TaxonomyError
@@ -110,9 +110,6 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
         ck = load_checkpoint(args.labels_ckpt, expect_stage=STAGE_LABELS)
         labels, class_map = ck.emb, ck.class_map
         label_names = [label for label, _ in class_map]
-    elif cfg.weight_norm != "none":
-        # Only the distance weights of wce are normalised.
-        raise ConfigError(f"--weight-norm {cfg.weight_norm} requires --loss wce")
     # ce ignores label-embedding inputs; class order comes from the training data.
     train_ds = load_dataset(args.train, label_names, split="train")
     dev_ds = load_dataset(args.dev, train_ds.label_names, split="dev")
@@ -238,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True)
     p.add_argument("--labels-ckpt", help="stage-1 checkpoint (required for --loss wce)")
     p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--weight-norm", choices=WEIGHT_NORMS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)

@@ -14,8 +14,6 @@ from .errors import ConfigError
 
 # Stage-two loss: distance-weighted or plain cross entropy.
 LOSSES = ("wce", "ce")
-# How wce rescales the per-sample distance weights.
-WEIGHT_NORMS = ("none", "batch-mean")
 
 
 def _check_lr(lr: float) -> None:
@@ -60,14 +58,11 @@ class ClassifierConfig:
     batch_size: int = 16
     lr: float = 1e-3
     loss: str = "wce"  # one of LOSSES
-    weight_norm: str = "none"  # one of WEIGHT_NORMS
     seed: int = 42
 
     def validate(self) -> None:
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss mode {self.loss!r}")
-        if self.weight_norm not in WEIGHT_NORMS:
-            raise ConfigError(f"unknown weight-norm mode {self.weight_norm!r}")
         if min(self.d_tok, self.d_e, self.epochs, self.batch_size) < 1:
             raise ConfigError("classifier config requires positive dims/epochs/batch")
         _check_lr(self.lr)

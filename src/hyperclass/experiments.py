@@ -44,25 +44,19 @@ def run_synthetic_pipeline(
     default two-family tree.
 
     The seed drives the synthetic draw and both training stages. With
-    loss="wce", stage one trains on the tree itself (mode="expert"), on
-    its nodes with no edges ("none") or on a shuffle of it ("random"),
-    and "uniform" places the anchors with uniform_ball_labels instead; any
-    other mode raises TaxonomyError, with either loss, before any data is
-    drawn. The shuffled hierarchy is a fixture shared across seeds, like
-    comparing against one broken taxonomy rather than redrawing it per
-    run; see scrambled_tree.
+    loss="wce", stage one trains on the tree itself (mode="expert") or on
+    a shuffle of it ("random"), and "uniform" places the anchors with
+    uniform_ball_labels instead; any other mode raises TaxonomyError, with
+    either loss, before any data is drawn. The shuffled hierarchy is a
+    fixture shared across seeds, like comparing against one broken
+    taxonomy rather than redrawing it per run; see scrambled_tree.
     """
-    if mode not in ("expert", "none", "random", "uniform"):
+    if mode not in ("expert", "random", "uniform"):
         raise TaxonomyError(f"unknown hierarchy mode {mode!r}")
     tree, class_map = default_synthetic_tree()
     label_tree = None
     if loss == "wce" and mode != "uniform":
-        if mode == "expert":
-            label_tree = tree
-        elif mode == "none":
-            label_tree = replace(tree, edges=[])
-        else:
-            label_tree, _ = scrambled_tree(tree)
+        label_tree = tree if mode == "expert" else scrambled_tree(tree)[0]
     spec = replace(spec if spec is not None else SynthSpec(), seed=seed)
     label_cfg = replace(label_cfg if label_cfg is not None else default_label_config(), seed=seed)
     clf_cfg = replace(clf_cfg if clf_cfg is not None else ClassifierConfig(), seed=seed, loss=loss)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import exp_map_origin, exp_origin_distance_vjp
-from .config import WEIGHT_NORMS
 from .encoder import INIT_SCALE
 from .errors import ConfigError
 from .hierarchy import LabelEmbeddings
@@ -124,32 +123,18 @@ def weighted_ce_batch(
     hs: np.ndarray,
     ys: np.ndarray,
     label_matrix: np.ndarray,
-    weight_norm: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """total = (1/N) sum_i w_i * ce_i, with gradients through both factors.
 
-    With weight_norm="batch-mean" the raw distances are divided by their
-    batch mean (differentiated through). Label embeddings receive no
-    gradient.
+    w_i is the raw distance d(exp_0(w_p^T h_i + b_p), label_matrix[y_i]).
+    Label embeddings receive no gradient.
     """
-    if weight_norm not in WEIGHT_NORMS:
-        raise ConfigError(f"unknown weight norm {weight_norm!r}")
     n = hs.shape[0]
     ces, dlogits = _ce_and_dlogits(logits(head, hs), ys)
-    raw_w, vjp = exp_origin_distance_vjp(hs @ head.w_p + head.b_p, label_matrix[ys])
-
-    if weight_norm == "batch-mean":
-        mean_w = raw_w.sum() / n
-        eff_w = raw_w / mean_w
-        total = float((eff_w * ces).sum() / n)
-        # d total / d raw_w_k for total = (1/N) sum_i (w_i / mu) ce_i, mu = mean(w)
-        dtotal_dw = (ces / mean_w - total / mean_w) / n
-    else:
-        eff_w = raw_w
-        total = float((eff_w * ces).sum() / n)
-        dtotal_dw = ces / n
-
-    dlogits *= (eff_w / n)[:, None]
+    w, vjp = exp_origin_distance_vjp(hs @ head.w_p + head.b_p, label_matrix[ys])
+    total = float((w * ces).sum() / n)
+    dtotal_dw = ces / n
+    dlogits *= (w / n)[:, None]
     dv = vjp(dtotal_dw)
     grads = _logit_grads(head, hs, dlogits)
     grads["w_p"] = hs.T @ dv

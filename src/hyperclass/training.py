@@ -113,9 +113,7 @@ def train_classifier(
                 f"{train_ds.label_names} vs {map_labels}"
             )
         label_matrix = class_embedding_matrix(labels, [node for _, node in class_map])
-        batch_loss = partial(
-            weighted_ce_batch, label_matrix=label_matrix, weight_norm=config.weight_norm
-        )
+        batch_loss = partial(weighted_ce_batch, label_matrix=label_matrix)
 
     rng = np.random.default_rng(config.seed)
     vocab = Vocabulary.build(_texts(train_ds))

@@ -573,7 +573,7 @@ def dense_table_train_classifier(train_ds, dev_ds, config, labels=None, class_ma
             ys = train_ys[batch]
             hs = encode_batch(model, tokens)
             if config.loss == "wce":
-                total, grads = weighted_ce_batch(head, hs, ys, label_matrix, config.weight_norm)
+                total, grads = weighted_ce_batch(head, hs, ys, label_matrix)
             else:
                 total, grads = ce_batch(head, hs, ys)
             epoch_loss += total * len(batch)

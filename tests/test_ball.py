@@ -417,8 +417,9 @@ class TestExpOriginDistance:
 
     @staticmethod
     def cotangent(seed):
-        """A (12,) cotangent with negative and zero entries, as d total / d w
-        is under batch-mean, and nonzero on the zero row 3."""
+        """A (12,) cotangent with negative and zero entries, which the loss's
+        d total / d w = ce / n never has but a VJP must take, and nonzero on
+        the zero row 3."""
         g = np.random.default_rng(seed).standard_normal(12)
         g[[6, 10]] = 0.0
         g[3] = -abs(g[3]) - 0.5

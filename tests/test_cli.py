@@ -296,8 +296,8 @@ def test_training_flag_defaults_are_the_config_defaults(ws, tmp_path, monkeypatc
 
 
 # Per case, the command, and each config flag with its field and a
-# non-default value. --loss ce refuses --weight-norm batch-mean, so
-# train-classifier takes two cases, one for each of the two flags.
+# non-default value. train-classifier takes a case per loss, since only
+# wce reads --labels-ckpt.
 CLASSIFIER_SIZES = {
     "--epochs": ("epochs", 2), "--batch": ("batch_size", 32), "--lr": ("lr", 0.002),
     "--d-tok": ("d_tok", 8), "--d-e": ("d_e", 12), "--seed": ("seed", 6),
@@ -310,9 +310,7 @@ CONFIG_FLAGS = {
     "train-classifier": ("train-classifier", ClassifierConfig, {
         "--loss": ("loss", "ce"), **CLASSIFIER_SIZES,
     }),
-    "train-classifier-wce": ("train-classifier", ClassifierConfig, {
-        "--weight-norm": ("weight_norm", "batch-mean"), **CLASSIFIER_SIZES,
-    }),
+    "train-classifier-wce": ("train-classifier", ClassifierConfig, CLASSIFIER_SIZES),
     "synth-data": ("synth-data", SynthSpec, {
         "--tokens-per-sample": ("tokens_per_sample", 10), "--family-fraction": ("family_fraction", 0.3),
         "--leaf-fraction": ("leaf_fraction", 0.3), "--noise-vocab": ("noise_vocab", 30),
@@ -359,6 +357,7 @@ class TestTrainClassifier:
         lines = [json.loads(line) for line in ws["clf_stdout"].splitlines()]
         assert len(lines) == 2  # one per epoch
         for i, record in enumerate(lines):
+            assert record.keys() == {"epoch", "train_loss", "dev_acc", "dev_wf1"}
             assert record["epoch"] == i
             assert record["train_loss"] > 0.0
             assert 0.0 <= record["dev_wf1"] <= 1.0
@@ -370,18 +369,6 @@ class TestTrainClassifier:
         )
         assert code == 1
         assert "requires --labels-ckpt" in err
-
-    def test_ce_with_a_weight_norm_is_refused(self, ws, tmp_path):
-        # Plain CE has no distance weights, so the setting would do nothing.
-        code, out, err = run_cli(
-            ["train-classifier", "--train", ws["data"] / "train.tsv", "--dev",
-             ws["data"] / "dev.tsv", "--loss", "ce", "--weight-norm", "batch-mean",
-             "--out", tmp_path / "x.ckpt"] + SMALL_CLF
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "error: --weight-norm batch-mean requires --loss wce\n"
-        assert not (tmp_path / "x.ckpt").exists()
 
     def test_ce_runs_without_labels_ckpt(self, ws, tmp_path):
         out_path = tmp_path / "ce.ckpt"
@@ -443,10 +430,34 @@ class TestEvaluate:
         assert code == 0
         summary = json.loads(out)
         blob = json.loads(out_json.read_text())
+        assert summary.keys() == {"accuracy", "weighted_f1"}
+        assert blob.keys() == {"accuracy", "weighted_f1", "per_class", "confusion"}
         assert blob["accuracy"] == summary["accuracy"]
         assert blob["weighted_f1"] == summary["weighted_f1"]
         assert len(blob["per_class"]) == 6
         assert np.array(blob["confusion"]).sum() == 18
+
+    def test_classifier_ckpt_with_the_old_weight_norm_key_still_loads(self, ws, tmp_path):
+        # Classifier checkpoints once stored a weight norm in their config;
+        # such a file still loads, and evaluates and exports as the same
+        # arrays saved without the key.
+        ck = ckpt.load_checkpoint(ws["clf_ckpt"], expect_stage=ckpt.STAGE_CLASSIFIER)
+        assert "weight_norm" not in ck.config
+        outputs = {}
+        for name, config in (("old", {**ck.config, "weight_norm": "batch-mean"}), ("new", ck.config)):
+            model = tmp_path / f"{name}.ckpt"
+            ckpt.save_classifier_checkpoint(model, ck.model, ck.head, ck.class_names, config, ck.seed)
+            assert ckpt.load_checkpoint(model).config == config
+            runs = [
+                run_cli(["evaluate", "--model", model, "--data", ws["data"] / "test.tsv",
+                         "--out-json", tmp_path / f"{name}.json"]),
+                run_cli(["export-embeddings", "--model", model, "--data", ws["data"] / "test.tsv",
+                         "--out", tmp_path / f"{name}.tsv"]),
+            ]
+            assert [code for code, _, _ in runs] == [0, 0]
+            files = [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".json", ".tsv")]
+            outputs[name] = (runs, files)
+        assert outputs["old"] == outputs["new"]
 
     def test_labels_ckpt_rejected(self, ws, tmp_path):
         code, _, err = run_cli(
@@ -711,6 +722,14 @@ class TestUsageErrors:
                   str(ws["data"] / "dev.tsv"), "--loss", "ce", "--threads", "2",
                   "--out", str(tmp_path / "x.ckpt")])
         assert exc.value.code == 2
+
+    def test_weight_norm_flag_is_gone(self, ws, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-classifier", "--train", str(ws["data"] / "train.tsv"), "--dev",
+                  str(ws["data"] / "dev.tsv"), "--labels-ckpt", str(ws["labels_ckpt"]),
+                  "--weight-norm", "none", "--out", str(tmp_path / "x.ckpt")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_bad_choice_value(self, ws):
         with pytest.raises(SystemExit) as exc:

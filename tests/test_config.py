@@ -43,10 +43,6 @@ class TestClassifierConfig:
         with pytest.raises(ConfigError, match="loss"):
             ClassifierConfig(loss="hinge").validate()
 
-    def test_unknown_weight_norm(self):
-        with pytest.raises(ConfigError, match="weight-norm"):
-            ClassifierConfig(weight_norm="zscore").validate()
-
     @pytest.mark.parametrize("field,value", [("d_tok", 0), ("epochs", 0), ("batch_size", 0), ("lr", 0.0)])
     def test_nonpositive_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -142,11 +142,6 @@ class TestRunSyntheticPipeline:
         assert rec["label_loss"] is None
         assert rec["mode"] == "uniform"
 
-    def test_none_mode_trains_no_pairs(self):
-        rec = run_synthetic_pipeline(0, loss="wce", mode="none", **SMALL_RUN)
-        assert rec["label_loss"] is None
-        assert rec["mode"] == "none"
-
     def test_deterministic(self):
         a = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
         b = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)

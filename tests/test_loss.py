@@ -183,29 +183,19 @@ class TestWeightedCeBatch:
         head = make_head()
         hs, ys = batch_inputs()
         mat = self.label_matrix()
-        total, _ = weighted_ce_batch(head, hs, ys, mat, "none")
+        total, _ = weighted_ce_batch(head, hs, ys, mat)
         ces = [cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))]
         ws = [hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))]
         assert abs(total - np.mean(np.multiply(ces, ws))) < 1e-12
 
-    def test_batch_mean_weights_average_to_one(self):
+    def test_gradients_match_finite_differences(self):
         head = make_head()
         hs, ys = batch_inputs()
         mat = self.label_matrix()
-        total, _ = weighted_ce_batch(head, hs, ys, mat, "batch-mean")
-        ces = np.array([cross_entropy(logits(head, hs[i]), int(ys[i])) for i in range(len(ys))])
-        raw = np.array([hyper_weight(head, hs[i], mat[int(ys[i])]) for i in range(len(ys))])
-        assert abs(total - np.mean(raw / raw.mean() * ces)) < 1e-12
-
-    @pytest.mark.parametrize("norm", ["none", "batch-mean"])
-    def test_gradients_match_finite_differences(self, norm):
-        head = make_head()
-        hs, ys = batch_inputs()
-        mat = self.label_matrix()
-        _, grads = weighted_ce_batch(head, hs, ys, mat, norm)
+        _, grads = weighted_ce_batch(head, hs, ys, mat)
 
         def f():
-            return weighted_ce_batch(head, hs, ys, mat, norm)[0]
+            return weighted_ce_batch(head, hs, ys, mat)[0]
 
         for key in ("w_c", "b_c", "w_p", "b_p"):
             num = numeric_grad(f, head.params()[key])
@@ -218,27 +208,21 @@ class TestWeightedCeBatch:
         hs, ys = batch_inputs()
         mat = self.label_matrix()
         before = mat.copy()
-        _, grads = weighted_ce_batch(head, hs, ys, mat, "batch-mean")
+        _, grads = weighted_ce_batch(head, hs, ys, mat)
         np.testing.assert_array_equal(mat, before)
         assert set(grads) == {"w_c", "b_c", "w_p", "b_p", "h"}
 
     def test_zero_weight_sample_contributes_no_ce_gradient(self):
         # place the label exactly at the projected point: w=0, so the
-        # logit-layer gradient from that sample vanishes under norm=none
+        # logit-layer gradient from that sample vanishes
         head = make_head(m=2)
         h = np.zeros((1, 4))
         mat = np.stack([exp_map_origin(head.b_p), np.array([0.5, 0.0])])
-        total, grads = weighted_ce_batch(head, h, np.array([0]), mat, "none")
+        total, grads = weighted_ce_batch(head, h, np.array([0]), mat)
         assert hyper_weight(head, h[0], mat[0]) == 0.0
         assert total == 0.0
         np.testing.assert_array_equal(grads["w_c"], 0.0)
         np.testing.assert_array_equal(grads["b_c"], 0.0)
-
-    def test_unknown_weight_norm(self):
-        head = make_head()
-        hs, ys = batch_inputs()
-        with pytest.raises(ConfigError, match="unknown weight norm"):
-            weighted_ce_batch(head, hs, ys, self.label_matrix(), "zscore")
 
     def test_uniform_unit_weights_reduce_to_ce(self):
         # if every raw weight is 1, totals and logit grads equal the plain
@@ -250,14 +234,14 @@ class TestWeightedCeBatch:
         r = np.tanh(0.5)  # d(0, (r,0)) = 2 artanh(r) = 1.0
         mat = np.stack([[r, 0.0], [0.0, r], [-r, 0.0]])
         hs, ys = batch_inputs()
-        w_total, w_grads = weighted_ce_batch(head, hs, ys, mat, "none")
+        w_total, w_grads = weighted_ce_batch(head, hs, ys, mat)
         c_total, c_grads = ce_batch(head, hs, ys)
         assert abs(w_total - c_total) < 1e-12
         np.testing.assert_allclose(w_grads["w_c"], c_grads["w_c"], atol=1e-12)
         np.testing.assert_allclose(w_grads["b_c"], c_grads["b_c"], atol=1e-12)
 
 
-def loop_reference(head, hs, ys, label_matrix=None, weight_norm="none"):
+def loop_reference(head, hs, ys, label_matrix=None):
     """Per-sample reference for ce_batch (label_matrix None) and
     weighted_ce_batch: one row at a time through the one-row functions."""
     n = len(ys)
@@ -277,18 +261,12 @@ def loop_reference(head, hs, ys, label_matrix=None, weight_norm="none"):
             raw_w.append(w)
             chains.append((dv, dv @ head.w_p.T))
     ces, raw_w = np.array(ces), np.array(raw_w)
-    if weight_norm == "batch-mean":
-        eff_w = raw_w / raw_w.mean()
-        total = float(np.mean(eff_w * ces))
-        dtotal_dw = (ces / raw_w.mean() - total / raw_w.mean()) / n
-    else:
-        eff_w = raw_w
-        total = float(np.mean(eff_w * ces))
-        dtotal_dw = ces / n if label_matrix is not None else np.zeros(n)
+    total = float(np.mean(raw_w * ces))
+    dtotal_dw = ces / n if label_matrix is not None else np.zeros(n)
     grads = {k: np.zeros_like(v) for k, v in head.params().items()}
     grads["h"] = np.zeros_like(hs)
     for i in range(n):
-        dlogit = (eff_w[i] / n) * dlogits[i]
+        dlogit = (raw_w[i] / n) * dlogits[i]
         dv, dh = chains[i]
         grads["w_c"] += np.outer(hs[i], dlogit)
         grads["b_c"] += dlogit
@@ -308,13 +286,12 @@ class TestBatchedAgainstLoop:
         for key, arr in expected.items():
             np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
 
-    @pytest.mark.parametrize("norm", ["none", "batch-mean"])
-    def test_weighted_ce_batch(self, norm):
+    def test_weighted_ce_batch(self):
         head = make_head(d_e=5, m=4, h_d=3, seed=9)
         hs, ys = batch_inputs(n=17, d_e=5, m=4, seed=10)
         mat = TestWeightedCeBatch.label_matrix(m=4, h_d=3, seed=11)
-        got, grads = weighted_ce_batch(head, hs, ys, mat, norm)
-        total, expected = loop_reference(head, hs, ys, mat, norm)
+        got, grads = weighted_ce_batch(head, hs, ys, mat)
+        total, expected = loop_reference(head, hs, ys, mat)
         assert abs(got - total) < 1e-12
         for key, arr in expected.items():
             np.testing.assert_allclose(grads[key], arr, rtol=0, atol=1e-12, err_msg=key)
@@ -323,7 +300,7 @@ class TestBatchedAgainstLoop:
         head = make_head()
         hs, ys = batch_inputs(n=1)
         mat = TestWeightedCeBatch.label_matrix()
-        total, _ = weighted_ce_batch(head, hs, ys, mat, "none")
+        total, _ = weighted_ce_batch(head, hs, ys, mat)
         expected = hyper_weight(head, hs[0], mat[ys[0]]) * cross_entropy(logits(head, hs[0]), int(ys[0]))
         assert abs(total - expected) < 1e-12
 

@@ -195,12 +195,12 @@ def assert_matches_reference(result, history, best_epoch, best_wf1, params):
 class TestFrozenReference:
     # "bitwise": the dev scores and the best epoch; the loss and the
     # parameters are held to the scaled-moment Adam bounds.
-    @pytest.mark.parametrize("loss,norm", [("ce", "none"), ("wce", "none"), ("wce", "batch-mean")])
-    def test_matches_dense_table_training_bitwise(self, tiny_data, tiny_labels, loss, norm):
+    @pytest.mark.parametrize("loss", ["ce", "wce"])
+    def test_matches_dense_table_training_bitwise(self, tiny_data, tiny_labels, loss):
         _, class_map, train, dev = tiny_data
         # At this lr every run learns, and the best epoch is not the last,
         # so the restore of the best parameters is compared too.
-        cfg = ClassifierConfig(loss=loss, weight_norm=norm, epochs=6, lr=0.03, d_tok=8, d_e=16, seed=3)
+        cfg = ClassifierConfig(loss=loss, epochs=6, lr=0.03, d_tok=8, d_e=16, seed=3)
         assert len(train.samples) % cfg.batch_size
         result = train_classifier(train, dev, cfg, labels=tiny_labels, class_map=class_map)
         assert result.best_epoch < cfg.epochs - 1
