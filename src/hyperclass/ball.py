@@ -242,7 +242,5 @@ def random_ball_point(rng: np.random.Generator, dim: int, max_radius: float) -> 
     """Uniform sample from the ball of the given radius (polar construction)."""
     direction = rng.standard_normal(dim)
     norm = np.linalg.norm(direction)
-    if norm < EPS_DIV:
-        return np.zeros(dim)
     radius = max_radius * rng.uniform() ** (1.0 / dim)
     return project_to_ball(direction * (radius / norm))

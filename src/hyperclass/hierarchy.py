@@ -172,11 +172,10 @@ def read_lines(path, kind: str, error: type[HyperclassError]) -> Iterator[tuple[
 def first_repeat(items: list) -> tuple[int, int] | None:
     """(i, j): the first item j that equals an earlier one, first seen at
     i; None when no item repeats."""
-    if len(set(items)) < len(items):
-        first: dict = {}
-        for j, item in enumerate(items):
-            if first.setdefault(item, j) != j:
-                return first[item], j
+    first: dict = {}
+    for j, item in enumerate(items):
+        if first.setdefault(item, j) != j:
+            return first[item], j
     return None
 
 

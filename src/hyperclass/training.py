@@ -134,9 +134,8 @@ def train_classifier(
     n = len(train_tokens)
 
     history: list[dict] = []
-    # Epoch 0's weighted F1 is at least 0, so it always sets best_flat.
-    best_epoch = -1
-    best_wf1 = -1.0
+    # Epoch 0's weighted F1 beats -inf, so it always sets best_epoch and best_flat.
+    best_wf1 = -math.inf
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_tokens = train_tokens.take(order)

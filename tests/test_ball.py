@@ -152,6 +152,17 @@ class TestExpLog:
         assert np.linalg.norm(exp_map(x, log_map(x, y)) - y) <= 1e-6
 
 
+def test_rows_shorter_than_eps_div_are_zero_rows():
+    # A row of norm exactly EPS_DIV is not a zero row: tanh and artanh of
+    # 1e-12 round to 1e-12, so exp_0 and log_0 return it. A shorter one is,
+    # and both maps send it to the origin.
+    below = np.nextafter(EPS_DIV, 0.0)
+    v = np.array([[EPS_DIV, 0.0], [below, 0.0], [0.0, 0.0]])
+    want = [[EPS_DIV, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    np.testing.assert_array_equal(exp_map_origin(v), want)
+    np.testing.assert_array_equal(log_map_origin(v), want)
+
+
 class TestDistance:
     def test_metric_axioms(self):
         rng = np.random.default_rng(20)
@@ -352,6 +363,12 @@ class TestSlope:
         assert not out[below].any()
         np.testing.assert_allclose(out[~below], 4.0 / (bc * root)[~below], rtol=1e-13, atol=0)
 
+    def test_the_threshold_itself_takes_the_arcosh_slope(self, monkeypatch):
+        # arg 1.25 gives the exact root 0.75; at a threshold of 0.75 the
+        # slope is 4 / (bc * 0.75), not the masked 0.
+        monkeypatch.setattr(ball, "EPS_DIV", 0.75)
+        assert ball._slope(np.array([1.25]), np.array([0.5]))[0] == 4.0 / (0.5 * 0.75)
+
     def test_nan_argument_gives_nan(self):
         # No caller passes a NaN: a point with a NaN coordinate raises in
         # project_to_ball first.
@@ -414,6 +431,17 @@ class TestExpOriginDistance:
         y = np.stack([random_ball_point(rng, dim, 0.95) for _ in range(12)])
         y[0] = exp_map_origin(v[0])  # coincident: the zero subgradient
         return v, y
+
+    def test_a_row_shorter_than_eps_div_has_the_identity_jacobian(self):
+        # exp_0 sends both rows to the origin, so dd/dz is the same; the
+        # tiny row's gradient must be that dd/dz exactly, as the zero row's
+        # is, with no term along v to fill its zero coordinate.
+        v = np.array([[0.0, 0.0], [1e-13, 1e-13]])
+        y = np.array([[0.0, 0.5], [0.0, 0.5]])
+        _, vjp = exp_origin_distance_vjp(v, y)
+        grad = vjp(np.ones(2))
+        assert grad[1, 0] == 0.0 and grad[1, 1] != 0.0
+        np.testing.assert_array_equal(grad[1], grad[0])
 
     @staticmethod
     def cotangent(seed):

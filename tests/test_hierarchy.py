@@ -77,6 +77,10 @@ class TestParsing:
         p.write_text("root\thas space\n")
         with pytest.raises(TaxonomyError, match=r"tax\.tsv:1"):
             parse_taxonomy(p)
+        # Both columns of a taxonomy are node names.
+        p.write_text("root\ta\nbad parent\tb\n")
+        with pytest.raises(TaxonomyError, match=r"tax\.tsv:2: invalid node name 'bad parent'$"):
+            parse_taxonomy(p)
 
     def test_class_map_order_defines_index(self, tmp_path):
         p = tmp_path / "map.tsv"
@@ -133,6 +137,12 @@ class TestTreeValidation:
         for nodes in itertools.permutations(["t0", "t1", "a", "b", "c"]):
             with pytest.raises(TaxonomyError, match=r"^cycle detected through node '[abc]'$"):
                 LabelTree(nodes=list(nodes), edges=edges, class_leaves=[])
+
+    def test_self_loop_names_its_node(self):
+        # Node 0 is its own parent, so every row still below a parent after
+        # the walk points at row 0.
+        with pytest.raises(TaxonomyError, match=r"^cycle detected through node 'a'$"):
+            build_tree([("a", "a"), ("root", "b")], [])
 
     def test_edge_with_unknown_node(self):
         with pytest.raises(TaxonomyError, match="unknown node"):
@@ -391,6 +401,13 @@ class TestLabelLoss:
 
 
 class TestTrainLabelEmbeddings:
+    def test_constants_of_the_method(self):
+        # gensim's batches of 10 pairs; Nickel & Kiela's (2017) burn-in of 10
+        # epochs at a tenth of the learning rate, from within 1e-3 of the origin.
+        assert hierarchy.PAIRS_PER_STEP == 10
+        assert (hierarchy.BURN_IN_EPOCHS, hierarchy.BURN_IN_FACTOR) == (10, 0.1)
+        assert hierarchy.INIT_RADIUS == 1e-3
+
     def test_no_edges_returns_initialization(self):
         tree = replace(balanced_tree(), edges=[])
         cfg = LabelEmbedConfig(dim=4, epochs=50, seed=3)
@@ -670,7 +687,7 @@ class TestEmbeddingTsv:
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("node\tdim0\tdim1\na\t0.5\n")
-        with pytest.raises(TaxonomyError, match=r"emb\.tsv:2"):
+        with pytest.raises(TaxonomyError, match=r"emb\.tsv:2: expected 3 columns$"):
             load_embeddings_tsv(p)
 
     def test_not_utf8_is_named(self, tmp_path):

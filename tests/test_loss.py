@@ -12,6 +12,7 @@ from helpers import (
     rel_err,
 )
 from hyperclass.ball import exp_map_origin, random_ball_point
+from hyperclass.encoder import INIT_SCALE
 from hyperclass.errors import ConfigError
 from hyperclass.hierarchy import LabelEmbeddings
 from hyperclass.loss import (
@@ -36,6 +37,15 @@ def zero_head(d_e=4, m=3, h_d=2):
         w_p=np.zeros((d_e, h_d)),
         b_p=np.zeros(h_d),
     )
+
+
+def test_init_draws_every_parameter_from_the_symmetric_interval():
+    # w_c, b_c, w_p and b_p are each U(-INIT_SCALE, INIT_SCALE): inside it,
+    # and reaching toward both ends.
+    head = ClassifierHead.init(16, 12, 10, np.random.default_rng(3))
+    for key, value in head.params().items():
+        assert np.abs(value).max() <= INIT_SCALE, key
+        assert value.min() < -INIT_SCALE / 2 and value.max() > INIT_SCALE / 2, key
 
 
 class TestLogitsPredict:
@@ -164,6 +174,15 @@ class TestCeBatch:
             assert rel_err(grads[key], num) < 1e-4, key
         num_h = numeric_grad(f, hs)
         assert rel_err(grads["h"], num_h) < 1e-4
+
+    def test_large_logits_stay_finite(self):
+        # The log-sum-exp subtracts each row's largest logit, so logits of
+        # 1e4 neither overflow exp nor lose the loss of the losing class.
+        head = zero_head(m=3)
+        head.b_c = np.array([1e4, 0.0, -1e4])
+        total, grads = ce_batch(head, np.zeros((2, 4)), np.array([0, 1]))
+        assert total == pytest.approx((cross_entropy(head.b_c, 0) + cross_entropy(head.b_c, 1)) / 2, rel=1e-12)
+        assert all(np.isfinite(g).all() for g in grads.values())
 
     def test_projection_layer_untouched(self):
         head = make_head()
