@@ -320,24 +320,24 @@ def textbook_label_training(tree, config, pairs_per_step=10):
     distance_and_grad, into a zero-filled (n, d) table, rescales them by
     the inverse metric and takes one dense Riemannian Adam step: separate
     m and v matrices, one global step count, and every row through
-    composed_exp_map. Returns (vectors, final mean
-    pair loss). It reads the burn-in and init radius from
-    hyperclass.hierarchy at call time, so a test's monkeypatch of them
-    reaches it too."""
-    from hyperclass import hierarchy
+    composed_exp_map. The first burn_in epochs run at burn_in_factor times
+    the learning rate, and every point starts within init_radius of the
+    origin: Nickel & Kiela's values, held here as the reference's own, so
+    a change to the trainer's copies cannot move the reference with it.
+    Returns (vectors, final mean pair loss)."""
     from hyperclass.ball import random_ball_point
 
     b1, b2, eps = 0.9, 0.999, 1e-8
+    burn_in, burn_in_factor, init_radius = 10, 0.1, 1e-3
     rng = np.random.default_rng(config.seed)
-    radius = hierarchy.INIT_RADIUS
-    vectors = np.stack([random_ball_point(rng, config.dim, radius) for _ in tree.nodes])
+    vectors = np.stack([random_ball_point(rng, config.dim, init_radius) for _ in tree.nodes])
     index = {name: i for i, name in enumerate(tree.nodes)}
     candidates = {u: negative_candidates(tree, u) for u, _ in tree.edges}
     m, v = np.zeros_like(vectors), np.zeros_like(vectors)
     t = 0
     final_loss = None
     for epoch in range(config.epochs):
-        lr = config.lr * hierarchy.BURN_IN_FACTOR if epoch < hierarchy.BURN_IN_EPOCHS else config.lr
+        lr = config.lr * burn_in_factor if epoch < burn_in else config.lr
         pairs = []
         for edge in rng.permutation(len(tree.edges)):
             u, child = tree.edges[edge]

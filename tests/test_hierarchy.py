@@ -772,6 +772,8 @@ class TestBundledEmotionTaxonomy:
         assert len(tree.nodes) == 133
         assert set(tree.depth.tolist()) == {0, 1, 2}
         assert np.count_nonzero(tree.depth == 0) == 6
+        # The 35 secondary emotions, the paper-sized class set.
+        assert np.count_nonzero(tree.depth == 1) == 35
         with_children = {p for p, _ in tree.edges}
         leaves = [n for n in tree.nodes if n not in with_children]
         assert len(leaves) == 107
