@@ -7,19 +7,20 @@ where the class anchors sit on the ball:
   ce       - plain CE, no label embeddings
   uniform  - wce on anchors at uniform random directions, fixed radius
   random   - wce on embeddings trained on a fixed scrambled shuffle of the tree
-Prints the scrambled fixture, one JSON line per run and a summary of the
-means. Over seeds 0-4, wce's mean test weighted F1 reads 0.93058 against
-ce's 0.86780, and wce >= uniform >= random is expected. Single seeds are
-noisy; the claims are about the means over several seeds. The random arm
-also turns last-bit rounding in training into visible test scores, so
-one seed's `ordering_holds` can flip on rounding alone.
+Prints the scrambled fixture, one JSON line per run and the arms'
+summary (experiments.summarize_arms). Over seeds 0-4, wce's mean test
+weighted F1 reads 0.93058 against ce's 0.86780, and wce >= uniform >=
+random is expected. Single seeds are noisy; the claims are about the
+means over several seeds. The random arm also turns last-bit rounding in
+training into visible test scores, so one seed's `ordering_holds` can
+flip on rounding alone.
 """
 
 import argparse
 import json
 
 from hyperclass.data import default_synthetic_tree
-from hyperclass.experiments import ARMS, mean_over_seeds, run_synthetic_pipeline, scrambled_tree
+from hyperclass.experiments import ARMS, run_synthetic_pipeline, scrambled_tree, summarize_arms
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -32,21 +33,13 @@ def main(argv: list[str] | None = None) -> None:
     fixture, shuffle_seed = scrambled_tree(default_synthetic_tree()[0])
     print(json.dumps({"shuffled_edges": fixture.edges, "shuffle_seed": shuffle_seed}), flush=True)
 
-    means = {}
+    records = {}
     for arm, kwargs in ARMS.items():
-        records = []
+        records[arm] = []
         for seed in range(args.seeds):
-            records.append(run_synthetic_pipeline(seed, **kwargs))
-            print(json.dumps(records[-1]), flush=True)
-        means[arm] = mean_over_seeds(records, "test_wf1")
-    summary = {
-        "mean_test_wf1": means,
-        "wce_minus_ce": means["wce"] - means["ce"],
-        "wce_minus_random": means["wce"] - means["random"],
-        "ordering_holds": means["wce"] >= means["uniform"] >= means["random"],
-        "seeds": args.seeds,
-    }
-    print(json.dumps(summary))
+            records[arm].append(run_synthetic_pipeline(seed, **kwargs))
+            print(json.dumps(records[arm][-1]), flush=True)
+    print(json.dumps(summarize_arms(records)))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Same bits as a base revision: python3 scripts/same_bits.py --base <rev>
 
-One fixed battery (battery()) runs in two child processes at once: one
-against the src/ of <rev>, checked out with bench_compare.worktree, and
-one against this checkout's src/, uncommitted edits included. They share
-one environment, BLAS on one thread, but for PYTHONPATH (their side's
-src/, which `hyperclass` must import from) and PYTHONHASHSEED (fixed,
-one per side), so `--base HEAD` is an A/A run across two hash seeds.
-Prints one JSON line per item, `==`, `differs` (with the first differing
-leaf and the largest absolute and relative gaps) or `error`, then each
-side's gate quantities and a summary; exits 1 unless every item is `==`.
+One fixed battery (battery()) runs in two child processes at once, on
+the src/ of <rev> (a bench_compare.worktree) and on this checkout's,
+uncommitted edits included. The children differ only in PYTHONPATH
+(their side's src/, which `hyperclass` must import from) and a fixed
+PYTHONHASHSEED, so `--base HEAD` is an A/A run; BLAS runs on one thread.
+Prints a JSON line per item (`==`, `differs` with the first differing
+leaf and the largest absolute and relative gaps, or `error`), each side's
+experiments.summarize_arms and a summary; exits 1 unless all are `==`.
 """
 
 import argparse
@@ -85,9 +84,7 @@ def ball_kernel(name: str):
             "exp_map_origin": (v,), "log_map_origin": (outside,), "exp_origin_distance_vjp": (v, y),
             "random_ball_point": (np.random.default_rng(1), 5, 0.9)}
     out = getattr(ball, name)(*args[name])
-    if isinstance(out, tuple):
-        out = (out[0], out[1](rng.standard_normal(out[0].shape)))
-    return out
+    return (out[0], out[1](rng.standard_normal(out[0].shape))) if isinstance(out, tuple) else out
 
 
 def stage_one(name: str) -> dict:
@@ -99,7 +96,7 @@ def stage_one(name: str) -> dict:
 
 
 def cli_step(args: str | None) -> dict:
-    """A step's exit code, stdout, stderr and the bytes of each file it wrote."""
+    """A step's exit code, stdout, stderr and the bytes of each file it wrote, as step_record."""
     def files():
         return {str(p): p.read_bytes() for p in sorted(Path("runs").rglob("*")) if p.is_file()}
 
@@ -112,7 +109,13 @@ def cli_step(args: str | None) -> dict:
     else:
         proc = subprocess.run([sys.executable, "-m", "hyperclass", *args.split()], capture_output=True)
         record = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
-    return record | {"files": {k: v for k, v in files().items() if before.get(k) != v}}
+    return step_record(record | {"files": {k: v for k, v in files().items() if before.get(k) != v}})
+
+
+def step_record(raw: dict) -> dict:
+    """`raw` led by its JSON-object stdout lines and .json files, parsed, so compare gives a number's gaps."""
+    texts = raw.get("stdout", b"").splitlines() + [v for k, v in raw["files"].items() if k.endswith(".json")]
+    return {"json": [json.loads(text) for text in texts if text.startswith(b"{")]} | raw
 
 
 def arm(name: str, seed: int) -> dict:
@@ -194,14 +197,11 @@ def compare(a, b) -> dict:
 
 
 def gates(values: dict) -> dict:
-    """What the acceptance tests' arm gates compare, from one side's arms."""
+    """This checkout's experiments.summarize_arms of one side's arm records."""
     if any(values[f"arms/{a}/seed{s}"][0] != "ok" for a in ARMS for s in SEEDS):
         return {"error": "an arm item failed"}
-    test, train = ({a: float(np.mean([values[f"arms/{a}/seed{s}"][1]["record"][k] for s in SEEDS])) for a in ARMS}
-                   for k in ("test_wf1", "train_wf1"))
-    return {"mean_test_wf1": test, "wce_mean_train_wf1": train["wce"],
-            "wce_minus_ce": test["wce"] - test["ce"], "expert_minus_scrambled": test["wce"] - test["random"],
-            "ordering_holds": test["wce"] >= test["uniform"] >= test["random"]}
+    from hyperclass.experiments import summarize_arms
+    return summarize_arms({a: [values[f"arms/{a}/seed{s}"][1]["record"] for s in SEEDS] for a in ARMS})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -238,11 +238,11 @@ def main(argv: list[str] | None = None) -> int:
         line = {"status": "error", "error": "; ".join(errors)} if errors else compare(pair[0][1], pair[1][1])
         counts[line["status"]] += 1
         print(json.dumps({"item": item, **line}), flush=True)
+    sys.path.insert(0, str(ROOT / "src"))  # gates reads this checkout's hyperclass, for both sides
     for side in SIDES:
         print(json.dumps({"gates": side, **gates(values[side])}), flush=True)
     total = sum(counts.values())
-    print(json.dumps({"summary": {"base": sha, "items": total, **counts,
-                                  "wall_s": round(time.monotonic() - began, 1)}}), flush=True)
+    print(json.dumps({"summary": {"base": sha, "items": total, **counts, "wall_s": round(time.monotonic() - began, 1)}}))
     return 0 if counts["=="] == total else 1
 
 

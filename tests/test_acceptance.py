@@ -1,16 +1,16 @@
 """Release gate: invariant suites plus scaled-down behavioral runs.
 
 Each test pins the tolerances and single-core time budgets the library
-promises. The behavioral tests share one module-scoped bank of synthetic
-pipeline runs (4 arms x 5 seeds), so the whole file stays inside the
-budgets on one CPU core.
+promises. The behavioral tests share conftest's session-scoped bank of
+synthetic pipeline runs (4 arms x 5 seeds), so the whole file stays
+inside the budgets on one CPU core.
 """
 
 import time
 
 import numpy as np
-import pytest
 
+from conftest import SEEDS
 from helpers import (
     brute_weighted_f1,
     distance_from_origin,
@@ -32,7 +32,7 @@ from hyperclass.cli import main as cli_main
 from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, generate_synthetic, save_dataset
 from hyperclass.encoder import EncoderModel, Vocabulary, encode, encode_backward, tokenize
-from hyperclass.experiments import ARMS, mean_over_seeds, run_synthetic_pipeline
+from hyperclass.experiments import summarize_arms
 from hyperclass.checkpoint import load_checkpoint, save_classifier_checkpoint
 from hyperclass.hierarchy import (
     build_tree,
@@ -43,8 +43,6 @@ from hyperclass.hierarchy import (
 from hyperclass.loss import ClassifierHead, ce_batch, logits, predict, weighted_ce_batch
 from hyperclass.metrics import evaluate
 from hyperclass.training import train_classifier
-
-SEEDS = range(5)
 
 
 # ---------------------------------------------------------------- geometry
@@ -199,45 +197,32 @@ def test_label_embedding_quality():
 # ------------------------------------------------------- behavioral runs
 
 
-@pytest.fixture(scope="module")
-def arms():
-    """4 arms x 5 seeds of the default synthetic pipeline, with wall time."""
-    out = {}
-    for name, kwargs in ARMS.items():
-        t0 = time.monotonic()
-        out[name] = {
-            "records": [run_synthetic_pipeline(seed, **kwargs) for seed in SEEDS],
-            "elapsed": time.monotonic() - t0,
-        }
-    return out
+def summary(arms):
+    return summarize_arms({arm: run["records"] for arm, run in arms.items()})
 
 
 def test_weighted_loss_beats_plain_ce(arms):
     """Distance-weighted CE beats plain CE by >= 2 test weighted-F1 points
     on the confusable-siblings benchmark, 5-seed means, < 10 min."""
-    wce = mean_over_seeds(arms["wce"]["records"], "test_wf1")
-    ce = mean_over_seeds(arms["ce"]["records"], "test_wf1")
+    out = summary(arms)
     assert arms["wce"]["elapsed"] + arms["ce"]["elapsed"] < 600.0
-    assert wce - ce >= 0.02, (wce, ce)
+    assert out["wce_minus_ce"] >= 0.02, out["mean_test_wf1"]
 
 
 def test_hierarchy_ablation_ordering(arms):
     """Real taxonomy >= structure-free anchors >= scrambled taxonomy, with
     the expert-vs-scrambled gap >= 1 point, < 30 min for the three arms."""
-    expert = mean_over_seeds(arms["wce"]["records"], "test_wf1")
-    uniform = mean_over_seeds(arms["uniform"]["records"], "test_wf1")
-    scrambled = mean_over_seeds(arms["random"]["records"], "test_wf1")
+    out = summary(arms)
     elapsed = sum(arms[k]["elapsed"] for k in ("wce", "uniform", "random"))
     assert elapsed < 1800.0
-    assert expert >= uniform >= scrambled, (expert, uniform, scrambled)
-    assert expert - scrambled >= 0.01, (expert, scrambled)
+    assert out["ordering_holds"], out["mean_test_wf1"]
+    assert out["wce_minus_random"] >= 0.01, out["mean_test_wf1"]
 
 
 def test_train_fit_exceeds_heldout(arms):
     """Converged runs fit train better than test (5-seed means)."""
-    train = mean_over_seeds(arms["wce"]["records"], "train_wf1")
-    test = mean_over_seeds(arms["wce"]["records"], "test_wf1")
-    assert train > test
+    out = summary(arms)
+    assert out["wce_mean_train_wf1"] > out["mean_test_wf1"]["wce"]
 
 
 # ----------------------------------------------------------- metrics oracle

@@ -1,4 +1,5 @@
-"""Ablation-harness helpers: scrambled fixture, uniform anchors, pipeline."""
+"""Ablation-harness helpers: scrambled fixture, uniform anchors, pipeline
+and the arms' summary."""
 
 from dataclasses import replace
 
@@ -7,14 +8,14 @@ import pytest
 
 from helpers import nested_loop_sibling_pairs, per_node_uniform_ball_labels
 from hyperclass import experiments
-from hyperclass.config import ClassifierConfig, LabelEmbedConfig, SynthSpec
 from hyperclass.data import default_synthetic_tree, make_family_tree
-from hyperclass.errors import ConfigError, DatasetError, TaxonomyError
+from hyperclass.errors import ConfigError, TaxonomyError
 from hyperclass.experiments import (
+    ARMS,
     STRUCTURELESS_RADIUS,
-    mean_over_seeds,
     run_synthetic_pipeline,
     scrambled_tree,
+    summarize_arms,
     surviving_sibling_pairs,
     uniform_ball_labels,
 )
@@ -113,12 +114,6 @@ class TestUniformBallLabels:
             np.testing.assert_array_equal(emb.vectors, ref)
 
 
-SMALL_RUN = dict(
-    spec=SynthSpec(samples_per_class=10),
-    label_cfg=LabelEmbedConfig(dim=3, epochs=10),
-    clf_cfg=ClassifierConfig(d_tok=8, d_e=16, epochs=2),
-)
-
 RECORD_KEYS = {
     "seed", "loss", "mode", "test_acc", "test_wf1", "train_wf1",
     "best_epoch", "best_dev_wf1", "label_loss",
@@ -126,26 +121,26 @@ RECORD_KEYS = {
 
 
 class TestRunSyntheticPipeline:
-    def test_wce_record_shape(self):
-        rec = run_synthetic_pipeline(0, loss="wce", mode="expert", **SMALL_RUN)
-        assert set(rec) == RECORD_KEYS
-        assert rec["label_loss"] > 0.0
-        assert 0.0 <= rec["test_wf1"] <= 1.0
+    def test_wce_record_shape(self, arms):
+        for seed, rec in enumerate(arms["wce"]["records"]):
+            assert set(rec) == RECORD_KEYS
+            assert (rec["seed"], rec["loss"], rec["mode"]) == (seed, "wce", "expert")
+            assert rec["label_loss"] > 0.0
+            assert 0.0 <= rec["test_wf1"] <= 1.0
 
-    def test_ce_skips_stage_one(self):
-        rec = run_synthetic_pipeline(0, loss="ce", mode="expert", **SMALL_RUN)
-        assert rec["label_loss"] is None
-        assert rec["mode"] == "expert"
+    def test_ce_skips_stage_one(self, arms):
+        for rec in arms["ce"]["records"]:
+            assert rec["label_loss"] is None
+            assert rec["mode"] == "expert"
 
-    def test_uniform_mode_skips_training(self):
-        rec = run_synthetic_pipeline(0, loss="wce", mode="uniform", **SMALL_RUN)
-        assert rec["label_loss"] is None
-        assert rec["mode"] == "uniform"
+    def test_uniform_mode_skips_training(self, arms):
+        for rec in arms["uniform"]["records"]:
+            assert rec["label_loss"] is None
+            assert rec["mode"] == "uniform"
 
-    def test_deterministic(self):
-        a = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
-        b = run_synthetic_pipeline(1, loss="wce", mode="random", **SMALL_RUN)
-        assert a == b
+    def test_deterministic(self, arms):
+        rec = run_synthetic_pipeline(0, **ARMS["random"])
+        assert rec == arms["random"]["records"][0] and rec["mode"] == "random"
 
     def test_unknown_mode_is_refused_before_any_data(self, monkeypatch):
         def generate(*args):
@@ -157,20 +152,33 @@ class TestRunSyntheticPipeline:
             with pytest.raises(TaxonomyError, match=r"^unknown hierarchy mode 'frobnicate'$"):
                 run_synthetic_pipeline(0, loss=loss, mode="frobnicate")
 
-    @pytest.mark.parametrize(
-        "fractions, empty",
-        [(dict(dev_fraction=0.0), "dev"), (dict(train_fraction=0.0), "training")],
-    )
-    def test_empty_split_is_dataset_error(self, fractions, empty):
-        with pytest.raises(DatasetError, match=f"the {empty} split is empty"):
-            run_synthetic_pipeline(1, loss="ce", spec=SynthSpec(**fractions))
-
-
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             run_synthetic_pipeline(-1)
 
 
-def test_mean_over_seeds():
-    records = [{"x": 0.5}, {"x": 1.5}]
-    assert mean_over_seeds(records, "x") == 1.0
+# Test wF1 per arm and seed, dyadic (or thirds of a dyadic sum), so the
+# summary's means and gaps are exact. "ordered" ties wce, uniform and
+# random, which `>=` accepts.
+SCORES = {
+    "ordered": (
+        {"wce": [0.5, 0.75, 1.0], "ce": [0.25, 0.5, 0.75], "uniform": [1.0, 0.75, 0.5], "random": [0.75] * 3},
+        {"mean_test_wf1": {"wce": 0.75, "ce": 0.5, "uniform": 0.75, "random": 0.75}, "wce_mean_train_wf1": 0.625,
+         "wce_minus_ce": 0.25, "wce_minus_random": 0.0, "ordering_holds": True, "seeds": 3},
+    ),
+    "random-above-uniform": (
+        {"wce": [0.5, 0.5], "ce": [0.75, 0.75], "uniform": [0.25, 0.25], "random": [0.5, 0.25]},
+        {"mean_test_wf1": {"wce": 0.5, "ce": 0.75, "uniform": 0.25, "random": 0.375}, "wce_mean_train_wf1": 0.75,
+         "wce_minus_ce": -0.25, "wce_minus_random": 0.125, "ordering_holds": False, "seeds": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORES))
+def test_summarize_arms(case):
+    scores, expected = SCORES[case]
+    # Train wF1 is 1 - test / 2, and only wce's is read; the arms come in reversed.
+    records = {arm: [{"test_wf1": s, "train_wf1": 1.0 - s / 2} for s in scores[arm]] for arm in reversed(ARMS)}
+    out = summarize_arms(records)
+    assert out == expected
+    assert list(out) == list(expected) and list(out["mean_test_wf1"]) == list(ARMS)

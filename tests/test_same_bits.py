@@ -3,12 +3,13 @@ fixed values: no git, no subprocess and no battery run."""
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import test_acceptance
+from conftest import SEEDS
 from hyperclass import ball, experiments
 from hyperclass.cli import build_parser
 
@@ -65,6 +66,18 @@ def test_bytes_compare_by_content():
     }
 
 
+def test_a_one_ulp_change_in_a_step_line_has_its_gap():
+    # Progress lines as train-classifier prints them, and a .json output.
+    def step(loss):
+        line = json.dumps({"epoch": 0, "train_loss": loss}).encode() + b"\n"
+        return same_bits.step_record({"exit": 0, "stdout": line, "stderr": b"", "files": {
+            "runs/eval.json": b'{"weighted_f1": 0.5}', "runs/clf.ckpt": b"\x00{"}})
+    assert compare(step(1.0), step(ULP)) == {
+        "status": "differs", "at": "/json/0/train_loss", "abs_gap": 2.0**-52, "rel_gap": 2.0**-52 / ULP,
+    }
+    assert step(1.0)["json"] == [{"epoch": 0, "train_loss": 1.0}, {"weighted_f1": 0.5}]
+
+
 @pytest.mark.parametrize(
     "a, b, at",
     [
@@ -91,7 +104,7 @@ def test_item_ids_are_unique_and_the_same_across_two_builds():
 def test_battery_matches_the_code_it_covers():
     # The arms are the acceptance fixture's, and every public ball kernel
     # has an item.
-    assert list(same_bits.SEEDS) == list(test_acceptance.SEEDS)
+    assert list(same_bits.SEEDS) == list(SEEDS)
     assert same_bits.ARMS == tuple(experiments.ARMS)
     public = {
         name for name, f in vars(ball).items()
@@ -105,16 +118,10 @@ def test_battery_matches_the_code_it_covers():
 
 def test_gates_are_the_acceptance_quantities():
     test = {"wce": 0.9, "ce": 0.8, "uniform": 0.85, "random": 0.7}
-    values = {
-        f"arms/{a}/seed{s}": ("ok", {"record": {"test_wf1": test[a] + 0.01 * (s - 2), "train_wf1": 1.0}})
-        for a in same_bits.ARMS for s in same_bits.SEEDS
-    }
-    out = same_bits.gates(values)
-    assert out["mean_test_wf1"] == pytest.approx(test)
-    assert out["wce_mean_train_wf1"] == 1.0
-    assert out["wce_minus_ce"] == pytest.approx(0.1)
-    assert out["expert_minus_scrambled"] == pytest.approx(0.2)
-    assert out["ordering_holds"] is True
+    records = {a: [{"test_wf1": test[a] + 0.01 * (s - 2), "train_wf1": 1.0} for s in same_bits.SEEDS]
+               for a in same_bits.ARMS}
+    values = {f"arms/{a}/seed{s}": ("ok", {"record": records[a][s]}) for a in same_bits.ARMS for s in same_bits.SEEDS}
+    assert same_bits.gates(values) == experiments.summarize_arms(records)
     values["arms/ce/seed3"] = ("error", "NumericalError: boom")
     assert same_bits.gates(values) == {"error": "an arm item failed"}
 
